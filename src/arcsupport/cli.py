@@ -20,8 +20,8 @@ from .oracle import (FuzzConfig, GenerationExhausted, draw_delta,
                      random_simple_arc)
 from .pairs import (MOUNTAIN, VALLEY, InvalidDelta, TriplePair,
                     corollary_check, enumerate_triples, find_pair_mountain,
-                    find_pair_valley, jump_to_jump_gaps, safe_delta_range,
-                    verify_triple)
+                    find_pair_valley, jump_to_jump_gaps, pairs_identical,
+                    safe_delta_range, verify_triple)
 from .profile import build_profile
 from .render import RenderSpec, render_pair_svg
 
@@ -32,7 +32,9 @@ EXIT_IO = 4
 EXIT_GENERATION = 5
 
 
-def _load_arc(path: str, tol):
+def _load(path: str, tol):
+    """Read and validate an arc file and build its hull and profile;
+    exits with the documented code on bad input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -43,21 +45,19 @@ def _load_arc(path: str, tol):
         print(f"bad JSON in {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     try:
-        return build_arc(payload["vertices"], tol)
-    except (KeyError, TypeError) as exc:
-        print(f"expected {{\"vertices\": [[x, y], ...]}}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+        arc = build_arc(payload["vertices"], tol)
     except ArcError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
-
-
-def _profile_of(arc, tol):
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        print(f"expected {{\"vertices\": [[x, y], ...]}}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_VALIDATION)
     try:
-        return build_profile(melkman_hull(arc, tol), tol)
+        hull = melkman_hull(arc, tol)
     except StraightArc as exc:
         print(f"StraightArc: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
+    return arc, hull, build_profile(hull)
 
 
 def _maybe_degrees(value: float, to_degrees: bool) -> float:
@@ -65,9 +65,7 @@ def _maybe_degrees(value: float, to_degrees: bool) -> float:
 
 
 def cmd_analyze(args) -> int:
-    tol = DEFAULT_TOL
-    arc = _load_arc(args.input, tol)
-    profile = _profile_of(arc, tol)
+    arc, _, profile = _load(args.input, DEFAULT_TOL)
     if args.json:
         doc = {
             "length": arc.length,
@@ -118,39 +116,39 @@ def _pair_doc(pair: TriplePair, unique_count: int, report,
     }
 
 
-def _run_mode(profile, arc, delta, mode, tol) -> dict:
+def _scan(profile, arc, delta, mode, tol) -> TriplePair:
     if mode == MOUNTAIN:
-        pair = find_pair_mountain(profile, arc, delta, tol)
-    else:
-        pair = find_pair_valley(profile, arc, delta, tol)
+        return find_pair_mountain(profile, arc, delta, tol)
+    return find_pair_valley(profile, arc, delta, tol)
+
+
+def _run_mode(profile, arc, delta, mode, tol):
+    """The scan's pair, the number of enumerated configurations of its
+    kind (spanning the apex step for a mountain pair, the minimum step
+    for a valley pair) and its verification report."""
+    pair = _scan(profile, arc, delta, mode, tol)
     configs = enumerate_triples(profile, arc, delta, tol)
     typed = sum(1 for c in configs
-                if (c.covers_apex if mode == MOUNTAIN else c.covers_min))
-    return {"pair": pair, "unique_count": typed,
-            "report": verify_triple(arc, pair, tol)}
+                if (c.covers_apex if pair.covers_apex else c.covers_min))
+    return pair, typed, verify_triple(arc, pair, tol)
 
 
 def cmd_find_pair(args) -> int:
     tol = DEFAULT_TOL
-    arc = _load_arc(args.input, tol)
-    profile = _profile_of(arc, tol)
+    arc, _, profile = _load(args.input, tol)
     delta = math.radians(args.delta) if args.degrees else args.delta
     try:
         if args.mode == "both":
-            res = corollary_check(profile, arc, delta, tol)
             m = _run_mode(profile, arc, delta, MOUNTAIN, tol)
             v = _run_mode(profile, arc, delta, VALLEY, tol)
             doc = {
                 "mode": "both",
-                "mountain": _pair_doc(res.mountain, m["unique_count"],
-                                      m["report"], args.degrees),
-                "valley": _pair_doc(res.valley, v["unique_count"],
-                                    v["report"], args.degrees),
-                "identical": res.identical,
+                "mountain": _pair_doc(*m, args.degrees),
+                "valley": _pair_doc(*v, args.degrees),
+                "identical": pairs_identical(profile, m[0], v[0], tol),
             }
         else:
-            r = _run_mode(profile, arc, delta, args.mode, tol)
-            doc = _pair_doc(r["pair"], r["unique_count"], r["report"],
+            doc = _pair_doc(*_run_mode(profile, arc, delta, args.mode, tol),
                             args.degrees)
     except InvalidDelta as exc:
         print(f"InvalidDelta: {exc}", file=sys.stderr)
@@ -161,15 +159,10 @@ def cmd_find_pair(args) -> int:
 
 def cmd_render(args) -> int:
     tol = DEFAULT_TOL
-    arc = _load_arc(args.input, tol)
-    hull = melkman_hull(arc, tol)
-    profile = build_profile(hull, tol)
+    arc, hull, profile = _load(args.input, tol)
     delta = math.radians(args.delta) if args.degrees else args.delta
     try:
-        if args.mode == VALLEY:
-            pair = find_pair_valley(profile, arc, delta, tol)
-        else:
-            pair = find_pair_mountain(profile, arc, delta, tol)
+        pair = _scan(profile, arc, delta, args.mode, tol)
     except InvalidDelta as exc:
         print(f"InvalidDelta: {exc}", file=sys.stderr)
         return EXIT_DELTA
@@ -194,17 +187,10 @@ def run_fuzz(config: FuzzConfig, tol=DEFAULT_TOL):
     unique_total = 0
     for trial in range(config.trials):
         arc = random_simple_arc(config, trial, tol)
-        profile = build_profile(melkman_hull(arc, tol), tol)
+        profile = build_profile(melkman_hull(arc, tol))
         mode = MOUNTAIN if trial % 2 == 0 else VALLEY
         delta = draw_delta(config, trial, mode, safe_delta_range(profile, mode))
-        if mode == MOUNTAIN:
-            pair = find_pair_mountain(profile, arc, delta, tol)
-        else:
-            pair = find_pair_valley(profile, arc, delta, tol)
-        report = verify_triple(arc, pair, tol)
-        configs = enumerate_triples(profile, arc, delta, tol)
-        typed = sum(1 for c in configs
-                    if (c.covers_apex if mode == MOUNTAIN else c.covers_min))
+        pair, typed, report = _run_mode(profile, arc, delta, mode, tol)
         tie_prone = (pair.near_tie or any(
             abs(delta - g) <= 1e-6 for g in jump_to_jump_gaps(profile)))
         if pair.strict:

@@ -1,4 +1,5 @@
-"""Convex hull of a polygonal arc with per-corner arc parameters.
+"""Convex hull of a polygonal arc with per-corner arc parameters and
+angular support steps.
 
 Melkman's online deque algorithm runs in linear time on a simple
 polyline.  Hull vertices that are interior to a hull edge (collinear
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .arc import PolygonalArc
 from .geometry import DEFAULT_TOL, Point2, Tolerances, angle_of, ccw_gap, orient
@@ -31,9 +32,9 @@ class HullCorner:
 
     point: Point2
     param: float
-    step_start: float | None = None
-    step_end: float | None = None
-    exterior_angle: float | None = None
+    step_start: float
+    step_end: float
+    exterior_angle: float
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,12 @@ def _strict_left(a: Point2, b: Point2, c: Point2, tol: Tolerances) -> bool:
 def melkman_hull(arc: PolygonalArc, tol: Tolerances = DEFAULT_TOL) -> Hull:
     """Convex hull of the arc's vertex chain via Melkman's algorithm.
 
-    Returns corners in counterclockwise order with their arc parameters.
-    Raises StraightArc when every vertex is collinear within tolerance.
+    Returns corners in counterclockwise order with their arc parameters
+    and angular steps.  For corner B with counterclockwise neighbours A
+    (incoming) and C (outgoing), the step runs from the direction of
+    A->B to the direction of B->C; the support line for angles strictly
+    inside the step touches exactly B.  Raises StraightArc when every
+    vertex is collinear within tolerance.
     """
     items = list(enumerate(arc.vertices))
 
@@ -110,41 +115,25 @@ def melkman_hull(arc: PolygonalArc, tol: Tolerances = DEFAULT_TOL) -> Hull:
     if len(cycle) < 3:
         raise StraightArc("hull degenerates to a segment within tolerance")
 
+    # shoelace sum relative to cycle[0]: absolute coordinates cancel
+    # catastrophically far from the origin and can flip the sign
+    m = len(cycle)
+    o = cycle[0][1]
     area2 = 0.0
-    for i in range(len(cycle)):
-        p, q = cycle[i][1], cycle[(i + 1) % len(cycle)][1]
+    for i in range(m):
+        p, q = cycle[i][1] - o, cycle[(i + 1) % m][1] - o
         area2 += p.x * q.y - p.y * q.x
     if area2 < 0.0:
         cycle.reverse()
 
-    start = min(range(len(cycle)), key=lambda i: arc.params[cycle[i][0]])
+    start = min(range(m), key=lambda i: arc.params[cycle[i][0]])
     cycle = cycle[start:] + cycle[:start]
-    corners = tuple(HullCorner(pt, arc.params[idx]) for idx, pt in cycle)
-    return Hull(corners)
-
-
-def corner_steps(hull: Hull, tol: Tolerances = DEFAULT_TOL) -> Hull:
-    """Fill each corner's angular step interval and exterior angle.
-
-    For corner B with counterclockwise neighbours A (incoming) and C
-    (outgoing), the step runs from the direction of A->B to the
-    direction of B->C; the support line for angles strictly inside the
-    step touches exactly B.
-    """
-    m = len(hull.corners)
-    if m < 3:
-        raise StraightArc("need at least 3 corners for angular steps")
-    out = []
-    for i, corner in enumerate(hull.corners):
-        a = hull.corners[(i - 1) % m].point
-        b = corner.point
-        c = hull.corners[(i + 1) % m].point
-        start = angle_of(b - a)
-        end = angle_of(c - b)
-        ext = ccw_gap(start, end)
+    corners = []
+    for i, (idx, b) in enumerate(cycle):
+        step_start = angle_of(b - cycle[i - 1][1])
+        step_end = angle_of(cycle[(i + 1) % m][1] - b)
+        ext = ccw_gap(step_start, step_end)
         if not (tol.eps_angle < ext < math.pi):
-            raise StraightArc(
-                f"degenerate exterior angle {ext} at corner {b}")
-        out.append(replace(corner, step_start=start, step_end=end,
-                           exterior_angle=ext))
-    return Hull(tuple(out))
+            raise StraightArc(f"degenerate exterior angle {ext} at corner {b}")
+        corners.append(HullCorner(b, arc.params[idx], step_start, step_end, ext))
+    return Hull(tuple(corners))

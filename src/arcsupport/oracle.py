@@ -10,8 +10,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arc import ArcError, PolygonalArc, build_arc
 from .geometry import DEFAULT_TOL, TWO_PI, Point2, Tolerances, canon_angle, orient
 from .hull import StraightArc
@@ -34,23 +32,19 @@ class FuzzConfig:
     seed: int = 42
     vertex_range: tuple[int, int] = (4, 12)
     coordinate_box: float = 10.0
-    delta_policy: str = "safe_range"  # safe_range | full_range | fixed
-    fixed_delta: float | None = None
+    delta_policy: str = "safe_range"  # safe_range | full_range
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.vertex_range[0] < 3 or self.vertex_range[0] > self.vertex_range[1]:
             raise ValueError(f"bad vertex_range {self.vertex_range}")
-        if self.delta_policy not in ("safe_range", "full_range", "fixed"):
+        if self.delta_policy not in ("safe_range", "full_range"):
             raise ValueError(f"unknown delta policy {self.delta_policy}")
-        if self.delta_policy == "fixed" and self.fixed_delta is None:
-            raise ValueError("fixed delta policy needs fixed_delta")
 
 
 def oracle_touch_params(arc: PolygonalArc, theta: float,
-                        tol: Tolerances = DEFAULT_TOL,
-                        slack_scale: float = 1.0) -> tuple[float, ...]:
+                        tol: Tolerances = DEFAULT_TOL) -> tuple[float, ...]:
     """Touch parameters at angle theta by direct vertex projection.
 
     Projects every vertex on the outward normal (theta - pi/2), keeps
@@ -60,7 +54,7 @@ def oracle_touch_params(arc: PolygonalArc, theta: float,
     theta = canon_angle(theta)
     nx, ny = math.sin(theta), -math.cos(theta)
     proj = [v.x * nx + v.y * ny for v in arc.vertices]
-    cut = max(proj) - tol.eps_touch * arc.diagonal * slack_scale
+    cut = max(proj) - tol.eps_touch * arc.diagonal
     cand = [arc.params[i] for i, p in enumerate(proj) if p >= cut]
     lo, hi = min(cand), max(cand)
     return (lo,) if lo == hi else (lo, hi)
@@ -81,6 +75,8 @@ def grid_scan_pairs(arc: PolygonalArc, gap: float,
     within the slack, which needs roughly diagonal * resolution.  The
     eps-scale slack used elsewhere would miss every jump.
     """
+    import numpy as np  # only this oracle needs it; keeps the CLI start light
+
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
     k = max(8, int(round(TWO_PI / resolution)))
@@ -204,15 +200,16 @@ def random_simple_arc(config: FuzzConfig, trial_index: int,
         f"no simple arc after {max_rejections} draws (trial {trial_index})")
 
 
+# distance kept from either end of the safe range by the safe_range policy
+SAFE_MARGIN = 1e-3
+
+
 def draw_delta(config: FuzzConfig, trial_index: int, mode: str,
-               safe_range: tuple[float, float],
-               margin: float = 1e-3) -> float:
+               safe_range: tuple[float, float]) -> float:
     """Per-trial difference draw under the configured policy."""
-    if config.delta_policy == "fixed":
-        return float(config.fixed_delta)
     rng = random.Random(f"{config.seed}:{trial_index}:delta:{mode}")
     if config.delta_policy == "safe_range":
-        lo, hi = safe_range[0] + margin, safe_range[1] - margin
+        lo, hi = safe_range[0] + SAFE_MARGIN, safe_range[1] - SAFE_MARGIN
         if hi <= lo:  # extremely wide corner steps; fall back to the middle
             return 0.5 * (safe_range[0] + safe_range[1])
         return rng.uniform(lo, hi)

@@ -115,30 +115,23 @@ class _Piece:
 @dataclass(frozen=True)
 class _Window:
     anchor: float                 # angle at window coordinate 0
-    x_lo: tuple[float, ...]
-    x_hi: tuple[float, ...]
-    levels: tuple[float, ...]     # build levels (negated for the valley)
-    total: float
-    pieces: tuple[_Piece, ...]    # ascending by build level
+    pieces: tuple[_Piece, ...]    # ascending by build level (valley: -level)
 
 
 def _build_window(profile: SupportProfile, mode: str) -> _Window:
     m = len(profile.steps)
     start = 0 if mode == MOUNTAIN else profile.apex_index
-    order = [(start + i) % m for i in range(m)]
-    widths = [profile.steps[i].width for i in order]
-    x_lo, x_hi = [], []
-    x = 0.0
-    for w in widths:
-        x_lo.append(x)
-        x += w
-        x_hi.append(x)
-    total = x
     sign = 1.0 if mode == MOUNTAIN else -1.0
-    levels = [sign * profile.steps[i].level for i in order]
-    pieces = _build_pieces(x_lo, x_hi, levels, total)
-    return _Window(profile.steps[start].start, tuple(x_lo), tuple(x_hi),
-                   tuple(levels), total, tuple(pieces))
+    x_lo, x_hi, levels = [], [], []
+    x = 0.0
+    for i in range(m):
+        step = profile.steps[(start + i) % m]
+        x_lo.append(x)
+        x += step.width
+        x_hi.append(x)
+        levels.append(sign * step.level)
+    return _Window(profile.steps[start].start,
+                   tuple(_build_pieces(x_lo, x_hi, levels, x)))
 
 
 def _build_pieces(x_lo, x_hi, levels, total) -> list[_Piece]:
@@ -194,8 +187,7 @@ def _build_pieces(x_lo, x_hi, levels, total) -> list[_Piece]:
     return pieces
 
 
-def scan_ledger(profile: SupportProfile, mode: str,
-                tol: Tolerances = DEFAULT_TOL) -> list[ScanStep]:
+def scan_ledger(profile: SupportProfile, mode: str) -> list[ScanStep]:
     """Public view of the width ledger, ascending by true level."""
     win = _build_window(profile, mode)
     steps = []
@@ -293,13 +285,11 @@ def _gap_side_covers(start: float, gap: float, step_start: float,
     return off + step_width <= gap + tol.eps_angle
 
 
-def _find_pair(profile: SupportProfile, arc: PolygonalArc, delta: float,
-               mode: str, tol: Tolerances) -> TriplePair:
+def _find_pair(profile: SupportProfile, delta: float, mode: str,
+               tol: Tolerances) -> TriplePair:
     if not (0.0 < delta < TWO_PI):
         raise InvalidDelta(f"angle difference {delta} outside (0, 2*pi)")
-    threshold = (profile.apex_step_width if mode == MOUNTAIN
-                 else profile.min_step_width)
-    guaranteed = delta >= threshold - tol.eps_angle
+    guaranteed = delta >= safe_delta_range(profile, mode)[0] - tol.eps_angle
 
     theta_left, theta_right, level, near_tie = _scan(profile, mode, delta, tol)
     theta_d, theta_s, s1, s2, s3, strict = _assign_roles(
@@ -309,21 +299,6 @@ def _find_pair(profile: SupportProfile, arc: PolygonalArc, delta: float,
         realized = ccw_gap(theta_left, theta_right)
     else:
         realized = ccw_gap(theta_right, theta_left)
-
-    if not strict:
-        # the scan landed degenerate; accept a strict configuration of the
-        # same shape if the exhaustive search knows one at this gap
-        rescue = [c for c in enumerate_triples(profile, arc, delta, tol)
-                  if (c.covers_apex if mode == MOUNTAIN else c.covers_min)]
-        if rescue:
-            c = rescue[0]
-            return TriplePair(mode, c.theta_double, c.theta_single,
-                              c.s1, c.s2, c.s3, strict=True,
-                              requested_delta=delta,
-                              realized_gap=realized,
-                              guaranteed=guaranteed, near_tie=near_tie,
-                              covers_apex=c.covers_apex,
-                              covers_min=c.covers_min)
 
     return TriplePair(mode, theta_d, theta_s, s1, s2, s3, strict,
                       requested_delta=delta, realized_gap=realized,
@@ -341,7 +316,7 @@ def find_pair_mountain(profile: SupportProfile, arc: PolygonalArc,
     Guaranteed strict for delta at least the apex step width; below
     that the result is flagged guaranteed=False and may be degenerate.
     """
-    return _find_pair(profile, arc, delta, MOUNTAIN, tol)
+    return _find_pair(profile, delta, MOUNTAIN, tol)
 
 
 def find_pair_valley(profile: SupportProfile, arc: PolygonalArc,
@@ -353,7 +328,7 @@ def find_pair_valley(profile: SupportProfile, arc: PolygonalArc,
 
     Guaranteed strict for delta at least the minimum step width.
     """
-    return _find_pair(profile, arc, delta, VALLEY, tol)
+    return _find_pair(profile, delta, VALLEY, tol)
 
 
 def safe_delta_range(profile: SupportProfile, mode: str) -> tuple[float, float]:
@@ -364,12 +339,10 @@ def safe_delta_range(profile: SupportProfile, mode: str) -> tuple[float, float]:
     return (profile.min_step_width, TWO_PI - profile.apex_step_width)
 
 
-def corollary_check(profile: SupportProfile, arc: PolygonalArc, delta: float,
-                    tol: Tolerances = DEFAULT_TOL) -> CorollaryResult:
-    """Run both scans at the same difference and compare the pairs as
-    unordered angle sets with matching triples."""
-    m = find_pair_mountain(profile, arc, delta, tol)
-    v = find_pair_valley(profile, arc, delta, tol)
+def pairs_identical(profile: SupportProfile, m: TriplePair, v: TriplePair,
+                    tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Do two pairs agree as unordered angle sets with matching triples
+    and the same strictness?"""
     slack = profile.param_slack(tol)
 
     def angles_match(a1, a2, b1, b2):
@@ -378,12 +351,18 @@ def corollary_check(profile: SupportProfile, arc: PolygonalArc, delta: float,
                 or (circ_dist(a1, b2) <= tol.eps_angle
                     and circ_dist(a2, b1) <= tol.eps_angle))
 
-    identical = (
-        angles_match(m.theta_double, m.theta_single,
-                     v.theta_double, v.theta_single)
-        and all(abs(a - b) <= slack for a, b in zip(m.triple, v.triple))
-        and m.strict == v.strict)
-    return CorollaryResult(identical, m, v)
+    return (angles_match(m.theta_double, m.theta_single,
+                         v.theta_double, v.theta_single)
+            and all(abs(a - b) <= slack for a, b in zip(m.triple, v.triple))
+            and m.strict == v.strict)
+
+
+def corollary_check(profile: SupportProfile, arc: PolygonalArc, delta: float,
+                    tol: Tolerances = DEFAULT_TOL) -> CorollaryResult:
+    """Run both scans at the same difference and compare the pairs."""
+    m = find_pair_mountain(profile, arc, delta, tol)
+    v = find_pair_valley(profile, arc, delta, tol)
+    return CorollaryResult(pairs_identical(profile, m, v, tol), m, v)
 
 
 def enumerate_triples(profile: SupportProfile, arc: PolygonalArc, gap: float,

@@ -22,7 +22,7 @@ from typing import Sequence
 from .arc import PolygonalArc, point_at
 from .geometry import (DEFAULT_TOL, TWO_PI, Interval, Point2, Tolerances,
                        canon_angle, ccw_gap, circ_dist)
-from .hull import Hull, corner_steps
+from .hull import Hull
 
 
 class MalformedFunction(ValueError):
@@ -43,19 +43,12 @@ class ProfileStep:
 
 @dataclass(frozen=True)
 class Jump:
-    """Angle where a hull edge lies on the support line.
-
-    prev_level / next_level are the levels of the steps before and
-    after the jump in counterclockwise order; span is the same pair as
-    a [min, max] interval.
-    """
+    """Angle where a hull edge lies on the support line; low_param and
+    high_param are the levels of the steps on either side of it."""
 
     angle: float
-    span: Interval
     low_param: float
     high_param: float
-    prev_level: float
-    next_level: float
 
 
 @dataclass(frozen=True)
@@ -69,8 +62,6 @@ class SupportProfile:
 
     steps: tuple[ProfileStep, ...]
     jumps: tuple[Jump, ...]
-    min_step_width: float    # exterior angle at the minimum-parameter corner
-    apex_step_width: float   # exterior angle at the maximum-parameter corner
     apex_index: int
 
     @property
@@ -80,6 +71,16 @@ class SupportProfile:
     @property
     def apex_step(self) -> ProfileStep:
         return self.steps[self.apex_index]
+
+    @property
+    def min_step_width(self) -> float:
+        """Exterior angle at the minimum-parameter corner."""
+        return self.steps[0].width
+
+    @property
+    def apex_step_width(self) -> float:
+        """Exterior angle at the maximum-parameter corner."""
+        return self.apex_step.width
 
     @property
     def levels(self) -> tuple[float, ...]:
@@ -102,16 +103,12 @@ class DirectedLine:
     anchor: Point2
 
 
-def build_profile(hull: Hull, tol: Tolerances = DEFAULT_TOL) -> SupportProfile:
+def build_profile(hull: Hull) -> SupportProfile:
     """Assemble the step/jump profile from a hull.
 
-    Fills corner steps if the hull does not carry them yet, rotates the
-    cycle so the minimum-level step comes first, and checks the
-    rise-then-fall shape of the level sequence.
+    Rotates the cycle so the minimum-level step comes first and checks
+    the rise-then-fall shape of the level sequence.
     """
-    if hull.corners and hull.corners[0].step_start is None:
-        hull = corner_steps(hull, tol)
-
     corners = hull.corners
     m = len(corners)
     start = min(range(m), key=lambda i: corners[i].param)
@@ -124,8 +121,7 @@ def build_profile(hull: Hull, tol: Tolerances = DEFAULT_TOL) -> SupportProfile:
     for i, step in enumerate(steps):
         prev = steps[i - 1]
         lo, hi = sorted((prev.level, step.level))
-        jumps.append(Jump(step.start, Interval(lo, hi), lo, hi,
-                          prev.level, step.level))
+        jumps.append(Jump(step.start, lo, hi))
 
     levels = [s.level for s in steps]
     apex = max(range(m), key=lambda i: levels[i])
@@ -135,10 +131,7 @@ def build_profile(hull: Hull, tol: Tolerances = DEFAULT_TOL) -> SupportProfile:
             or any(a <= b for a, b in zip(falling, falling[1:]))):
         raise ValueError(f"level sequence {levels} is not rise-then-fall")
 
-    return SupportProfile(steps, tuple(jumps),
-                          min_step_width=steps[0].width,
-                          apex_step_width=steps[apex].width,
-                          apex_index=apex)
+    return SupportProfile(steps, tuple(jumps), apex_index=apex)
 
 
 def touch_params(profile: SupportProfile, theta: float,

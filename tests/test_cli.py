@@ -52,6 +52,38 @@ def test_analyze_self_intersecting_exits_2(tmp_path, capsys):
     assert "SelfIntersecting" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("first", [["a", 1], [1]])
+def test_malformed_vertex_exits_2(first, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": [first, [1, 0], [1, 1]]}))
+    assert main(["analyze", str(path)]) == 2
+    assert "vertices" in capsys.readouterr().err
+
+
+def test_render_straight_arc_exits_2(tmp_path, capsys):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [2, 0]]}))
+    assert main(["render", str(path), "--delta", repr(PI),
+                 "-o", str(tmp_path / "flat.svg")]) == 2
+    assert "StraightArc" in capsys.readouterr().err
+
+
+def test_far_offset_e2(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"vertices": [
+        [x + 1e12, y + 1e12] for x, y in [[0, 0], [3, 0], [3, 1], [2, 1]]]}))
+    assert main(["find-pair", str(path), "--delta", repr(PI)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["identical"] is True
+    for mode in ("mountain", "valley"):
+        assert doc[mode]["strict"] and doc[mode]["verified"]
+        assert doc[mode]["s"] == pytest.approx([0.0, 3.0, 5.0])
+    out_path = tmp_path / "far.svg"
+    assert main(["render", str(path), "--delta", repr(PI),
+                 "-o", str(out_path)]) == 0
+    assert out_path.read_text().count("<circle") == 3
+
+
 def test_find_pair_both(e1_file, capsys):
     assert main(["find-pair", e1_file, "--delta", repr(PI)]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from arcsupport import (Point2, StraightArc, build_arc, corner_steps,
-                        melkman_hull, monotone_chain_hull, orient)
+from arcsupport import (Point2, StraightArc, build_arc, build_profile,
+                        corollary_check, melkman_hull, monotone_chain_hull,
+                        orient, verify_triple)
 
 
 def test_e1_corners(e1):
@@ -29,7 +30,7 @@ def test_straight_arc_rejected():
 
 
 def test_e1_corner_steps(e1):
-    hull = corner_steps(melkman_hull(e1))
+    hull = melkman_hull(e1)
     by_param = {c.param: c for c in hull.corners}
     c = by_param[1.0]
     assert (c.step_start, c.step_end) == pytest.approx((0.0, math.pi / 2))
@@ -40,6 +41,23 @@ def test_e1_corner_steps(e1):
     c = by_param[0.0]
     assert (c.step_start, c.step_end) == pytest.approx((5 * math.pi / 4, 0.0), abs=1e-12)
     assert c.exterior_angle == pytest.approx(3 * math.pi / 4)
+
+
+@pytest.mark.parametrize("scale, offset", [(1.0, 1e12), (1e-6, 1e3)])
+def test_far_from_origin_keeps_e2_pair(scale, offset):
+    # the hull orientation must not cancel away at a large offset
+    arc = build_arc([(x * scale + offset, y * scale + offset)
+                     for x, y in [(0, 0), (3, 0), (3, 1), (2, 1)]])
+    profile = build_profile(melkman_hull(arc))
+    res = corollary_check(profile, arc, math.pi)
+    assert res.identical
+    for pair in (res.mountain, res.valley):
+        assert pair.strict and verify_triple(arc, pair).passed
+        assert pair.theta_single == pytest.approx(math.atan(0.5), abs=1e-9)
+        assert pair.theta_double == pytest.approx(math.pi + math.atan(0.5),
+                                                  abs=1e-9)
+        assert pair.triple == pytest.approx((0.0, 3 * scale, 5 * scale),
+                                            rel=1e-6, abs=1e-9 * scale)
 
 
 def test_exterior_angles_sum(fuzz_pool):

@@ -203,3 +203,22 @@ def test_safe_range_covers_pi(fuzz_pool):
         for mode in (MOUNTAIN, VALLEY):
             lo, hi = safe_delta_range(profile, mode)
             assert lo < PI < hi
+
+
+def test_degenerate_scans_have_no_configuration_of_their_kind(fuzz_pool):
+    # a scan that returns strict=False is final: the exhaustive
+    # enumeration holds no strict configuration of the scan's kind there
+    deltas = [2 * PI * (k + 0.5) / 24 for k in range(24)]
+    degenerate = 0
+    for arc, profile in fuzz_pool[:200]:
+        for mode, finder in ((MOUNTAIN, find_pair_mountain),
+                             (VALLEY, find_pair_valley)):
+            for delta in deltas:
+                if finder(profile, arc, delta).strict:
+                    continue
+                degenerate += 1
+                configs = enumerate_triples(profile, arc, delta)
+                assert not any(
+                    (c.covers_apex if mode == MOUNTAIN else c.covers_min)
+                    for c in configs), (mode, delta)
+    assert degenerate > 0

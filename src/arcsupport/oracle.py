@@ -1,7 +1,12 @@
-"""Independent brute-force oracles and seeded random arc generation.
+"""Independent brute-force oracles, slow references and seeded random
+arc generation.
 
-Everything here deliberately avoids the hull and profile machinery so
-that agreement between the two routes is meaningful evidence.
+The projection oracles deliberately avoid the hull and profile
+machinery so that agreement between the two routes is meaningful
+evidence.  The slow references are the straightforward linear and
+quadratic forms of the profile's fast queries (touch sets, the scan
+ledger and its lookup); tests require the fast forms to return the
+same values.
 """
 
 from __future__ import annotations
@@ -11,8 +16,11 @@ import random
 from dataclasses import dataclass
 
 from .arc import ArcError, PolygonalArc, build_arc
-from .geometry import DEFAULT_TOL, TWO_PI, Point2, Tolerances, canon_angle, orient
+from .geometry import (DEFAULT_TOL, TWO_PI, Interval, Point2, Tolerances,
+                       canon_angle, ccw_gap, circ_dist, interval_sub, orient)
 from .hull import StraightArc
+from .pairs import _Piece, _unroll
+from .profile import SupportProfile
 
 
 class GenerationExhausted(RuntimeError):
@@ -58,6 +66,81 @@ def oracle_touch_params(arc: PolygonalArc, theta: float,
     cand = [arc.params[i] for i, p in enumerate(proj) if p >= cut]
     lo, hi = min(cand), max(cand)
     return (lo,) if lo == hi else (lo, hi)
+
+
+def linear_touch_params(profile: SupportProfile, theta: float,
+                        tol: Tolerances = DEFAULT_TOL) -> tuple[float, ...]:
+    """Reference for profile.touch_params: a linear search over the
+    jumps, then the steps, in index order; O(m) per query."""
+    theta = canon_angle(theta)
+    for jump in profile.jumps:
+        if circ_dist(theta, jump.angle) <= tol.eps_angle:
+            return (jump.low_param, jump.high_param)
+    for step in profile.steps:
+        if ccw_gap(step.start, theta) < step.width:
+            return (step.level,)
+    nearest = min(profile.jumps, key=lambda j: circ_dist(theta, j.angle))
+    return (nearest.low_param, nearest.high_param)
+
+
+def quadratic_ledger(profile: SupportProfile, mode: str) -> list[_Piece]:
+    """Reference for the scan window's pieces: each level's position on
+    the rising and falling branch by a linear search, corners ordered by
+    a sort; O(m^2)."""
+    _, x_lo, x_hi, levels, total = _unroll(profile, mode)
+    m = len(levels)
+    k = max(range(m), key=lambda i: levels[i])
+
+    def rise_pos(y: float) -> float:
+        for i in range(1, k + 1):
+            if levels[i - 1] < y < levels[i]:
+                return x_lo[i]
+        raise AssertionError(f"level {y} not on the rising branch")
+
+    def fall_pos(y: float) -> float:
+        for j in range(k, m):
+            nxt = levels[j + 1] if j + 1 < m else levels[0]
+            if nxt < y < levels[j]:
+                return x_hi[j]
+        raise AssertionError(f"level {y} not on the falling branch")
+
+    pieces: list[_Piece] = []
+    asc = sorted(range(m), key=lambda i: levels[i])
+    for pos, i in enumerate(asc):
+        lam = levels[i]
+        if i == k:
+            left = right = Interval(x_lo[k], x_hi[k])
+        elif i == 0:
+            left = Interval(x_lo[0], x_hi[0])
+            right = Interval(total, total)
+        elif i < k:
+            left = Interval(x_lo[i], x_hi[i])
+            fp = fall_pos(lam)
+            right = Interval(fp, fp)
+        else:
+            rp = rise_pos(lam)
+            left = Interval(rp, rp)
+            right = Interval(x_lo[i], x_hi[i])
+        pieces.append(_Piece(lam, lam, interval_sub(right, left),
+                             left, right, band=False))
+        if pos + 1 < m:
+            nxt = levels[asc[pos + 1]]
+            mid = 0.5 * (lam + nxt)
+            rp, fp = rise_pos(mid), fall_pos(mid)
+            pieces.append(_Piece(lam, nxt, Interval(fp - rp, fp - rp),
+                                 Interval(rp, rp), Interval(fp, fp), band=True))
+    return pieces
+
+
+def linear_ledger_lookup(pieces: list[_Piece], delta: float,
+                         tol: Tolerances = DEFAULT_TOL):
+    """Reference for the scan's ledger lookup: walk from the last piece
+    to the first for one whose width interval contains delta, and test
+    every band for a near tie; O(m)."""
+    hit = next((p for p in reversed(pieces) if p.gap.contains(delta)), None)
+    near_tie = any(p.band and abs(delta - p.gap.lo) <= tol.eps_angle
+                   for p in pieces)
+    return hit, near_tie
 
 
 def grid_scan_pairs(arc: PolygonalArc, gap: float,

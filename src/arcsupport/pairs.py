@@ -16,11 +16,18 @@ upward from the bottom.  A valley pair found at requested difference
 delta spans delta across the minimum step, so the gap between its two
 angles read the other way around the circle is 2*pi - delta; that
 complementary gap is what the scan reports as realized.
+
+Reading the ledger at a fixed angle difference is a rotating caliper
+(Toussaint, MELECON 1983).  Each mode's ledger is built once per
+profile, in O(m) for m corners, on the first scan, and kept on the
+profile; every scan after that bisects it in O(log m).  With the
+logarithmic touch query, enumerate_triples costs O(m log m).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -116,9 +123,13 @@ class _Piece:
 class _Window:
     anchor: float                 # angle at window coordinate 0
     pieces: tuple[_Piece, ...]    # ascending by build level (valley: -level)
+    neg_hi: tuple[float, ...]     # -gap.hi of each piece: ascending
+    band_gaps: tuple[float, ...]  # gaps of the band pieces, ascending
 
 
-def _build_window(profile: SupportProfile, mode: str) -> _Window:
+def _unroll(profile: SupportProfile, mode: str):
+    """Window coordinates of the steps read from the mode's anchor step:
+    (anchor angle, step starts, step ends, build levels, total width)."""
     m = len(profile.steps)
     start = 0 if mode == MOUNTAIN else profile.apex_index
     sign = 1.0 if mode == MOUNTAIN else -1.0
@@ -130,37 +141,55 @@ def _build_window(profile: SupportProfile, mode: str) -> _Window:
         x += step.width
         x_hi.append(x)
         levels.append(sign * step.level)
-    return _Window(profile.steps[start].start,
-                   tuple(_build_pieces(x_lo, x_hi, levels, x)))
+    return profile.steps[start].start, x_lo, x_hi, levels, x
+
+
+def _build_window(profile: SupportProfile, mode: str) -> _Window:
+    anchor, x_lo, x_hi, levels, total = _unroll(profile, mode)
+    pieces = tuple(_build_pieces(x_lo, x_hi, levels, total))
+    return _Window(anchor, pieces, tuple(-p.gap.hi for p in pieces),
+                   tuple(p.gap.lo for p in reversed(pieces) if p.band))
+
+
+def _window(profile: SupportProfile, mode: str) -> _Window:
+    """The profile's window for mode, built on first use and kept on the
+    profile: each later scan of the same profile reuses it."""
+    win = profile._windows.get(mode)
+    if win is None:
+        win = profile._windows[mode] = _build_window(profile, mode)
+    return win
 
 
 def _build_pieces(x_lo, x_hi, levels, total) -> list[_Piece]:
-    """Ledger of width intervals for a rise-then-fall staircase.
+    """Ledger of width intervals for a rise-then-fall staircase, in O(m).
 
     levels[0] must be the minimum.  Between two adjacent corner levels
     the rising and falling branches both sit at a jump, so the width is
     a single value; at a corner level one branch sweeps the corner's
     whole step, widening the piece to an interval.  Consecutive pieces
     share an endpoint, so the ledger tiles its full width range.
+
+    A two-pointer merge of the rising branch (ascending) and the falling
+    branch (read backwards, also ascending) visits the corners by level;
+    the two pointers are also the branches' positions at the level in
+    hand: the rising branch at the start of its next corner's step, the
+    falling branch at the end of its next corner's step.
     """
     m = len(levels)
     k = max(range(m), key=lambda i: levels[i])
-
-    def rise_pos(y: float) -> float:
-        for i in range(1, k + 1):
-            if levels[i - 1] < y < levels[i]:
-                return x_lo[i]
-        raise AssertionError(f"level {y} not on the rising branch")
-
-    def fall_pos(y: float) -> float:
-        for j in range(k, m):
-            nxt = levels[j + 1] if j + 1 < m else levels[0]
-            if nxt < y < levels[j]:
-                return x_hi[j]
-        raise AssertionError(f"level {y} not on the falling branch")
+    asc = [0]
+    r, f = 1, m - 1  # lowest corner above the level on each branch
+    while r < k or f > k:
+        if f == k or (r < k and levels[r] < levels[f]):
+            asc.append(r)
+            r += 1
+        else:
+            asc.append(f)
+            f -= 1
+    asc.append(k)
 
     pieces: list[_Piece] = []
-    asc = sorted(range(m), key=lambda i: levels[i])
+    r, f = 1, m - 1
     for pos, i in enumerate(asc):
         lam = levels[i]
         if i == k:
@@ -170,18 +199,17 @@ def _build_pieces(x_lo, x_hi, levels, total) -> list[_Piece]:
             right = Interval(total, total)
         elif i < k:
             left = Interval(x_lo[i], x_hi[i])
-            fp = fall_pos(lam)
-            right = Interval(fp, fp)
+            right = Interval(x_hi[f], x_hi[f])
+            r += 1
         else:
-            rp = rise_pos(lam)
-            left = Interval(rp, rp)
+            left = Interval(x_lo[r], x_lo[r])
             right = Interval(x_lo[i], x_hi[i])
+            f -= 1
         pieces.append(_Piece(lam, lam, interval_sub(right, left),
                              left, right, band=False))
-        if pos + 1 < m:
+        if i != k:
             nxt = levels[asc[pos + 1]]
-            mid = 0.5 * (lam + nxt)
-            rp, fp = rise_pos(mid), fall_pos(mid)
+            rp, fp = x_lo[r], x_hi[f]
             pieces.append(_Piece(lam, nxt, Interval(fp - rp, fp - rp),
                                  Interval(rp, rp), Interval(fp, fp), band=True))
     return pieces
@@ -189,7 +217,7 @@ def _build_pieces(x_lo, x_hi, levels, total) -> list[_Piece]:
 
 def scan_ledger(profile: SupportProfile, mode: str) -> list[ScanStep]:
     """Public view of the width ledger, ascending by true level."""
-    win = _build_window(profile, mode)
+    win = _window(profile, mode)
     steps = []
     for p in win.pieces:
         if mode == MOUNTAIN:
@@ -201,18 +229,30 @@ def scan_ledger(profile: SupportProfile, mode: str) -> list[ScanStep]:
     return steps
 
 
+def _lookup(win: _Window, delta: float, tol: Tolerances):
+    """The piece the scan reads at delta, and whether delta lies within
+    eps_angle of a band's width.  Gap intervals shrink along the ledger
+    and adjacent ones share an endpoint, so the last piece containing
+    delta is the last one whose upper end reaches it; both answers are
+    bisections, O(log m).  No piece contains delta only when rounding
+    puts it beyond the ledger; that returns None."""
+    j = bisect_right(win.neg_hi, -delta) - 1
+    hit = win.pieces[j] if j >= 0 and win.pieces[j].gap.lo <= delta else None
+    # |delta - g| is smallest at the band widths either side of delta
+    b = bisect_left(win.band_gaps, delta)
+    near_tie = any(abs(delta - g) <= tol.eps_angle
+                   for g in win.band_gaps[max(b - 1, 0):b + 1])
+    return hit, near_tie
+
+
 def _scan(profile: SupportProfile, mode: str, delta: float,
           tol: Tolerances):
     """Find window positions x_left < x_right with x_right - x_left ==
-    delta and a shared level certificate.  Walks the ledger from the
-    shared-step end (apex for the mountain, bottom for the valley)
-    toward wider pieces and takes the first piece containing delta."""
-    win = _build_window(profile, mode)
-    hit = None
-    for piece in reversed(win.pieces):
-        if piece.gap.contains(delta):
-            hit = piece
-            break
+    delta and a shared level certificate: the piece nearest the
+    shared-step end (apex for the mountain, bottom for the valley) whose
+    width interval contains delta."""
+    win = _window(profile, mode)
+    hit, near_tie = _lookup(win, delta, tol)
     if hit is None:  # requested gap beyond the ledger by rounding: clamp
         hit = win.pieces[0]
 
@@ -231,9 +271,6 @@ def _scan(profile: SupportProfile, mode: str, delta: float,
 
     sign = 1.0 if mode == MOUNTAIN else -1.0
     level = sign * 0.5 * (hit.level_lo + hit.level_hi)
-    near_tie = any(
-        p.band and abs(delta - p.gap.lo) <= tol.eps_angle
-        for p in win.pieces)
     theta_left = canon_angle(win.anchor + x_l)
     theta_right = canon_angle(win.anchor + x_r)
     return theta_left, theta_right, level, near_tie

@@ -11,12 +11,18 @@ Reading the steps counterclockwise from the minimum-parameter corner,
 levels rise strictly to the maximum-parameter corner and then fall
 strictly back; the package relies on that unimodal shape and verifies
 it at construction time.
+
+Queries on a built profile are logarithmic in its corner count m: the
+jump angles are sorted once per profile, on first use, and a touch
+query bisects them (O(log m)).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .arc import PolygonalArc, point_at
@@ -93,6 +99,22 @@ class SupportProfile:
     def param_slack(self, tol: Tolerances = DEFAULT_TOL) -> float:
         return tol.eps_touch * max(self.max_level, 1.0)
 
+    # Derived indexes, built on first use and kept on the instance (the
+    # profile is immutable); cached_property stays out of __eq__,
+    # __hash__ and __repr__.
+
+    @cached_property
+    def _by_angle(self) -> tuple[tuple[float, ...], tuple[int, ...]]:
+        """Jump angles in ascending order, and the index in jumps of each.
+        jumps[i] sits at steps[i].start, so this orders the steps too."""
+        order = sorted(range(len(self.jumps)), key=lambda i: self.jumps[i].angle)
+        return tuple(self.jumps[i].angle for i in order), tuple(order)
+
+    @cached_property
+    def _windows(self) -> dict:
+        """Scan windows by mode, filled by pairs._window."""
+        return {}
+
 
 @dataclass(frozen=True)
 class DirectedLine:
@@ -134,21 +156,51 @@ def build_profile(hull: Hull) -> SupportProfile:
     return SupportProfile(steps, tuple(jumps), apex_index=apex)
 
 
+# circ_dist rounds by a few ulps of 2*pi; the candidate window is this
+# much wider than eps_angle, so it holds every jump the exact test accepts
+_ROUNDING = 64 * math.ulp(TWO_PI)
+
+
+def _positions(angles: Sequence[float], lo: float, hi: float) -> list[int]:
+    """Positions p with lo <= angles[p] <= hi on the circle, for sorted
+    angles in [0, 2*pi) and a window [lo, hi] narrower than a turn that
+    may reach past either end of [0, 2*pi)."""
+    spans = [(lo, hi)]
+    if lo < 0.0:
+        spans.append((lo + TWO_PI, TWO_PI))
+    if hi >= TWO_PI:
+        spans.append((0.0, hi - TWO_PI))
+    return [p for a, b in spans
+            for p in range(bisect_left(angles, a), bisect_right(angles, b))]
+
+
 def touch_params(profile: SupportProfile, theta: float,
                  tol: Tolerances = DEFAULT_TOL) -> tuple[float, ...]:
     """Touch parameters of the support line at angle theta.
 
     One value strictly inside a step, two at a jump.  Queries within
     eps_angle of a jump angle resolve to the jump (the constructions
-    select jump angles, so the boundary belongs to them).
+    select jump angles, so the boundary belongs to them); of several
+    such jumps the first in profile.jumps wins.  Bisects the jump
+    angles, sorted once per profile, so a query costs O(log m).
     """
     theta = canon_angle(theta)
-    for jump in profile.jumps:
-        if circ_dist(theta, jump.angle) <= tol.eps_angle:
-            return (jump.low_param, jump.high_param)
-    for step in profile.steps:
-        if ccw_gap(step.start, theta) < step.width:
-            return (step.level,)
+    angles, order = profile._by_angle
+    m = len(angles)
+    w = tol.eps_angle + _ROUNDING
+    near = (range(m) if w >= math.pi
+            else _positions(angles, theta - w, theta + w))
+    hits = [order[p] for p in near
+            if circ_dist(theta, angles[p]) <= tol.eps_angle]
+    if hits:
+        jump = profile.jumps[min(hits)]
+        return (jump.low_param, jump.high_param)
+    # steps tile the circle with shared endpoints, so only the step
+    # starting at or before theta (index -1: the one wrapping past 0)
+    # can hold it
+    step = profile.steps[order[bisect_right(angles, theta) - 1]]
+    if ccw_gap(step.start, theta) < step.width:
+        return (step.level,)
     # numerically between two steps; snap to the nearest jump
     nearest = min(profile.jumps, key=lambda j: circ_dist(theta, j.angle))
     return (nearest.low_param, nearest.high_param)

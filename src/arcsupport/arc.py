@@ -8,6 +8,7 @@ and safe to share.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -52,10 +53,34 @@ class PolygonalArc:
         return len(self.vertices)
 
 
+def _coordinate(c) -> float:
+    # json gives bool for true/false and str for quoted numbers; refuse
+    # both rather than coerce them, and ints too large for a float
+    if isinstance(c, bool) or not isinstance(c, numbers.Real):
+        raise TypeError
+    return float(c)
+
+
 def _as_points(vertices: Iterable) -> list[Point2]:
+    """Points from Point2 instances or pairs of real numbers; anything
+    else (a string, a bool, a third coordinate, a non-finite value)
+    raises ArcError."""
+    try:
+        items = list(vertices)
+    except TypeError:
+        raise ArcError(f"vertices must be a list of [x, y] pairs, "
+                       f"got {type(vertices).__name__}") from None
     pts = []
-    for v in vertices:
-        p = v if isinstance(v, Point2) else Point2(float(v[0]), float(v[1]))
+    for i, v in enumerate(items):
+        if isinstance(v, Point2):
+            p = v
+        else:
+            try:
+                x, y = v
+                p = Point2(_coordinate(x), _coordinate(y))
+            except (TypeError, ValueError, OverflowError):
+                raise ArcError(f"vertices[{i}] is not an [x, y] pair of "
+                               f"numbers") from None
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise ArcError(f"non-finite vertex {p}")
         pts.append(p)

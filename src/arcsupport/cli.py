@@ -41,7 +41,8 @@ def _load(path: str, tol):
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also bad UTF-8, an integer past the digit limit, deep nesting
         print(f"bad JSON in {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     try:
@@ -49,7 +50,7 @@ def _load(path: str, tol):
     except ArcError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:  # not an object with "vertices"
         print(f"expected {{\"vertices\": [[x, y], ...]}}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     try:

@@ -326,7 +326,8 @@ def _find_pair(profile: SupportProfile, delta: float, mode: str,
                tol: Tolerances) -> TriplePair:
     if not (0.0 < delta < TWO_PI):
         raise InvalidDelta(f"angle difference {delta} outside (0, 2*pi)")
-    guaranteed = delta >= safe_delta_range(profile, mode)[0] - tol.eps_angle
+    lo, hi = safe_delta_range(profile, mode)
+    guaranteed = lo <= delta <= hi
 
     theta_left, theta_right, level, near_tie = _scan(profile, mode, delta, tol)
     theta_d, theta_s, s1, s2, s3, strict = _assign_roles(
@@ -350,8 +351,9 @@ def find_pair_mountain(profile: SupportProfile, arc: PolygonalArc,
     """Pair of support lines whose angle difference, measured across the
     apex of the profile, is delta.
 
-    Guaranteed strict for delta at least the apex step width; below
-    that the result is flagged guaranteed=False and may be degenerate.
+    Guaranteed strict for delta in safe_delta_range (from the apex step
+    width to 2*pi minus the minimum step width); outside it the result
+    is flagged guaranteed=False and may be degenerate.
     """
     return _find_pair(profile, delta, MOUNTAIN, tol)
 
@@ -363,14 +365,16 @@ def find_pair_valley(profile: SupportProfile, arc: PolygonalArc,
     minimum step is delta; the complementary gap 2*pi - delta between
     the two angles is reported as realized_gap.
 
-    Guaranteed strict for delta at least the minimum step width.
+    Guaranteed strict for delta in safe_delta_range (from the minimum
+    step width to 2*pi minus the apex step width).
     """
     return _find_pair(profile, delta, VALLEY, tol)
 
 
 def safe_delta_range(profile: SupportProfile, mode: str) -> tuple[float, float]:
-    """Open interval of differences for which the scan yields a strict
-    triple on every arc."""
+    """Range of differences, ends included, for which the scan yields a
+    strict triple on every arc; the pair's guaranteed flag is delta's
+    membership in it."""
     if mode == MOUNTAIN:
         return (profile.apex_step_width, TWO_PI - profile.min_step_width)
     return (profile.min_step_width, TWO_PI - profile.apex_step_width)

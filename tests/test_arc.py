@@ -1,6 +1,6 @@
 import pytest
 
-from arcsupport import (DuplicateVertex, ParamOutOfRange, Point2,
+from arcsupport import (ArcError, DuplicateVertex, ParamOutOfRange, Point2,
                         SelfIntersecting, TooFewVertices, build_arc, point_at,
                         scale_to_unit)
 
@@ -88,3 +88,22 @@ def test_point_at_injective_at_resolution(fuzz_pool):
         for (sa, pa), (sb, pb) in zip(zip(ss, pts), zip(ss[1:], pts[1:])):
             if sb - sa > 1e-6 * arc.length:
                 assert pa.dist(pb) > 0.0
+
+
+@pytest.mark.parametrize("bad", [
+    [(0, 0, 9), (1, 0), (1, 1)],      # third coordinate
+    [("0", 0), (1, 0), (1, 1)],       # string
+    [(0, 0), (1, 0), (True, 1)],      # bool
+    [(0, 0), (1, 0), (1, 10 ** 400)],  # too large for a float
+    [(0, 0), (1, 0), 5],
+    5,
+])
+def test_vertex_must_be_two_numbers(bad):
+    with pytest.raises(ArcError):
+        build_arc(bad)
+
+
+def test_points_and_numeric_pairs_accepted():
+    from fractions import Fraction
+    arc = build_arc([Point2(0.0, 0.0), [1, 0], (Fraction(1), 1.0)])
+    assert arc.vertices[2] == Point2(1.0, 1.0)

@@ -60,6 +60,45 @@ def test_malformed_vertex_exits_2(first, tmp_path, capsys):
     assert "vertices" in capsys.readouterr().err
 
 
+MALFORMED = {
+    "missing_key": b'{"points": [[0, 0], [1, 0], [1, 1]]}',
+    "vertices_number": b'{"vertices": 5}',
+    "vertices_string": b'{"vertices": "abc"}',
+    "vertices_null": b'{"vertices": null}',
+    "nested_vertex": b'{"vertices": [[[0, 0]], [1, 0], [1, 1]]}',
+    "nan": b'{"vertices": [[NaN, 0], [1, 0], [1, 1]]}',
+    "infinity": b'{"vertices": [[0, 0], [1, 0], [1, Infinity]]}',
+    "string_coordinate": b'{"vertices": [["0", "0"], [1, 0], [1, 1]]}',
+    "bool_coordinate": b'{"vertices": [[0, 0], [1, 0], [true, 1]]}',
+    "extra_coordinate": b'{"vertices": [[0, 0, 9], [1, 0], [1, 1]]}',
+    "single_vertex": b'{"vertices": [[0, 0]]}',
+    "top_level_list": b'[[0, 0], [1, 0], [1, 1]]',
+    "float_overflow": b'{"vertices": [[0, 0], [1, 0], [1, 1' + b"0" * 400 + b']]}',
+    "digit_limit": b'{"vertices": [[0, 0], [1, 0], [1, 1' + b"0" * 5000 + b']]}',
+    "bad_utf8": b'{"vertices": [[0, 0], [1, 0], [1, 1]], "x": "\xff"}',
+    "deep_nesting": b'[' * 100_000,
+}
+COMMANDS = {
+    "analyze": [],
+    "find-pair": ["--delta", "3.0"],
+    "render": ["--delta", "3.0", "-o", "out.svg"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_input_exits_2(shape, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED[shape])
+    argv = [command, str(path)] + [
+        str(tmp_path / a) if a.endswith(".svg") else a
+        for a in COMMANDS[command]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+    assert not (tmp_path / "out.svg").exists()
+
+
 def test_render_straight_arc_exits_2(tmp_path, capsys):
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [2, 0]]}))
@@ -185,3 +224,15 @@ def test_fuzz_full_range_never_crashes(tmp_path, capsys):
     text = out.read_text().splitlines()
     assert text[0] == "trial,n,delta,mode,strict,unique_count,verified,near_tie"
     assert len(text) == 41
+
+
+@pytest.mark.parametrize("seed", [7, 42, 8001])
+def test_full_range_fuzz_reports_no_anomaly(seed):
+    # guaranteed holds exactly inside the safe range, and every scan
+    # there is strict, so a full-range campaign has nothing to flag
+    from arcsupport.cli import run_fuzz
+    from arcsupport.oracle import FuzzConfig
+    rows, summary = run_fuzz(FuzzConfig(trials=2000, seed=seed,
+                                        delta_policy="full_range"))
+    assert summary["anomalies"] == []
+    assert not all(r["strict"] for r in rows)  # degenerate deltas were drawn

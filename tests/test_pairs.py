@@ -72,7 +72,8 @@ def test_valley_e1_degenerate(e1, e1_profile):
 def test_mountain_e1_beyond_strict_regime(e1, e1_profile):
     pair = find_pair_mountain(e1_profile, e1, 11 * PI / 8)
     assert not pair.strict
-    assert pair.guaranteed  # within the stated difference range, yet degenerate
+    # above the safe range's upper end 2*pi - 3*pi/4: no guarantee
+    assert not pair.guaranteed
     assert enumerate_triples(e1_profile, e1, 11 * PI / 8) == []
     report = verify_triple(e1, pair)
     assert report.ordering  # degenerate outcomes are still well formed
@@ -222,3 +223,15 @@ def test_degenerate_scans_have_no_configuration_of_their_kind(fuzz_pool):
                     (c.covers_apex if mode == MOUNTAIN else c.covers_min)
                     for c in configs), (mode, delta)
     assert degenerate > 0
+
+
+def test_guaranteed_is_membership_in_the_safe_range(fuzz_pool):
+    for arc, profile in fuzz_pool[:200]:
+        for mode, finder in ((MOUNTAIN, find_pair_mountain),
+                             (VALLEY, find_pair_valley)):
+            lo, hi = safe_delta_range(profile, mode)
+            for delta in (lo, hi):
+                pair = finder(profile, arc, delta)
+                assert pair.guaranteed and pair.strict, (mode, delta)
+            for delta in (math.nextafter(lo, 0.0), math.nextafter(hi, 7.0)):
+                assert not finder(profile, arc, delta).guaranteed

@@ -53,14 +53,6 @@ class PolygonalArc:
         return len(self.vertices)
 
 
-def _coordinate(c) -> float:
-    # json gives bool for true/false and str for quoted numbers; refuse
-    # both rather than coerce them, and ints too large for a float
-    if isinstance(c, bool) or not isinstance(c, numbers.Real):
-        raise TypeError
-    return float(c)
-
-
 def _as_points(vertices: Iterable) -> list[Point2]:
     """Points from Point2 instances or pairs of real numbers; anything
     else (a string, a bool, a third coordinate, a non-finite value)
@@ -75,9 +67,14 @@ def _as_points(vertices: Iterable) -> list[Point2]:
         if isinstance(v, Point2):
             p = v
         else:
+            # json gives bool for true/false and str for quoted numbers:
+            # refuse both rather than coerce them
             try:
                 x, y = v
-                p = Point2(_coordinate(x), _coordinate(y))
+                if any(isinstance(c, bool) or not isinstance(c, numbers.Real)
+                       for c in (x, y)):
+                    raise TypeError
+                p = Point2(float(x), float(y))
             except (TypeError, ValueError, OverflowError):
                 raise ArcError(f"vertices[{i}] is not an [x, y] pair of "
                                f"numbers") from None

@@ -107,7 +107,8 @@ class SupportProfile:
     def _by_angle(self) -> tuple[tuple[float, ...], tuple[int, ...]]:
         """Jump angles in ascending order, and the index in jumps of each.
         jumps[i] sits at steps[i].start, so this orders the steps too."""
-        order = sorted(range(len(self.jumps)), key=lambda i: self.jumps[i].angle)
+        order = sorted(range(len(self.jumps)),
+                       key=lambda i: self.jumps[i].angle)
         return tuple(self.jumps[i].angle for i in order), tuple(order)
 
     @cached_property
@@ -163,8 +164,9 @@ _ROUNDING = 64 * math.ulp(TWO_PI)
 
 def _positions(angles: Sequence[float], lo: float, hi: float) -> list[int]:
     """Positions p with lo <= angles[p] <= hi on the circle, for sorted
-    angles in [0, 2*pi) and a window [lo, hi] narrower than a turn that
-    may reach past either end of [0, 2*pi)."""
+    angles in [0, 2*pi) and a window [lo, hi] that may reach past either
+    end of [0, 2*pi); a window of a full turn or more lists every
+    position, some twice."""
     spans = [(lo, hi)]
     if lo < 0.0:
         spans.append((lo + TWO_PI, TWO_PI))
@@ -186,11 +188,8 @@ def touch_params(profile: SupportProfile, theta: float,
     """
     theta = canon_angle(theta)
     angles, order = profile._by_angle
-    m = len(angles)
     w = tol.eps_angle + _ROUNDING
-    near = (range(m) if w >= math.pi
-            else _positions(angles, theta - w, theta + w))
-    hits = [order[p] for p in near
+    hits = [order[p] for p in _positions(angles, theta - w, theta + w)
             if circ_dist(theta, angles[p]) <= tol.eps_angle]
     if hits:
         jump = profile.jumps[min(hits)]

@@ -147,8 +147,10 @@ def _unroll(profile: SupportProfile, mode: str):
 def _build_window(profile: SupportProfile, mode: str) -> _Window:
     anchor, x_lo, x_hi, levels, total = _unroll(profile, mode)
     pieces = tuple(_build_pieces(x_lo, x_hi, levels, total))
-    return _Window(anchor, pieces, tuple(-p.gap.hi for p in pieces),
-                   tuple(p.gap.lo for p in reversed(pieces) if p.band))
+    # tuples from lists, not generators: CPython sizes those exactly, so
+    # they reuse its free lists instead of refilling them per profile
+    return _Window(anchor, pieces, tuple([-p.gap.hi for p in pieces]),
+                   tuple([p.gap.lo for p in reversed(pieces) if p.band]))
 
 
 def _window(profile: SupportProfile, mode: str) -> _Window:

@@ -109,7 +109,7 @@ class SupportProfile:
         jumps[i] sits at steps[i].start, so this orders the steps too."""
         order = sorted(range(len(self.jumps)),
                        key=lambda i: self.jumps[i].angle)
-        return tuple(self.jumps[i].angle for i in order), tuple(order)
+        return tuple([self.jumps[i].angle for i in order]), tuple(order)
 
     @cached_property
     def _windows(self) -> dict:

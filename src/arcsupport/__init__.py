@@ -9,9 +9,9 @@ every claim at desk scale.
 from .arc import (ArcError, DuplicateVertex, ParamOutOfRange, PolygonalArc,
                   SelfIntersecting, TooFewVertices, build_arc, point_at,
                   scale_to_unit)
-from .geometry import (DEFAULT_TOL, TWO_PI, Interval, Point2, Tolerances,
-                       ZeroVector, angle_of, canon_angle, ccw_gap, circ_dist,
-                       interval_sub, orient)
+from .geometry import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, TWO_PI, Interval,
+                       Point2, ZeroVector, angle_of, canon_angle, ccw_gap,
+                       circ_dist, interval_sub, orient)
 from .hull import Hull, HullCorner, StraightArc, melkman_hull
 from .oracle import (FuzzConfig, GenerationExhausted, grid_scan_pairs,
                      monotone_chain_hull, oracle_touch_params,
@@ -25,17 +25,17 @@ from .profile import (DirectedLine, Jump, MalformedFunction, ProfileStep,
                       SupportProfile, build_profile, cross_section,
                       filled_interval, support_line, touch_params,
                       unique_crossing)
-from .render import RenderSpec, render_pair_svg
+from .render import render_pair_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcError", "CorollaryResult", "DEFAULT_TOL", "DirectedLine",
-    "DuplicateVertex", "FuzzConfig", "GenerationExhausted", "Hull",
-    "HullCorner", "Interval", "InvalidDelta", "Jump", "MOUNTAIN",
-    "MalformedFunction", "ParamOutOfRange", "Point2", "PolygonalArc",
-    "ProfileStep", "RenderSpec", "ScanStep", "SelfIntersecting",
-    "StraightArc", "SupportProfile", "TWO_PI", "Tolerances", "TooFewVertices",
+    "ArcError", "CorollaryResult", "DirectedLine", "DuplicateVertex",
+    "EPS_ANGLE", "EPS_ORIENT", "EPS_TOUCH", "FuzzConfig",
+    "GenerationExhausted", "Hull", "HullCorner", "Interval", "InvalidDelta",
+    "Jump", "MOUNTAIN", "MalformedFunction", "ParamOutOfRange", "Point2",
+    "PolygonalArc", "ProfileStep", "ScanStep", "SelfIntersecting",
+    "StraightArc", "SupportProfile", "TWO_PI", "TooFewVertices",
     "TriplePair", "TripleReport", "VALLEY", "ZeroVector", "angle_of",
     "build_arc", "build_profile", "canon_angle", "ccw_gap", "circ_dist",
     "corollary_check", "cross_section", "enumerate_triples",

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geometry import DEFAULT_TOL, Point2, Tolerances, orient
+from .geometry import EPS_TOUCH, Point2, orient
 
 
 class ArcError(ValueError):
@@ -90,13 +90,12 @@ def _bbox_diagonal(pts: Sequence[Point2]) -> float:
     return math.hypot(dx, dy)
 
 
-def _segments_intersect(a1: Point2, a2: Point2, b1: Point2, b2: Point2,
-                        tol: Tolerances) -> bool:
+def _segments_intersect(a1: Point2, a2: Point2, b1: Point2, b2: Point2) -> bool:
     """Closed-segment intersection test (touching counts)."""
-    o1 = orient(a1, a2, b1, tol)
-    o2 = orient(a1, a2, b2, tol)
-    o3 = orient(b1, b2, a1, tol)
-    o4 = orient(b1, b2, a2, tol)
+    o1 = orient(a1, a2, b1)
+    o2 = orient(a1, a2, b2)
+    o3 = orient(b1, b2, a1)
+    o4 = orient(b1, b2, a2)
     if o1 != o2 and o3 != o4:
         return True
 
@@ -116,7 +115,7 @@ def _segments_intersect(a1: Point2, a2: Point2, b1: Point2, b2: Point2,
     return False
 
 
-def build_arc(vertices: Iterable, tol: Tolerances = DEFAULT_TOL) -> PolygonalArc:
+def build_arc(vertices: Iterable) -> PolygonalArc:
     """Validate a vertex chain and attach cumulative length parameters.
 
     Raises TooFewVertices, DuplicateVertex or SelfIntersecting on bad
@@ -129,7 +128,7 @@ def build_arc(vertices: Iterable, tol: Tolerances = DEFAULT_TOL) -> PolygonalArc
     diag = _bbox_diagonal(pts)
     if diag == 0.0:
         raise TooFewVertices("all vertices coincide")
-    min_sep = tol.eps_touch * diag
+    min_sep = EPS_TOUCH * diag
 
     params = [0.0]
     for a, b in zip(pts, pts[1:]):
@@ -141,7 +140,7 @@ def build_arc(vertices: Iterable, tol: Tolerances = DEFAULT_TOL) -> PolygonalArc
     # adjacent segments may share only the common vertex: no back-tracking
     for i in range(len(pts) - 2):
         a, b, c = pts[i], pts[i + 1], pts[i + 2]
-        if orient(a, b, c, tol) == 0:
+        if orient(a, b, c) == 0:
             u = b - a
             w = c - b
             if u.x * w.x + u.y * w.y < 0.0:
@@ -151,7 +150,7 @@ def build_arc(vertices: Iterable, tol: Tolerances = DEFAULT_TOL) -> PolygonalArc
     nseg = len(pts) - 1
     for i in range(nseg):
         for j in range(i + 2, nseg):
-            if _segments_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1], tol):
+            if _segments_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1]):
                 raise SelfIntersecting(
                     f"segments {i} and {j} intersect")
 

@@ -14,7 +14,6 @@ import math
 import sys
 
 from .arc import ArcError, build_arc
-from .geometry import DEFAULT_TOL
 from .hull import StraightArc, melkman_hull
 from .oracle import (FuzzConfig, GenerationExhausted, draw_delta,
                      random_simple_arc)
@@ -23,7 +22,7 @@ from .pairs import (MOUNTAIN, VALLEY, InvalidDelta, TriplePair,
                     find_pair_valley, jump_to_jump_gaps, pairs_identical,
                     safe_delta_range, verify_triple)
 from .profile import build_profile
-from .render import RenderSpec, render_pair_svg
+from .render import render_pair_svg
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -32,7 +31,7 @@ EXIT_IO = 4
 EXIT_GENERATION = 5
 
 
-def _load(path: str, tol):
+def _load(path: str):
     """Read and validate an arc file and build its hull and profile;
     exits with the documented code on bad input."""
     try:
@@ -46,7 +45,7 @@ def _load(path: str, tol):
         print(f"bad JSON in {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     try:
-        arc = build_arc(payload["vertices"], tol)
+        arc = build_arc(payload["vertices"])
     except ArcError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
@@ -54,7 +53,7 @@ def _load(path: str, tol):
         print(f"expected {{\"vertices\": [[x, y], ...]}}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     try:
-        hull = melkman_hull(arc, tol)
+        hull = melkman_hull(arc)
     except StraightArc as exc:
         print(f"StraightArc: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
@@ -66,7 +65,7 @@ def _maybe_degrees(value: float, to_degrees: bool) -> float:
 
 
 def cmd_analyze(args) -> int:
-    arc, _, profile = _load(args.input, DEFAULT_TOL)
+    arc, _, profile = _load(args.input)
     if args.json:
         doc = {
             "length": arc.length,
@@ -117,39 +116,38 @@ def _pair_doc(pair: TriplePair, unique_count: int, report,
     }
 
 
-def _scan(profile, arc, delta, mode, tol) -> TriplePair:
+def _scan(profile, arc, delta, mode) -> TriplePair:
     if mode == MOUNTAIN:
-        return find_pair_mountain(profile, arc, delta, tol)
-    return find_pair_valley(profile, arc, delta, tol)
+        return find_pair_mountain(profile, arc, delta)
+    return find_pair_valley(profile, arc, delta)
 
 
-def _run_mode(profile, arc, delta, mode, tol):
+def _run_mode(profile, arc, delta, mode):
     """The scan's pair, the number of enumerated configurations of its
     kind (spanning the apex step for a mountain pair, the minimum step
     for a valley pair) and its verification report."""
-    pair = _scan(profile, arc, delta, mode, tol)
-    configs = enumerate_triples(profile, arc, delta, tol)
+    pair = _scan(profile, arc, delta, mode)
+    configs = enumerate_triples(profile, arc, delta)
     typed = sum(1 for c in configs
                 if (c.covers_apex if pair.covers_apex else c.covers_min))
-    return pair, typed, verify_triple(arc, pair, tol)
+    return pair, typed, verify_triple(arc, pair)
 
 
 def cmd_find_pair(args) -> int:
-    tol = DEFAULT_TOL
-    arc, _, profile = _load(args.input, tol)
+    arc, _, profile = _load(args.input)
     delta = math.radians(args.delta) if args.degrees else args.delta
     try:
         if args.mode == "both":
-            m = _run_mode(profile, arc, delta, MOUNTAIN, tol)
-            v = _run_mode(profile, arc, delta, VALLEY, tol)
+            m = _run_mode(profile, arc, delta, MOUNTAIN)
+            v = _run_mode(profile, arc, delta, VALLEY)
             doc = {
                 "mode": "both",
                 "mountain": _pair_doc(*m, args.degrees),
                 "valley": _pair_doc(*v, args.degrees),
-                "identical": pairs_identical(profile, m[0], v[0], tol),
+                "identical": pairs_identical(profile, m[0], v[0]),
             }
         else:
-            doc = _pair_doc(*_run_mode(profile, arc, delta, args.mode, tol),
+            doc = _pair_doc(*_run_mode(profile, arc, delta, args.mode),
                             args.degrees)
     except InvalidDelta as exc:
         print(f"InvalidDelta: {exc}", file=sys.stderr)
@@ -159,15 +157,14 @@ def cmd_find_pair(args) -> int:
 
 
 def cmd_render(args) -> int:
-    tol = DEFAULT_TOL
-    arc, hull, profile = _load(args.input, tol)
+    arc, hull, profile = _load(args.input)
     delta = math.radians(args.delta) if args.degrees else args.delta
     try:
-        pair = _scan(profile, arc, delta, args.mode, tol)
+        pair = _scan(profile, arc, delta, args.mode)
     except InvalidDelta as exc:
         print(f"InvalidDelta: {exc}", file=sys.stderr)
         return EXIT_DELTA
-    svg = render_pair_svg(arc, hull, pair, RenderSpec())
+    svg = render_pair_svg(arc, hull, pair)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -178,7 +175,7 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def run_fuzz(config: FuzzConfig, tol=DEFAULT_TOL):
+def run_fuzz(config: FuzzConfig):
     """One deterministic campaign: rows for the CSV plus summary counters."""
     rows = []
     anomalies = []
@@ -187,11 +184,11 @@ def run_fuzz(config: FuzzConfig, tol=DEFAULT_TOL):
     unique_hits = 0
     unique_total = 0
     for trial in range(config.trials):
-        arc = random_simple_arc(config, trial, tol)
-        profile = build_profile(melkman_hull(arc, tol))
+        arc = random_simple_arc(config, trial)
+        profile = build_profile(melkman_hull(arc))
         mode = MOUNTAIN if trial % 2 == 0 else VALLEY
         delta = draw_delta(config, trial, mode, safe_delta_range(profile, mode))
-        pair, typed, report = _run_mode(profile, arc, delta, mode, tol)
+        pair, typed, report = _run_mode(profile, arc, delta, mode)
         tie_prone = (pair.near_tie or any(
             abs(delta - g) <= 1e-6 for g in jump_to_jump_gaps(profile)))
         if pair.strict:
@@ -200,7 +197,7 @@ def run_fuzz(config: FuzzConfig, tol=DEFAULT_TOL):
                 unique_total += 1
                 if typed == 1:
                     unique_hits += 1
-        cor = corollary_check(profile, arc, math.pi, tol)
+        cor = corollary_check(profile, arc, math.pi)
         if cor.identical:
             corollary_hits += 1
         if (pair.guaranteed and not pair.strict) or not report.passed:

@@ -1,8 +1,19 @@
-"""Plane primitives: points, canonical angles, intervals, tolerances.
+"""Plane primitives: points, canonical angles, intervals, and the
+package's one tolerance policy.
 
 All angle values in the package are plain radians canonicalized to
 [0, 2*pi).  Wrap-around reasoning goes through :func:`ccw_gap` so there
 is exactly one place the circle gets unrolled.
+
+The tolerances are fixed and relative to the input's own scale, so no
+decision changes when an arc is scaled, rotated or moved:
+
+* EPS_ORIENT bounds cross products, relative to the squared span of the
+  three points (:func:`orient`);
+* EPS_ANGLE bounds radians, which carry no scale;
+* EPS_TOUCH bounds distances, relative to the arc's bounding-box
+  diagonal, and arc parameters, relative to the arc's length or to the
+  largest corner parameter.  No slack has an absolute floor.
 """
 
 from __future__ import annotations
@@ -11,6 +22,10 @@ import math
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
+
+EPS_ORIENT = 1e-12
+EPS_ANGLE = 1e-9
+EPS_TOUCH = 1e-9
 
 
 class ZeroVector(ValueError):
@@ -53,29 +68,8 @@ class Interval:
     def degenerate(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Scale-relative tolerance policy.
-
-    eps_orient applies to cross products scaled by the squared span of
-    the inputs, eps_angle to radians, eps_touch to distances relative to
-    a bounding-box diagonal (and to arc parameters relative to length).
-    """
-
-    eps_orient: float = 1e-12
-    eps_angle: float = 1e-9
-    eps_touch: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if min(self.eps_orient, self.eps_angle, self.eps_touch) <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
 
 
 def canon_angle(theta: float) -> float:
@@ -106,7 +100,7 @@ def circ_dist(a: float, b: float) -> float:
     return min(g, TWO_PI - g)
 
 
-def orient(p: Point2, q: Point2, r: Point2, tol: Tolerances = DEFAULT_TOL) -> int:
+def orient(p: Point2, q: Point2, r: Point2) -> int:
     """Orientation of r relative to the directed line p -> q.
 
     Returns +1 if r is strictly to the left, -1 strictly to the right,
@@ -116,7 +110,7 @@ def orient(p: Point2, q: Point2, r: Point2, tol: Tolerances = DEFAULT_TOL) -> in
     cross = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
     dx = max(p.x, q.x, r.x) - min(p.x, q.x, r.x)
     dy = max(p.y, q.y, r.y) - min(p.y, q.y, r.y)
-    thr = tol.eps_orient * (dx * dx + dy * dy)
+    thr = EPS_ORIENT * (dx * dx + dy * dy)
     if abs(cross) <= thr:
         return 0
     return 1 if cross > 0.0 else -1

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .arc import PolygonalArc
-from .geometry import DEFAULT_TOL, Point2, Tolerances, angle_of, ccw_gap, orient
+from .geometry import EPS_ANGLE, Point2, angle_of, ccw_gap, orient
 
 
 class StraightArc(ValueError):
@@ -48,11 +48,11 @@ class Hull:
         return len(self.corners)
 
 
-def _strict_left(a: Point2, b: Point2, c: Point2, tol: Tolerances) -> bool:
-    return orient(a, b, c, tol) > 0
+def _strict_left(a: Point2, b: Point2, c: Point2) -> bool:
+    return orient(a, b, c) > 0
 
 
-def melkman_hull(arc: PolygonalArc, tol: Tolerances = DEFAULT_TOL) -> Hull:
+def melkman_hull(arc: PolygonalArc) -> Hull:
     """Convex hull of the arc's vertex chain via Melkman's algorithm.
 
     Returns corners in counterclockwise order with their arc parameters
@@ -70,7 +70,7 @@ def melkman_hull(arc: PolygonalArc, tol: Tolerances = DEFAULT_TOL) -> Hull:
     rest_start = 2
     turn = None
     for k in range(2, len(items)):
-        o = orient(first[1], last[1], items[k][1], tol)
+        o = orient(first[1], last[1], items[k][1])
         if o == 0:
             last = items[k]
             rest_start = k + 1
@@ -81,20 +81,20 @@ def melkman_hull(arc: PolygonalArc, tol: Tolerances = DEFAULT_TOL) -> Hull:
     if turn is None:
         raise StraightArc("all vertices collinear within tolerance")
 
-    if orient(first[1], last[1], turn[1], tol) > 0:
+    if orient(first[1], last[1], turn[1]) > 0:
         hull = deque([turn, first, last, turn])
     else:
         hull = deque([turn, last, first, turn])
 
     for item in items[rest_start:]:
         p = item[1]
-        if (_strict_left(hull[-2][1], hull[-1][1], p, tol)
-                and _strict_left(p, hull[0][1], hull[1][1], tol)):
+        if (_strict_left(hull[-2][1], hull[-1][1], p)
+                and _strict_left(p, hull[0][1], hull[1][1])):
             continue  # interior point
-        while len(hull) > 2 and not _strict_left(hull[-2][1], hull[-1][1], p, tol):
+        while len(hull) > 2 and not _strict_left(hull[-2][1], hull[-1][1], p):
             hull.pop()
         hull.append(item)
-        while len(hull) > 2 and not _strict_left(item[1], hull[0][1], hull[1][1], tol):
+        while len(hull) > 2 and not _strict_left(item[1], hull[0][1], hull[1][1]):
             hull.popleft()
         hull.appendleft(item)
 
@@ -108,7 +108,7 @@ def melkman_hull(arc: PolygonalArc, tol: Tolerances = DEFAULT_TOL) -> Hull:
             a = cycle[i - 1][1]
             b = cycle[i][1]
             c = cycle[(i + 1) % len(cycle)][1]
-            if orient(a, b, c, tol) <= 0:
+            if orient(a, b, c) <= 0:
                 del cycle[i]
                 changed = True
                 break
@@ -133,7 +133,7 @@ def melkman_hull(arc: PolygonalArc, tol: Tolerances = DEFAULT_TOL) -> Hull:
         step_start = angle_of(b - cycle[i - 1][1])
         step_end = angle_of(cycle[(i + 1) % m][1] - b)
         ext = ccw_gap(step_start, step_end)
-        if not (tol.eps_angle < ext < math.pi):
+        if not (EPS_ANGLE < ext < math.pi):
             raise StraightArc(f"degenerate exterior angle {ext} at corner {b}")
         corners.append(HullCorner(b, arc.params[idx], step_start, step_end, ext))
     return Hull(tuple(corners))

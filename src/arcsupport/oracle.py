@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .arc import ArcError, PolygonalArc, build_arc
-from .geometry import (DEFAULT_TOL, TWO_PI, Interval, Point2, Tolerances,
+from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Interval, Point2,
                        canon_angle, ccw_gap, circ_dist, interval_sub, orient)
 from .hull import StraightArc
 from .pairs import _Piece, _unroll
@@ -51,8 +51,7 @@ class FuzzConfig:
             raise ValueError(f"unknown delta policy {self.delta_policy}")
 
 
-def oracle_touch_params(arc: PolygonalArc, theta: float,
-                        tol: Tolerances = DEFAULT_TOL) -> tuple[float, ...]:
+def oracle_touch_params(arc: PolygonalArc, theta: float) -> tuple[float, ...]:
     """Touch parameters at angle theta by direct vertex projection.
 
     Projects every vertex on the outward normal (theta - pi/2), keeps
@@ -62,19 +61,19 @@ def oracle_touch_params(arc: PolygonalArc, theta: float,
     theta = canon_angle(theta)
     nx, ny = math.sin(theta), -math.cos(theta)
     proj = [v.x * nx + v.y * ny for v in arc.vertices]
-    cut = max(proj) - tol.eps_touch * arc.diagonal
+    cut = max(proj) - EPS_TOUCH * arc.diagonal
     cand = [arc.params[i] for i, p in enumerate(proj) if p >= cut]
     lo, hi = min(cand), max(cand)
     return (lo,) if lo == hi else (lo, hi)
 
 
-def linear_touch_params(profile: SupportProfile, theta: float,
-                        tol: Tolerances = DEFAULT_TOL) -> tuple[float, ...]:
+def linear_touch_params(profile: SupportProfile,
+                        theta: float) -> tuple[float, ...]:
     """Reference for profile.touch_params: a linear search over the
     jumps, then the steps, in index order; O(m) per query."""
     theta = canon_angle(theta)
     for jump in profile.jumps:
-        if circ_dist(theta, jump.angle) <= tol.eps_angle:
+        if circ_dist(theta, jump.angle) <= EPS_ANGLE:
             return (jump.low_param, jump.high_param)
     for step in profile.steps:
         if ccw_gap(step.start, theta) < step.width:
@@ -132,42 +131,42 @@ def quadratic_ledger(profile: SupportProfile, mode: str) -> list[_Piece]:
     return pieces
 
 
-def linear_ledger_lookup(pieces: list[_Piece], delta: float,
-                         tol: Tolerances = DEFAULT_TOL):
+def linear_ledger_lookup(pieces: list[_Piece], delta: float):
     """Reference for the scan's ledger lookup: walk from the last piece
     to the first for one whose width interval contains delta, and test
     every band for a near tie; O(m)."""
     hit = next((p for p in reversed(pieces) if p.gap.contains(delta)), None)
-    near_tie = any(p.band and abs(delta - p.gap.lo) <= tol.eps_angle
+    near_tie = any(p.band and abs(delta - p.gap.lo) <= EPS_ANGLE
                    for p in pieces)
     return hit, near_tie
 
 
-def grid_scan_pairs(arc: PolygonalArc, gap: float,
-                    resolution: float = TWO_PI / 100_000,
-                    tol: Tolerances = DEFAULT_TOL) -> list[tuple[float, float]]:
+# angles per turn swept by grid_scan_pairs
+GRID_POINTS = 100_000
+
+
+def grid_scan_pairs(arc: PolygonalArc, gap: float) -> list[tuple[float, float]]:
     """Dense sweep locating strict triple configurations at a given gap.
 
-    For every grid angle theta the projection touch sets at theta and
+    For every one of GRID_POINTS evenly spaced angles theta, the
+    projection touch sets at theta and
     theta + gap are formed; a hit is a grid angle where one set spans
     two parameters with a member of the other strictly inside.
     Consecutive hits cluster into one candidate pair (theta, theta+gap).
 
-    The touch slack is widened to resolution scale: a jump is only
-    visible from a grid point when the runner-up corner still projects
-    within the slack, which needs roughly diagonal * resolution.  The
+    The touch slack is widened to grid scale: a jump is only visible
+    from a grid point when the runner-up corner still projects within
+    the slack, which needs roughly diagonal * grid step.  The
     eps-scale slack used elsewhere would miss every jump.
     """
     import numpy as np  # only this oracle needs it; keeps the CLI start light
 
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
-    k = max(8, int(round(TWO_PI / resolution)))
+    k = GRID_POINTS
     thetas = np.arange(k) * (TWO_PI / k)
     xs = np.array([v.x for v in arc.vertices])
     ys = np.array([v.y for v in arc.vertices])
     prm = np.array(arc.params)
-    slack = arc.diagonal * max(10.0 * tol.eps_touch, 0.75 * (TWO_PI / k))
+    slack = arc.diagonal * max(10.0 * EPS_TOUCH, 0.75 * (TWO_PI / k))
 
     def touch_bounds(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nx, ny = np.sin(angles), -np.cos(angles)
@@ -179,7 +178,7 @@ def grid_scan_pairs(arc: PolygonalArc, gap: float,
 
     lo1, hi1 = touch_bounds(thetas)
     lo2, hi2 = touch_bounds(thetas + gap)
-    margin = tol.eps_touch * max(arc.length, 1.0)
+    margin = EPS_TOUCH * max(arc.length, 1.0)
 
     def strict_inside(v, lo, hi):
         return (lo + margin < v) & (v < hi - margin)
@@ -224,8 +223,7 @@ def grid_scan_pairs(arc: PolygonalArc, gap: float,
     return deduped
 
 
-def monotone_chain_hull(points: list[Point2],
-                        tol: Tolerances = DEFAULT_TOL) -> list[int]:
+def monotone_chain_hull(points: list[Point2]) -> list[int]:
     """Andrew's monotone-chain hull: counterclockwise corner indices.
 
     Strict corners only; collinear points are dropped.  This is the
@@ -241,7 +239,7 @@ def monotone_chain_hull(points: list[Point2],
         for i in idxs:
             while (len(chain) >= 2
                    and orient(points[chain[-2]], points[chain[-1]],
-                              points[i], tol) <= 0):
+                              points[i]) <= 0):
                 chain.pop()
             chain.append(i)
         return chain
@@ -255,7 +253,6 @@ def monotone_chain_hull(points: list[Point2],
 
 
 def random_simple_arc(config: FuzzConfig, trial_index: int,
-                      tol: Tolerances = DEFAULT_TOL,
                       max_rejections: int = 10_000) -> PolygonalArc:
     """Deterministic rejection-sampled simple, non-straight arc.
 
@@ -271,11 +268,11 @@ def random_simple_arc(config: FuzzConfig, trial_index: int,
         pts = [Point2(rng.uniform(0.0, box), rng.uniform(0.0, box))
                for _ in range(n)]
         try:
-            arc = build_arc(pts, tol)
+            arc = build_arc(pts)
         except ArcError:
             continue
         try:
-            monotone_chain_hull(list(arc.vertices), tol)
+            monotone_chain_hull(list(arc.vertices))
         except StraightArc:
             continue
         return arc

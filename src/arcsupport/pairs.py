@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .arc import PolygonalArc, point_at
-from .geometry import (DEFAULT_TOL, TWO_PI, Interval, Point2, Tolerances,
+from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Interval, Point2,
                        canon_angle, ccw_gap, circ_dist, interval_sub)
 from .profile import (SupportProfile, filled_interval, touch_params)
 
@@ -231,7 +231,7 @@ def scan_ledger(profile: SupportProfile, mode: str) -> list[ScanStep]:
     return steps
 
 
-def _lookup(win: _Window, delta: float, tol: Tolerances):
+def _lookup(win: _Window, delta: float):
     """The piece the scan reads at delta, and whether delta lies within
     eps_angle of a band's width.  Gap intervals shrink along the ledger
     and adjacent ones share an endpoint, so the last piece containing
@@ -242,19 +242,18 @@ def _lookup(win: _Window, delta: float, tol: Tolerances):
     hit = win.pieces[j] if j >= 0 and win.pieces[j].gap.lo <= delta else None
     # |delta - g| is smallest at the band widths either side of delta
     b = bisect_left(win.band_gaps, delta)
-    near_tie = any(abs(delta - g) <= tol.eps_angle
+    near_tie = any(abs(delta - g) <= EPS_ANGLE
                    for g in win.band_gaps[max(b - 1, 0):b + 1])
     return hit, near_tie
 
 
-def _scan(profile: SupportProfile, mode: str, delta: float,
-          tol: Tolerances):
+def _scan(profile: SupportProfile, mode: str, delta: float):
     """Find window positions x_left < x_right with x_right - x_left ==
     delta and a shared level certificate: the piece nearest the
     shared-step end (apex for the mountain, bottom for the valley) whose
     width interval contains delta."""
     win = _window(profile, mode)
-    hit, near_tie = _lookup(win, delta, tol)
+    hit, near_tie = _lookup(win, delta)
     if hit is None:  # requested gap beyond the ledger by rounding: clamp
         hit = win.pieces[0]
 
@@ -279,8 +278,7 @@ def _scan(profile: SupportProfile, mode: str, delta: float,
 
 
 def _assign_roles(profile: SupportProfile, theta_left: float,
-                  theta_right: float, certificate: float,
-                  tol: Tolerances):
+                  theta_right: float, certificate: float):
     """Split the two angles into double and single lines.
 
     The double line must carry two parameters, so its touch set is a
@@ -288,15 +286,15 @@ def _assign_roles(profile: SupportProfile, theta_left: float,
     parameters lands inside that span.  Strict assignments win; the
     remaining ties break toward the widest double span and smallest s2.
     """
-    slack = profile.param_slack(tol)
+    slack = profile.param_slack
     cands = []
     for theta_d, theta_s in ((theta_left, theta_right),
                              (theta_right, theta_left)):
-        td = touch_params(profile, theta_d, tol)
+        td = touch_params(profile, theta_d)
         if len(td) < 2 or td[-1] - td[0] <= slack:
             continue
         s1, s3 = td[0], td[-1]
-        for s2 in touch_params(profile, theta_s, tol):
+        for s2 in touch_params(profile, theta_s):
             if s1 - slack <= s2 <= s3 + slack:
                 strict = (s1 + slack < s2 < s3 - slack)
                 s2c = min(max(s2, s1), s3)
@@ -307,33 +305,32 @@ def _assign_roles(profile: SupportProfile, theta_left: float,
         return theta_d, theta_s, s1, s2, s3, strict
     # both touch sets degenerate: report the certificate level flatly
     wide = max((theta_left, theta_right),
-               key=lambda t: filled_interval(profile, t, tol).width)
+               key=lambda t: filled_interval(profile, t).width)
     other = theta_right if wide == theta_left else theta_left
-    iv = filled_interval(profile, wide, tol)
+    iv = filled_interval(profile, wide)
     s2 = min(max(certificate, iv.lo), iv.hi)
     return wide, other, iv.lo, s2, iv.hi, False
 
 
 def _gap_side_covers(start: float, gap: float, step_start: float,
-                     step_width: float, tol: Tolerances) -> bool:
+                     step_width: float) -> bool:
     """Does the ccw arc of length gap starting at start contain the
     whole step [step_start, step_start + step_width]?"""
     off = ccw_gap(start, step_start)
-    if off > TWO_PI - tol.eps_angle:
+    if off > TWO_PI - EPS_ANGLE:
         off = 0.0
-    return off + step_width <= gap + tol.eps_angle
+    return off + step_width <= gap + EPS_ANGLE
 
 
-def _find_pair(profile: SupportProfile, delta: float, mode: str,
-               tol: Tolerances) -> TriplePair:
+def _find_pair(profile: SupportProfile, delta: float, mode: str) -> TriplePair:
     if not (0.0 < delta < TWO_PI):
         raise InvalidDelta(f"angle difference {delta} outside (0, 2*pi)")
     lo, hi = safe_delta_range(profile, mode)
     guaranteed = lo <= delta <= hi
 
-    theta_left, theta_right, level, near_tie = _scan(profile, mode, delta, tol)
+    theta_left, theta_right, level, near_tie = _scan(profile, mode, delta)
     theta_d, theta_s, s1, s2, s3, strict = _assign_roles(
-        profile, theta_left, theta_right, level, tol)
+        profile, theta_left, theta_right, level)
 
     if mode == MOUNTAIN:
         realized = ccw_gap(theta_left, theta_right)
@@ -348,8 +345,7 @@ def _find_pair(profile: SupportProfile, delta: float, mode: str,
 
 
 def find_pair_mountain(profile: SupportProfile, arc: PolygonalArc,
-                       delta: float,
-                       tol: Tolerances = DEFAULT_TOL) -> TriplePair:
+                       delta: float) -> TriplePair:
     """Pair of support lines whose angle difference, measured across the
     apex of the profile, is delta.
 
@@ -357,12 +353,11 @@ def find_pair_mountain(profile: SupportProfile, arc: PolygonalArc,
     width to 2*pi minus the minimum step width); outside it the result
     is flagged guaranteed=False and may be degenerate.
     """
-    return _find_pair(profile, delta, MOUNTAIN, tol)
+    return _find_pair(profile, delta, MOUNTAIN)
 
 
 def find_pair_valley(profile: SupportProfile, arc: PolygonalArc,
-                     delta: float,
-                     tol: Tolerances = DEFAULT_TOL) -> TriplePair:
+                     delta: float) -> TriplePair:
     """Pair of support lines whose angle difference measured across the
     minimum step is delta; the complementary gap 2*pi - delta between
     the two angles is reported as realized_gap.
@@ -370,7 +365,7 @@ def find_pair_valley(profile: SupportProfile, arc: PolygonalArc,
     Guaranteed strict for delta in safe_delta_range (from the minimum
     step width to 2*pi minus the apex step width).
     """
-    return _find_pair(profile, delta, VALLEY, tol)
+    return _find_pair(profile, delta, VALLEY)
 
 
 def safe_delta_range(profile: SupportProfile, mode: str) -> tuple[float, float]:
@@ -382,17 +377,17 @@ def safe_delta_range(profile: SupportProfile, mode: str) -> tuple[float, float]:
     return (profile.min_step_width, TWO_PI - profile.apex_step_width)
 
 
-def pairs_identical(profile: SupportProfile, m: TriplePair, v: TriplePair,
-                    tol: Tolerances = DEFAULT_TOL) -> bool:
+def pairs_identical(profile: SupportProfile, m: TriplePair,
+                    v: TriplePair) -> bool:
     """Do two pairs agree as unordered angle sets with matching triples
     and the same strictness?"""
-    slack = profile.param_slack(tol)
+    slack = profile.param_slack
 
     def angles_match(a1, a2, b1, b2):
-        return ((circ_dist(a1, b1) <= tol.eps_angle
-                 and circ_dist(a2, b2) <= tol.eps_angle)
-                or (circ_dist(a1, b2) <= tol.eps_angle
-                    and circ_dist(a2, b1) <= tol.eps_angle))
+        return ((circ_dist(a1, b1) <= EPS_ANGLE
+                 and circ_dist(a2, b2) <= EPS_ANGLE)
+                or (circ_dist(a1, b2) <= EPS_ANGLE
+                    and circ_dist(a2, b1) <= EPS_ANGLE))
 
     return (angles_match(m.theta_double, m.theta_single,
                          v.theta_double, v.theta_single)
@@ -400,16 +395,16 @@ def pairs_identical(profile: SupportProfile, m: TriplePair, v: TriplePair,
             and m.strict == v.strict)
 
 
-def corollary_check(profile: SupportProfile, arc: PolygonalArc, delta: float,
-                    tol: Tolerances = DEFAULT_TOL) -> CorollaryResult:
+def corollary_check(profile: SupportProfile, arc: PolygonalArc,
+                    delta: float) -> CorollaryResult:
     """Run both scans at the same difference and compare the pairs."""
-    m = find_pair_mountain(profile, arc, delta, tol)
-    v = find_pair_valley(profile, arc, delta, tol)
-    return CorollaryResult(pairs_identical(profile, m, v, tol), m, v)
+    m = find_pair_mountain(profile, arc, delta)
+    v = find_pair_valley(profile, arc, delta)
+    return CorollaryResult(pairs_identical(profile, m, v), m, v)
 
 
-def enumerate_triples(profile: SupportProfile, arc: PolygonalArc, gap: float,
-                      tol: Tolerances = DEFAULT_TOL) -> list[TriplePair]:
+def enumerate_triples(profile: SupportProfile, arc: PolygonalArc,
+                      gap: float) -> list[TriplePair]:
     """Every strict triple configuration whose two support angles are a
     counterclockwise gap apart (in either reading of the pair).
 
@@ -420,7 +415,7 @@ def enumerate_triples(profile: SupportProfile, arc: PolygonalArc, gap: float,
     """
     if not (0.0 < gap < TWO_PI):
         raise InvalidDelta(f"gap {gap} outside (0, 2*pi)")
-    slack = profile.param_slack(tol)
+    slack = profile.param_slack
     apex = profile.apex_step
     mins = profile.min_step
     found: dict[tuple, TriplePair] = {}
@@ -431,13 +426,13 @@ def enumerate_triples(profile: SupportProfile, arc: PolygonalArc, gap: float,
         for sign in (+1.0, -1.0):
             psi = canon_angle(jump.angle + sign * gap)
             side_start = jump.angle if sign > 0 else psi
-            for s2 in touch_params(profile, psi, tol):
+            for s2 in touch_params(profile, psi):
                 if not (lo + slack < s2 < hi - slack):
                     continue
                 covers_apex = _gap_side_covers(side_start, gap,
-                                               apex.start, apex.width, tol)
+                                               apex.start, apex.width)
                 covers_min = _gap_side_covers(side_start, gap,
-                                              mins.start, mins.width, tol)
+                                              mins.start, mins.width)
                 key = (round(jump.angle, 9), round(psi, 9), round(s2, 9))
                 prev = found.get(key)
                 if prev is not None:
@@ -485,8 +480,7 @@ def _all_left(theta: float, anchor: Point2, points: Iterable[Point2],
                for v in points)
 
 
-def verify_triple(arc: PolygonalArc, pair: TriplePair,
-                  tol: Tolerances = DEFAULT_TOL) -> TripleReport:
+def verify_triple(arc: PolygonalArc, pair: TriplePair) -> TripleReport:
     """Check a pair against the defining property, without the profile.
 
     (a) gamma(s1) and gamma(s3) lie on the support line at theta_double,
@@ -496,8 +490,8 @@ def verify_triple(arc: PolygonalArc, pair: TriplePair,
     claimed touch points; (d) the parameters are ordered, strictly so
     when the pair says strict.
     """
-    dist_slack = tol.eps_touch * arc.diagonal
-    param_slack = tol.eps_touch * max(arc.length, 1.0)
+    dist_slack = EPS_TOUCH * arc.diagonal
+    param_slack = EPS_TOUCH * max(arc.length, 1.0)
 
     d_anchor = _extreme_anchor(arc, pair.theta_double)
     s_anchor = _extreme_anchor(arc, pair.theta_single)

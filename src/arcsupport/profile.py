@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .arc import PolygonalArc, point_at
-from .geometry import (DEFAULT_TOL, TWO_PI, Interval, Point2, Tolerances,
+from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Interval, Point2,
                        canon_angle, ccw_gap, circ_dist)
 from .hull import Hull
 
@@ -96,8 +96,9 @@ class SupportProfile:
     def max_level(self) -> float:
         return self.apex_step.level
 
-    def param_slack(self, tol: Tolerances = DEFAULT_TOL) -> float:
-        return tol.eps_touch * max(self.max_level, 1.0)
+    @property
+    def param_slack(self) -> float:
+        return EPS_TOUCH * max(self.max_level, 1.0)
 
     # Derived indexes, built on first use and kept on the instance (the
     # profile is immutable); cached_property stays out of __eq__,
@@ -176,8 +177,7 @@ def _positions(angles: Sequence[float], lo: float, hi: float) -> list[int]:
             for p in range(bisect_left(angles, a), bisect_right(angles, b))]
 
 
-def touch_params(profile: SupportProfile, theta: float,
-                 tol: Tolerances = DEFAULT_TOL) -> tuple[float, ...]:
+def touch_params(profile: SupportProfile, theta: float) -> tuple[float, ...]:
     """Touch parameters of the support line at angle theta.
 
     One value strictly inside a step, two at a jump.  Queries within
@@ -188,9 +188,9 @@ def touch_params(profile: SupportProfile, theta: float,
     """
     theta = canon_angle(theta)
     angles, order = profile._by_angle
-    w = tol.eps_angle + _ROUNDING
+    w = EPS_ANGLE + _ROUNDING
     hits = [order[p] for p in _positions(angles, theta - w, theta + w)
-            if circ_dist(theta, angles[p]) <= tol.eps_angle]
+            if circ_dist(theta, angles[p]) <= EPS_ANGLE]
     if hits:
         jump = profile.jumps[min(hits)]
         return (jump.low_param, jump.high_param)
@@ -205,37 +205,35 @@ def touch_params(profile: SupportProfile, theta: float,
     return (nearest.low_param, nearest.high_param)
 
 
-def filled_interval(profile: SupportProfile, theta: float,
-                    tol: Tolerances = DEFAULT_TOL) -> Interval:
+def filled_interval(profile: SupportProfile, theta: float) -> Interval:
     """[min, max] of the touch set: the jump span at a jump angle,
     degenerate inside a step."""
-    t = touch_params(profile, theta, tol)
+    t = touch_params(profile, theta)
     return Interval(t[0], t[-1])
 
 
-def cross_section(profile: SupportProfile, s: float,
-                  tol: Tolerances = DEFAULT_TOL) -> tuple[float, float] | None:
+def cross_section(profile: SupportProfile, s: float) -> tuple[float, float] | None:
     """Closure of the set of angles whose support line touches parameter s.
 
     For a corner level this is the corner's step (a circular interval
     of width < pi, returned as a (start, end) pair); for any other
     parameter it is empty (None).
     """
-    slack = profile.param_slack(tol)
+    slack = profile.param_slack
     for step in profile.steps:
         if abs(step.level - s) <= slack:
             return (step.start, step.end)
     return None
 
 
-def support_line(profile: SupportProfile, arc: PolygonalArc, theta: float,
-                 tol: Tolerances = DEFAULT_TOL) -> DirectedLine:
+def support_line(profile: SupportProfile, arc: PolygonalArc,
+                 theta: float) -> DirectedLine:
     """Support line of angle theta, anchored at the touch point with the
     smallest parameter."""
     theta = canon_angle(theta)
-    anchor = point_at(arc, min(touch_params(profile, theta, tol)))
+    anchor = point_at(arc, min(touch_params(profile, theta)))
     dx, dy = math.cos(theta), math.sin(theta)
-    slack = tol.eps_touch * arc.diagonal
+    slack = EPS_TOUCH * arc.diagonal
     for v in arc.vertices:
         side = dx * (v.y - anchor.y) - dy * (v.x - anchor.x)
         if side < -slack:
@@ -244,8 +242,8 @@ def support_line(profile: SupportProfile, arc: PolygonalArc, theta: float,
     return DirectedLine(theta, anchor)
 
 
-def unique_crossing(breakpoints: Sequence[tuple[float, float]], delta: float,
-                    y_tol: float = 1e-15) -> float:
+def unique_crossing(breakpoints: Sequence[tuple[float, float]],
+                    delta: float) -> float:
     """Unique x with f(x) == f(x + delta) for a strictly unimodal
     piecewise-linear f on [0, 2*pi] with f(0) = f(2*pi) = 0 and peak 1.
 
@@ -295,7 +293,7 @@ def unique_crossing(breakpoints: Sequence[tuple[float, float]], delta: float,
         return inv(fall_x, fall_y, y) - inv(rise_x, rise_y, y)
 
     lo, hi = 0.0, 1.0  # spread(0) = 2*pi, spread(1) = 0
-    while hi - lo > y_tol:
+    while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
         if spread(mid) > delta:
             lo = mid

@@ -3,31 +3,22 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .arc import PolygonalArc, point_at
 from .hull import Hull
 from .pairs import TriplePair
 
-
-@dataclass(frozen=True)
-class RenderSpec:
-    width: int = 640
-    height: int = 480
-    margin: float = 40.0
-    arc_stroke: str = "#1f6fb4"
-    hull_stroke: str = "#aaaaaa"
-    line_stroke: str = "#d62728"
-    point_fill: str = "#000000"
-    labels: bool = True
-
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0 or self.margin < 0:
-            raise ValueError("canvas dimensions must be positive")
+# canvas size in pixels, its margin, and the colours
+WIDTH = 640
+HEIGHT = 480
+MARGIN = 40.0
+ARC_STROKE = "#1f6fb4"
+HULL_STROKE = "#aaaaaa"
+LINE_STROKE = "#d62728"
+POINT_FILL = "#000000"
 
 
-def render_pair_svg(arc: PolygonalArc, hull: Hull, pair: TriplePair,
-                    spec: RenderSpec = RenderSpec()) -> str:
+def render_pair_svg(arc: PolygonalArc, hull: Hull, pair: TriplePair) -> str:
     """SVG 1.1 document for a found pair.
 
     Geometry stays in mathematical orientation; the y axis is flipped
@@ -39,30 +30,29 @@ def render_pair_svg(arc: PolygonalArc, hull: Hull, pair: TriplePair,
     min_y, max_y = min(ys), max(ys)
     span_x = max(max_x - min_x, 1e-9)
     span_y = max(max_y - min_y, 1e-9)
-    scale = min((spec.width - 2 * spec.margin) / span_x,
-                (spec.height - 2 * spec.margin) / span_y)
+    scale = min((WIDTH - 2 * MARGIN) / span_x, (HEIGHT - 2 * MARGIN) / span_y)
 
     def sx(x: float) -> float:
-        return spec.margin + (x - min_x) * scale
+        return MARGIN + (x - min_x) * scale
 
     def sy(y: float) -> float:
-        return spec.height - (spec.margin + (y - min_y) * scale)
+        return HEIGHT - (MARGIN + (y - min_y) * scale)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}">',
-        f'<rect width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
+        f'width="{WIDTH}" height="{HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
 
     hull_pts = " ".join(f"{sx(c.point.x):.3f},{sy(c.point.y):.3f}"
                         for c in hull.corners)
     out.append(f'<polygon points="{hull_pts}" fill="none" '
-               f'stroke="{spec.hull_stroke}" stroke-dasharray="6 4"/>')
+               f'stroke="{HULL_STROKE}" stroke-dasharray="6 4"/>')
 
     arc_pts = " ".join(f"{sx(v.x):.3f},{sy(v.y):.3f}" for v in arc.vertices)
     out.append(f'<polyline points="{arc_pts}" fill="none" '
-               f'stroke="{spec.arc_stroke}" stroke-width="2"/>')
+               f'stroke="{ARC_STROKE}" stroke-width="2"/>')
 
     reach = 2.0 * arc.diagonal
     for theta, s in ((pair.theta_double, pair.s1),
@@ -73,15 +63,14 @@ def render_pair_svg(arc: PolygonalArc, hull: Hull, pair: TriplePair,
         x2, y2 = a.x + reach * dx, a.y + reach * dy
         out.append(f'<line x1="{sx(x1):.3f}" y1="{sy(y1):.3f}" '
                    f'x2="{sx(x2):.3f}" y2="{sy(y2):.3f}" '
-                   f'stroke="{spec.line_stroke}" stroke-width="1.5"/>')
+                   f'stroke="{LINE_STROKE}" stroke-width="1.5"/>')
 
     for label, s in (("s1", pair.s1), ("s2", pair.s2), ("s3", pair.s3)):
         p = point_at(arc, min(max(s, 0.0), arc.length))
         out.append(f'<circle cx="{sx(p.x):.3f}" cy="{sy(p.y):.3f}" r="4" '
-                   f'fill="{spec.point_fill}"/>')
-        if spec.labels:
-            out.append(f'<text x="{sx(p.x) + 7:.3f}" y="{sy(p.y) - 7:.3f}" '
-                       f'font-size="14" font-family="sans-serif">{label}</text>')
+                   f'fill="{POINT_FILL}"/>')
+        out.append(f'<text x="{sx(p.x) + 7:.3f}" y="{sy(p.y) - 7:.3f}" '
+                   f'font-size="14" font-family="sans-serif">{label}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

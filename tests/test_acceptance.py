@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from arcsupport import (FuzzConfig, MOUNTAIN, VALLEY, Tolerances,
-                        build_profile, ccw_gap, circ_dist, corollary_check,
+from arcsupport import (FuzzConfig, MOUNTAIN, VALLEY, build_profile,
+                        ccw_gap, circ_dist, corollary_check,
                         cross_section, enumerate_triples, find_pair_mountain,
                         find_pair_valley, grid_scan_pairs, jump_to_jump_gaps,
                         melkman_hull, monotone_chain_hull,
@@ -22,7 +22,6 @@ from arcsupport.cli import run_fuzz
 PI = math.pi
 ATAN_HALF = math.atan(0.5)
 GRID_RES = 2 * PI / 100_000
-VERIFY_TOL = Tolerances(eps_touch=1e-7)
 
 
 def test_criterion_1_e1_mountain_fixture(e1, e1_profile):
@@ -90,7 +89,7 @@ def _campaign(fuzz_pool, mode, finder, rng):
             continue
         pair = finder(profile, arc, delta)
         assert pair.strict, (mode, delta)
-        assert verify_triple(arc, pair, VERIFY_TOL).passed, (mode, delta)
+        assert verify_triple(arc, pair).passed, (mode, delta)
         typed = [c for c in enumerate_triples(profile, arc, delta)
                  if (c.covers_apex if mode == MOUNTAIN else c.covers_min)]
         assert len(typed) == 1, (mode, delta, len(typed))
@@ -130,7 +129,7 @@ def test_criterion_5_oracle_equivalence(fuzz_pool):
         if any(abs(delta - g) <= 1e-6 for g in jump_to_jump_gaps(profile)):
             continue
         pair = find_pair_mountain(profile, arc, delta)
-        clusters = grid_scan_pairs(arc, delta, GRID_RES)
+        clusters = grid_scan_pairs(arc, delta)
         near = [
             (a, b) for a, b in clusters
             if (circ_dist(a, pair.theta_single) <= GRID_RES

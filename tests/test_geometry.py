@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -80,3 +82,23 @@ def test_interval_sub_membership(ij, kl, t, u):
 def test_interval_rejects_inverted():
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
+
+
+def test_one_fixed_tolerance_policy():
+    # the policy lives in geometry's constants; no call can set another
+    import arcsupport
+    for name in ("Tolerances", "DEFAULT_TOL", "RenderSpec"):
+        assert not hasattr(arcsupport, name)
+    funcs = []
+    for mod in (m for n, m in sorted(sys.modules.items())
+                if n.startswith("arcsupport.")):
+        for obj in vars(mod).values():
+            if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                funcs += [f for f in vars(obj).values() if inspect.isfunction(f)]
+            elif inspect.isfunction(obj) and obj.__module__ == mod.__name__:
+                funcs.append(obj)
+    assert len(funcs) > 50
+    for f in funcs:
+        params = inspect.signature(f).parameters
+        assert not {"tol", "y_tol", "resolution", "spec"} & set(params), f
+    assert list(inspect.signature(Interval.contains).parameters) == ["self", "x"]

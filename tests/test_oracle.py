@@ -19,24 +19,24 @@ def test_touch_fixtures(e1, e2):
 
 
 def test_grid_scan_e1_pi(e1):
-    pairs = grid_scan_pairs(e1, PI, RES)
+    pairs = grid_scan_pairs(e1, PI)
     assert len(pairs) == 1
     assert min(circ_dist(t, PI / 4) for t in pairs[0]) <= RES
 
 
 def test_grid_scan_e1_empty(e1):
-    assert grid_scan_pairs(e1, PI / 2, RES) == []
+    assert grid_scan_pairs(e1, PI / 2) == []
 
 
 def test_grid_scan_e2_pi(e2):
-    pairs = grid_scan_pairs(e2, PI, RES)
+    pairs = grid_scan_pairs(e2, PI)
     assert len(pairs) == 1
     assert min(circ_dist(t, math.atan(0.5)) for t in pairs[0]) <= RES
 
 
 def test_grid_scan_localizes_scan_output(e2, e2_profile):
     pair = find_pair_mountain(e2_profile, e2, 2.0)
-    clusters = grid_scan_pairs(e2, 2.0, RES)
+    clusters = grid_scan_pairs(e2, 2.0)
     assert len(clusters) == 1
     a, b = clusters[0]
     assert (circ_dist(a, pair.theta_single) <= RES
@@ -47,7 +47,7 @@ def test_grid_scan_localizes_scan_output(e2, e2_profile):
 
 def test_grid_scan_finds_both_kinds(e1, e1_profile):
     # gap 3.0 admits one apex-spanning and one minimum-spanning pair
-    clusters = grid_scan_pairs(e1, 3.0, RES)
+    clusters = grid_scan_pairs(e1, 3.0)
     assert len(clusters) == 2
     assert len(enumerate_triples(e1_profile, e1, 3.0)) == 2
 
@@ -58,7 +58,7 @@ def test_grid_cluster_count_matches_enumerator(fuzz_pool):
         delta = rng.uniform(0.3, 2 * PI - 0.3)
         if any(abs(delta - g) <= 1e-4 for g in jump_to_jump_gaps(profile)):
             continue
-        clusters = grid_scan_pairs(arc, delta, RES)
+        clusters = grid_scan_pairs(arc, delta)
         assert len(clusters) == len(enumerate_triples(profile, arc, delta))
 
 

@@ -3,15 +3,14 @@ import random
 
 import pytest
 
-from arcsupport import (MOUNTAIN, VALLEY, InvalidDelta, Tolerances, ccw_gap,
-                        circ_dist, corollary_check, enumerate_triples,
+from arcsupport import (MOUNTAIN, VALLEY, InvalidDelta, ccw_gap, circ_dist,
+                        corollary_check, enumerate_triples,
                         find_pair_mountain, find_pair_valley,
                         jump_to_jump_gaps, safe_delta_range, scan_ledger,
                         verify_triple)
 
 PI = math.pi
 ATAN_HALF = math.atan(0.5)
-VERIFY_TOL = Tolerances(eps_touch=1e-7)
 
 
 def test_mountain_e1_pi(e1, e1_profile):
@@ -158,7 +157,7 @@ def test_every_scan_output_verifies(fuzz_pool):
             lo, hi = safe_delta_range(profile, mode)
             delta = rng.uniform(lo + 1e-3, hi - 1e-3)
             pair = finder(profile, arc, delta)
-            assert verify_triple(arc, pair, VERIFY_TOL).passed
+            assert verify_triple(arc, pair).passed
 
 
 def test_ledger_monotone(fuzz_pool):

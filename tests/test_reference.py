@@ -10,14 +10,14 @@ import random
 
 import pytest
 
-from arcsupport import (DEFAULT_TOL, MOUNTAIN, TWO_PI, VALLEY, Jump, Point2,
+from arcsupport import (EPS_ANGLE, MOUNTAIN, TWO_PI, VALLEY, Jump, Point2,
                         ProfileStep, SupportProfile, build_arc, build_profile,
                         melkman_hull, touch_params)
 from arcsupport.oracle import (linear_ledger_lookup, linear_touch_params,
                                quadratic_ledger)
 from arcsupport.pairs import _lookup, _window
 
-EPS = DEFAULT_TOL.eps_angle
+EPS = EPS_ANGLE
 
 
 def convex_arc(n, rng):
@@ -107,7 +107,7 @@ def test_ledger_lookup_equals_linear_walk(profiles):
                 deltas += around(p.gap.lo, EPS)
                 deltas.append(0.5 * (p.gap.lo + p.gap.hi))
             for delta in deltas:
-                assert _lookup(win, delta, DEFAULT_TOL) == linear_ledger_lookup(
+                assert _lookup(win, delta) == linear_ledger_lookup(
                     list(win.pieces), delta), (mode, delta)
 
 

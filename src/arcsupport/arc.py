@@ -159,7 +159,7 @@ def build_arc(vertices: Iterable) -> PolygonalArc:
 
 def point_at(arc: PolygonalArc, s: float) -> Point2:
     """Point at arc-length parameter s, by linear interpolation."""
-    slack = 1e-12 * max(arc.length, 1.0)
+    slack = 1e-12 * arc.length
     if s < -slack or s > arc.length + slack:
         raise ParamOutOfRange(f"parameter {s} outside [0, {arc.length}]")
     s = min(max(s, 0.0), arc.length)

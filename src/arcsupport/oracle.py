@@ -178,7 +178,7 @@ def grid_scan_pairs(arc: PolygonalArc, gap: float) -> list[tuple[float, float]]:
 
     lo1, hi1 = touch_bounds(thetas)
     lo2, hi2 = touch_bounds(thetas + gap)
-    margin = EPS_TOUCH * max(arc.length, 1.0)
+    margin = EPS_TOUCH * arc.length
 
     def strict_inside(v, lo, hi):
         return (lo + margin < v) & (v < hi - margin)

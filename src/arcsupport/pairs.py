@@ -491,7 +491,7 @@ def verify_triple(arc: PolygonalArc, pair: TriplePair) -> TripleReport:
     when the pair says strict.
     """
     dist_slack = EPS_TOUCH * arc.diagonal
-    param_slack = EPS_TOUCH * max(arc.length, 1.0)
+    param_slack = EPS_TOUCH * arc.length
 
     d_anchor = _extreme_anchor(arc, pair.theta_double)
     s_anchor = _extreme_anchor(arc, pair.theta_single)

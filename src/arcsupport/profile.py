@@ -98,7 +98,8 @@ class SupportProfile:
 
     @property
     def param_slack(self) -> float:
-        return EPS_TOUCH * max(self.max_level, 1.0)
+        """Tolerance on arc parameters, relative to the largest level."""
+        return EPS_TOUCH * self.max_level
 
     # Derived indexes, built on first use and kept on the instance (the
     # profile is immutable); cached_property stays out of __eq__,

@@ -28,9 +28,10 @@ def render_pair_svg(arc: PolygonalArc, hull: Hull, pair: TriplePair) -> str:
     ys = [v.y for v in arc.vertices]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
-    span_x = max(max_x - min_x, 1e-9)
-    span_y = max(max_y - min_y, 1e-9)
-    scale = min((WIDTH - 2 * MARGIN) / span_x, (HEIGHT - 2 * MARGIN) / span_y)
+    # a hull has three corners that do not line up, so both spans are
+    # positive; the figure is the same at every scale
+    scale = min((WIDTH - 2 * MARGIN) / (max_x - min_x),
+                (HEIGHT - 2 * MARGIN) / (max_y - min_y))
 
     def sx(x: float) -> float:
         return MARGIN + (x - min_x) * scale

@@ -43,9 +43,11 @@ def test_e1_corner_steps(e1):
     assert c.exterior_angle == pytest.approx(3 * math.pi / 4)
 
 
-@pytest.mark.parametrize("scale, offset", [(1.0, 1e12), (1e-6, 1e3)])
+@pytest.mark.parametrize("scale, offset",
+                         [(1.0, 1e12), (1e-6, 1e3), (1e-10, 0.0)])
 def test_far_from_origin_keeps_e2_pair(scale, offset):
-    # the hull orientation must not cancel away at a large offset
+    # the hull orientation must not cancel away at a large offset, and
+    # no slack may stop scaling with a tiny arc
     arc = build_arc([(x * scale + offset, y * scale + offset)
                      for x, y in [(0, 0), (3, 0), (3, 1), (2, 1)]])
     profile = build_profile(melkman_hull(arc))

@@ -145,8 +145,8 @@ def _unroll(profile: SupportProfile, mode: str):
 
 
 def _build_window(profile: SupportProfile, mode: str) -> _Window:
-    anchor, x_lo, x_hi, levels, total = _unroll(profile, mode)
-    pieces = tuple(_build_pieces(x_lo, x_hi, levels, total))
+    anchor, x_lo, x_hi, levels, _ = _unroll(profile, mode)
+    pieces = tuple(_build_pieces(x_lo, x_hi, levels))
     # tuples from lists, not generators: CPython sizes those exactly, so
     # they reuse its free lists instead of refilling them per profile
     return _Window(anchor, pieces, tuple([-p.gap.hi for p in pieces]),
@@ -162,7 +162,7 @@ def _window(profile: SupportProfile, mode: str) -> _Window:
     return win
 
 
-def _build_pieces(x_lo, x_hi, levels, total) -> list[_Piece]:
+def _build_pieces(x_lo, x_hi, levels) -> list[_Piece]:
     """Ledger of width intervals for a rise-then-fall staircase, in O(m).
 
     levels[0] must be the minimum.  Between two adjacent corner levels
@@ -191,14 +191,11 @@ def _build_pieces(x_lo, x_hi, levels, total) -> list[_Piece]:
     asc.append(k)
 
     pieces: list[_Piece] = []
-    r, f = 1, m - 1
+    r, f = 0, m - 1  # corner 0 rises; x_hi[m - 1] is the window's far end
     for pos, i in enumerate(asc):
         lam = levels[i]
         if i == k:
             left = right = Interval(x_lo[k], x_hi[k])
-        elif i == 0:
-            left = Interval(x_lo[0], x_hi[0])
-            right = Interval(total, total)
         elif i < k:
             left = Interval(x_lo[i], x_hi[i])
             right = Interval(x_hi[f], x_hi[f])

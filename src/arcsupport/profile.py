@@ -90,7 +90,7 @@ class SupportProfile:
 
     @property
     def levels(self) -> tuple[float, ...]:
-        return tuple(s.level for s in self.steps)
+        return tuple([s.level for s in self.steps])
 
     @property
     def max_level(self) -> float:
@@ -131,17 +131,15 @@ class DirectedLine:
 def build_profile(hull: Hull) -> SupportProfile:
     """Assemble the step/jump profile from a hull.
 
-    Rotates the cycle so the minimum-level step comes first and checks
-    the rise-then-fall shape of the level sequence.
+    The hull lists its corners from the minimum-parameter one, so the
+    steps start at the minimum level; checks the rise-then-fall shape of
+    the level sequence, which also rejects a cycle starting elsewhere.
     """
-    corners = hull.corners
-    m = len(corners)
-    start = min(range(m), key=lambda i: corners[i].param)
-    ordered = corners[start:] + corners[:start]
-
-    steps = tuple(
+    m = len(hull.corners)
+    # tuples from lists, not generators: see pairs._build_window
+    steps = tuple([
         ProfileStep(c.step_start, c.step_end, c.exterior_angle, c.param, c.point)
-        for c in ordered)
+        for c in hull.corners])
     jumps = []
     for i, step in enumerate(steps):
         prev = steps[i - 1]

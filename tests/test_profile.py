@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from arcsupport import (Interval, MalformedFunction, Point2, build_arc,
+from arcsupport import (Hull, Interval, MalformedFunction, Point2, build_arc,
                         build_profile, ccw_gap, circ_dist, cross_section,
                         filled_interval, melkman_hull, oracle_touch_params,
                         support_line, touch_params, unique_crossing)
@@ -38,6 +38,15 @@ def test_e2_profile_structure(e2_profile):
     assert jumps[round(PI + ATAN_HALF, 9)] == (0.0, 5.0)
     assert p.min_step_width == pytest.approx(PI - ATAN_HALF)
     assert p.apex_step_width == pytest.approx(ATAN_HALF)
+
+
+def test_profile_needs_the_hull_to_start_at_the_minimum(e2):
+    # melkman_hull lists corners from the minimum-parameter one; a cycle
+    # starting elsewhere breaks the rise-then-fall shape
+    corners = melkman_hull(e2).corners
+    for start in range(1, len(corners)):
+        with pytest.raises(ValueError, match="rise-then-fall"):
+            build_profile(Hull(corners[start:] + corners[:start]))
 
 
 def test_touch_params_e1(e1_profile):

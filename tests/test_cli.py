@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -236,3 +237,17 @@ def test_full_range_fuzz_reports_no_anomaly(seed):
                                         delta_policy="full_range"))
     assert summary["anomalies"] == []
     assert not all(r["strict"] for r in rows)  # degenerate deltas were drawn
+
+
+def test_fuzz_csv_is_byte_identical():
+    # a change that keeps behaviour keeps this digest: full_range rows
+    # hold only RNG draws, counts and flags, so a changed decision shows
+    from arcsupport.cli import fuzz_csv, run_fuzz
+    from arcsupport.oracle import FuzzConfig
+    rows, summary = run_fuzz(FuzzConfig(trials=300, seed=7,
+                                        delta_policy="full_range"))
+    assert hashlib.sha256(fuzz_csv(rows).encode()).hexdigest() == (
+        "c31602f3caf3b14d7c18b3b4dd762cbd6bbc65daa0f36d30c7062982d7a624cc")
+    assert summary == {"trials": 300, "strict": 160, "unique": 160,
+                       "unique_total": 160, "corollary_at_pi": 300,
+                       "anomalies": []}

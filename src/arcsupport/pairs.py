@@ -430,7 +430,7 @@ def enumerate_triples(profile: SupportProfile, arc: PolygonalArc,
                                                apex.start, apex.width)
                 covers_min = _gap_side_covers(side_start, gap,
                                               mins.start, mins.width)
-                key = (round(jump.angle, 9), round(psi, 9), round(s2, 9))
+                key = (round(jump.angle, 9), round(psi, 9), s2)
                 prev = found.get(key)
                 if prev is not None:
                     covers_apex = covers_apex or prev.covers_apex

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arcsupport import (MOUNTAIN, VALLEY, build_arc, build_profile, circ_dist,
-                        corollary_check, enumerate_triples,
+from arcsupport import (MOUNTAIN, VALLEY, build_arc, build_profile, ccw_gap,
+                        circ_dist, corollary_check, enumerate_triples,
                         find_pair_mountain, find_pair_valley, melkman_hull,
                         render_pair_svg, verify_triple)
 
@@ -103,3 +103,18 @@ def test_render_is_scale_free(k):
         return render_pair_svg(arc, hull, pair)
 
     assert svg(2.0**k) == svg(1.0)
+
+
+@pytest.mark.parametrize("k", [-60, -40, 0, 40, 60])
+def test_enumeration_at_a_jump_to_jump_gap_is_scale_free(k):
+    # from E2's wrap jump (0, 5) to its jump (3, 4): both touch
+    # parameters of the second line lie inside the first line's span,
+    # so two configurations share their angles and differ only in s2
+    arc = build_arc([(math.ldexp(x, k), math.ldexp(y, k))
+                     for x, y in [(0, 0), (3, 0), (3, 1), (2, 1)]])
+    profile = build_profile(melkman_hull(arc))
+    gap = ccw_gap(profile.jumps[0].angle, profile.jumps[2].angle)
+    configs = enumerate_triples(profile, arc, gap)
+    assert [c.triple for c in configs] == [
+        tuple(math.ldexp(s, k) for s in triple)
+        for triple in ((0.0, 3.0, 5.0), (0.0, 4.0, 5.0))]

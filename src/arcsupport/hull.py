@@ -48,10 +48,6 @@ class Hull:
         return len(self.corners)
 
 
-def _strict_left(a: Point2, b: Point2, c: Point2) -> bool:
-    return orient(a, b, c) > 0
-
-
 def melkman_hull(arc: PolygonalArc) -> Hull:
     """Convex hull of the arc's vertex chain via Melkman's algorithm.
 
@@ -88,13 +84,13 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
 
     for item in items[rest_start:]:
         p = item[1]
-        if (_strict_left(hull[-2][1], hull[-1][1], p)
-                and _strict_left(p, hull[0][1], hull[1][1])):
+        if (orient(hull[-2][1], hull[-1][1], p) > 0
+                and orient(p, hull[0][1], hull[1][1]) > 0):
             continue  # interior point
-        while len(hull) > 2 and not _strict_left(hull[-2][1], hull[-1][1], p):
+        while len(hull) > 2 and orient(hull[-2][1], hull[-1][1], p) <= 0:
             hull.pop()
         hull.append(item)
-        while len(hull) > 2 and not _strict_left(item[1], hull[0][1], hull[1][1]):
+        while len(hull) > 2 and orient(item[1], hull[0][1], hull[1][1]) <= 0:
             hull.popleft()
         hull.appendleft(item)
 

@@ -148,10 +148,10 @@ GRID_POINTS = 100_000
 def grid_scan_pairs(arc: PolygonalArc, gap: float) -> list[tuple[float, float]]:
     """Dense sweep locating strict triple configurations at a given gap.
 
-    For every one of GRID_POINTS evenly spaced angles theta, the
-    projection touch sets at theta and
-    theta + gap are formed; a hit is a grid angle where one set spans
-    two parameters with a member of the other strictly inside.
+    For each of GRID_POINTS evenly spaced angles theta, the projection
+    touch sets at theta and theta + gap are formed; a hit is a grid
+    angle where one set spans two parameters with a member of the other
+    strictly inside.
     Consecutive hits cluster into one candidate pair (theta, theta+gap).
 
     The touch slack is widened to grid scale: a jump is only visible

@@ -3,6 +3,12 @@
 An arc is an injective piecewise-linear curve given by its vertex chain.
 Construction validates simpleness; after that the object is immutable
 and safe to share.
+
+Simpleness is checked by a sort and sweep over the segments' bounding
+boxes grown by EPS_TOUCH * diagonal (the broad phase of Cohen, Lin,
+Manocha & Ponamgi, "I-COLLIDE", 1995): only pairs whose grown boxes
+meet reach the tolerant orientation test, which makes "intersect" mean
+"grown boxes meet and the orientations cross or touch".
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .geometry import EPS_TOUCH, Point2, orient
 
@@ -90,38 +96,82 @@ def _bbox_diagonal(pts: Sequence[Point2]) -> float:
     return math.hypot(dx, dy)
 
 
-def _segments_intersect(a1: Point2, a2: Point2, b1: Point2, b2: Point2) -> bool:
-    """Closed-segment intersection test (touching counts)."""
+def _on_segment(p: Point2, q: Point2, r: Point2) -> bool:
+    # r collinear with pq; is it inside the box?
+    return (min(p.x, q.x) <= r.x <= max(p.x, q.x)
+            and min(p.y, q.y) <= r.y <= max(p.y, q.y))
+
+
+def _segments_intersect(a1: Point2, a2: Point2, b1: Point2, b2: Point2,
+                        pad: float) -> bool:
+    """Closed-segment intersection test (touching counts), gated by the
+    segments' bounding boxes grown by pad.
+
+    The tolerant orientations can call a tiny segment far along the
+    line of another touching it; segments whose grown boxes miss never
+    intersect.  The gate is tested last, as it rarely decides.
+    """
     o1 = orient(a1, a2, b1)
     o2 = orient(a1, a2, b2)
     o3 = orient(b1, b2, a1)
     o4 = orient(b1, b2, a2)
-    if o1 != o2 and o3 != o4:
-        return True
-
-    def on_segment(p: Point2, q: Point2, r: Point2) -> bool:
-        # r collinear with pq; is it inside the box?
-        return (min(p.x, q.x) <= r.x <= max(p.x, q.x)
-                and min(p.y, q.y) <= r.y <= max(p.y, q.y))
-
-    if o1 == 0 and on_segment(a1, a2, b1):
-        return True
-    if o2 == 0 and on_segment(a1, a2, b2):
-        return True
-    if o3 == 0 and on_segment(b1, b2, a1):
-        return True
-    if o4 == 0 and on_segment(b1, b2, a2):
-        return True
-    return False
+    touching = ((o1 != o2 and o3 != o4)
+                or (o1 == 0 and _on_segment(a1, a2, b1))
+                or (o2 == 0 and _on_segment(a1, a2, b2))
+                or (o3 == 0 and _on_segment(b1, b2, a1))
+                or (o4 == 0 and _on_segment(b1, b2, a2)))
+    return (touching
+            and min(a1.x, a2.x) - pad <= max(b1.x, b2.x) + pad
+            and min(b1.x, b2.x) - pad <= max(a1.x, a2.x) + pad
+            and min(a1.y, a2.y) - pad <= max(b1.y, b2.y) + pad
+            and min(b1.y, b2.y) - pad <= max(a1.y, a2.y) + pad)
 
 
-def build_arc(vertices: Iterable) -> PolygonalArc:
-    """Validate a vertex chain and attach cumulative length parameters.
+def _swept_crossing(pts: Sequence[Point2],
+                    pad: float) -> Optional[tuple[int, int]]:
+    """First pair (i, j), i + 2 <= j, of intersecting segments, or None.
 
-    Raises TooFewVertices, DuplicateVertex or SelfIntersecting on bad
-    input.  Consecutive collinear vertices are accepted (they merely
-    subdivide a segment); exact back-tracking is rejected as non-simple.
+    Sort and sweep: segments are sorted by the left edge of their box
+    grown by pad, and each scans forward while the next left edge is
+    within its right edge.  The non-adjacent pairs whose grown y-ranges
+    also meet are the candidates, tested in (i, j) order, so the first
+    hit is the one the pairwise loop finds.  Pairs left out have grown
+    boxes that miss, which _segments_intersect rejects anyway.  Cost
+    O(n log n + k), k the pairs whose grown x-ranges meet.
     """
+    boxes = []
+    for i, (a, b) in enumerate(zip(pts, pts[1:])):
+        x0, x1 = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+        y0, y1 = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+        boxes.append((x0 - pad, x1 + pad, y0 - pad, y1 + pad, i))
+    boxes.sort()
+    nseg = len(boxes)
+    later: list[list[int]] = [[] for _ in range(nseg)]  # j of candidate (i, j)
+    for pos in range(nseg):
+        _, x_hi, y_lo, y_hi, i = boxes[pos]
+        for nxt in range(pos + 1, nseg):
+            x_lo_j, _, y_lo_j, y_hi_j, j = boxes[nxt]
+            if x_lo_j > x_hi:
+                break
+            if abs(i - j) >= 2 and y_lo_j <= y_hi and y_lo <= y_hi_j:
+                if i < j:
+                    later[i].append(j)
+                else:
+                    later[j].append(i)
+    for i in range(nseg):
+        for j in sorted(later[i]):
+            if _segments_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1],
+                                   pad):
+                return i, j
+    return None
+
+
+def _checked_arc(
+        vertices: Iterable,
+        first_crossing: Callable[[Sequence[Point2], float],
+                                 Optional[tuple[int, int]]]) -> PolygonalArc:
+    """Validate a vertex chain, with first_crossing(pts, pad) naming
+    the first pair of non-adjacent segments that intersect, if any."""
     pts = _as_points(vertices)
     if len(pts) < 2:
         raise TooFewVertices(f"need at least 2 vertices, got {len(pts)}")
@@ -146,15 +196,30 @@ def build_arc(vertices: Iterable) -> PolygonalArc:
             if u.x * w.x + u.y * w.y < 0.0:
                 raise SelfIntersecting(f"back-tracking at vertex {b}")
 
-    # O(n^2) pairwise test over non-adjacent segments
-    nseg = len(pts) - 1
-    for i in range(nseg):
-        for j in range(i + 2, nseg):
-            if _segments_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1]):
-                raise SelfIntersecting(
-                    f"segments {i} and {j} intersect")
-
+    hit = first_crossing(pts, min_sep)
+    if hit is not None:
+        raise SelfIntersecting("segments %d and %d intersect" % hit)
     return PolygonalArc(tuple(pts), tuple(params), params[-1], diag)
+
+
+def build_arc(vertices: Iterable) -> PolygonalArc:
+    """Validate a vertex chain and attach cumulative length parameters.
+
+    Raises TooFewVertices, DuplicateVertex or SelfIntersecting on bad
+    input.  Consecutive collinear vertices are accepted (they merely
+    subdivide a segment); exact back-tracking is rejected as non-simple.
+
+    Two non-adjacent segments intersect when their bounding boxes,
+    grown by EPS_TOUCH * diagonal, meet and the tolerant orientation
+    test finds them crossing or touching.  A sort and sweep over the
+    grown boxes finds the candidate pairs in O(n log n + k), k the
+    pairs whose grown x-ranges meet; k is at most n times the most
+    segments one vertical line meets, so the cost is near-linear unless
+    the arc passes over one x-range many times, and quadratic at worst
+    (stacked diagonals).  oracle.pairwise_simple_check is the pairwise
+    reference.
+    """
+    return _checked_arc(vertices, _swept_crossing)
 
 
 def point_at(arc: PolygonalArc, s: float) -> Point2:

@@ -4,9 +4,9 @@ arc generation.
 The projection oracles deliberately avoid the hull and profile
 machinery so that agreement between the two routes is meaningful
 evidence.  The slow references are the straightforward linear and
-quadratic forms of the profile's fast queries (touch sets, the scan
-ledger and its lookup); tests require the fast forms to return the
-same values.
+quadratic forms of the fast queries (arc validation, touch sets, the
+scan ledger and its lookup); tests require the fast forms to return
+the same values.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
-from .arc import ArcError, PolygonalArc, build_arc
+from .arc import (ArcError, PolygonalArc, _checked_arc, _segments_intersect,
+                  build_arc)
 from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Interval, Point2,
                        canon_angle, ccw_gap, circ_dist, interval_sub, orient)
 from .hull import StraightArc
@@ -65,6 +67,22 @@ def oracle_touch_params(arc: PolygonalArc, theta: float) -> tuple[float, ...]:
     cand = [arc.params[i] for i, p in enumerate(proj) if p >= cut]
     lo, hi = min(cand), max(cand)
     return (lo,) if lo == hi else (lo, hi)
+
+
+def pairwise_simple_check(vertices: Iterable) -> PolygonalArc:
+    """Reference for build_arc: the same checks, with every pair of
+    non-adjacent segments tested in (i, j) order; O(n^2)."""
+
+    def first_crossing(pts, pad):
+        nseg = len(pts) - 1
+        for i in range(nseg):
+            for j in range(i + 2, nseg):
+                if _segments_intersect(pts[i], pts[i + 1],
+                                       pts[j], pts[j + 1], pad):
+                    return i, j
+        return None
+
+    return _checked_arc(vertices, first_crossing)
 
 
 def linear_touch_params(profile: SupportProfile,
@@ -163,17 +181,29 @@ def grid_scan_pairs(arc: PolygonalArc, gap: float) -> list[tuple[float, float]]:
 
     k = GRID_POINTS
     thetas = np.arange(k) * (TWO_PI / k)
-    xs = np.array([v.x for v in arc.vertices])
-    ys = np.array([v.y for v in arc.vertices])
-    prm = np.array(arc.params)
     slack = arc.diagonal * max(10.0 * EPS_TOUCH, 0.75 * (TWO_PI / k))
 
     def touch_bounds(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # two passes over the vertices with per-angle vectors only: the
+        # extreme projection, then the parameters projecting near it
         nx, ny = np.sin(angles), -np.cos(angles)
-        proj = xs[:, None] * nx[None, :] + ys[:, None] * ny[None, :]
-        mask = proj >= proj.max(axis=0) - slack
-        lo = np.where(mask, prm[:, None], np.inf).min(axis=0)
-        hi = np.where(mask, prm[:, None], -np.inf).max(axis=0)
+        proj, term = np.empty_like(nx), np.empty_like(nx)
+
+        def project(v: Point2) -> np.ndarray:
+            np.multiply(v.x, nx, out=proj)
+            np.multiply(v.y, ny, out=term)
+            return np.add(proj, term, out=proj)
+
+        top = np.full_like(nx, -np.inf)
+        for v in arc.vertices:
+            np.maximum(top, project(v), out=top)
+        cut = top - slack
+        lo, hi = np.full_like(nx, np.inf), np.full_like(nx, -np.inf)
+        near = np.empty(nx.shape, dtype=bool)
+        for v, s in zip(arc.vertices, arc.params):
+            np.greater_equal(project(v), cut, out=near)
+            np.minimum(lo, s, out=lo, where=near)
+            np.maximum(hi, s, out=hi, where=near)
         return lo, hi
 
     lo1, hi1 = touch_bounds(thetas)

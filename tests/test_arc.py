@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from arcsupport import (ArcError, DuplicateVertex, ParamOutOfRange, Point2,
@@ -29,6 +31,28 @@ def test_touching_rejected():
 def test_backtracking_rejected():
     with pytest.raises(SelfIntersecting):
         build_arc([(0, 0), (2, 0), (1, 0)])
+
+
+@pytest.mark.parametrize("k", [-20, 0, 20])
+def test_far_tiny_segment_near_the_line_accepted(k):
+    # segment 3 is 4e-7 long, within the orientation tolerance of the
+    # line through segment 0 and starts 0.53 right of its end: the
+    # tolerant sign test alone called them intersecting
+    vertices = [(0, 0), (1, 0), (1.5, 1),
+                (1.5292353540374406, 2.84194129160528e-12),
+                (1.5292357661276, 1.4318546153326271e-12)]
+    arc = build_arc([(math.ldexp(x, k), math.ldexp(y, k))
+                     for x, y in vertices])
+    assert len(arc) == 5
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_vertex_a_hair_off_a_segment_rejected(side):
+    # 1e-13 of the diagonal off segment 0's interior, on either side:
+    # within the grown boxes, so the orientation test still decides
+    diag = math.hypot(2.0, 1.0)
+    with pytest.raises(SelfIntersecting, match="segments 0 and 2"):
+        build_arc([(0, 0), (2, 0), (2, 1), (1, side * 1e-13 * diag)])
 
 
 def test_collinear_continuation_accepted():

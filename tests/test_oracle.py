@@ -1,9 +1,10 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
-from arcsupport import (FuzzConfig, GenerationExhausted, circ_dist,
+from arcsupport import (FuzzConfig, GenerationExhausted, build_arc, circ_dist,
                         enumerate_triples, find_pair_mountain,
                         grid_scan_pairs, jump_to_jump_gaps,
                         oracle_touch_params, random_simple_arc)
@@ -60,6 +61,23 @@ def test_grid_cluster_count_matches_enumerator(fuzz_pool):
             continue
         clusters = grid_scan_pairs(arc, delta)
         assert len(clusters) == len(enumerate_triples(profile, arc, delta))
+
+
+def test_grid_scan_memory_does_not_grow_with_n(fuzz_pool):
+    import numpy  # noqa: F401  (keep the import out of the first trace)
+
+    def peak(arc):
+        tracemalloc.start()
+        try:
+            grid_scan_pairs(arc, 2.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = next(arc for arc, _ in fuzz_pool if len(arc) == 12)
+    big = build_arc([(math.cos(a), math.sin(a))
+                     for a in (1.5 * PI * i / 79 for i in range(80))])
+    assert peak(big) <= 1.5 * peak(small)
 
 
 def test_generator_deterministic():

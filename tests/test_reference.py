@@ -1,20 +1,25 @@
 """The fast queries against their slow references in oracle.py.
 
-touch_params bisects sorted jump angles, the scan ledger is one
-two-pointer merge and the scan bisects it; the references are the
-linear and quadratic forms.  Results must be equal, not close.
+build_arc sweeps sorted segment boxes, touch_params bisects sorted jump
+angles, the scan ledger is one two-pointer merge and the scan bisects
+it; the references are the pairwise, linear and quadratic forms.
+Results must be equal, not close.
 """
 
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from arcsupport import (EPS_ANGLE, MOUNTAIN, TWO_PI, VALLEY, Jump, Point2,
-                        ProfileStep, SupportProfile, build_arc, build_profile,
-                        melkman_hull, touch_params)
+from arcsupport import (EPS_ANGLE, EPS_TOUCH, MOUNTAIN, TWO_PI, VALLEY,
+                        ArcError, Jump, Point2, ProfileStep, SelfIntersecting,
+                        SupportProfile,
+                        build_arc, build_profile, melkman_hull, touch_params)
+from arcsupport import arc as arc_module
 from arcsupport.oracle import (linear_ledger_lookup, linear_touch_params,
-                               quadratic_ledger)
+                               pairwise_simple_check, quadratic_ledger)
 from arcsupport.pairs import _lookup, _window
 
 EPS = EPS_ANGLE
@@ -35,6 +40,12 @@ def walk_arc(n, rng):
         pts.append((float(i), y))
         y += rng.gauss(0.0, 1.0)
     return pts
+
+
+def stacked_diagonals(n, h=1e-3):
+    # a zigzag of parallel diagonals h apart: every pair of segments
+    # overlaps in x, the sweep's quadratic worst case
+    return [(float(i % 2), 0.5 * i * h + (i % 2)) for i in range(n)]
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +130,126 @@ def test_cached_indexes_stay_out_of_identity(e2):
     assert warm == cold and hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
     assert _window(warm, MOUNTAIN) is _window(warm, MOUNTAIN)
+
+
+def verdict(check, vertices):
+    """(None, params) of an accepted arc, or (class, message) of the
+    rejection."""
+    try:
+        return None, check(vertices).params
+    except ArcError as exc:
+        return type(exc), str(exc)
+
+
+def same_verdict(vertices):
+    fast = verdict(build_arc, vertices)
+    assert fast == verdict(pairwise_simple_check, vertices), vertices
+    return fast
+
+
+def test_build_arc_equals_pairwise_on_random_draws():
+    # draws like random_simple_arc's, before its rejection
+    rng = random.Random(20_000)
+    rejected = 0
+    for _ in range(20_000):
+        n = rng.randint(4, 12)
+        pts = [(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
+               for _ in range(n)]
+        rejected += same_verdict(pts)[0] is not None
+    assert 0.7 < rejected / 20_000 < 0.9
+
+
+def test_build_arc_equals_pairwise_on_pool_and_families(fuzz_pool):
+    rng = random.Random(400)
+    chains = [[(v.x, v.y) for v in arc.vertices] for arc, _ in fuzz_pool]
+    chains += [make(400, rng) for make in (convex_arc, walk_arc)]
+    for pts in chains:
+        assert same_verdict(pts)[0] is None
+
+
+# the box growth of an arc whose bounding box is [0, 1.5] x [0, 1]
+PAD = EPS_TOUCH * math.hypot(1.5, 1.0)
+
+
+def test_grown_boxes_meeting_at_an_edge_are_tested():
+    # segment 3's grown box starts exactly where segment 0's ends, and
+    # the orientation test calls them touching: both paths reject
+    right = 1.0 + PAD
+    x = right + PAD
+    while x - PAD < right:
+        x = math.nextafter(x, math.inf)
+    while x - PAD > right:
+        x = math.nextafter(x, -math.inf)
+    assert x - PAD == right
+    pts = [(0.0, 0.0), (1.0, 0.0), (1.5, 1.0), (x, 1.5e-12),
+           (x + 1e-3, 0.8e-12)]
+    assert same_verdict(pts) == (SelfIntersecting,
+                                 "segments 0 and 3 intersect")
+    # one float further right the boxes miss and both paths accept
+    pts[3] = (math.nextafter(x, math.inf), 1.5e-12)
+    assert same_verdict(pts)[0] is None
+
+
+# the grid makes shared and touching endpoints, collinear overlaps and
+# back-tracking common; a nudge of 2^-e off it makes slivers
+grid_chains = st.builds(
+    lambda pts, nudge: [(x, y + nudge) if i == 1 else (x, y)
+                        for i, (x, y) in enumerate(pts)],
+    st.lists(st.tuples(st.integers(0, 4).map(float),
+                       st.integers(0, 4).map(float)),
+             min_size=3, max_size=9),
+    st.sampled_from([0.0]) | st.integers(10, 60).map(lambda e: 2.0**-e)
+    | st.integers(10, 60).map(lambda e: -(2.0**-e)))
+
+# a segment 1e-9 to 1e-2 long, within the orientation tolerance of the
+# line through segment 0, at any distance from it or a few pads away
+tiny_near_collinear = st.builds(
+    lambda x, length, y0, y1, back: [
+        (0.0, 0.0), (1.0, 0.0), (1.5, 1.0)]
+    + ([(x + length, y1), (x, y0)] if back else [(x, y0), (x + length, y1)]),
+    st.floats(-0.5, 2.0) | st.floats(-4.0, 4.0).map(lambda t: 1.0 + t * PAD),
+    st.floats(-9.0, -2.0).map(lambda u: 10.0**u),
+    st.floats(-3e-12, 3e-12), st.floats(-3e-12, 3e-12), st.booleans())
+
+stacked = st.builds(stacked_diagonals, st.integers(3, 16),
+                    st.integers(-45, 0).map(lambda e: 2.0**e))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pts=grid_chains | tiny_near_collinear | stacked,
+       k=st.integers(-60, 60),
+       offset=st.tuples(st.integers(-2**10, 2**10),
+                        st.integers(-2**10, 2**10)),
+       grid=st.integers(-30, 0))
+@example(pts=[(0, 0), (1, 0), (1.5, 1),
+              (1.5292353540374406, 2.84194129160528e-12),
+              (1.5292357661276, 1.4318546153326271e-12)],
+         k=0, offset=(0, 0), grid=0)
+def test_build_arc_equals_pairwise_on_adversarial_arcs(pts, k, offset, grid):
+    # exact 2^k scaling, then a translation by a point of a 2^grid grid
+    # in the scaled units
+    same_verdict(pts)
+    scaled = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in pts]
+    same_verdict(scaled)
+    ox, oy = (math.ldexp(c, k + grid) for c in offset)
+    same_verdict([(x + ox, y + oy) for x, y in scaled])
+
+
+@pytest.mark.parametrize("make", [convex_arc, walk_arc])
+def test_sweep_calls_the_predicate_at_most_n_times(monkeypatch, make):
+    # the pairwise loop makes (n - 2)(n - 3)/2 calls: 1,276,003 here
+    calls = 0
+    predicate = arc_module._segments_intersect
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return predicate(*args)
+
+    monkeypatch.setattr(arc_module, "_segments_intersect", counted)
+    n = 1600
+    build_arc(make(n, random.Random(n)))
+    assert calls <= n
+    # the counter counts: stacked diagonals test every non-adjacent pair
+    build_arc(stacked_diagonals(20))
+    assert calls == 18 * 17 // 2

@@ -59,6 +59,13 @@ class PolygonalArc:
         return len(self.vertices)
 
 
+def _is_real(c) -> bool:
+    # int and float first: the abstract-class check is slow.  json gives
+    # bool for true/false and str for quoted numbers: refuse both
+    return type(c) in (int, float) or (
+        not isinstance(c, bool) and isinstance(c, numbers.Real))
+
+
 def _as_points(vertices: Iterable) -> list[Point2]:
     """Points from Point2 instances or pairs of real numbers; anything
     else (a string, a bool, a third coordinate, a non-finite value)
@@ -73,12 +80,9 @@ def _as_points(vertices: Iterable) -> list[Point2]:
         if isinstance(v, Point2):
             p = v
         else:
-            # json gives bool for true/false and str for quoted numbers:
-            # refuse both rather than coerce them
             try:
                 x, y = v
-                if any(isinstance(c, bool) or not isinstance(c, numbers.Real)
-                       for c in (x, y)):
+                if not (_is_real(x) and _is_real(y)):
                     raise TypeError
                 p = Point2(float(x), float(y))
             except (TypeError, ValueError, OverflowError):

@@ -64,13 +64,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def degenerate(self) -> bool:
-        return self.lo == self.hi
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def canon_angle(theta: float) -> float:
     """Map any radian value into [0, 2*pi)."""
@@ -114,8 +107,3 @@ def orient(p: Point2, q: Point2, r: Point2) -> int:
     if abs(cross) <= thr:
         return 0
     return 1 if cross > 0.0 else -1
-
-
-def interval_sub(i: Interval, j: Interval) -> Interval:
-    """Pointwise difference {a - b | a in i, b in j}."""
-    return Interval(i.lo - j.hi, i.hi - j.lo)

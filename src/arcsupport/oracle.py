@@ -18,10 +18,10 @@ from typing import Iterable
 
 from .arc import (ArcError, PolygonalArc, _checked_arc, _segments_intersect,
                   build_arc)
-from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Interval, Point2,
-                       canon_angle, ccw_gap, circ_dist, interval_sub, orient)
+from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
+                       ccw_gap, circ_dist, orient)
 from .hull import StraightArc
-from .pairs import _Piece, _unroll
+from .pairs import _unroll
 from .profile import SupportProfile
 
 
@@ -100,11 +100,11 @@ def linear_touch_params(profile: SupportProfile,
     return (nearest.low_param, nearest.high_param)
 
 
-def quadratic_ledger(profile: SupportProfile, mode: str) -> list[_Piece]:
-    """Reference for the scan window's pieces: each level's position on
-    the rising and falling branch by a linear search, corners ordered by
-    a sort; O(m^2)."""
-    _, x_lo, x_hi, levels, total = _unroll(profile, mode)
+def quadratic_ledger(profile: SupportProfile, mode: str) -> list[tuple]:
+    """Reference for the scan window's rows: each corner level's position
+    on the other branch by a linear search, corners ordered by a sort;
+    O(m^2)."""
+    _, x_lo, x_hi, levels = _unroll(profile, mode)
     m = len(levels)
     k = max(range(m), key=lambda i: levels[i])
 
@@ -121,41 +121,32 @@ def quadratic_ledger(profile: SupportProfile, mode: str) -> list[_Piece]:
                 return x_hi[j]
         raise AssertionError(f"level {y} not on the falling branch")
 
-    pieces: list[_Piece] = []
-    asc = sorted(range(m), key=lambda i: levels[i])
-    for pos, i in enumerate(asc):
+    rows = []
+    for i in sorted(range(m), key=lambda i: levels[i]):
         lam = levels[i]
         if i == k:
-            left = right = Interval(x_lo[k], x_hi[k])
+            left = right = (x_lo[k], x_hi[k])
         elif i == 0:
-            left = Interval(x_lo[0], x_hi[0])
-            right = Interval(total, total)
+            left, right = (x_lo[0], x_hi[0]), (x_hi[-1], x_hi[-1])
         elif i < k:
-            left = Interval(x_lo[i], x_hi[i])
             fp = fall_pos(lam)
-            right = Interval(fp, fp)
+            left, right = (x_lo[i], x_hi[i]), (fp, fp)
         else:
             rp = rise_pos(lam)
-            left = Interval(rp, rp)
-            right = Interval(x_lo[i], x_hi[i])
-        pieces.append(_Piece(lam, lam, interval_sub(right, left),
-                             left, right, band=False))
-        if pos + 1 < m:
-            nxt = levels[asc[pos + 1]]
-            mid = 0.5 * (lam + nxt)
-            rp, fp = rise_pos(mid), fall_pos(mid)
-            pieces.append(_Piece(lam, nxt, Interval(fp - rp, fp - rp),
-                                 Interval(rp, rp), Interval(fp, fp), band=True))
-    return pieces
+            left, right = (rp, rp), (x_lo[i], x_hi[i])
+        rows.append((lam, *left, *right))
+    return rows
 
 
-def linear_ledger_lookup(pieces: list[_Piece], delta: float):
-    """Reference for the scan's ledger lookup: walk from the last piece
-    to the first for one whose width interval contains delta, and test
-    every band for a near tie; O(m)."""
-    hit = next((p for p in reversed(pieces) if p.gap.contains(delta)), None)
-    near_tie = any(p.band and abs(delta - p.gap.lo) <= EPS_ANGLE
-                   for p in pieces)
+def linear_ledger_lookup(rows: list[tuple], delta: float):
+    """Reference for the scan's ledger lookup: walk from the last row to
+    the first for one whose widths contain delta, and test the widest
+    width of every row after the first (the width between its level and
+    the one below) for a near tie; O(m)."""
+    hit = next((row for row in reversed(rows)
+                if row[3] - row[2] <= delta <= row[4] - row[1]), None)
+    near_tie = any(abs(delta - (row[4] - row[1])) <= EPS_ANGLE
+                   for row in rows[1:])
     return hit, near_tie
 
 

@@ -18,22 +18,24 @@ angles read the other way around the circle is 2*pi - delta; that
 complementary gap is what the scan reports as realized.
 
 Reading the ledger at a fixed angle difference is a rotating caliper
-(Toussaint, MELECON 1983).  Each mode's ledger is built once per
-profile, in O(m) for m corners, on the first scan, and kept on the
-profile; every scan after that bisects it in O(log m).  With the
-logarithmic touch query, enumerate_triples costs O(m log m).
+(Toussaint, MELECON 1983).  Each mode's ledger holds one row per hull
+corner, in ascending level: the widths the staircase spans at that
+corner's level.  It is built once per profile, in O(m) for m corners,
+on the first scan, and kept on the profile; every scan after that
+reads it with one bisection, O(log m).  With the logarithmic touch
+query, enumerate_triples costs O(m log m).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
 from .arc import PolygonalArc, point_at
-from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Interval, Point2,
-                       canon_angle, ccw_gap, circ_dist, interval_sub)
+from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
+                       ccw_gap, circ_dist)
 from .profile import (SupportProfile, filled_interval, touch_params)
 
 MOUNTAIN = "mountain"
@@ -75,16 +77,6 @@ class TriplePair:
 
 
 @dataclass(frozen=True)
-class ScanStep:
-    """One rung of the level-scan ledger: the parameter levels it spans
-    and the interval of realizable angular widths there."""
-
-    level_interval: Interval
-    gap_interval: Interval
-    band: bool  # True for the filled-in pieces between corner levels
-
-
-@dataclass(frozen=True)
 class TripleReport:
     """Outcome of verify_triple, one flag per check."""
 
@@ -110,26 +102,15 @@ class CorollaryResult:
 # window construction and the width ledger
 
 @dataclass(frozen=True)
-class _Piece:
-    level_lo: float
-    level_hi: float
-    gap: Interval
-    left: Interval   # window positions on the rising side
-    right: Interval  # window positions on the falling side
-    band: bool
-
-
-@dataclass(frozen=True)
 class _Window:
     anchor: float                 # angle at window coordinate 0
-    pieces: tuple[_Piece, ...]    # ascending by build level (valley: -level)
-    neg_hi: tuple[float, ...]     # -gap.hi of each piece: ascending
-    band_gaps: tuple[float, ...]  # gaps of the band pieces, ascending
+    rows: tuple[tuple, ...]       # one per corner, ascending by build level
+    neg_hi: tuple[float, ...]     # minus each row's widest width: ascending
 
 
 def _unroll(profile: SupportProfile, mode: str):
     """Window coordinates of the steps read from the mode's anchor step:
-    (anchor angle, step starts, step ends, build levels, total width)."""
+    (anchor angle, step starts, step ends, build levels)."""
     m = len(profile.steps)
     start = 0 if mode == MOUNTAIN else profile.apex_index
     sign = 1.0 if mode == MOUNTAIN else -1.0
@@ -141,16 +122,16 @@ def _unroll(profile: SupportProfile, mode: str):
         x += step.width
         x_hi.append(x)
         levels.append(sign * step.level)
-    return profile.steps[start].start, x_lo, x_hi, levels, x
+    return profile.steps[start].start, x_lo, x_hi, levels
 
 
 def _build_window(profile: SupportProfile, mode: str) -> _Window:
-    anchor, x_lo, x_hi, levels, _ = _unroll(profile, mode)
-    pieces = tuple(_build_pieces(x_lo, x_hi, levels))
+    anchor, x_lo, x_hi, levels = _unroll(profile, mode)
+    rows = _build_rows(x_lo, x_hi, levels)
     # tuples from lists, not generators: CPython sizes those exactly, so
     # they reuse its free lists instead of refilling them per profile
-    return _Window(anchor, pieces, tuple([-p.gap.hi for p in pieces]),
-                   tuple([p.gap.lo for p in reversed(pieces) if p.band]))
+    return _Window(anchor, tuple(rows),
+                   tuple([l_lo - r_hi for _, l_lo, _, _, r_hi in rows]))
 
 
 def _window(profile: SupportProfile, mode: str) -> _Window:
@@ -162,113 +143,75 @@ def _window(profile: SupportProfile, mode: str) -> _Window:
     return win
 
 
-def _build_pieces(x_lo, x_hi, levels) -> list[_Piece]:
-    """Ledger of width intervals for a rise-then-fall staircase, in O(m).
+def _build_rows(x_lo, x_hi, levels) -> list[tuple]:
+    """Ledger of a rise-then-fall staircase in O(m): one row per corner,
+    ascending by level.
 
-    levels[0] must be the minimum.  Between two adjacent corner levels
-    the rising and falling branches both sit at a jump, so the width is
-    a single value; at a corner level one branch sweeps the corner's
-    whole step, widening the piece to an interval.  Consecutive pieces
-    share an endpoint, so the ledger tiles its full width range.
+    A row (level, left_lo, left_hi, right_lo, right_hi) holds the window
+    positions of the rising and falling branch at the corner's level:
+    the corner's own branch sweeps its whole step, the other sits at a
+    jump.  Its widths run from right_lo - left_hi to right_hi - left_lo.
+    Between two adjacent corner levels both branches sit at jumps, so
+    the width there is one value: the upper row's widest, bitwise the
+    lower row's narrowest.  The rows thus tile the full width range.
 
-    A two-pointer merge of the rising branch (ascending) and the falling
-    branch (read backwards, also ascending) visits the corners by level;
-    the two pointers are also the branches' positions at the level in
-    hand: the rising branch at the start of its next corner's step, the
-    falling branch at the end of its next corner's step.
+    levels[0] must be the minimum.  A two-pointer merge of the rising
+    branch (ascending) and the falling branch (read backwards, also
+    ascending) visits the corners by level; the two pointers are also
+    the branches' positions at the level in hand: the rising branch at
+    the start of its next corner's step, the falling branch at the end
+    of its next corner's step.
     """
     m = len(levels)
     k = max(range(m), key=lambda i: levels[i])
-    asc = [0]
+    end = x_hi[m - 1]  # corner 0 rises; the window's far end falls to it
+    rows = [(levels[0], x_lo[0], x_hi[0], end, end)]
     r, f = 1, m - 1  # lowest corner above the level on each branch
     while r < k or f > k:
         if f == k or (r < k and levels[r] < levels[f]):
-            asc.append(r)
+            rows.append((levels[r], x_lo[r], x_hi[r], x_hi[f], x_hi[f]))
             r += 1
         else:
-            asc.append(f)
+            rows.append((levels[f], x_lo[r], x_lo[r], x_lo[f], x_hi[f]))
             f -= 1
-    asc.append(k)
-
-    pieces: list[_Piece] = []
-    r, f = 0, m - 1  # corner 0 rises; x_hi[m - 1] is the window's far end
-    for pos, i in enumerate(asc):
-        lam = levels[i]
-        if i == k:
-            left = right = Interval(x_lo[k], x_hi[k])
-        elif i < k:
-            left = Interval(x_lo[i], x_hi[i])
-            right = Interval(x_hi[f], x_hi[f])
-            r += 1
-        else:
-            left = Interval(x_lo[r], x_lo[r])
-            right = Interval(x_lo[i], x_hi[i])
-            f -= 1
-        pieces.append(_Piece(lam, lam, interval_sub(right, left),
-                             left, right, band=False))
-        if i != k:
-            nxt = levels[asc[pos + 1]]
-            rp, fp = x_lo[r], x_hi[f]
-            pieces.append(_Piece(lam, nxt, Interval(fp - rp, fp - rp),
-                                 Interval(rp, rp), Interval(fp, fp), band=True))
-    return pieces
-
-
-def scan_ledger(profile: SupportProfile, mode: str) -> list[ScanStep]:
-    """Public view of the width ledger, ascending by true level."""
-    win = _window(profile, mode)
-    steps = []
-    for p in win.pieces:
-        if mode == MOUNTAIN:
-            steps.append(ScanStep(Interval(p.level_lo, p.level_hi), p.gap, p.band))
-        else:
-            steps.append(ScanStep(Interval(-p.level_hi, -p.level_lo), p.gap, p.band))
-    if mode == VALLEY:
-        steps.reverse()
-    return steps
+    rows.append((levels[k], x_lo[k], x_hi[k], x_lo[k], x_hi[k]))
+    return rows
 
 
 def _lookup(win: _Window, delta: float):
-    """The piece the scan reads at delta, and whether delta lies within
-    eps_angle of a band's width.  Gap intervals shrink along the ledger
-    and adjacent ones share an endpoint, so the last piece containing
-    delta is the last one whose upper end reaches it; both answers are
-    bisections, O(log m).  No piece contains delta only when rounding
-    puts it beyond the ledger; that returns None."""
-    j = bisect_right(win.neg_hi, -delta) - 1
-    hit = win.pieces[j] if j >= 0 and win.pieces[j].gap.lo <= delta else None
-    # |delta - g| is smallest at the band widths either side of delta
-    b = bisect_left(win.band_gaps, delta)
-    near_tie = any(abs(delta - g) <= EPS_ANGLE
-                   for g in win.band_gaps[max(b - 1, 0):b + 1])
+    """The row the scan reads at delta, and whether delta lies within
+    eps_angle of a width between two corner levels (the widest of each
+    row after the first).  Widths shrink along the rows and each row's
+    narrowest is the next row's widest, so one bisection of neg_hi,
+    O(log m), finds both: the last row whose widest reaches delta, and
+    the between-level widths either side of delta.  No row contains
+    delta only when rounding puts it beyond the ledger; that returns
+    None."""
+    i = bisect_right(win.neg_hi, -delta)
+    hit = win.rows[i - 1] if i else None
+    if hit is not None and delta < hit[3] - hit[2]:  # below the apex row
+        hit = None
+    near_tie = any(abs(delta + n) <= EPS_ANGLE
+                   for n in win.neg_hi[max(i - 1, 1):max(i, 1) + 1])
     return hit, near_tie
 
 
 def _scan(profile: SupportProfile, mode: str, delta: float):
     """Find window positions x_left < x_right with x_right - x_left ==
-    delta and a shared level certificate: the piece nearest the
+    delta and a shared level certificate: the row nearest the
     shared-step end (apex for the mountain, bottom for the valley) whose
-    width interval contains delta."""
+    width interval contains delta.  Both positions are clamped into the
+    row's branch intervals, left first; the certificate is the row's
+    level."""
     win = _window(profile, mode)
     hit, near_tie = _lookup(win, delta)
     if hit is None:  # requested gap beyond the ledger by rounding: clamp
-        hit = win.pieces[0]
-
-    if hit.right.degenerate:
-        x_r = hit.right.lo
-        x_l = min(max(x_r - delta, hit.left.lo), hit.left.hi)
-    elif hit.left.degenerate:
-        x_l = hit.left.lo
-        x_r = min(max(x_l + delta, hit.right.lo), hit.right.hi)
-    else:
-        x_l = hit.left.lo
-        x_r = x_l + delta
-        if x_r > hit.right.hi:
-            x_r = hit.right.hi
-            x_l = max(x_r - delta, hit.left.lo)
-
-    sign = 1.0 if mode == MOUNTAIN else -1.0
-    level = sign * 0.5 * (hit.level_lo + hit.level_hi)
+        hit = win.rows[0]
+    level, l_lo, l_hi, r_lo, r_hi = hit
+    x_l = min(max(r_lo - delta, l_lo), l_hi)
+    x_r = min(max(x_l + delta, r_lo), r_hi)
+    if mode == VALLEY:
+        level = -level
     theta_left = canon_angle(win.anchor + x_l)
     theta_right = canon_angle(win.anchor + x_r)
     return theta_left, theta_right, level, near_tie

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -121,6 +122,7 @@ def test_point_at_injective_at_resolution(fuzz_pool):
     [(0, 0), (1, 0), (1, 10 ** 400)],  # too large for a float
     [(0, 0), (1, 0), 5],
     5,
+    [(Decimal(0), 0), (1, 0), (1, 1)],  # not a numbers.Real
 ])
 def test_vertex_must_be_two_numbers(bad):
     with pytest.raises(ArcError):
@@ -131,3 +133,12 @@ def test_points_and_numeric_pairs_accepted():
     from fractions import Fraction
     arc = build_arc([Point2(0.0, 0.0), [1, 0], (Fraction(1), 1.0)])
     assert arc.vertices[2] == Point2(1.0, 1.0)
+
+
+def test_numeric_coordinate_types_build_the_same_arc():
+    import numpy as np
+    from fractions import Fraction
+    plain = [(0.0, 0.0), (3.0, 0.0), (3.0, 1.0), (2.0, 1.0)]
+    for kind in (np.float64, np.int64, Fraction, int):
+        pts = [(kind(int(x)), kind(int(y))) for x, y in plain]
+        assert build_arc(pts) == build_arc(plain), kind

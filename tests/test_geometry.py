@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arcsupport import (Interval, Point2, TWO_PI, ZeroVector, angle_of,
-                        canon_angle, ccw_gap, interval_sub, orient)
+                        canon_angle, ccw_gap, orient)
 
 angles = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -59,26 +59,6 @@ def test_canon_angle_range(theta):
     assert 0.0 <= c < TWO_PI
 
 
-def test_interval_sub_fixed_cases():
-    assert interval_sub(Interval(5, 7), Interval(1, 2)) == Interval(3, 6)
-    assert interval_sub(Interval(3, 3), Interval(1, 1)) == Interval(2, 2)
-    assert interval_sub(Interval(0, 1), Interval(0, 1)) == Interval(-1, 1)
-
-
-bounds = st.tuples(coords, coords).map(sorted)
-
-
-@given(bounds, bounds, st.floats(0, 1), st.floats(0, 1))
-def test_interval_sub_membership(ij, kl, t, u):
-    i = Interval(*ij)
-    j = Interval(*kl)
-    d = interval_sub(i, j)
-    assert d.lo <= d.hi
-    a = i.lo + t * (i.hi - i.lo)
-    b = j.lo + u * (j.hi - j.lo)
-    assert d.lo - 1e-9 <= a - b <= d.hi + 1e-9
-
-
 def test_interval_rejects_inverted():
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
@@ -101,4 +81,18 @@ def test_one_fixed_tolerance_policy():
     for f in funcs:
         params = inspect.signature(f).parameters
         assert not {"tol", "y_tol", "resolution", "spec"} & set(params), f
-    assert list(inspect.signature(Interval.contains).parameters) == ["self", "x"]
+
+
+def test_public_names_resolve_and_removed_ones_stay_gone():
+    import arcsupport
+    from arcsupport import geometry, pairs
+    for name in ("scan_ledger", "ScanStep", "interval_sub"):
+        assert not hasattr(arcsupport, name), name
+    for mod, name in ((pairs, "scan_ledger"), (pairs, "ScanStep"),
+                      (pairs, "_Piece"), (geometry, "interval_sub")):
+        assert not hasattr(mod, name), name
+    assert not hasattr(Interval, "contains")
+    assert not hasattr(Interval, "degenerate")
+    assert len(set(arcsupport.__all__)) == len(arcsupport.__all__)
+    for name in arcsupport.__all__:
+        assert getattr(arcsupport, name) is not None, name

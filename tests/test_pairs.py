@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from arcsupport import (MOUNTAIN, VALLEY, InvalidDelta, ccw_gap, circ_dist,
-                        corollary_check, enumerate_triples,
-                        find_pair_mountain, find_pair_valley,
-                        jump_to_jump_gaps, safe_delta_range, scan_ledger,
-                        verify_triple)
+from arcsupport import (MOUNTAIN, TWO_PI, VALLEY, InvalidDelta, build_arc,
+                        build_profile, ccw_gap, circ_dist, corollary_check,
+                        enumerate_triples, find_pair_mountain,
+                        find_pair_valley, jump_to_jump_gaps, melkman_hull,
+                        safe_delta_range, verify_triple)
+from arcsupport.pairs import _window
+from families import convex_arc, walk_arc
 
 PI = math.pi
 ATAN_HALF = math.atan(0.5)
@@ -149,6 +151,24 @@ def test_enumerate_contains_scan_results(fuzz_pool):
                 assert len(typed) == 1
 
 
+def test_at_most_two_configurations_at_any_gap(fuzz_pool):
+    # the paper's theorem, sampled: at any angle difference a simple arc
+    # has at most two triple-touch pairs
+    draws = list(fuzz_pool)
+    for n in (400, 1600):
+        for make in (convex_arc, walk_arc):
+            arc = build_arc(make(n, random.Random(n)))
+            draws.append((arc, build_profile(melkman_hull(arc))))
+    rng = random.Random(2)
+    for arc, profile in draws:
+        for _ in range(20):
+            delta = rng.uniform(1e-6, TWO_PI - 1e-6)
+            configs = enumerate_triples(profile, arc, delta)
+            assert len(configs) <= 2, (
+                f"counterexample: delta={delta!r}, "
+                f"vertices={[(v.x, v.y) for v in arc.vertices]!r}")
+
+
 def test_every_scan_output_verifies(fuzz_pool):
     rng = random.Random(31)
     for arc, profile in fuzz_pool[:150]:
@@ -163,17 +183,18 @@ def test_every_scan_output_verifies(fuzz_pool):
 def test_ledger_monotone(fuzz_pool):
     for _, profile in fuzz_pool[:200]:
         for mode in (MOUNTAIN, VALLEY):
-            ledger = scan_ledger(profile, mode)
-            gaps = [s.gap_interval for s in ledger]
-            for a, b in zip(gaps, gaps[1:]):
-                if mode == MOUNTAIN:
-                    # ascending level: widths shrink, adjacent rungs share
-                    assert b.hi <= a.hi + 1e-12 and b.lo <= a.lo + 1e-12
-                    assert abs(a.lo - b.hi) < 1e-9
-                else:
-                    # ascending level: widths grow
-                    assert b.hi >= a.hi - 1e-12 and b.lo >= a.lo - 1e-12
-                    assert abs(a.hi - b.lo) < 1e-9
+            rows = _window(profile, mode).rows
+            # one row per hull corner, ascending by build level
+            sign = 1.0 if mode == MOUNTAIN else -1.0
+            assert [r[0] for r in rows] == sorted(
+                sign * s.level for s in profile.steps)
+            gaps = [(r_lo - l_hi, r_hi - l_lo)
+                    for _, l_lo, l_hi, r_lo, r_hi in rows]
+            for (a_lo, a_hi), (b_lo, b_hi) in zip(gaps, gaps[1:]):
+                # ascending level: widths shrink, adjacent rows share an
+                # end exactly
+                assert b_hi <= a_hi and b_lo <= a_lo
+                assert a_lo == b_hi
 
 
 def test_verify_rejects_doctored_pairs(e1, e1_profile):

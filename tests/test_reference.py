@@ -1,8 +1,9 @@
 """The fast queries against their slow references in oracle.py.
 
 build_arc sweeps sorted segment boxes, touch_params bisects sorted jump
-angles, the scan ledger is one two-pointer merge and the scan bisects
-it; the references are the pairwise, linear and quadratic forms.
+angles, the scan ledger (one row per hull corner) is one two-pointer
+merge and the scan bisects it; the references are the pairwise, linear
+and quadratic forms.
 Results must be equal, not close.
 """
 
@@ -21,25 +22,9 @@ from arcsupport import arc as arc_module
 from arcsupport.oracle import (linear_ledger_lookup, linear_touch_params,
                                pairwise_simple_check, quadratic_ledger)
 from arcsupport.pairs import _lookup, _window
+from families import convex_arc, walk_arc
 
 EPS = EPS_ANGLE
-
-
-def convex_arc(n, rng):
-    # jittered grid over 1.5 pi of the unit circle: every vertex a corner
-    step = 1.5 * math.pi / (n - 1)
-    angles = ([0.0] + [(i + rng.uniform(-0.3, 0.3)) * step
-                       for i in range(1, n - 1)] + [1.5 * math.pi])
-    return [(math.cos(a), math.sin(a)) for a in angles]
-
-
-def walk_arc(n, rng):
-    # x-monotone Gaussian walk: a handful of hull corners
-    pts, y = [], 0.0
-    for i in range(n):
-        pts.append((float(i), y))
-        y += rng.gauss(0.0, 1.0)
-    return pts
 
 
 def stacked_diagonals(n, h=1e-3):
@@ -104,22 +89,31 @@ def test_lowest_jump_index_wins_across_the_wrap():
 def test_ledger_equals_quadratic_build(profiles):
     for profile in profiles:
         for mode in (MOUNTAIN, VALLEY):
-            assert _window(profile, mode).pieces == tuple(
+            assert _window(profile, mode).rows == tuple(
                 quadratic_ledger(profile, mode))
+
+
+def widths(row):
+    """(narrowest, widest) width of a ledger row."""
+    _, l_lo, l_hi, r_lo, r_hi = row
+    return r_lo - l_hi, r_hi - l_lo
 
 
 def test_ledger_lookup_equals_linear_walk(profiles):
     for profile in profiles:
         for mode in (MOUNTAIN, VALLEY):
             win = _window(profile, mode)
-            # each piece's upper end is the lower end of the one before it
-            deltas = around(win.pieces[0].gap.hi, EPS)
-            for p in win.pieces:
-                deltas += around(p.gap.lo, EPS)
-                deltas.append(0.5 * (p.gap.lo + p.gap.hi))
+            # each row's widest is the narrowest of the one before it
+            deltas = around(widths(win.rows[0])[1], EPS)
+            for row in win.rows:
+                lo, hi = widths(row)
+                deltas += around(lo, EPS)
+                deltas.append(0.5 * (lo + hi))
+            # the one width between two adjacent corner levels
+            deltas += [widths(row)[1] for row in win.rows[1:]]
             for delta in deltas:
                 assert _lookup(win, delta) == linear_ledger_lookup(
-                    list(win.pieces), delta), (mode, delta)
+                    list(win.rows), delta), (mode, delta)
 
 
 def test_cached_indexes_stay_out_of_identity(e2):

@@ -189,10 +189,10 @@ def run_fuzz(config: FuzzConfig):
         mode = MOUNTAIN if trial % 2 == 0 else VALLEY
         delta = draw_delta(config, trial, mode, safe_delta_range(profile, mode))
         pair, typed, report = _run_mode(profile, arc, delta, mode)
-        tie_prone = (pair.near_tie or any(
-            abs(delta - g) <= 1e-6 for g in jump_to_jump_gaps(profile)))
         if pair.strict:
             strict_hits += 1
+            tie_prone = (pair.near_tie or any(
+                abs(delta - g) <= 1e-6 for g in jump_to_jump_gaps(profile)))
             if not tie_prone:
                 unique_total += 1
                 if typed == 1:

@@ -100,9 +100,17 @@ def orient(p: Point2, q: Point2, r: Point2) -> int:
     0 if collinear within eps_orient scaled by the squared span of the
     three points.
     """
-    cross = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-    dx = max(p.x, q.x, r.x) - min(p.x, q.x, r.x)
-    dy = max(p.y, q.y, r.y) - min(p.y, q.y, r.y)
+    px, py, qx, qy, rx, ry = p.x, p.y, q.x, q.y, r.x, r.y
+    cross = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    # the span max - min of each axis, without the slower builtins
+    if px < qx:
+        dx = (qx if qx > rx else rx) - (px if px < rx else rx)
+    else:
+        dx = (px if px > rx else rx) - (qx if qx < rx else rx)
+    if py < qy:
+        dy = (qy if qy > ry else ry) - (py if py < ry else ry)
+    else:
+        dy = (py if py > ry else ry) - (qy if qy < ry else ry)
     thr = EPS_ORIENT * (dx * dx + dy * dy)
     if abs(cross) <= thr:
         return 0

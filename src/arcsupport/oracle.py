@@ -18,8 +18,8 @@ from typing import Iterable
 
 from .arc import (ArcError, PolygonalArc, _checked_arc, _segments_intersect,
                   build_arc)
-from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
-                       ccw_gap, circ_dist, orient)
+from .geometry import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, TWO_PI, Point2,
+                       canon_angle, ccw_gap, circ_dist, orient)
 from .hull import StraightArc
 from .pairs import _unroll
 from .profile import SupportProfile
@@ -273,6 +273,30 @@ def monotone_chain_hull(points: list[Point2]) -> list[int]:
     return cycle
 
 
+def _certainly_crosses(xs: list[float], ys: list[float]) -> bool:
+    """True when two non-adjacent segments of the chain xs, ys cross
+    properly: all four cross products, each orient's expression, lie
+    beyond EPS_ORIENT times the squared span of the whole chain."""
+    dx = max(xs) - min(xs)
+    dy = max(ys) - min(ys)
+    thr = EPS_ORIENT * (dx * dx + dy * dy)
+    for i in range(len(xs) - 3):
+        px, py, qx, qy = xs[i], ys[i], xs[i + 1], ys[i + 1]
+        ux, uy = qx - px, qy - py
+        for j in range(i + 2, len(xs) - 1):
+            rx, ry, sx, sy = xs[j], ys[j], xs[j + 1], ys[j + 1]
+            c1 = ux * (ry - py) - uy * (rx - px)
+            c2 = ux * (sy - py) - uy * (sx - px)
+            if not ((c1 > thr and c2 < -thr) or (c1 < -thr and c2 > thr)):
+                continue
+            vx, vy = sx - rx, sy - ry
+            c3 = vx * (py - ry) - vy * (px - rx)
+            c4 = vx * (qy - ry) - vy * (qx - rx)
+            if (c3 > thr and c4 < -thr) or (c3 < -thr and c4 > thr):
+                return True
+    return False
+
+
 def random_simple_arc(config: FuzzConfig, trial_index: int,
                       max_rejections: int = 10_000) -> PolygonalArc:
     """Deterministic rejection-sampled simple, non-straight arc.
@@ -280,16 +304,26 @@ def random_simple_arc(config: FuzzConfig, trial_index: int,
     Vertices are drawn uniformly in the coordinate box; candidates that
     fail validation or are straight are redrawn.  The same (seed,
     trial_index) always yields the same arc.
+
+    A draw whose raw coordinates already show a proper crossing is
+    redrawn before build_arc sees it.  The whole chain's squared span is
+    at least the three-point span orient scales its tolerance by, so
+    such a draw is one build_arc rejects, and the filter changes no
+    accepted arc.
     """
     rng = random.Random(f"{config.seed}:{trial_index}")
     lo_n, hi_n = config.vertex_range
     box = config.coordinate_box
     for _ in range(max_rejections):
         n = rng.randint(lo_n, hi_n)
-        pts = [Point2(rng.uniform(0.0, box), rng.uniform(0.0, box))
-               for _ in range(n)]
+        # x, y per vertex; box * random() is the float rng.uniform(0.0,
+        # box) returns, without its call
+        coords = [box * rng.random() for _ in range(2 * n)]
+        xs, ys = coords[0::2], coords[1::2]
+        if _certainly_crosses(xs, ys):
+            continue
         try:
-            arc = build_arc(pts)
+            arc = build_arc([Point2(x, y) for x, y in zip(xs, ys)])
         except ArcError:
             continue
         try:

@@ -1,7 +1,9 @@
 """Seeded arc families at any size, for tests that need more hull
-corners than the fuzz pool's rejection sampling reaches."""
+corners than the fuzz pool's rejection sampling reaches, and seeded
+uniform draws like the sampler's."""
 
 import math
+import random
 
 
 def convex_arc(n, rng):
@@ -19,3 +21,13 @@ def walk_arc(n, rng):
         pts.append((float(i), y))
         y += rng.gauss(0.0, 1.0)
     return pts
+
+
+def uniform_draws(seed, count):
+    # chains drawn like random_simple_arc's candidates before its
+    # rejection: 4 to 12 vertices, uniform in a 10 x 10 box
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 12)
+        yield [(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
+               for _ in range(n)]

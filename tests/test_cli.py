@@ -218,6 +218,22 @@ def test_fuzz_deterministic(tmp_path, capsys):
     assert "strict existence rate : 25/25" in first
 
 
+def test_fuzz_generation_exhausted_exits_5(monkeypatch, tmp_path, capsys):
+    from arcsupport import cli
+    from arcsupport.oracle import GenerationExhausted
+
+    def exhausted(config, trial_index):
+        raise GenerationExhausted(f"no simple arc (trial {trial_index})")
+
+    monkeypatch.setattr(cli, "random_simple_arc", exhausted)
+    out = tmp_path / "fuzz.csv"
+    assert main(["fuzz", "--trials", "3", "-o", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert captured.err == "GenerationExhausted: no simple arc (trial 0)\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_fuzz_full_range_never_crashes(tmp_path, capsys):
     out = tmp_path / "full.csv"
     assert main(["fuzz", "--trials", "40", "--seed", "7",

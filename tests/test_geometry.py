@@ -1,13 +1,15 @@
 import inspect
+import itertools
 import math
+import random
 import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arcsupport import (Interval, Point2, TWO_PI, ZeroVector, angle_of,
-                        canon_angle, ccw_gap, orient)
+from arcsupport import (EPS_ORIENT, Interval, Point2, TWO_PI, ZeroVector,
+                        angle_of, canon_angle, ccw_gap, orient)
 
 angles = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -28,6 +30,44 @@ def test_orient_antisymmetric(px, py, qx, qy, rx, ry):
     b = orient(p, r, q)
     if a != 0 and b != 0:
         assert a == -b
+
+
+def orient_max_min(p, q, r):
+    # orient with the three-point span taken by the builtins
+    cross = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+    dx = max(p.x, q.x, r.x) - min(p.x, q.x, r.x)
+    dy = max(p.y, q.y, r.y) - min(p.y, q.y, r.y)
+    thr = EPS_ORIENT * (dx * dx + dy * dy)
+    if abs(cross) <= thr:
+        return 0
+    return 1 if cross > 0.0 else -1
+
+
+def test_orient_equals_max_min_span():
+    rng = random.Random(96)
+    triples = [[(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                for _ in range(3)] for _ in range(5_000)]
+    # exact collinear and tied coordinates, signed zeros
+    grid = (0.0, -0.0, 1.0, 2.0)
+    triples += [list(zip(c[:3], c[3:]))
+                for c in itertools.product(grid, repeat=6)]
+    # a third point off the line of a unit segment by orient's threshold
+    # and its float neighbours, along each axis
+    for x in (-0.5, -0.0, 0.25, 1.0, 1.5):
+        thr = EPS_ORIENT * (max(x, 1.0) - min(x, 0.0)) ** 2
+        for y in (thr, math.nextafter(thr, 0.0), math.nextafter(thr, 1.0)):
+            for s in (y, -y):
+                triples += [[(0.0, 0.0), (1.0, 0.0), (x, s)],
+                            [(0.0, 0.0), (0.0, 1.0), (s, x)]]
+    count = 0
+    for k in (-60, 0, 60):
+        for triple in triples:
+            pts = [Point2(math.ldexp(x, k), math.ldexp(y, k))
+                   for x, y in triple]
+            for p, q, r in itertools.permutations(pts):
+                assert orient(p, q, r) == orient_max_min(p, q, r), (p, q, r)
+                count += 1
+    assert count > 100_000
 
 
 def test_angle_of_fixed_cases():

@@ -104,6 +104,13 @@ def test_generator_exhaustion():
         random_simple_arc(cfg, 0, max_rejections=0)
 
 
+def test_generator_exhausts_at_thirty_to_sixty_vertices():
+    # no uniform draw of 30 to 60 vertices is simple in 10,000 tries
+    cfg = FuzzConfig(trials=1, seed=42, vertex_range=(30, 60))
+    with pytest.raises(GenerationExhausted, match="after 10000 draws"):
+        random_simple_arc(cfg, 0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FuzzConfig(trials=0)

@@ -3,7 +3,8 @@
 build_arc sweeps sorted segment boxes, touch_params bisects sorted jump
 angles, the scan ledger (one row per hull corner) is one two-pointer
 merge and the scan bisects it; the references are the pairwise, linear
-and quadratic forms.
+and quadratic forms.  random_simple_arc discards crossing draws before
+build_arc; its reference sends every draw through build_arc.
 Results must be equal, not close.
 """
 
@@ -14,15 +15,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arcsupport import (EPS_ANGLE, EPS_TOUCH, MOUNTAIN, TWO_PI, VALLEY,
-                        ArcError, Jump, Point2, ProfileStep, SelfIntersecting,
-                        SupportProfile,
-                        build_arc, build_profile, melkman_hull, touch_params)
+from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
+                        VALLEY, ArcError, FuzzConfig, GenerationExhausted,
+                        Jump, Point2, ProfileStep, SelfIntersecting,
+                        StraightArc, SupportProfile, build_arc, build_profile,
+                        melkman_hull, orient, random_simple_arc, touch_params)
 from arcsupport import arc as arc_module
-from arcsupport.oracle import (linear_ledger_lookup, linear_touch_params,
+from arcsupport.oracle import (_certainly_crosses, linear_ledger_lookup,
+                               linear_touch_params, monotone_chain_hull,
                                pairwise_simple_check, quadratic_ledger)
 from arcsupport.pairs import _lookup, _window
-from families import convex_arc, walk_arc
+from conftest import POOL_CONFIG
+from families import convex_arc, uniform_draws, walk_arc
 
 EPS = EPS_ANGLE
 
@@ -135,22 +139,31 @@ def verdict(check, vertices):
         return type(exc), str(exc)
 
 
+def crosses(vertices):
+    """The sampler's filter on a chain of (x, y) pairs."""
+    return _certainly_crosses([float(x) for x, _ in vertices],
+                              [float(y) for _, y in vertices])
+
+
 def same_verdict(vertices):
+    """build_arc's verdict, which pairwise_simple_check must repeat; the
+    sampler's filter must flag no chain they accept."""
     fast = verdict(build_arc, vertices)
     assert fast == verdict(pairwise_simple_check, vertices), vertices
+    if fast[0] is None:
+        assert not crosses(vertices), vertices
     return fast
 
 
 def test_build_arc_equals_pairwise_on_random_draws():
-    # draws like random_simple_arc's, before its rejection
-    rng = random.Random(20_000)
-    rejected = 0
-    for _ in range(20_000):
-        n = rng.randint(4, 12)
-        pts = [(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
-               for _ in range(n)]
+    rejected = flagged = 0
+    for pts in uniform_draws(20_000, 20_000):
         rejected += same_verdict(pts)[0] is not None
+        flagged += crosses(pts)
     assert 0.7 < rejected / 20_000 < 0.9
+    # every rejection here is a plain crossing: the filter spares
+    # build_arc every draw it would reject
+    assert flagged == rejected
 
 
 def test_build_arc_equals_pairwise_on_pool_and_families(fuzz_pool):
@@ -247,3 +260,73 @@ def test_sweep_calls_the_predicate_at_most_n_times(monkeypatch, make):
     # the counter counts: stacked diagonals test every non-adjacent pair
     build_arc(stacked_diagonals(20))
     assert calls == 18 * 17 // 2
+
+
+def test_crossing_filter_stops_at_the_orient_tolerance():
+    # segment 0 crosses segment 2 with all four cross products exactly
+    # +-t, t the threshold of a chain whose squared span rounds to 1:
+    # orient, on segment 2 and either end of segment 0, takes that span
+    # and calls the triple collinear, so the filter must not flag it
+    t = EPS_ORIENT
+    xs, ys = [0.25, 0.75, 0.0, 1.0], [-t, t, 0.0, 0.0]
+    pts = [Point2(x, y) for x, y in zip(xs, ys)]
+    a1, a2 = pts[2], pts[3]
+    assert orient(a1, a2, pts[0]) == orient(a1, a2, pts[1]) == 0
+    assert not _certainly_crosses(xs, ys)
+    # twice as far apart, orient sees the crossing and so does the filter
+    ys = [-2 * t, 2 * t, 0.0, 0.0]
+    assert _certainly_crosses(xs, ys)
+    assert same_verdict(list(zip(xs, ys)))[0] is SelfIntersecting
+
+
+def test_crossing_filter_takes_the_whole_chain_span():
+    # segment 0, 0.1 long, crosses segment 5 with cross products near
+    # 1e-13: beyond EPS_ORIENT times segment 0's squared span, within
+    # EPS_ORIENT times each triple's; build_arc accepts the chain, so
+    # the filter must not flag it
+    pts = [(0.5, -1e-13), (0.6, 1e-13), (2.0, 1e-13), (2.0, 1.0),
+           (-0.5, 1.0), (0.0, 0.0), (1.0, 0.0)]
+    assert same_verdict(pts)[0] is None
+
+
+def unfiltered_simple_arc(config, trial_index, max_rejections=10_000):
+    """random_simple_arc with every draw sent through build_arc."""
+    rng = random.Random(f"{config.seed}:{trial_index}")
+    lo_n, hi_n = config.vertex_range
+    box = config.coordinate_box
+    for _ in range(max_rejections):
+        n = rng.randint(lo_n, hi_n)
+        pts = [Point2(rng.uniform(0.0, box), rng.uniform(0.0, box))
+               for _ in range(n)]
+        try:
+            arc = build_arc(pts)
+            monotone_chain_hull(list(arc.vertices))
+        except (ArcError, StraightArc):
+            continue
+        return arc
+    raise GenerationExhausted(f"no simple arc after {max_rejections} draws")
+
+
+def test_sampler_equals_unfiltered_rejection(fuzz_pool):
+    for trial, (arc, _) in enumerate(fuzz_pool):
+        assert arc == unfiltered_simple_arc(POOL_CONFIG, trial), trial
+    for seed in (7, 42, 8001):
+        for vertex_range in ((4, 12), (5, 7)):
+            config = FuzzConfig(seed=seed, vertex_range=vertex_range)
+            for trial in range(200):
+                assert random_simple_arc(config, trial) == (
+                    unfiltered_simple_arc(config, trial)), (config, trial)
+
+
+def test_discarded_draws_count_against_the_cap():
+    for trial in range(20):
+        for cap in range(1, 13):
+            try:
+                want = unfiltered_simple_arc(POOL_CONFIG, trial, cap)
+            except GenerationExhausted:
+                want = None
+            try:
+                got = random_simple_arc(POOL_CONFIG, trial, cap)
+            except GenerationExhausted:
+                got = None
+            assert got == want, (trial, cap)

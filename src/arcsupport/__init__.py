@@ -7,11 +7,10 @@ every claim at desk scale.
 """
 
 from .arc import (ArcError, DuplicateVertex, ParamOutOfRange, PolygonalArc,
-                  SelfIntersecting, TooFewVertices, build_arc, point_at,
-                  scale_to_unit)
-from .geometry import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, TWO_PI, Interval,
-                       Point2, ZeroVector, angle_of, canon_angle, ccw_gap,
-                       circ_dist, orient)
+                  SelfIntersecting, TooFewVertices, build_arc, point_at)
+from .geometry import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, TWO_PI, Point2,
+                       ZeroVector, angle_of, canon_angle, ccw_gap, circ_dist,
+                       orient)
 from .hull import Hull, HullCorner, StraightArc, melkman_hull
 from .oracle import (FuzzConfig, GenerationExhausted, grid_scan_pairs,
                      monotone_chain_hull, oracle_touch_params,
@@ -21,28 +20,23 @@ from .pairs import (MOUNTAIN, VALLEY, CorollaryResult, InvalidDelta,
                     enumerate_triples, find_pair_mountain, find_pair_valley,
                     jump_to_jump_gaps, pairs_identical, safe_delta_range,
                     verify_triple)
-from .profile import (DirectedLine, Jump, MalformedFunction, ProfileStep,
-                      SupportProfile, build_profile, cross_section,
-                      filled_interval, support_line, touch_params,
-                      unique_crossing)
+from .profile import (Jump, ProfileStep, SupportProfile, build_profile,
+                      touch_params)
 from .render import render_pair_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcError", "CorollaryResult", "DirectedLine", "DuplicateVertex",
-    "EPS_ANGLE", "EPS_ORIENT", "EPS_TOUCH", "FuzzConfig",
-    "GenerationExhausted", "Hull", "HullCorner", "Interval", "InvalidDelta",
-    "Jump", "MOUNTAIN", "MalformedFunction", "ParamOutOfRange", "Point2",
-    "PolygonalArc", "ProfileStep", "SelfIntersecting", "StraightArc",
-    "SupportProfile", "TWO_PI", "TooFewVertices", "TriplePair",
-    "TripleReport", "VALLEY", "ZeroVector", "angle_of", "build_arc",
-    "build_profile", "canon_angle", "ccw_gap", "circ_dist", "corollary_check",
-    "cross_section", "enumerate_triples", "filled_interval",
-    "find_pair_mountain", "find_pair_valley", "grid_scan_pairs",
-    "jump_to_jump_gaps", "melkman_hull", "monotone_chain_hull",
-    "oracle_touch_params", "orient", "pairs_identical", "point_at",
-    "random_simple_arc", "render_pair_svg", "safe_delta_range",
-    "scale_to_unit", "support_line", "touch_params", "unique_crossing",
-    "verify_triple",
+    "ArcError", "CorollaryResult", "DuplicateVertex", "EPS_ANGLE",
+    "EPS_ORIENT", "EPS_TOUCH", "FuzzConfig", "GenerationExhausted", "Hull",
+    "HullCorner", "InvalidDelta", "Jump", "MOUNTAIN", "ParamOutOfRange",
+    "Point2", "PolygonalArc", "ProfileStep", "SelfIntersecting",
+    "StraightArc", "SupportProfile", "TWO_PI", "TooFewVertices",
+    "TriplePair", "TripleReport", "VALLEY", "ZeroVector", "angle_of",
+    "build_arc", "build_profile", "canon_angle", "ccw_gap", "circ_dist",
+    "corollary_check", "enumerate_triples", "find_pair_mountain",
+    "find_pair_valley", "grid_scan_pairs", "jump_to_jump_gaps",
+    "melkman_hull", "monotone_chain_hull", "oracle_touch_params", "orient",
+    "pairs_identical", "point_at", "random_simple_arc", "render_pair_svg",
+    "safe_delta_range", "touch_params", "verify_triple",
 ]

@@ -239,10 +239,3 @@ def point_at(arc: PolygonalArc, s: float) -> Point2:
     t = (s - arc.params[i]) / span
     return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
-
-def scale_to_unit(arc: PolygonalArc) -> PolygonalArc:
-    """Similarity-scale the arc (about the origin) to total length 1."""
-    f = 1.0 / arc.length
-    verts = tuple(Point2(p.x * f, p.y * f) for p in arc.vertices)
-    params = tuple(t * f for t in arc.params)
-    return PolygonalArc(verts, params, params[-1], arc.diagonal * f)

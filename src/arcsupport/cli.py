@@ -77,8 +77,8 @@ def cmd_analyze(args) -> int:
                 for s in profile.steps],
             "jumps": [{"angle": j.angle, "span": [j.low_param, j.high_param]}
                       for j in profile.jumps],
-            "min_step_width": profile.min_step_width,
-            "apex_step_width": profile.apex_step_width,
+            "min_step_width": profile.min_step.width,
+            "apex_step_width": profile.apex_step.width,
             "levels": list(profile.levels),
         }
         print(json.dumps(doc, indent=2))
@@ -90,8 +90,8 @@ def cmd_analyze(args) -> int:
         pt = f"({s.corner_point.x:.6g}, {s.corner_point.y:.6g})"
         print(f"{pt:>22}  {s.level:>12.9g}  "
               f"[{s.start:>12.9f}, {s.end:>12.9f}]  {s.width:>12.9f}")
-    print(f"min step width  : {profile.min_step_width:.12g}")
-    print(f"apex step width : {profile.apex_step_width:.12g}")
+    print(f"min step width  : {profile.min_step.width:.12g}")
+    print(f"apex step width : {profile.apex_step.width:.12g}")
     print("level sequence  : " + " ".join(f"{v:.9g}" for v in profile.levels))
     print("jumps           : " + "; ".join(
         f"{j.angle:.9f} -> [{j.low_param:.9g}, {j.high_param:.9g}]"
@@ -254,6 +254,13 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arcsupport",
@@ -284,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("fuzz", help="property campaign over random arcs")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--policy", choices=["safe_range", "full_range"],
                    default="safe_range")

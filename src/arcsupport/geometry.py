@@ -1,5 +1,5 @@
-"""Plane primitives: points, canonical angles, intervals, and the
-package's one tolerance policy.
+"""Plane primitives: points, canonical angles, and the package's one
+tolerance policy.
 
 All angle values in the package are plain radians canonicalized to
 [0, 2*pi).  Wrap-around reasoning goes through :func:`ccw_gap` so there
@@ -42,27 +42,8 @@ class Point2:
     def __sub__(self, other: "Point2") -> "Point2":
         return Point2(self.x - other.x, self.y - other.y)
 
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
-
     def dist(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi]; degenerate (lo == hi) allowed."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (self.lo <= self.hi):
-            raise ValueError(f"interval with lo > hi: [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 def canon_angle(theta: float) -> float:

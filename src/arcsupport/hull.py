@@ -61,28 +61,22 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     items = list(enumerate(arc.vertices))
 
     # collapse a collinear prefix so the deque starts from a strict turn
-    first = items[0]
-    last = items[1]
-    rest_start = 2
-    turn = None
+    first, last = items[0], items[1]
     for k in range(2, len(items)):
-        o = orient(first[1], last[1], items[k][1])
-        if o == 0:
-            last = items[k]
-            rest_start = k + 1
-        else:
-            turn = items[k]
-            rest_start = k + 1
+        turn = items[k]
+        o = orient(first[1], last[1], turn[1])
+        if o != 0:
             break
-    if turn is None:
+        last = turn
+    else:
         raise StraightArc("all vertices collinear within tolerance")
 
-    if orient(first[1], last[1], turn[1]) > 0:
+    if o > 0:
         hull = deque([turn, first, last, turn])
     else:
         hull = deque([turn, last, first, turn])
 
-    for item in items[rest_start:]:
+    for item in items[k + 1:]:
         p = item[1]
         if (orient(hull[-2][1], hull[-1][1], p) > 0
                 and orient(p, hull[0][1], hull[1][1]) > 0):
@@ -111,17 +105,10 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     if len(cycle) < 3:
         raise StraightArc("hull degenerates to a segment within tolerance")
 
-    # shoelace sum relative to cycle[0]: absolute coordinates cancel
-    # catastrophically far from the origin and can flip the sign
+    # every corner now turns strictly left, so the cycle runs
+    # counterclockwise (the deque starts that way); a clockwise cycle
+    # would fail the exterior-angle check below, never pass silently
     m = len(cycle)
-    o = cycle[0][1]
-    area2 = 0.0
-    for i in range(m):
-        p, q = cycle[i][1] - o, cycle[(i + 1) % m][1] - o
-        area2 += p.x * q.y - p.y * q.x
-    if area2 < 0.0:
-        cycle.reverse()
-
     start = min(range(m), key=lambda i: arc.params[cycle[i][0]])
     cycle = cycle[start:] + cycle[:start]
     corners = []

@@ -1,12 +1,14 @@
-"""Independent brute-force oracles, slow references and seeded random
-arc generation.
+"""Independent brute-force oracles, slow references, the helpers of
+the paper's lemmas and seeded random arc generation.
 
 The projection oracles deliberately avoid the hull and profile
 machinery so that agreement between the two routes is meaningful
 evidence.  The slow references are the straightforward linear and
 quadratic forms of the fast queries (arc validation, touch sets, the
 scan ledger and its lookup); tests require the fast forms to return
-the same values.
+the same values.  The lemma helpers (a parameter's cross-section, the
+support line at an angle, the unique crossing of a continuous tent)
+state the paper's lemmas in code; only their tests call them.
 """
 
 from __future__ import annotations
@@ -14,15 +16,20 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .arc import (ArcError, PolygonalArc, _checked_arc, _segments_intersect,
-                  build_arc)
+                  build_arc, point_at)
 from .geometry import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, TWO_PI, Point2,
                        canon_angle, ccw_gap, circ_dist, orient)
 from .hull import StraightArc
-from .pairs import _unroll
-from .profile import SupportProfile
+from .pairs import _all_left, _unroll
+from .profile import SupportProfile, touch_params
+
+
+# side of the square random_simple_arc draws vertices from; every
+# decision is scale-relative, so the size selects nothing
+COORDINATE_BOX = 10.0
 
 
 class GenerationExhausted(RuntimeError):
@@ -41,7 +48,6 @@ class FuzzConfig:
     trials: int = 100
     seed: int = 42
     vertex_range: tuple[int, int] = (4, 12)
-    coordinate_box: float = 10.0
     delta_policy: str = "safe_range"  # safe_range | full_range
 
     def __post_init__(self) -> None:
@@ -148,6 +154,108 @@ def linear_ledger_lookup(rows: list[tuple], delta: float):
     near_tie = any(abs(delta - (row[4] - row[1])) <= EPS_ANGLE
                    for row in rows[1:])
     return hit, near_tie
+
+
+# ---------------------------------------------------------------------------
+# helpers of the paper's lemmas, checked by the tests only
+
+
+class MalformedFunction(ValueError):
+    """Breakpoint input is not strictly unimodal as required."""
+
+
+@dataclass(frozen=True)
+class DirectedLine:
+    """Support line: direction angle plus one touch point, with every
+    arc vertex on the closed left side."""
+
+    theta: float
+    anchor: Point2
+
+
+def cross_section(profile: SupportProfile, s: float) -> tuple[float, float] | None:
+    """Closure of the set of angles whose support line touches parameter s.
+
+    For a corner level this is the corner's step (a circular interval
+    of width < pi, returned as a (start, end) pair); for any other
+    parameter it is empty (None).
+    """
+    slack = profile.param_slack
+    for step in profile.steps:
+        if abs(step.level - s) <= slack:
+            return (step.start, step.end)
+    return None
+
+
+def support_line(profile: SupportProfile, arc: PolygonalArc,
+                 theta: float) -> DirectedLine:
+    """Support line of angle theta, anchored at the touch point with the
+    smallest parameter."""
+    theta = canon_angle(theta)
+    anchor = point_at(arc, min(touch_params(profile, theta)))
+    if not _all_left(theta, anchor, arc.vertices, EPS_TOUCH * arc.diagonal):
+        raise ValueError(f"a vertex falls on the right of the support line "
+                         f"at {theta}")
+    return DirectedLine(theta, anchor)
+
+
+def unique_crossing(breakpoints: Sequence[tuple[float, float]],
+                    delta: float) -> float:
+    """Unique x with f(x) == f(x + delta) for a strictly unimodal
+    piecewise-linear f on [0, 2*pi] with f(0) = f(2*pi) = 0 and peak 1.
+
+    Solves by bisection on the level y: the spread between the falling
+    and rising branch inverses decreases continuously from 2*pi to 0, so
+    it crosses delta exactly once.
+    """
+    if not (0.0 < delta < TWO_PI):
+        raise MalformedFunction(f"delta {delta} outside (0, 2*pi)")
+    xs = [float(x) for x, _ in breakpoints]
+    ys = [float(y) for _, y in breakpoints]
+    if len(xs) < 3:
+        raise MalformedFunction("need at least 3 breakpoints")
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise MalformedFunction("breakpoint abscissae must strictly increase")
+    if abs(xs[0]) > 1e-12 or abs(xs[-1] - TWO_PI) > 1e-12:
+        raise MalformedFunction("domain must be [0, 2*pi]")
+    if abs(ys[0]) > 1e-12 or abs(ys[-1]) > 1e-12:
+        raise MalformedFunction("endpoints must sit at level 0")
+    peak = max(range(len(ys)), key=lambda i: ys[i])
+    if peak in (0, len(ys) - 1) or abs(ys[peak] - 1.0) > 1e-12:
+        raise MalformedFunction("peak must be 1 at an interior breakpoint")
+    rising = ys[:peak + 1]
+    falling = ys[peak:]
+    if any(b <= a for a, b in zip(rising, rising[1:])):
+        raise MalformedFunction("not strictly increasing before the peak")
+    if any(b >= a for a, b in zip(falling, falling[1:])):
+        raise MalformedFunction("not strictly decreasing after the peak")
+
+    def inv(branch_x: list[float], branch_y: list[float], y: float) -> float:
+        # branch_y strictly monotone; linear interpolation of the inverse
+        if branch_y[0] <= branch_y[-1]:
+            pairs = list(zip(branch_y, branch_x))
+        else:
+            pairs = list(zip(reversed(branch_y), reversed(branch_x)))
+        for (y0, x0), (y1, x1) in zip(pairs, pairs[1:]):
+            if y0 <= y <= y1:
+                return x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        return pairs[-1][1]
+
+    rise_x, rise_y = xs[:peak + 1], ys[:peak + 1]
+    fall_x, fall_y = xs[peak:], ys[peak:]
+
+    def spread(y: float) -> float:
+        return inv(fall_x, fall_y, y) - inv(rise_x, rise_y, y)
+
+    lo, hi = 0.0, 1.0  # spread(0) = 2*pi, spread(1) = 0
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if spread(mid) > delta:
+            lo = mid
+        else:
+            hi = mid
+    y = 0.5 * (lo + hi)
+    return inv(rise_x, rise_y, y)
 
 
 # angles per turn swept by grid_scan_pairs
@@ -301,9 +409,9 @@ def random_simple_arc(config: FuzzConfig, trial_index: int,
                       max_rejections: int = 10_000) -> PolygonalArc:
     """Deterministic rejection-sampled simple, non-straight arc.
 
-    Vertices are drawn uniformly in the coordinate box; candidates that
-    fail validation or are straight are redrawn.  The same (seed,
-    trial_index) always yields the same arc.
+    Vertices are drawn uniformly in the COORDINATE_BOX square;
+    candidates that fail validation or are straight are redrawn.  The
+    same (seed, trial_index) always yields the same arc.
 
     A draw whose raw coordinates already show a proper crossing is
     redrawn before build_arc sees it.  The whole chain's squared span is
@@ -313,7 +421,7 @@ def random_simple_arc(config: FuzzConfig, trial_index: int,
     """
     rng = random.Random(f"{config.seed}:{trial_index}")
     lo_n, hi_n = config.vertex_range
-    box = config.coordinate_box
+    box = COORDINATE_BOX
     for _ in range(max_rejections):
         n = rng.randint(lo_n, hi_n)
         # x, y per vertex; box * random() is the float rng.uniform(0.0,

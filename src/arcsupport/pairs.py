@@ -36,7 +36,7 @@ from typing import Iterable
 from .arc import PolygonalArc, point_at
 from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
                        ccw_gap, circ_dist)
-from .profile import (SupportProfile, filled_interval, touch_params)
+from .profile import SupportProfile, touch_params
 
 MOUNTAIN = "mountain"
 VALLEY = "valley"
@@ -227,14 +227,15 @@ def _assign_roles(profile: SupportProfile, theta_left: float,
     remaining ties break toward the widest double span and smallest s2.
     """
     slack = profile.param_slack
+    t_left = touch_params(profile, theta_left)
+    t_right = touch_params(profile, theta_right)
+    sides = ((theta_left, t_left), (theta_right, t_right))
     cands = []
-    for theta_d, theta_s in ((theta_left, theta_right),
-                             (theta_right, theta_left)):
-        td = touch_params(profile, theta_d)
-        if len(td) < 2 or td[-1] - td[0] <= slack:
-            continue
+    for (theta_d, td), (theta_s, ts) in (sides, sides[::-1]):
         s1, s3 = td[0], td[-1]
-        for s2 in touch_params(profile, theta_s):
+        if s3 - s1 <= slack:  # one parameter within the slack: no jump
+            continue
+        for s2 in ts:
             if s1 - slack <= s2 <= s3 + slack:
                 strict = (s1 + slack < s2 < s3 - slack)
                 s2c = min(max(s2, s1), s3)
@@ -243,13 +244,13 @@ def _assign_roles(profile: SupportProfile, theta_left: float,
         cands.sort(key=lambda c: (not c[0], -c[1], c[5]))
         strict, _, theta_d, theta_s, s1, s2, s3 = cands[0]
         return theta_d, theta_s, s1, s2, s3, strict
-    # both touch sets degenerate: report the certificate level flatly
-    wide = max((theta_left, theta_right),
-               key=lambda t: filled_interval(profile, t).width)
-    other = theta_right if wide == theta_left else theta_left
-    iv = filled_interval(profile, wide)
-    s2 = min(max(certificate, iv.lo), iv.hi)
-    return wide, other, iv.lo, s2, iv.hi, False
+    # both touch sets degenerate: report the certificate level flatly on
+    # the wider span, theta_left on a tie
+    wide, td, other = theta_left, t_left, theta_right
+    if t_right[-1] - t_right[0] > t_left[-1] - t_left[0]:
+        wide, td, other = theta_right, t_right, theta_left
+    s2 = min(max(certificate, td[0]), td[-1])
+    return wide, other, td[0], s2, td[-1], False
 
 
 def _gap_side_covers(start: float, gap: float, step_start: float,
@@ -313,8 +314,8 @@ def safe_delta_range(profile: SupportProfile, mode: str) -> tuple[float, float]:
     strict triple on every arc; the pair's guaranteed flag is delta's
     membership in it."""
     if mode == MOUNTAIN:
-        return (profile.apex_step_width, TWO_PI - profile.min_step_width)
-    return (profile.min_step_width, TWO_PI - profile.apex_step_width)
+        return (profile.apex_step.width, TWO_PI - profile.min_step.width)
+    return (profile.min_step.width, TWO_PI - profile.apex_step.width)
 
 
 def pairs_identical(profile: SupportProfile, m: TriplePair,

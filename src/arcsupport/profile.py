@@ -14,7 +14,8 @@ it at construction time.
 
 Queries on a built profile are logarithmic in its corner count m: the
 jump angles are sorted once per profile, on first use, and a touch
-query bisects them (O(log m)).
+query bisects them (O(log m)).  The lemma helpers built on a profile
+are in oracle.py: the pipeline never calls them.
 """
 
 from __future__ import annotations
@@ -25,14 +26,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .arc import PolygonalArc, point_at
-from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Interval, Point2,
-                       canon_angle, ccw_gap, circ_dist)
+from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
+                       ccw_gap, circ_dist)
 from .hull import Hull
-
-
-class MalformedFunction(ValueError):
-    """Breakpoint input is not strictly unimodal as required."""
 
 
 @dataclass(frozen=True)
@@ -79,27 +75,13 @@ class SupportProfile:
         return self.steps[self.apex_index]
 
     @property
-    def min_step_width(self) -> float:
-        """Exterior angle at the minimum-parameter corner."""
-        return self.steps[0].width
-
-    @property
-    def apex_step_width(self) -> float:
-        """Exterior angle at the maximum-parameter corner."""
-        return self.apex_step.width
-
-    @property
     def levels(self) -> tuple[float, ...]:
         return tuple([s.level for s in self.steps])
 
     @property
-    def max_level(self) -> float:
-        return self.apex_step.level
-
-    @property
     def param_slack(self) -> float:
         """Tolerance on arc parameters, relative to the largest level."""
-        return EPS_TOUCH * self.max_level
+        return EPS_TOUCH * self.apex_step.level
 
     # Derived indexes, built on first use and kept on the instance (the
     # profile is immutable); cached_property stays out of __eq__,
@@ -117,15 +99,6 @@ class SupportProfile:
     def _windows(self) -> dict:
         """Scan windows by mode, filled by pairs._window."""
         return {}
-
-
-@dataclass(frozen=True)
-class DirectedLine:
-    """Support line: direction angle plus one touch point, with every
-    arc vertex on the closed left side."""
-
-    theta: float
-    anchor: Point2
 
 
 def build_profile(hull: Hull) -> SupportProfile:
@@ -203,100 +176,3 @@ def touch_params(profile: SupportProfile, theta: float) -> tuple[float, ...]:
     nearest = min(profile.jumps, key=lambda j: circ_dist(theta, j.angle))
     return (nearest.low_param, nearest.high_param)
 
-
-def filled_interval(profile: SupportProfile, theta: float) -> Interval:
-    """[min, max] of the touch set: the jump span at a jump angle,
-    degenerate inside a step."""
-    t = touch_params(profile, theta)
-    return Interval(t[0], t[-1])
-
-
-def cross_section(profile: SupportProfile, s: float) -> tuple[float, float] | None:
-    """Closure of the set of angles whose support line touches parameter s.
-
-    For a corner level this is the corner's step (a circular interval
-    of width < pi, returned as a (start, end) pair); for any other
-    parameter it is empty (None).
-    """
-    slack = profile.param_slack
-    for step in profile.steps:
-        if abs(step.level - s) <= slack:
-            return (step.start, step.end)
-    return None
-
-
-def support_line(profile: SupportProfile, arc: PolygonalArc,
-                 theta: float) -> DirectedLine:
-    """Support line of angle theta, anchored at the touch point with the
-    smallest parameter."""
-    theta = canon_angle(theta)
-    anchor = point_at(arc, min(touch_params(profile, theta)))
-    dx, dy = math.cos(theta), math.sin(theta)
-    slack = EPS_TOUCH * arc.diagonal
-    for v in arc.vertices:
-        side = dx * (v.y - anchor.y) - dy * (v.x - anchor.x)
-        if side < -slack:
-            raise ValueError(
-                f"vertex {v} falls on the right of the support line at {theta}")
-    return DirectedLine(theta, anchor)
-
-
-def unique_crossing(breakpoints: Sequence[tuple[float, float]],
-                    delta: float) -> float:
-    """Unique x with f(x) == f(x + delta) for a strictly unimodal
-    piecewise-linear f on [0, 2*pi] with f(0) = f(2*pi) = 0 and peak 1.
-
-    Solves by bisection on the level y: the spread between the falling
-    and rising branch inverses decreases continuously from 2*pi to 0, so
-    it crosses delta exactly once.
-    """
-    if not (0.0 < delta < TWO_PI):
-        raise MalformedFunction(f"delta {delta} outside (0, 2*pi)")
-    xs = [float(x) for x, _ in breakpoints]
-    ys = [float(y) for _, y in breakpoints]
-    if len(xs) < 3:
-        raise MalformedFunction("need at least 3 breakpoints")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise MalformedFunction("breakpoint abscissae must strictly increase")
-    if abs(xs[0]) > 1e-12 or abs(xs[-1] - TWO_PI) > 1e-12:
-        raise MalformedFunction("domain must be [0, 2*pi]")
-    if abs(ys[0]) > 1e-12 or abs(ys[-1]) > 1e-12:
-        raise MalformedFunction("endpoints must sit at level 0")
-    peak = max(range(len(ys)), key=lambda i: ys[i])
-    if peak in (0, len(ys) - 1) or abs(ys[peak] - 1.0) > 1e-12:
-        raise MalformedFunction("peak must be 1 at an interior breakpoint")
-    rising = ys[:peak + 1]
-    falling = ys[peak:]
-    if any(b <= a for a, b in zip(rising, rising[1:])):
-        raise MalformedFunction("not strictly increasing before the peak")
-    if any(b >= a for a, b in zip(falling, falling[1:])):
-        raise MalformedFunction("not strictly decreasing after the peak")
-
-    def inv(branch_x: list[float], branch_y: list[float], y: float) -> float:
-        # branch_y strictly monotone; linear interpolation of the inverse
-        if branch_y[0] <= branch_y[-1]:
-            pairs = list(zip(branch_y, branch_x))
-        else:
-            pairs = list(zip(reversed(branch_y), reversed(branch_x)))
-        for (y0, x0), (y1, x1) in zip(pairs, pairs[1:]):
-            if y0 <= y <= y1:
-                if y1 == y0:
-                    return x0
-                return x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-        return pairs[-1][1]
-
-    rise_x, rise_y = xs[:peak + 1], ys[:peak + 1]
-    fall_x, fall_y = xs[peak:], ys[peak:]
-
-    def spread(y: float) -> float:
-        return inv(fall_x, fall_y, y) - inv(rise_x, rise_y, y)
-
-    lo, hi = 0.0, 1.0  # spread(0) = 2*pi, spread(1) = 0
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        if spread(mid) > delta:
-            lo = mid
-        else:
-            hi = mid
-    y = 0.5 * (lo + hi)
-    return inv(rise_x, rise_y, y)

@@ -11,13 +11,13 @@ import pytest
 
 from arcsupport import (FuzzConfig, MOUNTAIN, VALLEY, build_profile,
                         ccw_gap, circ_dist, corollary_check,
-                        cross_section, enumerate_triples, find_pair_mountain,
+                        enumerate_triples, find_pair_mountain,
                         find_pair_valley, grid_scan_pairs, jump_to_jump_gaps,
                         melkman_hull, monotone_chain_hull,
                         oracle_touch_params, random_simple_arc,
-                        safe_delta_range, touch_params, unique_crossing,
-                        verify_triple)
+                        safe_delta_range, touch_params, verify_triple)
 from arcsupport.cli import run_fuzz
+from arcsupport.oracle import cross_section, unique_crossing
 
 PI = math.pi
 ATAN_HALF = math.atan(0.5)

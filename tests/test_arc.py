@@ -4,8 +4,7 @@ from decimal import Decimal
 import pytest
 
 from arcsupport import (ArcError, DuplicateVertex, ParamOutOfRange, Point2,
-                        SelfIntersecting, TooFewVertices, build_arc, point_at,
-                        scale_to_unit)
+                        SelfIntersecting, TooFewVertices, build_arc, point_at)
 
 
 def test_build_e1(e1):
@@ -89,18 +88,6 @@ def test_param_steps_are_edge_lengths(fuzz_pool):
         for i in range(len(arc) - 1):
             edge = arc.vertices[i].dist(arc.vertices[i + 1])
             assert arc.params[i + 1] - arc.params[i] == pytest.approx(edge)
-
-
-def test_scale_to_unit(e1, e2):
-    u = scale_to_unit(e1)
-    assert u.length == pytest.approx(1.0)
-    assert u.vertices[1] == Point2(0.5, 0.0)
-    assert u.vertices[2] == Point2(0.5, 0.5)
-    u2 = scale_to_unit(e2)
-    assert [round(t, 12) for t in u2.params] == [0.0, 0.6, 0.8, 1.0]
-    # scaling a unit arc is the identity
-    again = scale_to_unit(u)
-    assert all(a.dist(b) < 1e-15 for a, b in zip(u.vertices, again.vertices))
 
 
 def test_point_at_injective_at_resolution(fuzz_pool):

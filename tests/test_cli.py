@@ -6,6 +6,7 @@ import re
 import pytest
 
 from arcsupport.cli import main
+from families import FALLBACK_VERTICES
 
 PI = math.pi
 
@@ -37,6 +38,51 @@ def test_analyze_json(e2_file, capsys):
     assert doc["levels"] == [0.0, 3.0, 4.0, 5.0]
     assert doc["apex_step_width"] == pytest.approx(math.atan(0.5))
     assert len(doc["jumps"]) == 4
+
+
+PINNED_ARCS = {
+    "e1": [[0, 0], [1, 0], [1, 1]],
+    "e2": [[0, 0], [3, 0], [3, 1], [2, 1]],
+    "fallback": FALLBACK_VERTICES,
+}
+PINNED_COMMANDS = {
+    "analyze": [],
+    "analyze --json": ["--json"],
+    "find-pair": ["--mode", "both", "--delta", "3.141592653589793"],
+}
+# sha256 of each command's stdout: a change that keeps behaviour keeps
+# every byte of it
+CLI_DIGESTS = {
+    ("e1", "analyze"):
+        "876bdba557200c0cf52e3201593fd7e897139c4e7ff556e9ace29a2966c99e6d",
+    ("e1", "analyze --json"):
+        "f3b8c006ac36649d2b864fbebb022a0fd17613a5f4f2f4892768b325794e7664",
+    ("e1", "find-pair"):
+        "35fb5ab356e112013e4ac25fc717ec1242e28f64ec5f1b93d59de0ad87504a72",
+    ("e2", "analyze"):
+        "48b24c1d1980034315fd9dd752ea74a9ca63e4793b3a60dac41c75ce7dcb7c52",
+    ("e2", "analyze --json"):
+        "6e54a6b72e9573db2c1482f0683c14d997bf011488d9e24d8fcdd7b702d0f0a9",
+    ("e2", "find-pair"):
+        "203eea9a77477e5b6d413079cb6c6a95c42a0fdbe288cbccf44dc78504d63dbc",
+    ("fallback", "analyze"):
+        "4db0680cd2edf0ada5e11bc61637dadbeabbbf2761ba53c3a73d97b76075199b",
+    ("fallback", "analyze --json"):
+        "d0e5d52166f49849367ffb0b455c75323919b4727c7b3170b5e34b2e20323ef3",
+    ("fallback", "find-pair"):
+        "786f462ac48b974003814876cc35e68ef6e05298b6de6cf838e414448b63045f",
+}
+
+
+@pytest.mark.parametrize("arc", sorted(PINNED_ARCS))
+def test_cli_output_is_byte_identical(arc, tmp_path, capsys):
+    path = tmp_path / "arc.json"
+    path.write_text(json.dumps({"vertices": PINNED_ARCS[arc]}))
+    for command, args in PINNED_COMMANDS.items():
+        assert main([command.split()[0], str(path), *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            CLI_DIGESTS[arc, command]), command
 
 
 def test_analyze_straight_arc_exits_2(tmp_path, capsys):
@@ -216,6 +262,17 @@ def test_fuzz_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     assert first == second
     assert "strict existence rate : 25/25" in first
+
+
+def test_fuzz_nonpositive_trials_exits_2(capsys):
+    # rejected by argparse, like a count that is not a number
+    for trials in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--trials", trials])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--trials" in err
+        assert "Traceback" not in err
 
 
 def test_fuzz_generation_exhausted_exits_5(monkeypatch, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import math
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arcsupport import (EPS_ORIENT, Interval, Point2, TWO_PI, ZeroVector,
-                        angle_of, canon_angle, ccw_gap, orient)
+from arcsupport import (EPS_ORIENT, Point2, TWO_PI, ZeroVector, angle_of,
+                        canon_angle, ccw_gap, orient)
 
 angles = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -99,11 +100,6 @@ def test_canon_angle_range(theta):
     assert 0.0 <= c < TWO_PI
 
 
-def test_interval_rejects_inverted():
-    with pytest.raises(ValueError):
-        Interval(2.0, 1.0)
-
-
 def test_one_fixed_tolerance_policy():
     # the policy lives in geometry's constants; no call can set another
     import arcsupport
@@ -125,14 +121,25 @@ def test_one_fixed_tolerance_policy():
 
 def test_public_names_resolve_and_removed_ones_stay_gone():
     import arcsupport
-    from arcsupport import geometry, pairs
-    for name in ("scan_ledger", "ScanStep", "interval_sub"):
+    from arcsupport import arc, geometry, oracle, pairs, profile
+    lemma_helpers = ("cross_section", "support_line", "DirectedLine",
+                     "unique_crossing", "MalformedFunction")
+    for name in ("scan_ledger", "ScanStep", "interval_sub", "Interval",
+                 "filled_interval", "scale_to_unit") + lemma_helpers:
         assert not hasattr(arcsupport, name), name
     for mod, name in ((pairs, "scan_ledger"), (pairs, "ScanStep"),
-                      (pairs, "_Piece"), (geometry, "interval_sub")):
+                      (pairs, "_Piece"), (geometry, "interval_sub"),
+                      (geometry, "Interval"), (profile, "filled_interval"),
+                      (arc, "scale_to_unit")):
         assert not hasattr(mod, name), name
-    assert not hasattr(Interval, "contains")
-    assert not hasattr(Interval, "degenerate")
+    for name in lemma_helpers:  # moved beside the other references
+        assert not hasattr(profile, name), name
+        assert getattr(oracle, name).__module__ == "arcsupport.oracle", name
+    for alias in ("min_step_width", "apex_step_width", "max_level"):
+        assert not hasattr(arcsupport.SupportProfile, alias), alias
+    assert not hasattr(Point2, "__add__")
+    assert "coordinate_box" not in {
+        f.name for f in dataclasses.fields(arcsupport.FuzzConfig)}
     assert len(set(arcsupport.__all__)) == len(arcsupport.__all__)
     for name in arcsupport.__all__:
         assert getattr(arcsupport, name) is not None, name

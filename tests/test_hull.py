@@ -1,10 +1,25 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arcsupport import (Point2, StraightArc, build_arc, build_profile,
-                        corollary_check, melkman_hull, monotone_chain_hull,
-                        orient, verify_triple)
+from arcsupport import (ArcError, Point2, StraightArc, build_arc,
+                        build_profile, corollary_check, melkman_hull,
+                        monotone_chain_hull, orient, verify_triple)
+from families import convex_arc, walk_arc
+from test_reference import grid_chains, tiny_near_collinear
+
+
+def assert_turns_left(hull):
+    # the hull keeps no orientation pass: the deque must give a
+    # counterclockwise cycle of strict turns
+    pts = [c.point for c in hull.corners]
+    m = len(pts)
+    assert m >= 3
+    for i in range(m):
+        assert orient(pts[i - 1], pts[i], pts[(i + 1) % m]) > 0, i
 
 
 def test_e1_corners(e1):
@@ -50,7 +65,9 @@ def test_far_from_origin_keeps_e2_pair(scale, offset):
     # no slack may stop scaling with a tiny arc
     arc = build_arc([(x * scale + offset, y * scale + offset)
                      for x, y in [(0, 0), (3, 0), (3, 1), (2, 1)]])
-    profile = build_profile(melkman_hull(arc))
+    hull = melkman_hull(arc)
+    assert_turns_left(hull)
+    profile = build_profile(hull)
     res = corollary_check(profile, arc, math.pi)
     assert res.identical
     for pair in (res.mountain, res.valley):
@@ -74,6 +91,27 @@ def test_melkman_matches_monotone_chain(fuzz_pool):
         mono = monotone_chain_hull(list(arc.vertices))
         assert sorted(c.param for c in mel.corners) == sorted(
             arc.params[i] for i in mono)
+
+
+def test_corners_turn_counterclockwise(fuzz_pool):
+    for arc, _ in fuzz_pool:
+        assert_turns_left(melkman_hull(arc))
+    rng = random.Random(1600)
+    for make in (convex_arc, walk_arc):
+        assert_turns_left(melkman_hull(build_arc(make(1600, rng))))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pts=grid_chains | tiny_near_collinear,
+       offset=st.sampled_from([0.0, 1e6, -1e12]))
+def test_corners_turn_counterclockwise_on_adversarial_chains(pts, offset):
+    # slivers, collinear runs and far offsets, where a sign could flip
+    try:
+        arc = build_arc([(x + offset, y + offset) for x, y in pts])
+        hull = melkman_hull(arc)
+    except (ArcError, StraightArc):
+        return
+    assert_turns_left(hull)
 
 
 def test_all_vertices_inside_hull(fuzz_pool):

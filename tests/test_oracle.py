@@ -8,6 +8,7 @@ from arcsupport import (FuzzConfig, GenerationExhausted, build_arc, circ_dist,
                         enumerate_triples, find_pair_mountain,
                         grid_scan_pairs, jump_to_jump_gaps,
                         oracle_touch_params, random_simple_arc)
+from arcsupport.oracle import COORDINATE_BOX
 
 PI = math.pi
 RES = 2 * PI / 100_000
@@ -90,11 +91,11 @@ def test_generator_deterministic():
 
 
 def test_generator_respects_bounds():
-    cfg = FuzzConfig(trials=1, seed=11, vertex_range=(5, 7), coordinate_box=3.0)
+    cfg = FuzzConfig(trials=1, seed=11, vertex_range=(5, 7))
     for trial in range(20):
         arc = random_simple_arc(cfg, trial)
         assert 5 <= len(arc) <= 7
-        assert all(0.0 <= v.x <= 3.0 and 0.0 <= v.y <= 3.0
+        assert all(0.0 <= v.x <= COORDINATE_BOX and 0.0 <= v.y <= COORDINATE_BOX
                    for v in arc.vertices)
 
 

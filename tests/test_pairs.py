@@ -7,9 +7,10 @@ from arcsupport import (MOUNTAIN, TWO_PI, VALLEY, InvalidDelta, build_arc,
                         build_profile, ccw_gap, circ_dist, corollary_check,
                         enumerate_triples, find_pair_mountain,
                         find_pair_valley, jump_to_jump_gaps, melkman_hull,
-                        safe_delta_range, verify_triple)
+                        safe_delta_range, touch_params, verify_triple)
+from arcsupport import pairs
 from arcsupport.pairs import _window
-from families import convex_arc, walk_arc
+from families import FALLBACK_VERTICES, convex_arc, walk_arc
 
 PI = math.pi
 ATAN_HALF = math.atan(0.5)
@@ -255,3 +256,150 @@ def test_guaranteed_is_membership_in_the_safe_range(fuzz_pool):
                 assert pair.guaranteed and pair.strict, (mode, delta)
             for delta in (math.nextafter(lo, 0.0), math.nextafter(hi, 7.0)):
                 assert not finder(profile, arc, delta).guaranteed
+
+
+# repr of the mountain and the valley pair at each delta on the
+# fallback arc; several reach _assign_roles' degenerate fallback, whose
+# choice of the wider span (theta_left on a tie) these pin
+FALLBACK_SCANS = {
+    0.001: (
+        "TriplePair(mode='mountain', theta_double=2.6779450223845274, "
+        'theta_single=2.6789450223845286, s1=6.099019513592785, '
+        's2=6.099019515828854, s3=6.099019515828854, strict=False, '
+        'requested_delta=0.001, realized_gap=0.0010000000000012221, '
+        'guaranteed=False, near_tie=False, covers_apex=True, '
+        'covers_min=False)',
+        "TriplePair(mode='valley', theta_double=4.514993420534809, "
+        'theta_single=4.515993420534809, s1=0.0, s2=0.0, '
+        's3=0.5099019513592785, strict=False, requested_delta=0.001, '
+        'realized_gap=6.282185307179587, guaranteed=False, near_tie=False, '
+        'covers_apex=False, covers_min=True)',
+    ),
+    0.1: (
+        "TriplePair(mode='mountain', theta_double=2.6779450223845274, "
+        'theta_single=2.777945022384527, s1=6.099019513592785, '
+        's2=6.099019515828854, s3=6.099019515828854, strict=False, '
+        'requested_delta=0.1, realized_gap=0.09999999999999964, '
+        'guaranteed=False, near_tie=False, covers_apex=True, '
+        'covers_min=False)',
+        "TriplePair(mode='valley', theta_double=4.514993420534809, "
+        'theta_single=4.614993420534809, s1=0.0, s2=0.0, '
+        's3=0.5099019513592785, strict=False, requested_delta=0.1, '
+        'realized_gap=6.183185307179587, guaranteed=False, near_tie=False, '
+        'covers_apex=False, covers_min=True)',
+    ),
+    0.485: (
+        "TriplePair(mode='mountain', theta_double=2.6779450223845274, "
+        'theta_single=3.162945022384527, s1=6.099019513592785, '
+        's2=6.099019515828854, s3=6.099019515828854, strict=False, '
+        'requested_delta=0.485, realized_gap=0.48499999999999943, '
+        'guaranteed=False, near_tie=False, covers_apex=True, '
+        'covers_min=False)',
+        "TriplePair(mode='valley', theta_double=4.514993420534809, "
+        'theta_single=4.999993420534809, s1=0.0, s2=0.0, '
+        's3=0.5099019513592785, strict=False, requested_delta=0.485, '
+        'realized_gap=5.798185307179587, guaranteed=False, near_tie=False, '
+        'covers_apex=False, covers_min=True)',
+    ),
+    0.9697: (
+        "TriplePair(mode='mountain', theta_double=2.6779450223845274, "
+        'theta_single=3.647645022384527, s1=6.099019513592785, '
+        's2=6.099019515828854, s3=6.099019515828854, strict=False, '
+        'requested_delta=0.9697, realized_gap=0.9696999999999996, '
+        'guaranteed=False, near_tie=False, covers_apex=True, '
+        'covers_min=False)',
+        "TriplePair(mode='valley', theta_double=4.514993420534809, "
+        'theta_single=5.484693420534809, s1=0.0, s2=0.0, '
+        's3=0.5099019513592785, strict=False, requested_delta=0.9697, '
+        'realized_gap=5.313485307179587, guaranteed=False, near_tie=False, '
+        'covers_apex=False, covers_min=True)',
+    ),
+    1.0: (
+        "TriplePair(mode='mountain', theta_double=3.6486911597745824, "
+        'theta_single=2.6486911597745824, s1=0.5099019513592785, '
+        's2=6.099019513592785, s3=6.099019515828854, strict=False, '
+        'requested_delta=1.0, realized_gap=1.0, guaranteed=True, '
+        'near_tie=False, covers_apex=True, covers_min=False)',
+        "TriplePair(mode='valley', theta_double=4.514993420534809, "
+        'theta_single=5.514993420534809, s1=0.0, s2=0.0, '
+        's3=0.5099019513592785, strict=False, requested_delta=1.0, '
+        'realized_gap=5.283185307179586, guaranteed=False, near_tie=False, '
+        'covers_apex=False, covers_min=True)',
+    ),
+    3.0: (
+        "TriplePair(mode='mountain', theta_double=3.6486911597745824, "
+        'theta_single=0.6486911597745824, s1=0.5099019513592785, '
+        's2=5.099019513592785, s3=6.099019515828854, strict=True, '
+        'requested_delta=3.0, realized_gap=3.0, guaranteed=True, '
+        'near_tie=False, covers_apex=True, covers_min=False)',
+        "TriplePair(mode='valley', theta_double=3.648691159774583, "
+        'theta_single=0.36550585259499613, s1=0.5099019513592785, '
+        's2=5.099019513592785, s3=6.099019515828854, strict=True, '
+        'requested_delta=3.0, realized_gap=3.2831853071795867, '
+        'guaranteed=True, near_tie=False, covers_apex=False, '
+        'covers_min=True)',
+    ),
+    5.3134: (
+        "TriplePair(mode='mountain', theta_double=4.514993420534809, "
+        'theta_single=5.484778727714396, s1=0.0, s2=0.0, '
+        's3=0.5099019513592785, strict=False, requested_delta=5.3134, '
+        'realized_gap=5.3134, guaranteed=False, near_tie=False, '
+        'covers_apex=True, covers_min=False)',
+        "TriplePair(mode='valley', theta_double=2.6779450223845274, "
+        'theta_single=3.647730329564114, s1=6.099019513592785, '
+        's2=6.099019515828854, s3=6.099019515828854, strict=False, '
+        'requested_delta=5.3134, realized_gap=0.9697853071795866, '
+        'guaranteed=False, near_tie=False, covers_apex=False, '
+        'covers_min=True)',
+    ),
+    6.2: (
+        "TriplePair(mode='mountain', theta_double=4.514993420534809, "
+        'theta_single=4.598178727714395, s1=0.0, s2=0.0, '
+        's3=0.5099019513592785, strict=False, requested_delta=6.2, '
+        'realized_gap=6.2, guaranteed=False, near_tie=False, '
+        'covers_apex=True, covers_min=False)',
+        "TriplePair(mode='valley', theta_double=2.6779450223845274, "
+        'theta_single=2.7611303295641134, s1=6.099019513592785, '
+        's2=6.099019515828854, s3=6.099019515828854, strict=False, '
+        'requested_delta=6.2, realized_gap=0.08318530717958605, '
+        'guaranteed=False, near_tie=False, covers_apex=False, '
+        'covers_min=True)',
+    ),
+}
+
+
+def test_degenerate_role_fallback_is_pinned():
+    arc = build_arc(FALLBACK_VERTICES)
+    profile = build_profile(melkman_hull(arc))
+    for delta, want in FALLBACK_SCANS.items():
+        m = find_pair_mountain(profile, arc, delta)
+        v = find_pair_valley(profile, arc, delta)
+        assert (repr(m), repr(v)) == want, delta
+        assert verify_triple(arc, m).passed and verify_triple(arc, v).passed
+    # these reach the fallback: neither touch set spans beyond the slack
+    for find, delta in ((find_pair_mountain, 1e-3), (find_pair_mountain, 0.1),
+                        (find_pair_valley, 6.2)):
+        pair = find(profile, arc, delta)
+        for theta in (pair.theta_double, pair.theta_single):
+            t = touch_params(profile, theta)
+            assert t[-1] - t[0] <= profile.param_slack, (delta, theta)
+
+
+def test_a_scan_queries_each_touch_set_once(monkeypatch, fuzz_pool):
+    calls = 0
+    query = pairs.touch_params
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return query(*args)
+
+    monkeypatch.setattr(pairs, "touch_params", counted)
+    fallback = build_arc(FALLBACK_VERTICES)
+    cases = fuzz_pool[:100] + [(fallback, build_profile(melkman_hull(fallback)))]
+    for arc, profile in cases:
+        for find in (find_pair_mountain, find_pair_valley):
+            for delta in (1e-3, 0.1, PI, 6.2):
+                calls = 0
+                find(profile, arc, delta)
+                assert calls == 2, (find.__name__, delta)

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from arcsupport import (Hull, Interval, MalformedFunction, Point2, build_arc,
-                        build_profile, ccw_gap, circ_dist, cross_section,
-                        filled_interval, melkman_hull, oracle_touch_params,
-                        support_line, touch_params, unique_crossing)
+from arcsupport import (Hull, Point2, build_arc, build_profile, ccw_gap,
+                        circ_dist, melkman_hull, oracle_touch_params,
+                        touch_params)
+from arcsupport.oracle import (MalformedFunction, cross_section, support_line,
+                               unique_crossing)
 
 PI = math.pi
 ATAN_HALF = math.atan(0.5)
@@ -24,8 +25,8 @@ def test_e1_profile_structure(e1_profile):
     assert jumps[0.0] == (0.0, 1.0)
     assert jumps[round(PI / 2, 12)] == (1.0, 2.0)
     assert jumps[round(5 * PI / 4, 12)] == (0.0, 2.0)
-    assert p.min_step_width == pytest.approx(3 * PI / 4)
-    assert p.apex_step_width == pytest.approx(3 * PI / 4)
+    assert p.min_step.width == pytest.approx(3 * PI / 4)
+    assert p.apex_step.width == pytest.approx(3 * PI / 4)
 
 
 def test_e2_profile_structure(e2_profile):
@@ -36,8 +37,8 @@ def test_e2_profile_structure(e2_profile):
     assert jumps[round(PI / 2, 9)] == (3.0, 4.0)
     assert jumps[round(PI, 9)] == (4.0, 5.0)
     assert jumps[round(PI + ATAN_HALF, 9)] == (0.0, 5.0)
-    assert p.min_step_width == pytest.approx(PI - ATAN_HALF)
-    assert p.apex_step_width == pytest.approx(ATAN_HALF)
+    assert p.min_step.width == pytest.approx(PI - ATAN_HALF)
+    assert p.apex_step.width == pytest.approx(ATAN_HALF)
 
 
 def test_profile_needs_the_hull_to_start_at_the_minimum(e2):
@@ -59,12 +60,6 @@ def test_touch_params_periodic(e1_profile):
     for theta in (0.3, 2.0, 5.5):
         assert touch_params(e1_profile, theta) == touch_params(
             e1_profile, theta + 2 * PI)
-
-
-def test_filled_interval(e1_profile, e2_profile):
-    assert filled_interval(e1_profile, PI / 4) == Interval(1.0, 1.0)
-    assert filled_interval(e1_profile, 5 * PI / 4) == Interval(0.0, 2.0)
-    assert filled_interval(e2_profile, PI) == Interval(4.0, 5.0)
 
 
 def test_cross_section(e1_profile):
@@ -125,8 +120,7 @@ def test_rotation_equivariance(e1):
 
 
 def test_scale_invariance(e2):
-    from arcsupport import scale_to_unit
-    unit = scale_to_unit(e2)
+    unit = build_arc([(p.x / e2.length, p.y / e2.length) for p in e2.vertices])
     prof = build_profile(melkman_hull(unit))
     base = build_profile(melkman_hull(e2))
     for s_unit, s_base in zip(prof.steps, base.steps):

@@ -21,9 +21,10 @@ from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
                         StraightArc, SupportProfile, build_arc, build_profile,
                         melkman_hull, orient, random_simple_arc, touch_params)
 from arcsupport import arc as arc_module
-from arcsupport.oracle import (_certainly_crosses, linear_ledger_lookup,
-                               linear_touch_params, monotone_chain_hull,
-                               pairwise_simple_check, quadratic_ledger)
+from arcsupport.oracle import (COORDINATE_BOX, _certainly_crosses,
+                               linear_ledger_lookup, linear_touch_params,
+                               monotone_chain_hull, pairwise_simple_check,
+                               quadratic_ledger)
 from arcsupport.pairs import _lookup, _window
 from conftest import POOL_CONFIG
 from families import convex_arc, uniform_draws, walk_arc
@@ -293,10 +294,10 @@ def unfiltered_simple_arc(config, trial_index, max_rejections=10_000):
     """random_simple_arc with every draw sent through build_arc."""
     rng = random.Random(f"{config.seed}:{trial_index}")
     lo_n, hi_n = config.vertex_range
-    box = config.coordinate_box
     for _ in range(max_rejections):
         n = rng.randint(lo_n, hi_n)
-        pts = [Point2(rng.uniform(0.0, box), rng.uniform(0.0, box))
+        pts = [Point2(rng.uniform(0.0, COORDINATE_BOX),
+                      rng.uniform(0.0, COORDINATE_BOX))
                for _ in range(n)]
         try:
             arc = build_arc(pts)

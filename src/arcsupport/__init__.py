@@ -20,8 +20,7 @@ from .pairs import (MOUNTAIN, VALLEY, CorollaryResult, InvalidDelta,
                     enumerate_triples, find_pair_mountain, find_pair_valley,
                     jump_to_jump_gaps, pairs_identical, safe_delta_range,
                     verify_triple)
-from .profile import (Jump, ProfileStep, SupportProfile, build_profile,
-                      touch_params)
+from .profile import Jump, SupportProfile, build_profile, touch_params
 from .render import render_pair_svg
 
 __version__ = "0.1.0"
@@ -30,10 +29,10 @@ __all__ = [
     "ArcError", "CorollaryResult", "DuplicateVertex", "EPS_ANGLE",
     "EPS_ORIENT", "EPS_TOUCH", "FuzzConfig", "GenerationExhausted", "Hull",
     "HullCorner", "InvalidDelta", "Jump", "MOUNTAIN", "ParamOutOfRange",
-    "Point2", "PolygonalArc", "ProfileStep", "SelfIntersecting",
-    "StraightArc", "SupportProfile", "TWO_PI", "TooFewVertices",
-    "TriplePair", "TripleReport", "VALLEY", "ZeroVector", "angle_of",
-    "build_arc", "build_profile", "canon_angle", "ccw_gap", "circ_dist",
+    "Point2", "PolygonalArc", "SelfIntersecting", "StraightArc",
+    "SupportProfile", "TWO_PI", "TooFewVertices", "TriplePair",
+    "TripleReport", "VALLEY", "ZeroVector", "angle_of", "build_arc",
+    "build_profile", "canon_angle", "ccw_gap", "circ_dist",
     "corollary_check", "enumerate_triples", "find_pair_mountain",
     "find_pair_valley", "grid_scan_pairs", "jump_to_jump_gaps",
     "melkman_hull", "monotone_chain_hull", "oracle_touch_params", "orient",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 2 arc validation failure, 3 bad angle difference,
-4 I/O failure, 5 generation failure.
+4 I/O failure, 5 generation failure.  A failure prints one line,
+"<ErrorType>: <message>", to stderr and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -30,33 +31,26 @@ EXIT_DELTA = 3
 EXIT_IO = 4
 EXIT_GENERATION = 5
 
+# the documented exit code of each failure; the first matching type wins
+EXIT_CODES = ((ArcError, EXIT_VALIDATION), (StraightArc, EXIT_VALIDATION),
+              (InvalidDelta, EXIT_DELTA), (OSError, EXIT_IO),
+              (GenerationExhausted, EXIT_GENERATION))
+
 
 def _load(path: str):
-    """Read and validate an arc file and build its hull and profile;
-    exits with the documented code on bad input."""
+    """Read and validate an arc file and build its hull and profile."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
     except (ValueError, RecursionError) as exc:
         # also bad UTF-8, an integer past the digit limit, deep nesting
-        print(f"bad JSON in {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+        raise ArcError(f"bad JSON in {path}: {exc}") from exc
     try:
         arc = build_arc(payload["vertices"])
-    except ArcError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
     except (KeyError, TypeError) as exc:  # not an object with "vertices"
-        print(f"expected {{\"vertices\": [[x, y], ...]}}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
-    try:
-        hull = melkman_hull(arc)
-    except StraightArc as exc:
-        print(f"StraightArc: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+        raise ArcError(
+            f"expected {{\"vertices\": [[x, y], ...]}}: {exc}") from exc
+    hull = melkman_hull(arc)
     return arc, hull, build_profile(hull)
 
 
@@ -70,7 +64,7 @@ def cmd_analyze(args) -> int:
         doc = {
             "length": arc.length,
             "corners": [
-                {"point": [s.corner_point.x, s.corner_point.y],
+                {"point": [s.point.x, s.point.y],
                  "param": s.level,
                  "step": [s.start, s.end],
                  "exterior_angle": s.width}
@@ -87,7 +81,7 @@ def cmd_analyze(args) -> int:
     print(f"arc: {len(arc)} vertices, length {arc.length:.12g}")
     print(f"{'corner':>22}  {'param':>12}  {'step interval':>28}  {'exterior':>12}")
     for s in profile.steps:
-        pt = f"({s.corner_point.x:.6g}, {s.corner_point.y:.6g})"
+        pt = f"({s.point.x:.6g}, {s.point.y:.6g})"
         print(f"{pt:>22}  {s.level:>12.9g}  "
               f"[{s.start:>12.9f}, {s.end:>12.9f}]  {s.width:>12.9f}")
     print(f"min step width  : {profile.min_step.width:.12g}")
@@ -136,22 +130,18 @@ def _run_mode(profile, arc, delta, mode):
 def cmd_find_pair(args) -> int:
     arc, _, profile = _load(args.input)
     delta = math.radians(args.delta) if args.degrees else args.delta
-    try:
-        if args.mode == "both":
-            m = _run_mode(profile, arc, delta, MOUNTAIN)
-            v = _run_mode(profile, arc, delta, VALLEY)
-            doc = {
-                "mode": "both",
-                "mountain": _pair_doc(*m, args.degrees),
-                "valley": _pair_doc(*v, args.degrees),
-                "identical": pairs_identical(profile, m[0], v[0]),
-            }
-        else:
-            doc = _pair_doc(*_run_mode(profile, arc, delta, args.mode),
-                            args.degrees)
-    except InvalidDelta as exc:
-        print(f"InvalidDelta: {exc}", file=sys.stderr)
-        return EXIT_DELTA
+    if args.mode == "both":
+        m = _run_mode(profile, arc, delta, MOUNTAIN)
+        v = _run_mode(profile, arc, delta, VALLEY)
+        doc = {
+            "mode": "both",
+            "mountain": _pair_doc(*m, args.degrees),
+            "valley": _pair_doc(*v, args.degrees),
+            "identical": pairs_identical(profile, m[0], v[0]),
+        }
+    else:
+        doc = _pair_doc(*_run_mode(profile, arc, delta, args.mode),
+                        args.degrees)
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 
@@ -159,18 +149,9 @@ def cmd_find_pair(args) -> int:
 def cmd_render(args) -> int:
     arc, hull, profile = _load(args.input)
     delta = math.radians(args.delta) if args.degrees else args.delta
-    try:
-        pair = _scan(profile, arc, delta, args.mode)
-    except InvalidDelta as exc:
-        print(f"InvalidDelta: {exc}", file=sys.stderr)
-        return EXIT_DELTA
-    svg = render_pair_svg(arc, hull, pair)
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        print(f"cannot write {args.output}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    svg = render_pair_svg(arc, hull, _scan(profile, arc, delta, args.mode))
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(svg)
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -231,18 +212,10 @@ def fuzz_csv(rows) -> str:
 def cmd_fuzz(args) -> int:
     config = FuzzConfig(trials=args.trials, seed=args.seed,
                         delta_policy=args.policy)
-    try:
-        rows, summary = run_fuzz(config)
-    except GenerationExhausted as exc:
-        print(f"GenerationExhausted: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
+    rows, summary = run_fuzz(config)
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(fuzz_csv(rows))
-        except OSError as exc:
-            print(f"cannot write {args.output}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(fuzz_csv(rows))
     t = summary["trials"]
     print(f"trials                : {t}")
     print(f"strict existence rate : {summary['strict']}/{t}")
@@ -304,8 +277,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
+    except tuple(t for t, _ in EXIT_CODES) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return next(code for t, code in EXIT_CODES if isinstance(exc, t))
 
 
 if __name__ == "__main__":

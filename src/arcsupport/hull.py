@@ -23,18 +23,19 @@ class StraightArc(ValueError):
 
 @dataclass(frozen=True)
 class HullCorner:
-    """Hull corner with its arc parameter and angular support step.
+    """Hull corner and its step of the support profile.
 
-    The step [step_start, step_end] (counterclockwise, on the circle) is
-    the closure of the set of support angles at which the support line
-    touches exactly this corner.  exterior_angle is its width.
+    level is the corner's arc parameter.  The step [start, end]
+    (counterclockwise, on the circle) is the closure of the set of
+    support angles at which the support line touches exactly this
+    corner; width, the corner's exterior angle, is its length.
     """
 
     point: Point2
-    param: float
-    step_start: float
-    step_end: float
-    exterior_angle: float
+    level: float
+    start: float
+    end: float
+    width: float
 
 
 @dataclass(frozen=True)
@@ -111,12 +112,14 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     m = len(cycle)
     start = min(range(m), key=lambda i: arc.params[cycle[i][0]])
     cycle = cycle[start:] + cycle[:start]
+    # edges[i] is the direction of the edge leaving corner i: the end of
+    # its step and the start of the next one, the same float for both
+    edges = [angle_of(cycle[(i + 1) % m][1] - cycle[i][1]) for i in range(m)]
     corners = []
     for i, (idx, b) in enumerate(cycle):
-        step_start = angle_of(b - cycle[i - 1][1])
-        step_end = angle_of(cycle[(i + 1) % m][1] - b)
-        ext = ccw_gap(step_start, step_end)
+        ext = ccw_gap(edges[i - 1], edges[i])
         if not (EPS_ANGLE < ext < math.pi):
             raise StraightArc(f"degenerate exterior angle {ext} at corner {b}")
-        corners.append(HullCorner(b, arc.params[idx], step_start, step_end, ext))
+        corners.append(
+            HullCorner(b, arc.params[idx], edges[i - 1], edges[i], ext))
     return Hull(tuple(corners))

@@ -22,7 +22,7 @@ from .arc import (ArcError, PolygonalArc, _checked_arc, _segments_intersect,
                   build_arc, point_at)
 from .geometry import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, TWO_PI, Point2,
                        canon_angle, ccw_gap, circ_dist, orient)
-from .hull import StraightArc
+from .hull import StraightArc, melkman_hull
 from .pairs import _all_left, _unroll
 from .profile import SupportProfile, touch_params
 
@@ -410,8 +410,9 @@ def random_simple_arc(config: FuzzConfig, trial_index: int,
     """Deterministic rejection-sampled simple, non-straight arc.
 
     Vertices are drawn uniformly in the COORDINATE_BOX square;
-    candidates that fail validation or are straight are redrawn.  The
-    same (seed, trial_index) always yields the same arc.
+    candidates that fail validation, or that melkman_hull rejects as
+    straight, are redrawn.  The same (seed, trial_index) always yields
+    the same arc.
 
     A draw whose raw coordinates already show a proper crossing is
     redrawn before build_arc sees it.  The whole chain's squared span is
@@ -435,7 +436,7 @@ def random_simple_arc(config: FuzzConfig, trial_index: int,
         except ArcError:
             continue
         try:
-            monotone_chain_hull(list(arc.vertices))
+            melkman_hull(arc)
         except StraightArc:
             continue
         return arc

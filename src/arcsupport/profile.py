@@ -26,21 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
-                       ccw_gap, circ_dist)
-from .hull import Hull
-
-
-@dataclass(frozen=True)
-class ProfileStep:
-    """Maximal angular interval on which the touch set is one constant
-    parameter (the corner's level)."""
-
-    start: float
-    end: float
-    width: float
-    level: float
-    corner_point: Point2
+from .geometry import EPS_ANGLE, EPS_TOUCH, TWO_PI, canon_angle, circ_dist
+from .hull import Hull, HullCorner
 
 
 @dataclass(frozen=True)
@@ -57,21 +44,21 @@ class Jump:
 class SupportProfile:
     """Full step representation over one period.
 
-    steps are in counterclockwise order starting at the minimum-level
-    step; jumps[i] sits at steps[i].start (so jumps[0] is the wrap jump
-    into the minimum step).
+    steps are the hull's corners, in counterclockwise order starting at
+    the minimum-level step; jumps[i] sits at steps[i].start (so jumps[0]
+    is the wrap jump into the minimum step).
     """
 
-    steps: tuple[ProfileStep, ...]
+    steps: tuple[HullCorner, ...]
     jumps: tuple[Jump, ...]
     apex_index: int
 
     @property
-    def min_step(self) -> ProfileStep:
+    def min_step(self) -> HullCorner:
         return self.steps[0]
 
     @property
-    def apex_step(self) -> ProfileStep:
+    def apex_step(self) -> HullCorner:
         return self.steps[self.apex_index]
 
     @property
@@ -108,11 +95,8 @@ def build_profile(hull: Hull) -> SupportProfile:
     steps start at the minimum level; checks the rise-then-fall shape of
     the level sequence, which also rejects a cycle starting elsewhere.
     """
-    m = len(hull.corners)
-    # tuples from lists, not generators: see pairs._build_window
-    steps = tuple([
-        ProfileStep(c.step_start, c.step_end, c.exterior_angle, c.param, c.point)
-        for c in hull.corners])
+    steps = hull.corners
+    m = len(steps)
     jumps = []
     for i, step in enumerate(steps):
         prev = steps[i - 1]
@@ -166,13 +150,9 @@ def touch_params(profile: SupportProfile, theta: float) -> tuple[float, ...]:
     if hits:
         jump = profile.jumps[min(hits)]
         return (jump.low_param, jump.high_param)
-    # steps tile the circle with shared endpoints, so only the step
-    # starting at or before theta (index -1: the one wrapping past 0)
-    # can hold it
-    step = profile.steps[order[bisect_right(angles, theta) - 1]]
-    if ccw_gap(step.start, theta) < step.width:
-        return (step.level,)
-    # numerically between two steps; snap to the nearest jump
-    nearest = min(profile.jumps, key=lambda j: circ_dist(theta, j.angle))
-    return (nearest.low_param, nearest.high_param)
+    # each step ends on the very float the next one starts at, so the
+    # step starting at or before theta (index -1: the one wrapping past
+    # 0) holds it; a theta within rounding of that step's end is within
+    # eps_angle of the jump there and was answered above
+    return (profile.steps[order[bisect_right(angles, theta) - 1]].level,)
 

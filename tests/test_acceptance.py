@@ -118,7 +118,7 @@ def test_criterion_5_oracle_equivalence(fuzz_pool):
     for arc, _ in fuzz_pool:
         mel = melkman_hull(arc)
         mono = monotone_chain_hull(list(arc.vertices))
-        assert sorted(c.param for c in mel.corners) == sorted(
+        assert sorted(c.level for c in mel.corners) == sorted(
             arc.params[i] for i in mono)
 
     rng = random.Random(4001)  # same draws as the mountain campaign

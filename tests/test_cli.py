@@ -146,6 +146,69 @@ def test_malformed_input_exits_2(shape, command, tmp_path, capsys):
     assert not (tmp_path / "out.svg").exists()
 
 
+E1 = [[0, 0], [1, 0], [1, 1]]
+# name: (arc file contents or None, argv, exit code, start of the one
+# stderr line); {arc} is the arc file, {out} a directory that exists,
+# {missing} one that does not
+FAILURES = {
+    "unreadable_input": (None, ["analyze", "{missing}/arc.json"],
+                         4, "FileNotFoundError: "),
+    "bad_json": (b"{", ["analyze", "{arc}"], 2, "ArcError: bad JSON in "),
+    "no_vertices": (b'{"points": []}', ["find-pair", "{arc}", "--delta", "3"],
+                    2, "ArcError: expected "),
+    "self_intersecting": ([[0, 0], [2, 0], [1, 1], [1, -1]],
+                          ["analyze", "{arc}"], 2, "SelfIntersecting: "),
+    "collinear": ([[0, 0], [1, 0], [2, 0]], ["analyze", "{arc}"],
+                  2, "StraightArc: "),
+    "flat_triangle": ([[0, 0], [1, 1e-10], [2, 0]], ["analyze", "{arc}"],
+                      2, "StraightArc: degenerate exterior angle"),
+    "segment_hull": ([[0, 0], [1e-3, 0], [2e-3, 1e-12], [1000, 0]],
+                     ["analyze", "{arc}"],
+                     2, "StraightArc: hull degenerates to a segment"),
+    "find_pair_delta": (E1, ["find-pair", "{arc}", "--delta", "7"],
+                        3, "InvalidDelta: "),
+    "render_delta_zero": (E1, ["render", "{arc}", "--delta", "0",
+                               "-o", "{out}/pair.svg"], 3, "InvalidDelta: "),
+    "render_unwritable": (E1, ["render", "{arc}", "--delta", "3",
+                               "-o", "{missing}/pair.svg"],
+                          4, "FileNotFoundError: "),
+    "fuzz_unwritable": (None, ["fuzz", "--trials", "1",
+                               "-o", "{missing}/fuzz.csv"],
+                        4, "FileNotFoundError: "),
+    "fuzz_exhausted": (None, ["fuzz", "--trials", "1", "-o", "{out}/fuzz.csv"],
+                       5, "GenerationExhausted: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_each_failure_exits_with_its_code_and_one_line(case, tmp_path,
+                                                       monkeypatch, capsys):
+    from arcsupport import cli
+    from arcsupport.oracle import GenerationExhausted
+
+    def exhausted(config, trial_index):
+        raise GenerationExhausted(f"no simple arc (trial {trial_index})")
+
+    contents, argv, code, head = FAILURES[case]
+    if contents is not None:
+        if not isinstance(contents, bytes):
+            contents = json.dumps({"vertices": contents}).encode()
+        (tmp_path / "arc.json").write_bytes(contents)
+    if code == 5:
+        monkeypatch.setattr(cli, "random_simple_arc", exhausted)
+    paths = {"arc": tmp_path / "arc.json", "out": tmp_path,
+             "missing": tmp_path / "no" / "such"}
+    assert main([a.format(**paths) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(head), lines
+    # nothing written: no SVG, no CSV
+    assert [p.name for p in tmp_path.iterdir()] == (
+        [] if contents is None else ["arc.json"])
+
+
 def test_render_straight_arc_exits_2(tmp_path, capsys):
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [2, 0]]}))

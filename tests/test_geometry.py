@@ -125,13 +125,17 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
     lemma_helpers = ("cross_section", "support_line", "DirectedLine",
                      "unique_crossing", "MalformedFunction")
     for name in ("scan_ledger", "ScanStep", "interval_sub", "Interval",
-                 "filled_interval", "scale_to_unit") + lemma_helpers:
+                 "filled_interval", "scale_to_unit",
+                 "ProfileStep") + lemma_helpers:
         assert not hasattr(arcsupport, name), name
     for mod, name in ((pairs, "scan_ledger"), (pairs, "ScanStep"),
                       (pairs, "_Piece"), (geometry, "interval_sub"),
                       (geometry, "Interval"), (profile, "filled_interval"),
-                      (arc, "scale_to_unit")):
+                      (arc, "scale_to_unit"), (profile, "ProfileStep")):
         assert not hasattr(mod, name), name
+    # a hull corner is the profile's step, under the step's field names
+    assert [f.name for f in dataclasses.fields(arcsupport.HullCorner)] == [
+        "point", "level", "start", "end", "width"]
     for name in lemma_helpers:  # moved beside the other references
         assert not hasattr(profile, name), name
         assert getattr(oracle, name).__module__ == "arcsupport.oracle", name
@@ -140,6 +144,6 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
     assert not hasattr(Point2, "__add__")
     assert "coordinate_box" not in {
         f.name for f in dataclasses.fields(arcsupport.FuzzConfig)}
-    assert len(set(arcsupport.__all__)) == len(arcsupport.__all__)
+    assert len(set(arcsupport.__all__)) == len(arcsupport.__all__) == 48
     for name in arcsupport.__all__:
         assert getattr(arcsupport, name) is not None, name

@@ -24,7 +24,7 @@ def assert_turns_left(hull):
 
 def test_e1_corners(e1):
     hull = melkman_hull(e1)
-    assert [(c.point.x, c.point.y, c.param) for c in hull.corners] == [
+    assert [(c.point.x, c.point.y, c.level) for c in hull.corners] == [
         (0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (1.0, 1.0, 2.0)]
 
 
@@ -35,7 +35,7 @@ def test_interior_vertex_excluded():
     assert (1.0, 0.4) not in pts
     assert len(hull.corners) == 3
     d = math.hypot(1, 0.4)
-    assert [c.param for c in hull.corners] == pytest.approx([0.0, 2 * d, 2 * d + 2])
+    assert [c.level for c in hull.corners] == pytest.approx([0.0, 2 * d, 2 * d + 2])
 
 
 def test_straight_arc_rejected():
@@ -46,16 +46,16 @@ def test_straight_arc_rejected():
 
 def test_e1_corner_steps(e1):
     hull = melkman_hull(e1)
-    by_param = {c.param: c for c in hull.corners}
-    c = by_param[1.0]
-    assert (c.step_start, c.step_end) == pytest.approx((0.0, math.pi / 2))
-    assert c.exterior_angle == pytest.approx(math.pi / 2)
-    c = by_param[2.0]
-    assert (c.step_start, c.step_end) == pytest.approx((math.pi / 2, 5 * math.pi / 4))
-    assert c.exterior_angle == pytest.approx(3 * math.pi / 4)
-    c = by_param[0.0]
-    assert (c.step_start, c.step_end) == pytest.approx((5 * math.pi / 4, 0.0), abs=1e-12)
-    assert c.exterior_angle == pytest.approx(3 * math.pi / 4)
+    by_level = {c.level: c for c in hull.corners}
+    c = by_level[1.0]
+    assert (c.start, c.end) == pytest.approx((0.0, math.pi / 2))
+    assert c.width == pytest.approx(math.pi / 2)
+    c = by_level[2.0]
+    assert (c.start, c.end) == pytest.approx((math.pi / 2, 5 * math.pi / 4))
+    assert c.width == pytest.approx(3 * math.pi / 4)
+    c = by_level[0.0]
+    assert (c.start, c.end) == pytest.approx((5 * math.pi / 4, 0.0), abs=1e-12)
+    assert c.width == pytest.approx(3 * math.pi / 4)
 
 
 @pytest.mark.parametrize("scale, offset",
@@ -89,7 +89,7 @@ def test_melkman_matches_monotone_chain(fuzz_pool):
     for arc, _ in fuzz_pool:
         mel = melkman_hull(arc)
         mono = monotone_chain_hull(list(arc.vertices))
-        assert sorted(c.param for c in mel.corners) == sorted(
+        assert sorted(c.level for c in mel.corners) == sorted(
             arc.params[i] for i in mono)
 
 

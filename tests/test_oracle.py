@@ -4,10 +4,13 @@ import tracemalloc
 
 import pytest
 
-from arcsupport import (FuzzConfig, GenerationExhausted, build_arc, circ_dist,
-                        enumerate_triples, find_pair_mountain,
-                        grid_scan_pairs, jump_to_jump_gaps,
+from arcsupport import (FuzzConfig, GenerationExhausted, StraightArc,
+                        build_arc, circ_dist, enumerate_triples,
+                        find_pair_mountain, grid_scan_pairs,
+                        jump_to_jump_gaps, melkman_hull, monotone_chain_hull,
                         oracle_touch_params, random_simple_arc)
+from arcsupport import oracle
+from arcsupport.cli import main
 from arcsupport.oracle import COORDINATE_BOX
 
 PI = math.pi
@@ -103,6 +106,22 @@ def test_generator_exhaustion():
     cfg = FuzzConfig(trials=1, seed=1)
     with pytest.raises(GenerationExhausted):
         random_simple_arc(cfg, 0, max_rejections=0)
+
+
+def test_generator_rejects_what_the_pipeline_finds_straight(monkeypatch,
+                                                            capsys):
+    # a 2e-10 turn: the monotone chain keeps the apex as a corner, but
+    # melkman_hull, which run_fuzz calls next, rejects the arc
+    flat = build_arc([(0, 0), (1, 1e-10), (2, 0)])
+    assert len(monotone_chain_hull(list(flat.vertices))) == 3
+    with pytest.raises(StraightArc):
+        melkman_hull(flat)
+    monkeypatch.setattr(oracle, "_certainly_crosses", lambda xs, ys: False)
+    monkeypatch.setattr(oracle, "build_arc", lambda pts: flat)
+    with pytest.raises(GenerationExhausted):
+        random_simple_arc(FuzzConfig(trials=1, seed=1), 0, max_rejections=1)
+    assert main(["fuzz", "--trials", "1"]) == 5
+    assert capsys.readouterr().err.startswith("GenerationExhausted: ")
 
 
 def test_generator_exhausts_at_thirty_to_sixty_vertices():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,7 +8,8 @@ from arcsupport import (MOUNTAIN, TWO_PI, VALLEY, InvalidDelta, build_arc,
                         build_profile, ccw_gap, circ_dist, corollary_check,
                         enumerate_triples, find_pair_mountain,
                         find_pair_valley, jump_to_jump_gaps, melkman_hull,
-                        safe_delta_range, touch_params, verify_triple)
+                        pairs_identical, safe_delta_range, touch_params,
+                        verify_triple)
 from arcsupport import pairs
 from arcsupport.pairs import _window
 from families import FALLBACK_VERTICES, convex_arc, walk_arc
@@ -87,6 +89,22 @@ def test_invalid_delta(e1, e1_profile):
             find_pair_mountain(e1_profile, e1, bad)
         with pytest.raises(InvalidDelta):
             find_pair_valley(e1_profile, e1, bad)
+
+
+def test_enumerate_rejects_gaps_outside_the_open_turn(e1, e1_profile):
+    for bad in (0.0, TWO_PI, -1.0, math.nan):
+        with pytest.raises(InvalidDelta):
+            enumerate_triples(e1_profile, e1, bad)
+
+
+def test_pairs_identical_reads_the_two_angles_unordered(e1, e1_profile):
+    pair = find_pair_mountain(e1_profile, e1, PI)
+    swapped = dataclasses.replace(pair, theta_double=pair.theta_single,
+                                  theta_single=pair.theta_double)
+    assert circ_dist(pair.theta_double, pair.theta_single) > 1.0
+    assert pairs_identical(e1_profile, pair, swapped)
+    assert not pairs_identical(e1_profile, pair, dataclasses.replace(
+        pair, strict=not pair.strict))
 
 
 def test_below_guarantee_flagged(e2, e2_profile):

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from arcsupport import (Hull, Point2, build_arc, build_profile, ccw_gap,
-                        circ_dist, melkman_hull, oracle_touch_params,
+from arcsupport import (Hull, Point2, angle_of, build_arc, build_profile,
+                        ccw_gap, circ_dist, melkman_hull, oracle_touch_params,
                         touch_params)
+from arcsupport import hull as hull_module
 from arcsupport.oracle import (MalformedFunction, cross_section, support_line,
                                unique_crossing)
+from families import convex_arc, walk_arc
 
 PI = math.pi
 ATAN_HALF = math.atan(0.5)
@@ -48,6 +50,38 @@ def test_profile_needs_the_hull_to_start_at_the_minimum(e2):
     for start in range(1, len(corners)):
         with pytest.raises(ValueError, match="rise-then-fall"):
             build_profile(Hull(corners[start:] + corners[:start]))
+
+
+def test_profile_steps_are_the_hull_corners(e2):
+    hull = melkman_hull(e2)
+    assert build_profile(hull).steps is hull.corners
+
+
+def test_steps_tile_the_circle_exactly(fuzz_pool, monkeypatch):
+    # touch_params relies on this: the step at or before theta holds it
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return angle_of(v)
+
+    monkeypatch.setattr(hull_module, "angle_of", counted)
+    rng = random.Random(1600)
+    arcs = [arc for arc, _ in fuzz_pool] + [
+        build_arc(make(1600, rng)) for make in (convex_arc, walk_arc)]
+    for arc in arcs:
+        calls.clear()
+        hull = melkman_hull(arc)
+        m = len(hull)
+        assert len(calls) == m  # one direction per hull edge
+        profile = build_profile(hull)
+        steps = profile.steps
+        for i in range(m):
+            assert steps[i].end == steps[(i + 1) % m].start, i
+        # the sorted jump angles are a rotation of the step order
+        _, order = profile._by_angle
+        k = order[0]
+        assert order == tuple(range(k, m)) + tuple(range(k))
 
 
 def test_touch_params_e1(e1_profile):

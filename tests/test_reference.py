@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 
 from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
                         VALLEY, ArcError, FuzzConfig, GenerationExhausted,
-                        Jump, Point2, ProfileStep, SelfIntersecting,
+                        HullCorner, Jump, Point2, SelfIntersecting,
                         StraightArc, SupportProfile, build_arc, build_profile,
                         melkman_hull, orient, random_simple_arc, touch_params)
 from arcsupport import arc as arc_module
 from arcsupport.oracle import (COORDINATE_BOX, _certainly_crosses,
                                linear_ledger_lookup, linear_touch_params,
-                               monotone_chain_hull, pairwise_simple_check,
-                               quadratic_ledger)
+                               pairwise_simple_check, quadratic_ledger)
 from arcsupport.pairs import _lookup, _window
 from conftest import POOL_CONFIG
 from families import convex_arc, uniform_draws, walk_arc
@@ -80,7 +79,7 @@ def test_lowest_jump_index_wins_across_the_wrap():
     starts = [TWO_PI - 0.75 * EPS, 0.75 * EPS, 2.0]
     ends = starts[1:] + starts[:1]
     levels = [0.0, 2.0, 1.0]
-    steps = tuple(ProfileStep(a, b, (b - a) % TWO_PI, lv, Point2(lv, 0.0))
+    steps = tuple(HullCorner(Point2(lv, 0.0), lv, a, b, (b - a) % TWO_PI)
                   for a, b, lv in zip(starts, ends, levels))
     jumps = tuple(Jump(a, *sorted((levels[i - 1], levels[i])))
                   for i, a in enumerate(starts))
@@ -301,7 +300,7 @@ def unfiltered_simple_arc(config, trial_index, max_rejections=10_000):
                for _ in range(n)]
         try:
             arc = build_arc(pts)
-            monotone_chain_hull(list(arc.vertices))
+            melkman_hull(arc)
         except (ArcError, StraightArc):
             continue
         return arc

@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 
 from .arc import ArcError, build_arc
 from .hull import StraightArc, melkman_hull
-from .oracle import (FuzzConfig, GenerationExhausted, draw_delta,
-                     random_simple_arc)
+from .oracle import (FuzzConfig, GenerationExhausted, _arc_and_hull,
+                     draw_delta)
 from .pairs import (MOUNTAIN, VALLEY, InvalidDelta, TriplePair,
                     corollary_check, enumerate_triples, find_pair_mountain,
                     find_pair_valley, jump_to_jump_gaps, pairs_identical,
@@ -165,8 +167,8 @@ def run_fuzz(config: FuzzConfig):
     unique_hits = 0
     unique_total = 0
     for trial in range(config.trials):
-        arc = random_simple_arc(config, trial)
-        profile = build_profile(melkman_hull(arc))
+        arc, hull = _arc_and_hull(config, trial)
+        profile = build_profile(hull)
         mode = MOUNTAIN if trial % 2 == 0 else VALLEY
         delta = draw_delta(config, trial, mode, safe_delta_range(profile, mode))
         pair, typed, report = _run_mode(profile, arc, delta, mode)
@@ -212,6 +214,10 @@ def fuzz_csv(rows) -> str:
 def cmd_fuzz(args) -> int:
     config = FuzzConfig(trials=args.trials, seed=args.seed,
                         delta_policy=args.policy)
+    # the campaign can take seconds: fail on a missing directory first
+    if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                args.output)
     rows, summary = run_fuzz(config)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:

@@ -5,10 +5,11 @@ The projection oracles deliberately avoid the hull and profile
 machinery so that agreement between the two routes is meaningful
 evidence.  The slow references are the straightforward linear and
 quadratic forms of the fast queries (arc validation, touch sets, the
-scan ledger and its lookup); tests require the fast forms to return
-the same values.  The lemma helpers (a parameter's cross-section, the
-support line at an angle, the unique crossing of a continuous tent)
-state the paper's lemmas in code; only their tests call them.
+scan ledger and its lookup, the enumeration of triples); tests
+require the fast forms to return the same values.  The lemma helpers
+(a parameter's cross-section, the support line at an angle, the unique
+crossing of a continuous tent) state the paper's lemmas in code; only
+their tests call them.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .arc import (ArcError, PolygonalArc, _checked_arc, _segments_intersect,
                   build_arc, point_at)
 from .geometry import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, TWO_PI, Point2,
                        canon_angle, ccw_gap, circ_dist, orient)
-from .hull import StraightArc, melkman_hull
-from .pairs import _all_left, _unroll
+from .hull import Hull, StraightArc, melkman_hull
+from .pairs import TriplePair, _all_left, _gap_side_covers, _unroll
 from .profile import SupportProfile, touch_params
 
 
@@ -154,6 +155,44 @@ def linear_ledger_lookup(rows: list[tuple], delta: float):
     near_tie = any(abs(delta - (row[4] - row[1])) <= EPS_ANGLE
                    for row in rows[1:])
     return hit, near_tie
+
+
+def linear_enumerate_triples(profile: SupportProfile,
+                             gap: float) -> list[TriplePair]:
+    """Reference for pairs.enumerate_triples: every jump wider than the
+    slack is paired with the angle gap away on either side, by one touch
+    query each; 2m queries per gap."""
+    slack = profile.param_slack
+    apex = profile.apex_step
+    mins = profile.min_step
+    found: dict[tuple, TriplePair] = {}
+    for jump in profile.jumps:
+        lo, hi = jump.low_param, jump.high_param
+        if hi - lo <= slack:
+            continue
+        for sign in (+1.0, -1.0):
+            psi = canon_angle(jump.angle + sign * gap)
+            side_start = jump.angle if sign > 0 else psi
+            for s2 in touch_params(profile, psi):
+                if not (lo + slack < s2 < hi - slack):
+                    continue
+                covers_apex = _gap_side_covers(side_start, gap,
+                                               apex.start, apex.width)
+                covers_min = _gap_side_covers(side_start, gap,
+                                              mins.start, mins.width)
+                key = (round(jump.angle, 9), round(psi, 9), s2)
+                prev = found.get(key)
+                if prev is not None:
+                    covers_apex = covers_apex or prev.covers_apex
+                    covers_min = covers_min or prev.covers_min
+                found[key] = TriplePair(
+                    "enumerated", jump.angle, psi, lo, s2, hi, strict=True,
+                    requested_delta=gap, realized_gap=gap,
+                    covers_apex=covers_apex, covers_min=covers_min)
+    anchor = profile.min_step.start
+    return sorted(found.values(),
+                  key=lambda c: (ccw_gap(anchor, c.theta_double),
+                                 ccw_gap(anchor, c.theta_single), c.s2))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +459,13 @@ def random_simple_arc(config: FuzzConfig, trial_index: int,
     such a draw is one build_arc rejects, and the filter changes no
     accepted arc.
     """
+    return _arc_and_hull(config, trial_index, max_rejections)[0]
+
+
+def _arc_and_hull(config: FuzzConfig, trial_index: int,
+                  max_rejections: int = 10_000) -> tuple[PolygonalArc, Hull]:
+    """random_simple_arc's arc and the hull that showed it is not
+    straight, so a fuzz trial needs no second melkman_hull call."""
     rng = random.Random(f"{config.seed}:{trial_index}")
     lo_n, hi_n = config.vertex_range
     box = COORDINATE_BOX
@@ -436,10 +482,9 @@ def random_simple_arc(config: FuzzConfig, trial_index: int,
         except ArcError:
             continue
         try:
-            melkman_hull(arc)
+            return arc, melkman_hull(arc)
         except StraightArc:
             continue
-        return arc
     raise GenerationExhausted(
         f"no simple arc after {max_rejections} draws (trial {trial_index})")
 

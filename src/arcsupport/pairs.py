@@ -22,21 +22,27 @@ Reading the ledger at a fixed angle difference is a rotating caliper
 corner, in ascending level: the widths the staircase spans at that
 corner's level.  It is built once per profile, in O(m) for m corners,
 on the first scan, and kept on the profile; every scan after that
-reads it with one bisection, O(log m).  With the logarithmic touch
-query, enumerate_triples costs O(m log m).
+reads it with one bisection, O(log m).
+
+The same caliper carried over every angle difference at once is the
+gap chart: for each jump, the gaps at which some level of its span lies
+the gap away on either side, cut into pieces that each list their
+candidate configurations.  It is built once per profile, in
+O(m log m), on the first enumeration, and kept on the profile; each
+enumerate_triples after that costs O(log m + k) for k candidates.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
 from .arc import PolygonalArc, point_at
 from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
                        ccw_gap, circ_dist)
-from .profile import SupportProfile, touch_params
+from .profile import _ROUNDING, SupportProfile, touch_params
 
 MOUNTAIN = "mountain"
 VALLEY = "valley"
@@ -137,9 +143,9 @@ def _build_window(profile: SupportProfile, mode: str) -> _Window:
 def _window(profile: SupportProfile, mode: str) -> _Window:
     """The profile's window for mode, built on first use and kept on the
     profile: each later scan of the same profile reuses it."""
-    win = profile._windows.get(mode)
+    win = profile._indexes.get(mode)
     if win is None:
-        win = profile._windows[mode] = _build_window(profile, mode)
+        win = profile._indexes[mode] = _build_window(profile, mode)
     return win
 
 
@@ -344,6 +350,87 @@ def corollary_check(profile: SupportProfile, arc: PolygonalArc,
     return CorollaryResult(pairs_identical(profile, m, v), m, v)
 
 
+# ---------------------------------------------------------------------------
+# the gap chart: the candidates of every gap at once
+
+# how far the chart widens each candidate's gaps beyond the span it
+# reads: eps_angle, the reach of touch_params around a step, plus room
+# for the rounding of psi, of the gaps' ends and of circ_dist, each a
+# few ulps of 2*pi
+_CHART_PAD = EPS_ANGLE + 4 * _ROUNDING
+
+
+@dataclass(frozen=True)
+class _Chart:
+    breaks: tuple[float, ...]     # ascending, from 0.0 to 2*pi
+    cands: tuple[tuple, ...]      # (jump, sign)s of [breaks[k], breaks[k+1])
+
+
+def _build_chart(profile: SupportProfile) -> _Chart:
+    """The candidates enumerate_triples tries at each gap, O(m log m).
+
+    A candidate (jump index i, sign) pairs jump i with the angle
+    psi = a_i + sign * gap; it yields a configuration only when the
+    touch set at psi holds a level strictly inside the jump's span
+    beyond the slack.  Those levels lie on the branch of the staircase
+    opposite the jump's own, where they are one run of steps, found by
+    bisection.  touch_params at psi returns a level only within
+    eps_angle of that level's step, so a candidate's gaps are those
+    that put psi over its run, widened by _CHART_PAD.  The chart cuts
+    [0, 2*pi] at the ends of these gap intervals and lists, per piece,
+    the candidates covering it in jump, then sign (+ before -) order.
+    A query bisects the cuts.
+    """
+    slack = profile.param_slack
+    steps = profile.steps
+    k = profile.apex_index
+    rise = [s.level for s in steps[:k + 1]]
+    fall = [-s.level for s in steps[k + 1:]]  # negated: ascending too
+    parts = []
+    for i, jump in enumerate(profile.jumps):
+        lo, hi = jump.low_param, jump.high_param
+        if hi - lo <= slack:
+            continue
+        low, high = lo + slack, hi - slack
+        # levels rise on steps 0..k, then fall back to step 0: a rising
+        # jump's span holds falling levels only, any other jump's span
+        # rising levels only
+        if 0 < i <= k:
+            s = k + 1 + bisect_right(fall, -high)
+            e = k + 1 + bisect_left(fall, -low)
+        else:
+            s, e = bisect_right(rise, low), bisect_left(rise, high)
+        if s == e:
+            continue
+        a, first, last = jump.angle, steps[s].start, steps[e - 1].end
+        for sign, x, y in ((1.0, ccw_gap(a, first), ccw_gap(a, last)),
+                           (-1.0, ccw_gap(last, a), ccw_gap(first, a))):
+            x, y = x - _CHART_PAD, y + _CHART_PAD
+            parts.append((max(x, 0.0), min(y, TWO_PI), (i, sign)))
+            if x < 0.0:
+                parts.append((x + TWO_PI, TWO_PI, (i, sign)))
+            if y > TWO_PI:
+                parts.append((0.0, y - TWO_PI, (i, sign)))
+    breaks = sorted({0.0, TWO_PI, *[p[0] for p in parts],
+                     *[p[1] for p in parts]})
+    pos = {b: j for j, b in enumerate(breaks)}
+    cands: list[list] = [[] for _ in breaks[1:]]
+    for x, y, cand in parts:  # in candidate order
+        for piece in cands[pos[x]:pos[y]]:
+            if not piece or piece[-1] != cand:
+                piece.append(cand)
+    return _Chart(tuple(breaks), tuple([tuple(c) for c in cands]))
+
+
+def _gap_chart(profile: SupportProfile) -> _Chart:
+    """The profile's gap chart, built on first use and kept on the
+    profile."""
+    chart = profile._indexes.get("gaps")
+    if chart is None:
+        chart = profile._indexes["gaps"] = _build_chart(profile)
+    return chart
+
+
 def enumerate_triples(profile: SupportProfile, arc: PolygonalArc,
                       gap: float) -> list[TriplePair]:
     """Every strict triple configuration whose two support angles are a
@@ -351,38 +438,38 @@ def enumerate_triples(profile: SupportProfile, arc: PolygonalArc,
 
     The double line touches two parameters, so it must be a jump line;
     candidates are the jump angles paired with the angle gap away on
-    either side.  Each surviving configuration records whether its gap
-    side spans the apex step or the minimum step.
+    either side, read off the gap chart by one bisection.  Each
+    surviving configuration records whether its gap side spans the apex
+    step or the minimum step.
     """
     if not (0.0 < gap < TWO_PI):
         raise InvalidDelta(f"gap {gap} outside (0, 2*pi)")
+    chart = _gap_chart(profile)
     slack = profile.param_slack
     apex = profile.apex_step
     mins = profile.min_step
     found: dict[tuple, TriplePair] = {}
-    for jump in profile.jumps:
+    for i, sign in chart.cands[bisect_right(chart.breaks, gap) - 1]:
+        jump = profile.jumps[i]
         lo, hi = jump.low_param, jump.high_param
-        if hi - lo <= slack:
-            continue
-        for sign in (+1.0, -1.0):
-            psi = canon_angle(jump.angle + sign * gap)
-            side_start = jump.angle if sign > 0 else psi
-            for s2 in touch_params(profile, psi):
-                if not (lo + slack < s2 < hi - slack):
-                    continue
-                covers_apex = _gap_side_covers(side_start, gap,
-                                               apex.start, apex.width)
-                covers_min = _gap_side_covers(side_start, gap,
-                                              mins.start, mins.width)
-                key = (round(jump.angle, 9), round(psi, 9), s2)
-                prev = found.get(key)
-                if prev is not None:
-                    covers_apex = covers_apex or prev.covers_apex
-                    covers_min = covers_min or prev.covers_min
-                found[key] = TriplePair(
-                    "enumerated", jump.angle, psi, lo, s2, hi, strict=True,
-                    requested_delta=gap, realized_gap=gap,
-                    covers_apex=covers_apex, covers_min=covers_min)
+        psi = canon_angle(jump.angle + sign * gap)
+        side_start = jump.angle if sign > 0 else psi
+        for s2 in touch_params(profile, psi):
+            if not (lo + slack < s2 < hi - slack):
+                continue
+            covers_apex = _gap_side_covers(side_start, gap,
+                                           apex.start, apex.width)
+            covers_min = _gap_side_covers(side_start, gap,
+                                          mins.start, mins.width)
+            key = (round(jump.angle, 9), round(psi, 9), s2)
+            prev = found.get(key)
+            if prev is not None:
+                covers_apex = covers_apex or prev.covers_apex
+                covers_min = covers_min or prev.covers_min
+            found[key] = TriplePair(
+                "enumerated", jump.angle, psi, lo, s2, hi, strict=True,
+                requested_delta=gap, realized_gap=gap,
+                covers_apex=covers_apex, covers_min=covers_min)
     anchor = profile.min_step.start
     return sorted(found.values(),
                   key=lambda c: (ccw_gap(anchor, c.theta_double),

@@ -14,8 +14,10 @@ it at construction time.
 
 Queries on a built profile are logarithmic in its corner count m: the
 jump angles are sorted once per profile, on first use, and a touch
-query bisects them (O(log m)).  The lemma helpers built on a profile
-are in oracle.py: the pipeline never calls them.
+query bisects them (O(log m)).  The indexes the pair searches build
+(the scan windows and the gap chart) are kept on the profile too.  The
+lemma helpers built on a profile are in oracle.py: the pipeline never
+calls them.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ class SupportProfile:
         return tuple([self.jumps[i].angle for i in order]), tuple(order)
 
     @cached_property
-    def _windows(self) -> dict:
-        """Scan windows by mode, filled by pairs._window."""
+    def _indexes(self) -> dict:
+        """Indexes pairs.py builds on first use: the scan window of each
+        mode (pairs._window) and the gap chart (pairs._gap_chart)."""
         return {}
 
 

@@ -195,7 +195,7 @@ def test_each_failure_exits_with_its_code_and_one_line(case, tmp_path,
             contents = json.dumps({"vertices": contents}).encode()
         (tmp_path / "arc.json").write_bytes(contents)
     if code == 5:
-        monkeypatch.setattr(cli, "random_simple_arc", exhausted)
+        monkeypatch.setattr(cli, "_arc_and_hull", exhausted)
     paths = {"arc": tmp_path / "arc.json", "out": tmp_path,
              "missing": tmp_path / "no" / "such"}
     assert main([a.format(**paths) for a in argv]) == code
@@ -345,13 +345,30 @@ def test_fuzz_generation_exhausted_exits_5(monkeypatch, tmp_path, capsys):
     def exhausted(config, trial_index):
         raise GenerationExhausted(f"no simple arc (trial {trial_index})")
 
-    monkeypatch.setattr(cli, "random_simple_arc", exhausted)
+    monkeypatch.setattr(cli, "_arc_and_hull", exhausted)
     out = tmp_path / "fuzz.csv"
     assert main(["fuzz", "--trials", "3", "-o", str(out)]) == 5
     captured = capsys.readouterr()
     assert captured.err == "GenerationExhausted: no simple arc (trial 0)\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_fuzz_missing_output_dir_exits_4_before_the_campaign(
+        monkeypatch, tmp_path, capsys):
+    from arcsupport import cli
+
+    def never(config, trial_index):
+        raise AssertionError(f"sampler called for trial {trial_index}")
+
+    monkeypatch.setattr(cli, "_arc_and_hull", never)
+    out = tmp_path / "no" / "such" / "x.csv"
+    assert main(["fuzz", "--trials", "2000", "-o", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ("FileNotFoundError: [Errno 2] No such file or "
+                            f"directory: {str(out)!r}\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fuzz_full_range_never_crashes(tmp_path, capsys):

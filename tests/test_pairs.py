@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from arcsupport import (MOUNTAIN, TWO_PI, VALLEY, InvalidDelta, build_arc,
-                        build_profile, ccw_gap, circ_dist, corollary_check,
-                        enumerate_triples, find_pair_mountain,
-                        find_pair_valley, jump_to_jump_gaps, melkman_hull,
-                        pairs_identical, safe_delta_range, touch_params,
-                        verify_triple)
+from arcsupport import (EPS_ANGLE, MOUNTAIN, TWO_PI, VALLEY, InvalidDelta,
+                        build_arc, build_profile, ccw_gap, circ_dist,
+                        corollary_check, enumerate_triples,
+                        find_pair_mountain, find_pair_valley,
+                        jump_to_jump_gaps, melkman_hull, pairs_identical,
+                        safe_delta_range, touch_params, verify_triple)
 from arcsupport import pairs
-from arcsupport.pairs import _window
+from arcsupport.pairs import _gap_chart, _window
 from families import FALLBACK_VERTICES, convex_arc, walk_arc
 
 PI = math.pi
@@ -186,6 +186,27 @@ def test_at_most_two_configurations_at_any_gap(fuzz_pool):
             assert len(configs) <= 2, (
                 f"counterexample: delta={delta!r}, "
                 f"vertices={[(v.x, v.y) for v in arc.vertices]!r}")
+
+
+def test_at_most_two_candidates_on_any_chart_piece(fuzz_pool):
+    # the paper's theorem at every gap at once: each piece of the gap
+    # chart wider than 4 eps_angle holds at most two (jump, sign)
+    # candidates; narrower pieces sit where the widened ends of two
+    # candidates' gap intervals overlap
+    draws = list(fuzz_pool)
+    for make in (convex_arc, walk_arc):
+        arc = build_arc(make(1600, random.Random(1600)))
+        draws.append((arc, build_profile(melkman_hull(arc))))
+    most = 0
+    for arc, profile in draws:
+        chart = _gap_chart(profile)
+        for a, b, cands in zip(chart.breaks, chart.breaks[1:], chart.cands):
+            if b - a > 4 * EPS_ANGLE:
+                assert len(cands) <= 2, (
+                    f"counterexample: gaps ({a!r}, {b!r}) hold {cands}, "
+                    f"vertices={[(v.x, v.y) for v in arc.vertices]!r}")
+                most = max(most, len(cands))
+    assert most == 2
 
 
 def test_every_scan_output_verifies(fuzz_pool):
@@ -421,3 +442,45 @@ def test_a_scan_queries_each_touch_set_once(monkeypatch, fuzz_pool):
                 calls = 0
                 find(profile, arc, delta)
                 assert calls == 2, (find.__name__, delta)
+
+
+def test_enumeration_reads_a_few_candidates(monkeypatch):
+    # the linear loop makes 2m = 256 touch queries per gap here
+    calls = 0
+    query = pairs.touch_params
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return query(*args)
+
+    monkeypatch.setattr(pairs, "touch_params", counted)
+    arc = build_arc(convex_arc(128, random.Random(128)))
+    profile = build_profile(melkman_hull(arc))
+    assert len(profile.steps) == 128
+    configs = 0
+    for k in range(100):
+        gap = TWO_PI * (k + 0.5) / 100
+        configs += len(enumerate_triples(profile, arc, gap))
+    assert configs > 0 and calls <= 4 * 100
+
+
+def test_gap_chart_is_built_once_per_profile(monkeypatch, e2):
+    builds = 0
+    build = pairs._build_chart
+
+    def counted(profile):
+        nonlocal builds
+        builds += 1
+        return build(profile)
+
+    monkeypatch.setattr(pairs, "_build_chart", counted)
+    cold = build_profile(melkman_hull(e2))
+    warm = build_profile(melkman_hull(e2))
+    for gap in (0.5, PI, 5.0, PI):
+        enumerate_triples(warm, e2, gap)
+    assert builds == 1
+    assert _gap_chart(warm) is _gap_chart(warm)
+    # the chart stays out of the profile's identity
+    assert warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)

@@ -2,10 +2,11 @@
 
 build_arc sweeps sorted segment boxes, touch_params bisects sorted jump
 angles, the scan ledger (one row per hull corner) is one two-pointer
-merge and the scan bisects it; the references are the pairwise, linear
-and quadratic forms.  random_simple_arc discards crossing draws before
-build_arc; its reference sends every draw through build_arc.
-Results must be equal, not close.
+merge and the scan bisects it, and enumerate_triples bisects the gap
+chart; the references are the pairwise, linear and quadratic forms.
+random_simple_arc discards crossing draws before build_arc; its
+reference sends every draw through build_arc.  Results must be equal,
+not close.
 """
 
 import math
@@ -19,14 +20,16 @@ from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
                         VALLEY, ArcError, FuzzConfig, GenerationExhausted,
                         HullCorner, Jump, Point2, SelfIntersecting,
                         StraightArc, SupportProfile, build_arc, build_profile,
-                        melkman_hull, orient, random_simple_arc, touch_params)
+                        enumerate_triples, jump_to_jump_gaps, melkman_hull,
+                        orient, random_simple_arc, touch_params)
 from arcsupport import arc as arc_module
 from arcsupport.oracle import (COORDINATE_BOX, _certainly_crosses,
-                               linear_ledger_lookup, linear_touch_params,
-                               pairwise_simple_check, quadratic_ledger)
-from arcsupport.pairs import _lookup, _window
+                               linear_enumerate_triples, linear_ledger_lookup,
+                               linear_touch_params, pairwise_simple_check,
+                               quadratic_ledger)
+from arcsupport.pairs import _gap_chart, _lookup, _window
 from conftest import POOL_CONFIG
-from families import convex_arc, uniform_draws, walk_arc
+from families import FALLBACK_VERTICES, convex_arc, uniform_draws, walk_arc
 
 EPS = EPS_ANGLE
 
@@ -128,6 +131,34 @@ def test_cached_indexes_stay_out_of_identity(e2):
     assert warm == cold and hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
     assert _window(warm, MOUNTAIN) is _window(warm, MOUNTAIN)
+
+
+def chart_gaps(profile):
+    """Every cut of the gap chart, +- eps_angle from it and the floats
+    either side of each, every piece's midpoint and pi; on profiles of
+    at most 20 corners also every jump-to-jump gap, +- eps_angle and
+    the floats either side of each.  Only gaps inside (0, 2 pi)."""
+    breaks = _gap_chart(profile).breaks
+    gaps = [math.pi]
+    for b in breaks:
+        gaps += around(b, EPS)
+    gaps += [0.5 * (a + b) for a, b in zip(breaks, breaks[1:])]
+    if len(profile.steps) <= 20:
+        for g in jump_to_jump_gaps(profile):
+            gaps += around(g, EPS)
+    return [g for g in gaps if 0.0 < g < TWO_PI]
+
+
+def test_enumeration_equals_linear_loop(profiles):
+    fallback = build_profile(melkman_hull(build_arc(FALLBACK_VERTICES)))
+    count = 0
+    for profile in profiles + [fallback]:
+        for gap in chart_gaps(profile):
+            # enumerate_triples never reads its arc argument
+            assert repr(enumerate_triples(profile, None, gap)) == repr(
+                linear_enumerate_triples(profile, gap)), gap
+            count += 1
+    assert count > 150_000
 
 
 def verdict(check, vertices):

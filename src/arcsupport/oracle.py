@@ -24,7 +24,7 @@ from .arc import (ArcError, PolygonalArc, _checked_arc, _segments_intersect,
 from .geometry import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, TWO_PI, Point2,
                        canon_angle, ccw_gap, circ_dist, orient)
 from .hull import Hull, StraightArc, melkman_hull
-from .pairs import TriplePair, _all_left, _gap_side_covers, _unroll
+from .pairs import TriplePair, _all_left, _configurations, _unroll
 from .profile import SupportProfile, touch_params
 
 
@@ -163,36 +163,10 @@ def linear_enumerate_triples(profile: SupportProfile,
     slack is paired with the angle gap away on either side, by one touch
     query each; 2m queries per gap."""
     slack = profile.param_slack
-    apex = profile.apex_step
-    mins = profile.min_step
-    found: dict[tuple, TriplePair] = {}
-    for jump in profile.jumps:
-        lo, hi = jump.low_param, jump.high_param
-        if hi - lo <= slack:
-            continue
-        for sign in (+1.0, -1.0):
-            psi = canon_angle(jump.angle + sign * gap)
-            side_start = jump.angle if sign > 0 else psi
-            for s2 in touch_params(profile, psi):
-                if not (lo + slack < s2 < hi - slack):
-                    continue
-                covers_apex = _gap_side_covers(side_start, gap,
-                                               apex.start, apex.width)
-                covers_min = _gap_side_covers(side_start, gap,
-                                              mins.start, mins.width)
-                key = (round(jump.angle, 9), round(psi, 9), s2)
-                prev = found.get(key)
-                if prev is not None:
-                    covers_apex = covers_apex or prev.covers_apex
-                    covers_min = covers_min or prev.covers_min
-                found[key] = TriplePair(
-                    "enumerated", jump.angle, psi, lo, s2, hi, strict=True,
-                    requested_delta=gap, realized_gap=gap,
-                    covers_apex=covers_apex, covers_min=covers_min)
-    anchor = profile.min_step.start
-    return sorted(found.values(),
-                  key=lambda c: (ccw_gap(anchor, c.theta_double),
-                                 ccw_gap(anchor, c.theta_single), c.s2))
+    return _configurations(profile, gap, [
+        (i, sign) for i, jump in enumerate(profile.jumps)
+        if jump.high_param - jump.low_param > slack
+        for sign in (1.0, -1.0)])
 
 
 # ---------------------------------------------------------------------------

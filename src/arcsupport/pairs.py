@@ -400,7 +400,9 @@ def _build_chart(profile: SupportProfile) -> _Chart:
             e = k + 1 + bisect_left(fall, -low)
         else:
             s, e = bisect_right(rise, low), bisect_left(rise, high)
-        if s == e:
+        # no level inside; when hi - lo <= 2 * slack, low >= high and
+        # the two bisections can cross (s > e)
+        if s >= e:
             continue
         a, first, last = jump.angle, steps[s].start, steps[e - 1].end
         for sign, x, y in ((1.0, ccw_gap(a, first), ccw_gap(a, last)),
@@ -445,11 +447,20 @@ def enumerate_triples(profile: SupportProfile, arc: PolygonalArc,
     if not (0.0 < gap < TWO_PI):
         raise InvalidDelta(f"gap {gap} outside (0, 2*pi)")
     chart = _gap_chart(profile)
+    return _configurations(
+        profile, gap, chart.cands[bisect_right(chart.breaks, gap) - 1])
+
+
+def _configurations(profile: SupportProfile, gap: float,
+                    cands: Iterable[tuple]) -> list[TriplePair]:
+    """The configurations at gap of the (jump index, sign) candidates,
+    pairing jump i with the angle psi = a_i + sign * gap, in the order
+    enumerate_triples returns them."""
     slack = profile.param_slack
     apex = profile.apex_step
     mins = profile.min_step
     found: dict[tuple, TriplePair] = {}
-    for i, sign in chart.cands[bisect_right(chart.breaks, gap) - 1]:
+    for i, sign in cands:
         jump = profile.jumps[i]
         lo, hi = jump.low_param, jump.high_param
         psi = canon_angle(jump.angle + sign * gap)

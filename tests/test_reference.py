@@ -161,6 +161,25 @@ def test_enumeration_equals_linear_loop(profiles):
     assert count > 150_000
 
 
+def test_chart_skips_a_jump_narrower_than_twice_the_slack():
+    # slack = EPS_TOUCH * 200 = 2e-7; jump 1 spans 2.9e-7, wider than
+    # the slack but not than 2 * slack, so lo + slack > hi - slack and
+    # the falling branch's bisections cross past the last step
+    levels = [0.0, 2.9e-7, 100.0, 200.0, 1.2e-7]
+    starts = [TWO_PI * j / 5 for j in range(5)]
+    ends = starts[1:] + [TWO_PI]
+    steps = tuple(HullCorner(Point2(lv, 0.0), lv, a, b, b - a)
+                  for a, b, lv in zip(starts, ends, levels))
+    jumps = tuple(Jump(a, *sorted((levels[i - 1], levels[i])))
+                  for i, a in enumerate(starts))
+    profile = SupportProfile(steps, jumps, apex_index=3)
+    assert 1 not in {i for piece in _gap_chart(profile).cands
+                     for i, _ in piece}
+    for gap in chart_gaps(profile):
+        assert repr(enumerate_triples(profile, None, gap)) == repr(
+            linear_enumerate_triples(profile, gap)), gap
+
+
 def verdict(check, vertices):
     """(None, params) of an accepted arc, or (class, message) of the
     rejection."""

@@ -9,6 +9,10 @@ boxes grown by EPS_TOUCH * diagonal (the broad phase of Cohen, Lin,
 Manocha & Ponamgi, "I-COLLIDE", 1995): only pairs whose grown boxes
 meet reach the tolerant orientation test, which makes "intersect" mean
 "grown boxes meet and the orientations cross or touch".
+
+The same broad phase serves pairs.verify_triple: an arc's vertices in
+runs of RUN, each with its bounding box (run_index), let a query over
+all vertices skip the runs whose box cannot matter.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .geometry import EPS_TOUCH, Point2, orient
@@ -54,6 +58,11 @@ class PolygonalArc:
     params: tuple[float, ...]
     length: float
     diagonal: float  # bounding-box diagonal, the distance scale for tolerances
+    # derived data (run_index), out of __init__, __eq__, __hash__ and
+    # __repr__; a field rather than a key added to the instance dict
+    # later, which would make every attribute read on the arc slower
+    _indexes: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -92,12 +101,6 @@ def _as_points(vertices: Iterable) -> list[Point2]:
             raise ArcError(f"non-finite vertex {p}")
         pts.append(p)
     return pts
-
-
-def _bbox_diagonal(pts: Sequence[Point2]) -> float:
-    dx = max(p.x for p in pts) - min(p.x for p in pts)
-    dy = max(p.y for p in pts) - min(p.y for p in pts)
-    return math.hypot(dx, dy)
 
 
 def _on_segment(p: Point2, q: Point2, r: Point2) -> bool:
@@ -179,7 +182,8 @@ def _checked_arc(
     pts = _as_points(vertices)
     if len(pts) < 2:
         raise TooFewVertices(f"need at least 2 vertices, got {len(pts)}")
-    diag = _bbox_diagonal(pts)
+    xs, ys = [p.x for p in pts], [p.y for p in pts]
+    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
     if diag == 0.0:
         raise TooFewVertices("all vertices coincide")
     min_sep = EPS_TOUCH * diag
@@ -203,7 +207,9 @@ def _checked_arc(
     hit = first_crossing(pts, min_sep)
     if hit is not None:
         raise SelfIntersecting("segments %d and %d intersect" % hit)
-    return PolygonalArc(tuple(pts), tuple(params), params[-1], diag)
+    arc = PolygonalArc(tuple(pts), tuple(params), params[-1], diag)
+    arc._indexes["coords"] = (xs, ys)  # for run_index: no second read
+    return arc
 
 
 def build_arc(vertices: Iterable) -> PolygonalArc:
@@ -226,16 +232,44 @@ def build_arc(vertices: Iterable) -> PolygonalArc:
     return _checked_arc(vertices, _swept_crossing)
 
 
+# vertices per run of run_index
+RUN = 16
+
+
+def run_index(arc: PolygonalArc) -> list[tuple]:
+    """The arc's vertices in runs of RUN, in order, built on first use
+    in O(n) and kept on the arc (it is immutable).  Run r holds
+    vertices r * RUN to r * RUN + RUN - 1 as (x_lo, x_hi, y_lo, y_hi,
+    xs, ys): its bounding box and its coordinates.  Built from the
+    coordinate lists build_arc read for the diagonal, when it left
+    them."""
+    cache = arc._indexes
+    runs = cache.get("runs")
+    if runs is None:
+        xs, ys = cache.pop("coords", None) or (
+            [v.x for v in arc.vertices], [v.y for v in arc.vertices])
+        runs = cache["runs"] = []
+        for i in range(0, len(xs), RUN):
+            rx, ry = xs[i:i + RUN], ys[i:i + RUN]
+            runs.append((min(rx), max(rx), min(ry), max(ry), rx, ry))
+    return runs
+
+
 def point_at(arc: PolygonalArc, s: float) -> Point2:
     """Point at arc-length parameter s, by linear interpolation."""
     slack = 1e-12 * arc.length
     if s < -slack or s > arc.length + slack:
         raise ParamOutOfRange(f"parameter {s} outside [0, {arc.length}]")
+    return Point2(*_xy_at(arc, s))
+
+
+def _xy_at(arc: PolygonalArc, s: float) -> tuple[float, float]:
+    """The coordinates of point_at(arc, s) for s clamped into
+    [0, length], with no range check and no Point2."""
     s = min(max(s, 0.0), arc.length)
     i = bisect_right(arc.params, s) - 1
     i = min(i, len(arc.vertices) - 2)
     a, b = arc.vertices[i], arc.vertices[i + 1]
     span = arc.params[i + 1] - arc.params[i]
     t = (s - arc.params[i]) / span
-    return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-
+    return a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)

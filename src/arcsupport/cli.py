@@ -214,10 +214,16 @@ def fuzz_csv(rows) -> str:
 def cmd_fuzz(args) -> int:
     config = FuzzConfig(trials=args.trials, seed=args.seed,
                         delta_policy=args.policy)
-    # the campaign can take seconds: fail on a missing directory first
-    if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
-                                args.output)
+    # the campaign can take seconds: refuse a path open() would refuse
+    # before it starts, and open the file only after it (no empty file
+    # when it raises)
+    if args.output:
+        if not os.path.isdir(os.path.dirname(args.output) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    args.output)
+        if os.path.isdir(args.output):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    args.output)
     rows, summary = run_fuzz(config)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:

@@ -5,7 +5,8 @@ The projection oracles deliberately avoid the hull and profile
 machinery so that agreement between the two routes is meaningful
 evidence.  The slow references are the straightforward linear and
 quadratic forms of the fast queries (arc validation, touch sets, the
-scan ledger and its lookup, the enumeration of triples); tests
+scan ledger and its lookup, the enumeration of triples, the check of
+a triple); tests
 require the fast forms to return the same values.  The lemma helpers
 (a parameter's cross-section, the support line at an angle, the unique
 crossing of a continuous tent) state the paper's lemmas in code; only
@@ -24,7 +25,8 @@ from .arc import (ArcError, PolygonalArc, _checked_arc, _segments_intersect,
 from .geometry import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, TWO_PI, Point2,
                        canon_angle, ccw_gap, circ_dist, orient)
 from .hull import Hull, StraightArc, melkman_hull
-from .pairs import TriplePair, _all_left, _configurations, _unroll
+from .pairs import (TripleReport, TriplePair, _configurations, _unroll,
+                    _verify)
 from .profile import SupportProfile, touch_params
 
 
@@ -167,6 +169,35 @@ def linear_enumerate_triples(profile: SupportProfile,
         (i, sign) for i, jump in enumerate(profile.jumps)
         if jump.high_param - jump.low_param > slack
         for sign in (1.0, -1.0)])
+
+
+def _extreme_anchor(arc: PolygonalArc, theta: float) -> Point2:
+    # vertex with the largest projection on the outward normal; an
+    # independent reconstruction of the support line's position
+    nx, ny = math.sin(theta), -math.cos(theta)
+    return max(arc.vertices, key=lambda v: v.x * nx + v.y * ny)
+
+
+def _all_left(theta: float, anchor: Point2, points: Iterable[Point2],
+              slack: float) -> bool:
+    dx, dy = math.cos(theta), math.sin(theta)
+    return all(dx * (v.y - anchor.y) - dy * (v.x - anchor.x) >= -slack
+               for v in points)
+
+
+def _linear_support_check(arc: PolygonalArc, theta: float, px: float,
+                          py: float, s: float,
+                          slack: float) -> tuple[Point2, bool]:
+    """Reference for pairs._support_check: one pass over every vertex
+    for the anchor, one for the left test; s is not read."""
+    return _extreme_anchor(arc, theta), _all_left(theta, Point2(px, py),
+                                                  arc.vertices, slack)
+
+
+def linear_verify_triple(arc: PolygonalArc, pair: TriplePair) -> TripleReport:
+    """Reference for pairs.verify_triple: four passes over all n
+    vertices, an anchor pass and a left pass per line."""
+    return _verify(arc, pair, _linear_support_check)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,11 @@ the gap away on either side, cut into pieces that each list their
 candidate configurations.  It is built once per profile, in
 O(m log m), on the first enumeration, and kept on the profile; each
 enumerate_triples after that costs O(log m + k) for k candidates.
+
+verify_triple checks a pair against the raw vertices, not the profile.
+It reads them in runs of 16 with their bounding boxes (arc.run_index,
+built once per arc) and skips each run whose box corner shows that it
+cannot change the answer, the broad phase build_arc also uses.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arc import PolygonalArc, point_at
+from .arc import RUN, PolygonalArc, _xy_at, run_index
 from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
                        ccw_gap, circ_dist)
 from .profile import _ROUNDING, SupportProfile, touch_params
@@ -500,23 +505,83 @@ def jump_to_jump_gaps(profile: SupportProfile) -> list[float]:
     return sorted(out)
 
 
-def _extreme_anchor(arc: PolygonalArc, theta: float) -> Point2:
-    # vertex with the largest projection on the outward normal; an
-    # independent reconstruction of the support line's position
-    nx, ny = math.sin(theta), -math.cos(theta)
-    return max(arc.vertices, key=lambda v: v.x * nx + v.y * ny)
+def _support_check(arc: PolygonalArc, theta: float, px: float, py: float,
+                   s: float, slack: float) -> tuple[Point2, bool]:
+    """The line at theta read off the arc's vertices: the first vertex
+    of largest projection on the outward normal (sin theta, -cos theta),
+    which re-derives the support line's position, and whether every
+    vertex v lies on the closed left of the line through (px, py), that
+    is g(v) = cos theta * (v.y - py) - sin theta * (v.x - px) >= -slack.
 
-
-def _line_distance(theta: float, anchor: Point2, p: Point2) -> float:
+    One pass over the runs of run_index(arc).  The corner of a run's box
+    farthest along the normal, (x_hi if sin theta >= 0 else x_lo,
+    y_lo if cos theta >= 0 else y_hi), has the largest projection and
+    the smallest g of any point in the box, and so in floating point
+    too: rounding is monotone (a <= b gives fl(a) <= fl(b), and
+    fl(a + b), fl(a - b) and fl(c * a) are monotone in a), so the
+    corner's value, computed by the very expression the vertices use,
+    bounds the computed value of every vertex in the run.  The best
+    projection starts at the vertex at parameter s, the pair's own touch
+    point, and a run is read only when its corner reaches the best so
+    far or lies beyond -slack.  A skipped run holds no vertex of the
+    largest projection and none on the right, so the anchor (the first
+    of equals, as max returns it) and the flag are bitwise those of a
+    pass over every vertex.
+    """
     dx, dy = math.cos(theta), math.sin(theta)
-    return abs(dx * (p.y - anchor.y) - dy * (p.x - anchor.x))
+    ny = -dx  # the normal is (dy, ny)
+    lim = -slack
+    k = bisect_right(arc.params, s, 1) - 1  # the vertex at or before s
+    v = arc.vertices[k]
+    best = v.x * dy + v.y * ny
+    left = True
+    start = 0
+    # where in a run's tuple the corner's x and y are
+    ix, iy = (1 if dy >= 0.0 else 0), (2 if dx >= 0.0 else 3)
+    for run in run_index(arc):
+        cx, cy = run[ix], run[iy]
+        if cx * dy + cy * ny >= best:
+            fs = [x * dy + y * ny for x, y in zip(run[4], run[5])]
+            f = max(fs)  # every value before the first f is below it
+            if f >= best:
+                j = start + fs.index(f)
+                if f > best or j < k:
+                    best, k = f, j
+        if left and not (dx * (cy - py) - dy * (cx - px) >= lim):
+            left = all(dx * (y - py) - dy * (x - px) >= lim
+                       for x, y in zip(run[4], run[5]))
+        start += RUN
+    return arc.vertices[k], left
 
 
-def _all_left(theta: float, anchor: Point2, points: Iterable[Point2],
-              slack: float) -> bool:
-    dx, dy = math.cos(theta), math.sin(theta)
-    return all(dx * (v.y - anchor.y) - dy * (v.x - anchor.x) >= -slack
-               for v in points)
+def _verify(arc: PolygonalArc, pair: TriplePair, check) -> TripleReport:
+    """The report of verify_triple, with check(arc, theta, px, py, s,
+    slack) giving the anchor and the left flag of the line at theta
+    through (px, py), the point at its touch parameter s."""
+    dist_slack = EPS_TOUCH * arc.diagonal
+    param_slack = EPS_TOUCH * arc.length
+    x1, y1 = _xy_at(arc, pair.s1)
+    x2, y2 = _xy_at(arc, pair.s2)
+    x3, y3 = _xy_at(arc, pair.s3)
+    d_anchor, d_left = check(arc, pair.theta_double, x1, y1, pair.s1,
+                             dist_slack)
+    s_anchor, s_left = check(arc, pair.theta_single, x2, y2, pair.s2,
+                             dist_slack)
+
+    # distance of a touch point from the line at theta through the anchor
+    dx, dy = math.cos(pair.theta_double), math.sin(pair.theta_double)
+    ax, ay = d_anchor.x, d_anchor.y
+    double_ok = (abs(dx * (y1 - ay) - dy * (x1 - ax)) <= dist_slack
+                 and abs(dx * (y3 - ay) - dy * (x3 - ax)) <= dist_slack)
+    dx, dy = math.cos(pair.theta_single), math.sin(pair.theta_single)
+    single_ok = (abs(dx * (y2 - s_anchor.y) - dy * (x2 - s_anchor.x))
+                 <= dist_slack)
+    if pair.strict:
+        order_ok = (pair.s1 + param_slack < pair.s2 < pair.s3 - param_slack)
+    else:
+        order_ok = (pair.s1 <= pair.s2 + param_slack
+                    and pair.s2 <= pair.s3 + param_slack)
+    return TripleReport(double_ok, single_ok, d_left and s_left, order_ok)
 
 
 def verify_triple(arc: PolygonalArc, pair: TriplePair) -> TripleReport:
@@ -528,24 +593,14 @@ def verify_triple(arc: PolygonalArc, pair: TriplePair) -> TripleReport:
     (c) every vertex is on the closed left of the lines through the
     claimed touch points; (d) the parameters are ordered, strictly so
     when the pair says strict.
+
+    (a) to (c) take one fused pass per line over the arc's vertices in
+    runs of RUN (_support_check).  A run's box corner bounds the
+    computed projections and left distances of all its vertices,
+    because rounding is monotone, so the runs that cannot hold the
+    extreme vertex or a vertex on the right are skipped, and the report
+    is bitwise that of four passes over every vertex
+    (oracle.linear_verify_triple).  Cost: an O(n) run index, built once
+    per arc, then O(n/RUN + RUN*k) per call, k the number of runs read.
     """
-    dist_slack = EPS_TOUCH * arc.diagonal
-    param_slack = EPS_TOUCH * arc.length
-
-    d_anchor = _extreme_anchor(arc, pair.theta_double)
-    s_anchor = _extreme_anchor(arc, pair.theta_single)
-    p1 = point_at(arc, min(max(pair.s1, 0.0), arc.length))
-    p2 = point_at(arc, min(max(pair.s2, 0.0), arc.length))
-    p3 = point_at(arc, min(max(pair.s3, 0.0), arc.length))
-
-    double_ok = (_line_distance(pair.theta_double, d_anchor, p1) <= dist_slack
-                 and _line_distance(pair.theta_double, d_anchor, p3) <= dist_slack)
-    single_ok = _line_distance(pair.theta_single, s_anchor, p2) <= dist_slack
-    left_ok = (_all_left(pair.theta_double, p1, arc.vertices, dist_slack)
-               and _all_left(pair.theta_single, p2, arc.vertices, dist_slack))
-    if pair.strict:
-        order_ok = (pair.s1 + param_slack < pair.s2 < pair.s3 - param_slack)
-    else:
-        order_ok = (pair.s1 <= pair.s2 + param_slack
-                    and pair.s2 <= pair.s3 + param_slack)
-    return TripleReport(double_ok, single_ok, left_ok, order_ok)
+    return _verify(arc, pair, _support_check)

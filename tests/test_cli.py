@@ -369,6 +369,16 @@ def test_fuzz_missing_output_dir_exits_4_before_the_campaign(
                             f"directory: {str(out)!r}\n")
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+    # an existing directory: the error open() would raise, and nothing
+    # written into it
+    out = tmp_path / "d"
+    out.mkdir()
+    assert main(["fuzz", "--trials", "300", "-o", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ("IsADirectoryError: [Errno 21] Is a directory: "
+                            f"{str(out)!r}\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
 
 
 def test_fuzz_full_range_never_crashes(tmp_path, capsys):

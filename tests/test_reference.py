@@ -2,13 +2,15 @@
 
 build_arc sweeps sorted segment boxes, touch_params bisects sorted jump
 angles, the scan ledger (one row per hull corner) is one two-pointer
-merge and the scan bisects it, and enumerate_triples bisects the gap
-chart; the references are the pairwise, linear and quadratic forms.
+merge and the scan bisects it, enumerate_triples bisects the gap
+chart, and verify_triple reads only the runs of vertices whose box can
+matter; the references are the pairwise, linear and quadratic forms.
 random_simple_arc discards crossing draws before build_arc; its
 reference sends every draw through build_arc.  Results must be equal,
 not close.
 """
 
+import dataclasses
 import math
 import random
 
@@ -19,15 +21,19 @@ from hypothesis import strategies as st
 from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
                         VALLEY, ArcError, FuzzConfig, GenerationExhausted,
                         HullCorner, Jump, Point2, SelfIntersecting,
-                        StraightArc, SupportProfile, build_arc, build_profile,
-                        enumerate_triples, jump_to_jump_gaps, melkman_hull,
-                        orient, random_simple_arc, touch_params)
+                        StraightArc, SupportProfile, TriplePair, build_arc,
+                        build_profile, enumerate_triples, find_pair_mountain,
+                        find_pair_valley, jump_to_jump_gaps, melkman_hull,
+                        orient, random_simple_arc, touch_params,
+                        verify_triple)
 from arcsupport import arc as arc_module
+from arcsupport.arc import _xy_at, run_index
 from arcsupport.oracle import (COORDINATE_BOX, _certainly_crosses,
+                               _linear_support_check,
                                linear_enumerate_triples, linear_ledger_lookup,
-                               linear_touch_params, pairwise_simple_check,
-                               quadratic_ledger)
-from arcsupport.pairs import _gap_chart, _lookup, _window
+                               linear_touch_params, linear_verify_triple,
+                               pairwise_simple_check, quadratic_ledger)
+from arcsupport.pairs import _gap_chart, _lookup, _support_check, _window
 from conftest import POOL_CONFIG
 from families import FALLBACK_VERTICES, convex_arc, uniform_draws, walk_arc
 
@@ -133,6 +139,23 @@ def test_cached_indexes_stay_out_of_identity(e2):
     assert _window(warm, MOUNTAIN) is _window(warm, MOUNTAIN)
 
 
+def test_run_index_stays_out_of_identity():
+    vertices = convex_arc(40, random.Random(40))
+    cold, warm = build_arc(vertices), build_arc(vertices)
+    pair = find_pair_mountain(build_profile(melkman_hull(warm)), warm, 3.0)
+    assert verify_triple(warm, pair).passed
+    runs = run_index(warm)
+    assert len(runs) == 3  # 16 + 16 + 8 vertices
+    verify_triple(warm, pair)
+    assert run_index(warm) is runs  # built once per arc
+    assert warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    # an arc not from build_arc reads its coordinates from its vertices
+    bare = arc_module.PolygonalArc(warm.vertices, warm.params, warm.length,
+                                   warm.diagonal)
+    assert run_index(bare) == runs
+
+
 def chart_gaps(profile):
     """Every cut of the gap chart, +- eps_angle from it and the floats
     either side of each, every piece's midpoint and pi; on profiles of
@@ -178,6 +201,123 @@ def test_chart_skips_a_jump_narrower_than_twice_the_slack():
     for gap in chart_gaps(profile):
         assert repr(enumerate_triples(profile, None, gap)) == repr(
             linear_enumerate_triples(profile, gap)), gap
+
+
+def verify_pairs(arc, profile, delta):
+    """The scan pairs and the enumerated pairs at delta."""
+    return ([find_pair_mountain(profile, arc, delta),
+             find_pair_valley(profile, arc, delta)]
+            + enumerate_triples(profile, arc, delta))
+
+
+def doctored(pair):
+    """The pair with either angle 1 ulp and eps_angle off, s2 moved off
+    its line, and strict flipped."""
+    out = [dataclasses.replace(pair, s2=0.5 * (pair.s1 + pair.s2)),
+           dataclasses.replace(pair, strict=not pair.strict)]
+    for field in ("theta_double", "theta_single"):
+        theta = getattr(pair, field)
+        for moved in (math.nextafter(theta, math.inf),
+                      math.nextafter(theta, -math.inf),
+                      theta + EPS, theta - EPS):
+            out.append(dataclasses.replace(pair, **{field: moved}))
+    return out
+
+
+def same_check(arc, pair):
+    """verify_triple's report, which must equal the four-pass
+    reference's, as must the anchor and left flag of each line."""
+    report = verify_triple(arc, pair)
+    assert report == linear_verify_triple(arc, pair), pair
+    slack = EPS_TOUCH * arc.diagonal
+    for theta, s in ((pair.theta_double, pair.s1),
+                     (pair.theta_single, pair.s2)):
+        x, y = _xy_at(arc, s)
+        anchor, left = _support_check(arc, theta, x, y, s, slack)
+        ref_anchor, ref_left = _linear_support_check(arc, theta, x, y, s,
+                                                     slack)
+        assert anchor is ref_anchor and left == ref_left, (pair, theta)
+    return report
+
+
+def test_verify_triple_equals_four_passes(fuzz_pool):
+    rng = random.Random(20)
+    deltas = [rng.uniform(1e-6, TWO_PI - 1e-6) for _ in range(20)]
+    arcs = [(arc, profile, 1) for arc, profile in fuzz_pool]
+    for make in (convex_arc, walk_arc):
+        for n in (16, 17, 33, 400, 1600):  # one run, run edges, many runs
+            arc = build_arc(make(n, random.Random(n)))
+            arcs.append((arc, build_profile(melkman_hull(arc)), 5))
+    checked = failing = 0
+    for arc, profile, doctor in arcs:
+        # pairs are doctored at the first delta (pool) or five (families)
+        for d, delta in enumerate(deltas):
+            for pair in verify_pairs(arc, profile, delta):
+                for p in [pair] + (doctored(pair) if d < doctor else []):
+                    failing += not same_check(arc, p).passed
+                    checked += 1
+    assert checked > 70_000 and failing > 3_000
+
+
+def test_first_of_two_tied_vertices_is_the_anchor():
+    # a U whose bottom is the hull edge from vertex 15, the last of the
+    # first run, to vertex 16, the first of the second: at theta = 0
+    # both project to exactly 0 on the normal (0, -1), and vertex 15
+    # must win even when the seed is vertex 16
+    left = [(-(15 - i), (15 - i) ** 2 / 10) for i in range(16)]
+    right = [(1 + j, j ** 2 / 10) for j in range(16)]
+    arc = build_arc(left + right)
+    profile = build_profile(melkman_hull(arc))
+    assert any(j.angle == 0.0 for j in profile.jumps)
+    slack = EPS_TOUCH * arc.diagonal
+    for k in (15, 16):
+        s = arc.params[k]
+        x, y = _xy_at(arc, s)
+        anchor, left_ok = _support_check(arc, 0.0, x, y, s, slack)
+        assert anchor is arc.vertices[15] and left_ok
+        assert (anchor, left_ok) == _linear_support_check(arc, 0.0, x, y, s,
+                                                          slack)
+    pair = TriplePair("mountain", 0.0, math.pi / 2, arc.params[15],
+                      arc.params[20], arc.params[16], strict=False,
+                      requested_delta=math.pi / 2,
+                      realized_gap=math.pi / 2)
+    for p in [pair] + doctored(pair):
+        same_check(arc, p)
+
+
+class CountedRun(tuple):
+    """A run of run_index that records when its vertices are read."""
+
+    reads: set = set()
+
+    def __getitem__(self, i):
+        if i >= 4:  # the coordinate lists, not the box
+            CountedRun.reads.add(id(self))
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("make", [convex_arc, walk_arc])
+def test_line_check_reads_at_most_10_runs(make):
+    # the four-pass check reads all 100 runs twice per line
+    n = 1600
+    arc = build_arc(make(n, random.Random(n)))
+    profile = build_profile(melkman_hull(arc))
+    arc._indexes["runs"] = [CountedRun(run) for run in run_index(arc)]
+    assert len(run_index(arc)) == 100
+    rng = random.Random(20)
+    deltas = [rng.uniform(1e-6, TWO_PI - 1e-6) for _ in range(20)]
+    slack = EPS_TOUCH * arc.diagonal
+    most = checks = 0
+    for pair in [p for delta in deltas
+                 for p in verify_pairs(arc, profile, delta)]:
+        for theta, s in ((pair.theta_double, pair.s1),
+                         (pair.theta_single, pair.s2)):
+            CountedRun.reads = set()
+            x, y = _xy_at(arc, s)
+            _support_check(arc, theta, x, y, s, slack)
+            most = max(most, len(CountedRun.reads))
+            checks += 1
+    assert checks >= 80 and 1 <= most <= 10
 
 
 def verdict(check, vertices):

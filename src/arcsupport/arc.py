@@ -103,6 +103,12 @@ def _as_points(vertices: Iterable) -> list[Point2]:
     return pts
 
 
+def _bbox_diagonal(pts: Sequence[Point2]) -> float:
+    dx = max(p.x for p in pts) - min(p.x for p in pts)
+    dy = max(p.y for p in pts) - min(p.y for p in pts)
+    return math.hypot(dx, dy)
+
+
 def _on_segment(p: Point2, q: Point2, r: Point2) -> bool:
     # r collinear with pq; is it inside the box?
     return (min(p.x, q.x) <= r.x <= max(p.x, q.x)
@@ -182,8 +188,7 @@ def _checked_arc(
     pts = _as_points(vertices)
     if len(pts) < 2:
         raise TooFewVertices(f"need at least 2 vertices, got {len(pts)}")
-    xs, ys = [p.x for p in pts], [p.y for p in pts]
-    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    diag = _bbox_diagonal(pts)
     if diag == 0.0:
         raise TooFewVertices("all vertices coincide")
     min_sep = EPS_TOUCH * diag
@@ -207,9 +212,7 @@ def _checked_arc(
     hit = first_crossing(pts, min_sep)
     if hit is not None:
         raise SelfIntersecting("segments %d and %d intersect" % hit)
-    arc = PolygonalArc(tuple(pts), tuple(params), params[-1], diag)
-    arc._indexes["coords"] = (xs, ys)  # for run_index: no second read
-    return arc
+    return PolygonalArc(tuple(pts), tuple(params), params[-1], diag)
 
 
 def build_arc(vertices: Iterable) -> PolygonalArc:
@@ -240,15 +243,12 @@ def run_index(arc: PolygonalArc) -> list[tuple]:
     """The arc's vertices in runs of RUN, in order, built on first use
     in O(n) and kept on the arc (it is immutable).  Run r holds
     vertices r * RUN to r * RUN + RUN - 1 as (x_lo, x_hi, y_lo, y_hi,
-    xs, ys): its bounding box and its coordinates.  Built from the
-    coordinate lists build_arc read for the diagonal, when it left
-    them."""
-    cache = arc._indexes
-    runs = cache.get("runs")
+    xs, ys): its bounding box and its coordinates."""
+    runs = arc._indexes.get("runs")
     if runs is None:
-        xs, ys = cache.pop("coords", None) or (
-            [v.x for v in arc.vertices], [v.y for v in arc.vertices])
-        runs = cache["runs"] = []
+        xs = [v.x for v in arc.vertices]
+        ys = [v.y for v in arc.vertices]
+        runs = arc._indexes["runs"] = []
         for i in range(0, len(xs), RUN):
             rx, ry = xs[i:i + RUN], ys[i:i + RUN]
             runs.append((min(rx), max(rx), min(ry), max(ry), rx, ry))
@@ -260,16 +260,11 @@ def point_at(arc: PolygonalArc, s: float) -> Point2:
     slack = 1e-12 * arc.length
     if s < -slack or s > arc.length + slack:
         raise ParamOutOfRange(f"parameter {s} outside [0, {arc.length}]")
-    return Point2(*_xy_at(arc, s))
-
-
-def _xy_at(arc: PolygonalArc, s: float) -> tuple[float, float]:
-    """The coordinates of point_at(arc, s) for s clamped into
-    [0, length], with no range check and no Point2."""
     s = min(max(s, 0.0), arc.length)
     i = bisect_right(arc.params, s) - 1
     i = min(i, len(arc.vertices) - 2)
     a, b = arc.vertices[i], arc.vertices[i + 1]
     span = arc.params[i + 1] - arc.params[i]
     t = (s - arc.params[i]) / span
-    return a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)
+    return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+

@@ -185,13 +185,12 @@ def _all_left(theta: float, anchor: Point2, points: Iterable[Point2],
                for v in points)
 
 
-def _linear_support_check(arc: PolygonalArc, theta: float, px: float,
-                          py: float, s: float,
-                          slack: float) -> tuple[Point2, bool]:
+def _linear_support_check(arc: PolygonalArc, theta: float, p: Point2,
+                          s: float, slack: float) -> tuple[Point2, bool]:
     """Reference for pairs._support_check: one pass over every vertex
     for the anchor, one for the left test; s is not read."""
-    return _extreme_anchor(arc, theta), _all_left(theta, Point2(px, py),
-                                                  arc.vertices, slack)
+    return (_extreme_anchor(arc, theta),
+            _all_left(theta, p, arc.vertices, slack))
 
 
 def linear_verify_triple(arc: PolygonalArc, pair: TriplePair) -> TripleReport:

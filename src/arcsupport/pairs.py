@@ -44,7 +44,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arc import RUN, PolygonalArc, _xy_at, run_index
+from .arc import RUN, PolygonalArc, point_at, run_index
 from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
                        ccw_gap, circ_dist)
 from .profile import _ROUNDING, SupportProfile, touch_params
@@ -505,13 +505,18 @@ def jump_to_jump_gaps(profile: SupportProfile) -> list[float]:
     return sorted(out)
 
 
-def _support_check(arc: PolygonalArc, theta: float, px: float, py: float,
-                   s: float, slack: float) -> tuple[Point2, bool]:
+def _line_distance(theta: float, anchor: Point2, p: Point2) -> float:
+    dx, dy = math.cos(theta), math.sin(theta)
+    return abs(dx * (p.y - anchor.y) - dy * (p.x - anchor.x))
+
+
+def _support_check(arc: PolygonalArc, theta: float, p: Point2, s: float,
+                   slack: float) -> tuple[Point2, bool]:
     """The line at theta read off the arc's vertices: the first vertex
     of largest projection on the outward normal (sin theta, -cos theta),
     which re-derives the support line's position, and whether every
-    vertex v lies on the closed left of the line through (px, py), that
-    is g(v) = cos theta * (v.y - py) - sin theta * (v.x - px) >= -slack.
+    vertex v lies on the closed left of the line through p, that is
+    g(v) = cos theta * (v.y - p.y) - sin theta * (v.x - p.x) >= -slack.
 
     One pass over the runs of run_index(arc).  The corner of a run's box
     farthest along the normal, (x_hi if sin theta >= 0 else x_lo,
@@ -529,6 +534,7 @@ def _support_check(arc: PolygonalArc, theta: float, px: float, py: float,
     pass over every vertex.
     """
     dx, dy = math.cos(theta), math.sin(theta)
+    px, py = p.x, p.y
     ny = -dx  # the normal is (dy, ny)
     lim = -slack
     k = bisect_right(arc.params, s, 1) - 1  # the vertex at or before s
@@ -555,27 +561,20 @@ def _support_check(arc: PolygonalArc, theta: float, px: float, py: float,
 
 
 def _verify(arc: PolygonalArc, pair: TriplePair, check) -> TripleReport:
-    """The report of verify_triple, with check(arc, theta, px, py, s,
-    slack) giving the anchor and the left flag of the line at theta
-    through (px, py), the point at its touch parameter s."""
+    """The report of verify_triple, with check(arc, theta, p, s, slack)
+    giving the anchor and the left flag of the line at theta through p,
+    the point at its touch parameter s."""
     dist_slack = EPS_TOUCH * arc.diagonal
     param_slack = EPS_TOUCH * arc.length
-    x1, y1 = _xy_at(arc, pair.s1)
-    x2, y2 = _xy_at(arc, pair.s2)
-    x3, y3 = _xy_at(arc, pair.s3)
-    d_anchor, d_left = check(arc, pair.theta_double, x1, y1, pair.s1,
-                             dist_slack)
-    s_anchor, s_left = check(arc, pair.theta_single, x2, y2, pair.s2,
-                             dist_slack)
+    p1 = point_at(arc, min(max(pair.s1, 0.0), arc.length))
+    p2 = point_at(arc, min(max(pair.s2, 0.0), arc.length))
+    p3 = point_at(arc, min(max(pair.s3, 0.0), arc.length))
+    d_anchor, d_left = check(arc, pair.theta_double, p1, pair.s1, dist_slack)
+    s_anchor, s_left = check(arc, pair.theta_single, p2, pair.s2, dist_slack)
 
-    # distance of a touch point from the line at theta through the anchor
-    dx, dy = math.cos(pair.theta_double), math.sin(pair.theta_double)
-    ax, ay = d_anchor.x, d_anchor.y
-    double_ok = (abs(dx * (y1 - ay) - dy * (x1 - ax)) <= dist_slack
-                 and abs(dx * (y3 - ay) - dy * (x3 - ax)) <= dist_slack)
-    dx, dy = math.cos(pair.theta_single), math.sin(pair.theta_single)
-    single_ok = (abs(dx * (y2 - s_anchor.y) - dy * (x2 - s_anchor.x))
-                 <= dist_slack)
+    double_ok = (_line_distance(pair.theta_double, d_anchor, p1) <= dist_slack
+                 and _line_distance(pair.theta_double, d_anchor, p3) <= dist_slack)
+    single_ok = _line_distance(pair.theta_single, s_anchor, p2) <= dist_slack
     if pair.strict:
         order_ok = (pair.s1 + param_slack < pair.s2 < pair.s3 - param_slack)
     else:

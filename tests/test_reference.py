@@ -24,10 +24,10 @@ from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
                         StraightArc, SupportProfile, TriplePair, build_arc,
                         build_profile, enumerate_triples, find_pair_mountain,
                         find_pair_valley, jump_to_jump_gaps, melkman_hull,
-                        orient, random_simple_arc, touch_params,
+                        orient, point_at, random_simple_arc, touch_params,
                         verify_triple)
 from arcsupport import arc as arc_module
-from arcsupport.arc import _xy_at, run_index
+from arcsupport.arc import run_index
 from arcsupport.oracle import (COORDINATE_BOX, _certainly_crosses,
                                _linear_support_check,
                                linear_enumerate_triples, linear_ledger_lookup,
@@ -150,10 +150,6 @@ def test_run_index_stays_out_of_identity():
     assert run_index(warm) is runs  # built once per arc
     assert warm == cold and hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
-    # an arc not from build_arc reads its coordinates from its vertices
-    bare = arc_module.PolygonalArc(warm.vertices, warm.params, warm.length,
-                                   warm.diagonal)
-    assert run_index(bare) == runs
 
 
 def chart_gaps(profile):
@@ -224,6 +220,11 @@ def doctored(pair):
     return out
 
 
+def touch_point(arc, s):
+    """The point verify_triple reads at s."""
+    return point_at(arc, min(max(s, 0.0), arc.length))
+
+
 def same_check(arc, pair):
     """verify_triple's report, which must equal the four-pass
     reference's, as must the anchor and left flag of each line."""
@@ -232,10 +233,9 @@ def same_check(arc, pair):
     slack = EPS_TOUCH * arc.diagonal
     for theta, s in ((pair.theta_double, pair.s1),
                      (pair.theta_single, pair.s2)):
-        x, y = _xy_at(arc, s)
-        anchor, left = _support_check(arc, theta, x, y, s, slack)
-        ref_anchor, ref_left = _linear_support_check(arc, theta, x, y, s,
-                                                     slack)
+        p = touch_point(arc, s)
+        anchor, left = _support_check(arc, theta, p, s, slack)
+        ref_anchor, ref_left = _linear_support_check(arc, theta, p, s, slack)
         assert anchor is ref_anchor and left == ref_left, (pair, theta)
     return report
 
@@ -272,10 +272,10 @@ def test_first_of_two_tied_vertices_is_the_anchor():
     slack = EPS_TOUCH * arc.diagonal
     for k in (15, 16):
         s = arc.params[k]
-        x, y = _xy_at(arc, s)
-        anchor, left_ok = _support_check(arc, 0.0, x, y, s, slack)
+        p = touch_point(arc, s)
+        anchor, left_ok = _support_check(arc, 0.0, p, s, slack)
         assert anchor is arc.vertices[15] and left_ok
-        assert (anchor, left_ok) == _linear_support_check(arc, 0.0, x, y, s,
+        assert (anchor, left_ok) == _linear_support_check(arc, 0.0, p, s,
                                                           slack)
     pair = TriplePair("mountain", 0.0, math.pi / 2, arc.params[15],
                       arc.params[20], arc.params[16], strict=False,
@@ -313,8 +313,8 @@ def test_line_check_reads_at_most_10_runs(make):
         for theta, s in ((pair.theta_double, pair.s1),
                          (pair.theta_single, pair.s2)):
             CountedRun.reads = set()
-            x, y = _xy_at(arc, s)
-            _support_check(arc, theta, x, y, s, slack)
+            p = touch_point(arc, s)
+            _support_check(arc, theta, p, s, slack)
             most = max(most, len(CountedRun.reads))
             checks += 1
     assert checks >= 80 and 1 <= most <= 10

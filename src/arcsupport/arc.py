@@ -21,9 +21,10 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
-from .geometry import EPS_TOUCH, Point2, orient
+from .geometry import EPS_TOUCH, Point2, chain_orient
 
 
 class ArcError(ValueError):
@@ -103,31 +104,29 @@ def _as_points(vertices: Iterable) -> list[Point2]:
     return pts
 
 
-def _bbox_diagonal(pts: Sequence[Point2]) -> float:
-    dx = max(p.x for p in pts) - min(p.x for p in pts)
-    dy = max(p.y for p in pts) - min(p.y for p in pts)
-    return math.hypot(dx, dy)
-
-
 def _on_segment(p: Point2, q: Point2, r: Point2) -> bool:
     # r collinear with pq; is it inside the box?
     return (min(p.x, q.x) <= r.x <= max(p.x, q.x)
             and min(p.y, q.y) <= r.y <= max(p.y, q.y))
 
 
-def _segments_intersect(a1: Point2, a2: Point2, b1: Point2, b2: Point2,
+def _segments_intersect(turn: Callable[[int, int, int], int],
+                        pts: Sequence[Point2], i: int, j: int,
                         pad: float) -> bool:
-    """Closed-segment intersection test (touching counts), gated by the
-    segments' bounding boxes grown by pad.
+    """Closed-segment intersection test (touching counts) of segments i
+    and j of the chain pts, turn its orientation test
+    (geometry.chain_orient), gated by the segments' bounding boxes grown
+    by pad.
 
     The tolerant orientations can call a tiny segment far along the
     line of another touching it; segments whose grown boxes miss never
     intersect.  The gate is tested last, as it rarely decides.
     """
-    o1 = orient(a1, a2, b1)
-    o2 = orient(a1, a2, b2)
-    o3 = orient(b1, b2, a1)
-    o4 = orient(b1, b2, a2)
+    o1 = turn(i, i + 1, j)
+    o2 = turn(i, i + 1, j + 1)
+    o3 = turn(j, j + 1, i)
+    o4 = turn(j, j + 1, i + 1)
+    a1, a2, b1, b2 = pts[i], pts[i + 1], pts[j], pts[j + 1]
     touching = ((o1 != o2 and o3 != o4)
                 or (o1 == 0 and _on_segment(a1, a2, b1))
                 or (o2 == 0 and _on_segment(a1, a2, b2))
@@ -140,7 +139,8 @@ def _segments_intersect(a1: Point2, a2: Point2, b1: Point2, b2: Point2,
             and min(b1.y, b2.y) - pad <= max(a1.y, a2.y) + pad)
 
 
-def _swept_crossing(pts: Sequence[Point2],
+def _swept_crossing(pts: Sequence[Point2], xs: Sequence[float],
+                    ys: Sequence[float], turn: Callable[[int, int, int], int],
                     pad: float) -> Optional[tuple[int, int]]:
     """First pair (i, j), i + 2 <= j, of intersecting segments, or None.
 
@@ -153,13 +153,14 @@ def _swept_crossing(pts: Sequence[Point2],
     O(n log n + k), k the pairs whose grown x-ranges meet.
     """
     boxes = []
-    for i, (a, b) in enumerate(zip(pts, pts[1:])):
-        x0, x1 = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-        y0, y1 = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+    for i, (ax, bx, ay, by) in enumerate(zip(xs, xs[1:], ys, ys[1:])):
+        x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
+        y0, y1 = (ay, by) if ay <= by else (by, ay)
         boxes.append((x0 - pad, x1 + pad, y0 - pad, y1 + pad, i))
     boxes.sort()
     nseg = len(boxes)
-    later: list[list[int]] = [[] for _ in range(nseg)]  # j of candidate (i, j)
+    # the j of each candidate (i, j), by i; most segments have none
+    later: dict[int, list[int]] = {}
     for pos in range(nseg):
         _, x_hi, y_lo, y_hi, i = boxes[pos]
         for nxt in range(pos + 1, nseg):
@@ -168,48 +169,54 @@ def _swept_crossing(pts: Sequence[Point2],
                 break
             if abs(i - j) >= 2 and y_lo_j <= y_hi and y_lo <= y_hi_j:
                 if i < j:
-                    later[i].append(j)
+                    later.setdefault(i, []).append(j)
                 else:
-                    later[j].append(i)
-    for i in range(nseg):
+                    later.setdefault(j, []).append(i)
+    for i in sorted(later):
         for j in sorted(later[i]):
-            if _segments_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1],
-                                   pad):
+            if _segments_intersect(turn, pts, i, j, pad):
                 return i, j
     return None
 
 
-def _checked_arc(
-        vertices: Iterable,
-        first_crossing: Callable[[Sequence[Point2], float],
-                                 Optional[tuple[int, int]]]) -> PolygonalArc:
-    """Validate a vertex chain, with first_crossing(pts, pad) naming
-    the first pair of non-adjacent segments that intersect, if any."""
+def _checked_arc(vertices: Iterable, first_crossing: Callable[
+        ..., Optional[tuple[int, int]]]) -> PolygonalArc:
+    """Validate a vertex chain, with first_crossing(pts, xs, ys, turn,
+    pad) naming the first pair of non-adjacent segments that intersect,
+    if any: pts the points, xs and ys their coordinates, turn the
+    chain's orientation test and pad the box growth."""
     pts = _as_points(vertices)
     if len(pts) < 2:
         raise TooFewVertices(f"need at least 2 vertices, got {len(pts)}")
-    diag = _bbox_diagonal(pts)
+    # the vertices once, as floats, for every loop below
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
     if diag == 0.0:
         raise TooFewVertices("all vertices coincide")
     min_sep = EPS_TOUCH * diag
 
-    params = [0.0]
-    for a, b in zip(pts, pts[1:]):
-        step = a.dist(b)
-        if step <= min_sep:
-            raise DuplicateVertex(f"consecutive vertices coincide near {a}")
-        params.append(params[-1] + step)
+    steps = [math.hypot(ax - bx, ay - by)
+             for ax, bx, ay, by in zip(xs, xs[1:], ys, ys[1:])]
+    if min(steps) <= min_sep:
+        i = next(i for i, step in enumerate(steps) if step <= min_sep)
+        raise DuplicateVertex(f"consecutive vertices coincide near {pts[i]}")
+    # a list, not tuple(accumulate(...)): that tuple grows by
+    # reallocation, and once freed it stays in the interpreter's free
+    # list of its final size, so many small arcs would pile them up
+    params = list(accumulate(steps, initial=0.0))
 
     # adjacent segments may share only the common vertex: no back-tracking
+    turn = chain_orient(pts, xs, ys)
     for i in range(len(pts) - 2):
-        a, b, c = pts[i], pts[i + 1], pts[i + 2]
-        if orient(a, b, c) == 0:
-            u = b - a
-            w = c - b
-            if u.x * w.x + u.y * w.y < 0.0:
-                raise SelfIntersecting(f"back-tracking at vertex {b}")
+        if turn(i, i + 1, i + 2) == 0:
+            ux, uy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
+            wx, wy = xs[i + 2] - xs[i + 1], ys[i + 2] - ys[i + 1]
+            if ux * wx + uy * wy < 0.0:
+                raise SelfIntersecting(
+                    f"back-tracking at vertex {pts[i + 1]}")
 
-    hit = first_crossing(pts, min_sep)
+    hit = first_crossing(pts, xs, ys, turn, min_sep)
     if hit is not None:
         raise SelfIntersecting("segments %d and %d intersect" % hit)
     return PolygonalArc(tuple(pts), tuple(params), params[-1], diag)

@@ -14,12 +14,24 @@ decision changes when an arc is scaled, rotated or moved:
 * EPS_TOUCH bounds distances, relative to the arc's bounding-box
   diagonal, and arc parameters, relative to the arc's length or to the
   largest corner parameter.  No slack has an absolute floor.
+
+The layers that test many triples of one chain (the hull, arc
+validation, the sampler's crossing filter) compare each cross product,
+computed as orient computes it, with one bound for the whole chain
+(:func:`chain_bound`): EPS_ORIENT times the squared span of all its
+points.  Three points span at most what the chain spans, max and min
+are exact and rounding is monotone, so the threshold orient computes
+for any three is at most the bound.  A cross product beyond the bound
+thus has the sign orient returns; only the rest go through orient
+itself (:func:`chain_orient`), and no decision, error or message
+changes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,3 +108,37 @@ def orient(p: Point2, q: Point2, r: Point2) -> int:
     if abs(cross) <= thr:
         return 0
     return 1 if cross > 0.0 else -1
+
+
+def chain_bound(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """EPS_ORIENT times the squared span of the chain with coordinates
+    xs, ys: no threshold orient computes for three of its points is
+    larger, as orient's spans are at most the chain's and rounding is
+    monotone."""
+    dx = max(xs) - min(xs)
+    dy = max(ys) - min(ys)
+    return EPS_ORIENT * (dx * dx + dy * dy)
+
+
+def chain_orient(pts: Sequence[Point2], xs: Sequence[float],
+                 ys: Sequence[float]) -> Callable[[int, int, int], int]:
+    """turn(i, j, k) == orient(pts[i], pts[j], pts[k]) for a chain and
+    its coordinate lists xs, ys.
+
+    turn computes orient's cross product on the lists; beyond the
+    chain's bound its sign is orient's answer, and within it turn calls
+    orient, so every call gives orient's result.
+    """
+    bound = chain_bound(xs, ys)
+
+    def turn(i: int, j: int, k: int) -> int:
+        px = xs[i]
+        py = ys[i]
+        cross = (xs[j] - px) * (ys[k] - py) - (ys[j] - py) * (xs[k] - px)
+        if cross > bound:
+            return 1
+        if cross < -bound:
+            return -1
+        return orient(pts[i], pts[j], pts[k])
+
+    return turn

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .arc import PolygonalArc
-from .geometry import EPS_ANGLE, Point2, angle_of, ccw_gap, orient
+from .geometry import EPS_ANGLE, Point2, angle_of, ccw_gap, chain_orient
 
 
 class StraightArc(ValueError):
@@ -59,35 +59,44 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     inside the step touches exactly B.  Raises StraightArc when every
     vertex is collinear within tolerance.
     """
-    items = list(enumerate(arc.vertices))
+    pts = arc.vertices
+    # the vertices once, as floats, for the chain's orientation test
+    turn = chain_orient(pts, [p.x for p in pts], [p.y for p in pts])
+    n = len(pts)
 
     # collapse a collinear prefix so the deque starts from a strict turn
-    first, last = items[0], items[1]
-    for k in range(2, len(items)):
-        turn = items[k]
-        o = orient(first[1], last[1], turn[1])
+    last = 1
+    for k in range(2, n):
+        o = turn(0, last, k)
         if o != 0:
             break
-        last = turn
+        last = k
     else:
         raise StraightArc("all vertices collinear within tolerance")
 
-    if o > 0:
-        hull = deque([turn, first, last, turn])
-    else:
-        hull = deque([turn, last, first, turn])
+    # vertex indices; the first and last entry are the same vertex
+    hull = deque([k, 0, last, k] if o > 0 else [k, last, 0, k])
 
-    for item in items[k + 1:]:
-        p = item[1]
-        if (orient(hull[-2][1], hull[-1][1], p) > 0
-                and orient(p, hull[0][1], hull[1][1]) > 0):
-            continue  # interior point
-        while len(hull) > 2 and orient(hull[-2][1], hull[-1][1], p) <= 0:
+    # each triple is decided once: the interior test's two answers are
+    # the first tests of the pop and popleft loops
+    for i in range(k + 1, n):
+        left = turn(hull[-2], hull[-1], i)
+        if left > 0:
+            right = turn(i, hull[0], hull[1])
+            if right > 0:
+                continue  # interior point
+        else:
             hull.pop()
-        hull.append(item)
-        while len(hull) > 2 and orient(item[1], hull[0][1], hull[1][1]) <= 0:
+            while len(hull) > 2 and turn(hull[-2], hull[-1], i) <= 0:
+                hull.pop()
+            # the pops leave hull[0] and hull[1] in place
+            right = turn(i, hull[0], hull[1])
+        hull.append(i)
+        if right <= 0:
             hull.popleft()
-        hull.appendleft(item)
+            while len(hull) > 2 and turn(i, hull[0], hull[1]) <= 0:
+                hull.popleft()
+        hull.appendleft(i)
 
     cycle = list(hull)[:-1]  # drop the duplicated seam entry
 
@@ -96,10 +105,7 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     while changed and len(cycle) > 2:
         changed = False
         for i in range(len(cycle)):
-            a = cycle[i - 1][1]
-            b = cycle[i][1]
-            c = cycle[(i + 1) % len(cycle)][1]
-            if orient(a, b, c) <= 0:
+            if turn(cycle[i - 1], cycle[i], cycle[(i + 1) % len(cycle)]) <= 0:
                 del cycle[i]
                 changed = True
                 break
@@ -110,16 +116,19 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     # counterclockwise (the deque starts that way); a clockwise cycle
     # would fail the exterior-angle check below, never pass silently
     m = len(cycle)
-    start = min(range(m), key=lambda i: arc.params[cycle[i][0]])
+    params = arc.params
+    start = min(range(m), key=lambda i: params[cycle[i]])
     cycle = cycle[start:] + cycle[:start]
     # edges[i] is the direction of the edge leaving corner i: the end of
     # its step and the start of the next one, the same float for both
-    edges = [angle_of(cycle[(i + 1) % m][1] - cycle[i][1]) for i in range(m)]
+    edges = [angle_of(pts[cycle[(i + 1) % m]] - pts[cycle[i]])
+             for i in range(m)]
     corners = []
-    for i, (idx, b) in enumerate(cycle):
+    for i, idx in enumerate(cycle):
         ext = ccw_gap(edges[i - 1], edges[i])
         if not (EPS_ANGLE < ext < math.pi):
-            raise StraightArc(f"degenerate exterior angle {ext} at corner {b}")
+            raise StraightArc(
+                f"degenerate exterior angle {ext} at corner {pts[idx]}")
         corners.append(
-            HullCorner(b, arc.params[idx], edges[i - 1], edges[i], ext))
+            HullCorner(pts[idx], params[idx], edges[i - 1], edges[i], ext))
     return Hull(tuple(corners))

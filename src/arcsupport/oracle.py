@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 from .arc import (ArcError, PolygonalArc, _checked_arc, _segments_intersect,
                   build_arc, point_at)
-from .geometry import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, TWO_PI, Point2,
-                       canon_angle, ccw_gap, circ_dist, orient)
+from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
+                       ccw_gap, chain_bound, circ_dist, orient)
 from .hull import Hull, StraightArc, melkman_hull
 from .pairs import (TripleReport, TriplePair, _configurations, _unroll,
                     _verify)
@@ -82,12 +82,11 @@ def pairwise_simple_check(vertices: Iterable) -> PolygonalArc:
     """Reference for build_arc: the same checks, with every pair of
     non-adjacent segments tested in (i, j) order; O(n^2)."""
 
-    def first_crossing(pts, pad):
+    def first_crossing(pts, xs, ys, turn, pad):
         nseg = len(pts) - 1
         for i in range(nseg):
             for j in range(i + 2, nseg):
-                if _segments_intersect(pts[i], pts[i + 1],
-                                       pts[j], pts[j + 1], pad):
+                if _segments_intersect(turn, pts, i, j, pad):
                     return i, j
         return None
 
@@ -427,10 +426,9 @@ def monotone_chain_hull(points: list[Point2]) -> list[int]:
 def _certainly_crosses(xs: list[float], ys: list[float]) -> bool:
     """True when two non-adjacent segments of the chain xs, ys cross
     properly: all four cross products, each orient's expression, lie
-    beyond EPS_ORIENT times the squared span of the whole chain."""
-    dx = max(xs) - min(xs)
-    dy = max(ys) - min(ys)
-    thr = EPS_ORIENT * (dx * dx + dy * dy)
+    beyond the chain's bound (geometry.chain_bound), so orient decides
+    each of them by its sign."""
+    thr = chain_bound(xs, ys)
     for i in range(len(xs) - 3):
         px, py, qx, qy = xs[i], ys[i], xs[i + 1], ys[i + 1]
         ux, uy = qx - px, qy - py

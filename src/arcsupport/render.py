@@ -46,12 +46,18 @@ def render_pair_svg(arc: PolygonalArc, hull: Hull, pair: TriplePair) -> str:
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
 
-    hull_pts = " ".join(f"{sx(c.point.x):.3f},{sy(c.point.y):.3f}"
-                        for c in hull.corners)
+    # the point lists with sx and sy written out, not called per point
+    hull_pts = " ".join(
+        f"{MARGIN + (c.point.x - min_x) * scale:.3f},"
+        f"{HEIGHT - (MARGIN + (c.point.y - min_y) * scale):.3f}"
+        for c in hull.corners)
     out.append(f'<polygon points="{hull_pts}" fill="none" '
                f'stroke="{HULL_STROKE}" stroke-dasharray="6 4"/>')
 
-    arc_pts = " ".join(f"{sx(v.x):.3f},{sy(v.y):.3f}" for v in arc.vertices)
+    arc_pts = " ".join(
+        f"{MARGIN + (x - min_x) * scale:.3f},"
+        f"{HEIGHT - (MARGIN + (y - min_y) * scale):.3f}"
+        for x, y in zip(xs, ys))
     out.append(f'<polyline points="{arc_pts}" fill="none" '
                f'stroke="{ARC_STROKE}" stroke-width="2"/>')
 

@@ -1,10 +1,13 @@
 import math
+import random
+import tracemalloc
 from decimal import Decimal
 
 import pytest
 
 from arcsupport import (ArcError, DuplicateVertex, ParamOutOfRange, Point2,
                         SelfIntersecting, TooFewVertices, build_arc, point_at)
+from families import convex_arc, walk_arc
 
 
 def test_build_e1(e1):
@@ -129,3 +132,37 @@ def test_numeric_coordinate_types_build_the_same_arc():
     for kind in (np.float64, np.int64, Fraction, int):
         pts = [(kind(int(x)), kind(int(y))) for x, y in plain]
         assert build_arc(pts) == build_arc(plain), kind
+
+
+@pytest.mark.parametrize("make", [convex_arc, walk_arc])
+def test_validation_decides_each_triple_once(orient_counts, make):
+    # one orientation per vertex for back-tracking and four per pair of
+    # segments tested; the chain's bound decides nearly all of them
+    n = 1600
+    build_arc(make(n, random.Random(n)))
+    assert orient_counts["decided"] <= n
+    assert orient_counts["full"] <= 0.01 * n
+    # the counters count: on a straight chain every test is a full call
+    orient_counts.update(decided=0, full=0)
+    build_arc([(float(i), 0.0) for i in range(n)])
+    assert orient_counts["decided"] == orient_counts["full"] == n - 2
+
+
+def test_building_small_arcs_keeps_no_memory():
+    # a fuzz campaign builds arcs of 4 to 12 vertices by the million:
+    # building one must hand back all it allocates, the interpreter's
+    # free lists of small tuples included
+    rng = random.Random(3)
+    chains = [convex_arc(n, rng) for n in range(4, 13) for _ in range(20)]
+    for chain in chains:
+        build_arc(chain)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            for chain in chains:
+                build_arc(chain)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 1024

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from arcsupport import (EPS_ORIENT, Point2, TWO_PI, ZeroVector, angle_of,
                         canon_angle, ccw_gap, orient)
+from arcsupport.geometry import chain_bound, chain_orient
 
 angles = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -69,6 +70,37 @@ def test_orient_equals_max_min_span():
                 assert orient(p, q, r) == orient_max_min(p, q, r), (p, q, r)
                 count += 1
     assert count > 100_000
+
+
+@pytest.mark.parametrize("k", [-60, 0, 60])
+@pytest.mark.parametrize("far", [1.0, 3.0])
+def test_chain_orient_at_its_bound(orient_counts, k, far):
+    # p, q, r = (0, 0), (s, 0), (s/2, y) have the cross product s * y,
+    # set to the chain's bound and the floats either side of it, of
+    # either sign; a fourth point (far * s, 0) sets the chain's span.
+    # With far = 1 the triple spans the whole chain, so orient's
+    # threshold is the bound itself; with far = 3 it is a ninth of it
+    s = math.ldexp(1.0, k)
+    xs = [0.0, s, 0.5 * s, far * s]
+    bound = chain_bound(xs, [0.0] * 4)
+    assert bound == EPS_ORIENT * (far * s) ** 2
+    for c in (bound, math.nextafter(bound, 0.0),
+              math.nextafter(bound, math.inf)):
+        for cross in (c, -c):
+            ys = [0.0, 0.0, cross / s, 0.0]
+            assert chain_bound(xs, ys) == bound
+            pts = [Point2(x, y) for x, y in zip(xs, ys)]
+            turn = chain_orient(pts, xs, ys)
+            orient_counts.update(full=0)
+            got = turn(0, 1, 2)
+            # the filter decides exactly the cross products beyond it
+            assert orient_counts["full"] == (abs(cross) <= bound)
+            if far == 3.0 or abs(cross) > bound:
+                assert got == (1 if cross > 0.0 else -1)
+            else:
+                assert got == 0
+            for i, j, m in itertools.permutations(range(4), 3):
+                assert turn(i, j, m) == orient(pts[i], pts[j], pts[m])
 
 
 def test_angle_of_fixed_cases():

@@ -1,15 +1,88 @@
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcsupport import (ArcError, Point2, StraightArc, build_arc,
-                        build_profile, corollary_check, melkman_hull,
+from arcsupport import (EPS_ANGLE, ArcError, Hull, HullCorner, Point2,
+                        StraightArc, angle_of, build_arc, build_profile,
+                        ccw_gap, corollary_check, melkman_hull,
                         monotone_chain_hull, orient, verify_triple)
 from families import convex_arc, walk_arc
 from test_reference import grid_chains, tiny_near_collinear
+
+
+def point2_melkman_hull(arc):
+    """Reference for melkman_hull: the same algorithm with a plain
+    orient call on the Point2 vertices for every test, where the loops
+    ask again the triples the interior test has just decided."""
+    items = list(enumerate(arc.vertices))
+
+    first, last = items[0], items[1]
+    for k in range(2, len(items)):
+        turn = items[k]
+        o = orient(first[1], last[1], turn[1])
+        if o != 0:
+            break
+        last = turn
+    else:
+        raise StraightArc("all vertices collinear within tolerance")
+
+    if o > 0:
+        hull = deque([turn, first, last, turn])
+    else:
+        hull = deque([turn, last, first, turn])
+
+    for item in items[k + 1:]:
+        p = item[1]
+        if (orient(hull[-2][1], hull[-1][1], p) > 0
+                and orient(p, hull[0][1], hull[1][1]) > 0):
+            continue
+        while len(hull) > 2 and orient(hull[-2][1], hull[-1][1], p) <= 0:
+            hull.pop()
+        hull.append(item)
+        while len(hull) > 2 and orient(item[1], hull[0][1], hull[1][1]) <= 0:
+            hull.popleft()
+        hull.appendleft(item)
+
+    cycle = list(hull)[:-1]
+    changed = True
+    while changed and len(cycle) > 2:
+        changed = False
+        for i in range(len(cycle)):
+            a = cycle[i - 1][1]
+            b = cycle[i][1]
+            c = cycle[(i + 1) % len(cycle)][1]
+            if orient(a, b, c) <= 0:
+                del cycle[i]
+                changed = True
+                break
+    if len(cycle) < 3:
+        raise StraightArc("hull degenerates to a segment within tolerance")
+
+    m = len(cycle)
+    start = min(range(m), key=lambda i: arc.params[cycle[i][0]])
+    cycle = cycle[start:] + cycle[:start]
+    edges = [angle_of(cycle[(i + 1) % m][1] - cycle[i][1]) for i in range(m)]
+    corners = []
+    for i, (idx, b) in enumerate(cycle):
+        ext = ccw_gap(edges[i - 1], edges[i])
+        if not (EPS_ANGLE < ext < math.pi):
+            raise StraightArc(f"degenerate exterior angle {ext} at corner {b}")
+        corners.append(
+            HullCorner(b, arc.params[idx], edges[i - 1], edges[i], ext))
+    return Hull(tuple(corners))
+
+
+def outcome(hull_of, arc):
+    """The hull and its repr, or the StraightArc message."""
+    try:
+        hull = hull_of(arc)
+    except StraightArc as exc:
+        return None, str(exc)
+    return hull, repr(hull)
 
 
 def assert_turns_left(hull):
@@ -112,6 +185,48 @@ def test_corners_turn_counterclockwise_on_adversarial_chains(pts, offset):
     except (ArcError, StraightArc):
         return
     assert_turns_left(hull)
+
+
+def test_melkman_equals_point2_reference(fuzz_pool):
+    arcs = [arc for arc, _ in fuzz_pool]
+    for n in (400, 1600):
+        rng = random.Random(n)
+        arcs += [build_arc(make(n, rng)) for make in (convex_arc, walk_arc)]
+    for arc in arcs:
+        want = outcome(point2_melkman_hull, arc)
+        assert want[0] is not None
+        assert outcome(melkman_hull, arc) == want
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pts=grid_chains | tiny_near_collinear,
+       offset=st.sampled_from([0.0, 1e6, -1e12]))
+def test_melkman_equals_point2_reference_on_adversarial_chains(pts, offset):
+    # the chains of test_corners_turn_counterclockwise_on_adversarial_chains
+    try:
+        arc = build_arc([(x + offset, y + offset) for x, y in pts])
+    except ArcError:
+        return
+    assert outcome(melkman_hull, arc) == outcome(point2_melkman_hull, arc)
+
+
+@pytest.mark.parametrize("make", [convex_arc, walk_arc])
+def test_hull_decides_each_triple_once(orient_counts, make):
+    # the reference asks about 6 orientations per vertex here, each a
+    # full orient call; the interior test's answers carry over into the
+    # loops, and the chain's bound decides nearly all of them
+    n = 1600
+    arc = build_arc(make(n, random.Random(n)))
+    orient_counts.update(decided=0, full=0)
+    melkman_hull(arc)
+    assert orient_counts["decided"] <= 4 * n
+    assert orient_counts["full"] <= 0.01 * n
+    # the counters count: on a straight chain every test is a full call
+    arc = build_arc([(float(i), 0.0) for i in range(n)])
+    orient_counts.update(decided=0, full=0)
+    with pytest.raises(StraightArc):
+        melkman_hull(arc)
+    assert orient_counts["decided"] == orient_counts["full"] == n - 2
 
 
 def test_all_vertices_inside_hull(fuzz_pool):

@@ -6,11 +6,13 @@ merge and the scan bisects it, enumerate_triples bisects the gap
 chart, and verify_triple reads only the runs of vertices whose box can
 matter; the references are the pairwise, linear and quadratic forms.
 random_simple_arc discards crossing draws before build_arc; its
-reference sends every draw through build_arc.  Results must be equal,
-not close.
+reference sends every draw through build_arc.  geometry.chain_orient
+decides most orientations on one bound per chain; its reference is
+orient on every triple.  Results must be equal, not close.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -28,6 +30,7 @@ from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
                         verify_triple)
 from arcsupport import arc as arc_module
 from arcsupport.arc import run_index
+from arcsupport.geometry import chain_orient
 from arcsupport.oracle import (COORDINATE_BOX, _certainly_crosses,
                                _linear_support_check,
                                linear_enumerate_triples, linear_ledger_lookup,
@@ -412,24 +415,45 @@ stacked = st.builds(stacked_diagonals, st.integers(3, 16),
                     st.integers(-45, 0).map(lambda e: 2.0**e))
 
 
+# a chain, an exact 2^k scaling and a translation by a point of a
+# 2^grid grid in the scaled units
+ADVERSARIAL = dict(pts=grid_chains | tiny_near_collinear | stacked,
+                   k=st.integers(-60, 60),
+                   offset=st.tuples(st.integers(-2**10, 2**10),
+                                    st.integers(-2**10, 2**10)),
+                   grid=st.integers(-30, 0))
+
+
+def scaled_and_moved(pts, k, offset, grid):
+    """pts, pts scaled by 2^k, and the scaled chain translated."""
+    scaled = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in pts]
+    ox, oy = (math.ldexp(c, k + grid) for c in offset)
+    return [pts, scaled, [(x + ox, y + oy) for x, y in scaled]]
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(pts=grid_chains | tiny_near_collinear | stacked,
-       k=st.integers(-60, 60),
-       offset=st.tuples(st.integers(-2**10, 2**10),
-                        st.integers(-2**10, 2**10)),
-       grid=st.integers(-30, 0))
+@given(**ADVERSARIAL)
 @example(pts=[(0, 0), (1, 0), (1.5, 1),
               (1.5292353540374406, 2.84194129160528e-12),
               (1.5292357661276, 1.4318546153326271e-12)],
          k=0, offset=(0, 0), grid=0)
 def test_build_arc_equals_pairwise_on_adversarial_arcs(pts, k, offset, grid):
-    # exact 2^k scaling, then a translation by a point of a 2^grid grid
-    # in the scaled units
-    same_verdict(pts)
-    scaled = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in pts]
-    same_verdict(scaled)
-    ox, oy = (math.ldexp(c, k + grid) for c in offset)
-    same_verdict([(x + ox, y + oy) for x, y in scaled])
+    for chain in scaled_and_moved(pts, k, offset, grid):
+        same_verdict(chain)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(**ADVERSARIAL)
+def test_chain_orient_equals_orient_on_adversarial_chains(pts, k, offset,
+                                                          grid):
+    # every ordered triple of three distinct vertices
+    for chain in scaled_and_moved(pts, k, offset, grid):
+        xs, ys = [x for x, _ in chain], [y for _, y in chain]
+        points = [Point2(x, y) for x, y in chain]
+        turn = chain_orient(points, xs, ys)
+        for i, j, m in itertools.permutations(range(len(chain)), 3):
+            assert turn(i, j, m) == orient(points[i], points[j],
+                                           points[m]), (chain, i, j, m)
 
 
 @pytest.mark.parametrize("make", [convex_arc, walk_arc])

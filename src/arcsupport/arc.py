@@ -11,8 +11,9 @@ meet reach the tolerant orientation test, which makes "intersect" mean
 "grown boxes meet and the orientations cross or touch".
 
 The same broad phase serves pairs.verify_triple: an arc's vertices in
-runs of RUN, each with its bounding box (run_index), let a query over
-all vertices skip the runs whose box cannot matter.
+runs of RUN, each with its bounding box (PolygonalArc.runs, built by
+build_arc from the coordinates it validates), let a query over all
+vertices skip the runs whose box cannot matter.
 """
 
 from __future__ import annotations
@@ -47,23 +48,26 @@ class ParamOutOfRange(ArcError):
     pass
 
 
+# vertices per run of PolygonalArc.runs
+RUN = 16
+
+
 @dataclass(frozen=True)
 class PolygonalArc:
     """Validated simple polygonal arc.
 
     params[i] is the cumulative Euclidean length up to vertices[i];
-    params[0] == 0 and params[-1] == length.
+    params[0] == 0 and params[-1] == length.  Run r of runs holds
+    vertices r * RUN to r * RUN + RUN - 1 as (x_lo, x_hi, y_lo, y_hi,
+    xs, ys): its bounding box and its coordinates.
     """
 
     vertices: tuple[Point2, ...]
     params: tuple[float, ...]
     length: float
     diagonal: float  # bounding-box diagonal, the distance scale for tolerances
-    # derived data (run_index), out of __init__, __eq__, __hash__ and
-    # __repr__; a field rather than a key added to the instance dict
-    # later, which would make every attribute read on the arc slower
-    _indexes: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    # derived from the vertices: out of __eq__, __hash__ and __repr__
+    runs: tuple[tuple, ...] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -219,7 +223,12 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
     hit = first_crossing(pts, xs, ys, turn, min_sep)
     if hit is not None:
         raise SelfIntersecting("segments %d and %d intersect" % hit)
-    return PolygonalArc(tuple(pts), tuple(params), params[-1], diag)
+    runs = []
+    for i in range(0, len(xs), RUN):
+        rx, ry = xs[i:i + RUN], ys[i:i + RUN]
+        runs.append((min(rx), max(rx), min(ry), max(ry), rx, ry))
+    return PolygonalArc(tuple(pts), tuple(params), params[-1], diag,
+                        tuple(runs))
 
 
 def build_arc(vertices: Iterable) -> PolygonalArc:
@@ -240,26 +249,6 @@ def build_arc(vertices: Iterable) -> PolygonalArc:
     reference.
     """
     return _checked_arc(vertices, _swept_crossing)
-
-
-# vertices per run of run_index
-RUN = 16
-
-
-def run_index(arc: PolygonalArc) -> list[tuple]:
-    """The arc's vertices in runs of RUN, in order, built on first use
-    in O(n) and kept on the arc (it is immutable).  Run r holds
-    vertices r * RUN to r * RUN + RUN - 1 as (x_lo, x_hi, y_lo, y_hi,
-    xs, ys): its bounding box and its coordinates."""
-    runs = arc._indexes.get("runs")
-    if runs is None:
-        xs = [v.x for v in arc.vertices]
-        ys = [v.y for v in arc.vertices]
-        runs = arc._indexes["runs"] = []
-        for i in range(0, len(xs), RUN):
-            rx, ry = xs[i:i + RUN], ys[i:i + RUN]
-            runs.append((min(rx), max(rx), min(ry), max(ry), rx, ry))
-    return runs
 
 
 def point_at(arc: PolygonalArc, s: float) -> Point2:

@@ -21,9 +21,9 @@ from .hull import StraightArc, melkman_hull
 from .oracle import (FuzzConfig, GenerationExhausted, _arc_and_hull,
                      draw_delta)
 from .pairs import (MOUNTAIN, VALLEY, InvalidDelta, TriplePair,
-                    corollary_check, enumerate_triples, find_pair_mountain,
-                    find_pair_valley, jump_to_jump_gaps, pairs_identical,
-                    safe_delta_range, verify_triple)
+                    corollary_check, enumerate_triples, find_pair,
+                    jump_to_jump_gaps, pairs_identical, safe_delta_range,
+                    verify_triple)
 from .profile import build_profile
 from .render import render_pair_svg
 
@@ -112,17 +112,11 @@ def _pair_doc(pair: TriplePair, unique_count: int, report,
     }
 
 
-def _scan(profile, arc, delta, mode) -> TriplePair:
-    if mode == MOUNTAIN:
-        return find_pair_mountain(profile, arc, delta)
-    return find_pair_valley(profile, arc, delta)
-
-
 def _run_mode(profile, arc, delta, mode):
     """The scan's pair, the number of enumerated configurations of its
     kind (spanning the apex step for a mountain pair, the minimum step
     for a valley pair) and its verification report."""
-    pair = _scan(profile, arc, delta, mode)
+    pair = find_pair(profile, delta, mode)
     configs = enumerate_triples(profile, arc, delta)
     typed = sum(1 for c in configs
                 if (c.covers_apex if pair.covers_apex else c.covers_min))
@@ -151,7 +145,7 @@ def cmd_find_pair(args) -> int:
 def cmd_render(args) -> int:
     arc, hull, profile = _load(args.input)
     delta = math.radians(args.delta) if args.degrees else args.delta
-    svg = render_pair_svg(arc, hull, _scan(profile, arc, delta, args.mode))
+    svg = render_pair_svg(arc, hull, find_pair(profile, delta, args.mode))
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"wrote {args.output}")

@@ -40,19 +40,12 @@ EPS_ANGLE = 1e-9
 EPS_TOUCH = 1e-9
 
 
-class ZeroVector(ValueError):
-    """A direction was requested for the zero vector."""
-
-
 @dataclass(frozen=True)
 class Point2:
-    """Point (or free vector) in the plane."""
+    """Point in the plane."""
 
     x: float
     y: float
-
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
 
     def dist(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -66,13 +59,6 @@ def canon_angle(theta: float) -> float:
     if r >= TWO_PI:  # fmod can round up to 2*pi for tiny negatives
         r -= TWO_PI
     return r
-
-
-def angle_of(v: Point2) -> float:
-    """Canonical direction angle of a nonzero vector."""
-    if v.x == 0.0 and v.y == 0.0:
-        raise ZeroVector("cannot take the angle of the zero vector")
-    return canon_angle(math.atan2(v.y, v.x))
 
 
 def ccw_gap(a: float, b: float) -> float:

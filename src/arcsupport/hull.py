@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .arc import PolygonalArc
-from .geometry import EPS_ANGLE, Point2, angle_of, ccw_gap, chain_orient
+from .geometry import EPS_ANGLE, Point2, canon_angle, ccw_gap, chain_orient
 
 
 class StraightArc(ValueError):
@@ -60,8 +60,10 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     vertex is collinear within tolerance.
     """
     pts = arc.vertices
-    # the vertices once, as floats, for the chain's orientation test
-    turn = chain_orient(pts, [p.x for p in pts], [p.y for p in pts])
+    # the vertices once, as floats, for turns and edge directions
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    turn = chain_orient(pts, xs, ys)
     n = len(pts)
 
     # collapse a collinear prefix so the deque starts from a strict turn
@@ -120,9 +122,10 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     start = min(range(m), key=lambda i: params[cycle[i]])
     cycle = cycle[start:] + cycle[:start]
     # edges[i] is the direction of the edge leaving corner i: the end of
-    # its step and the start of the next one, the same float for both
-    edges = [angle_of(pts[cycle[(i + 1) % m]] - pts[cycle[i]])
-             for i in range(m)]
+    # its step and the start of the next one, the same float for both.
+    # Two corners are distinct points, so no edge is the zero vector
+    edges = [canon_angle(math.atan2(ys[b] - ys[a], xs[b] - xs[a]))
+             for a, b in zip(cycle, cycle[1:] + cycle[:1])]
     corners = []
     for i, idx in enumerate(cycle):
         ext = ccw_gap(edges[i - 1], edges[i])

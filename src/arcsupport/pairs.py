@@ -32,9 +32,9 @@ O(m log m), on the first enumeration, and kept on the profile; each
 enumerate_triples after that costs O(log m + k) for k candidates.
 
 verify_triple checks a pair against the raw vertices, not the profile.
-It reads them in runs of 16 with their bounding boxes (arc.run_index,
-built once per arc) and skips each run whose box corner shows that it
-cannot change the answer, the broad phase build_arc also uses.
+It reads them in runs of 16 with their bounding boxes (arc.runs, built
+by build_arc) and skips each run whose box corner shows that it cannot
+change the answer, the broad phase build_arc also uses.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arc import RUN, PolygonalArc, point_at, run_index
+from .arc import RUN, PolygonalArc, point_at
 from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
                        ccw_gap, circ_dist)
 from .profile import _ROUNDING, SupportProfile, touch_params
@@ -65,7 +65,7 @@ class TriplePair:
     gamma(s2).  realized_gap is the counterclockwise gap between the two
     angles that matches the claimed difference of the respective scan.
     covers_apex / covers_min record which extreme step the gap side of
-    the pair spans (used to classify enumerated configurations).
+    the pair spans: its kind, mountain or valley.
     """
 
     mode: str
@@ -264,17 +264,17 @@ def _assign_roles(profile: SupportProfile, theta_left: float,
     return wide, other, td[0], s2, td[-1], False
 
 
-def _gap_side_covers(start: float, gap: float, step_start: float,
-                     step_width: float) -> bool:
-    """Does the ccw arc of length gap starting at start contain the
-    whole step [step_start, step_start + step_width]?"""
-    off = ccw_gap(start, step_start)
-    if off > TWO_PI - EPS_ANGLE:
-        off = 0.0
-    return off + step_width <= gap + EPS_ANGLE
+def find_pair(profile: SupportProfile, delta: float,
+              mode: str) -> TriplePair:
+    """The pair of support lines of kind mode (MOUNTAIN or VALLEY) whose
+    angle difference, measured across the apex step for a mountain pair
+    and across the minimum step for a valley pair, is delta.
 
-
-def _find_pair(profile: SupportProfile, delta: float, mode: str) -> TriplePair:
+    Guaranteed strict for delta in safe_delta_range(profile, mode);
+    outside it the result is flagged guaranteed=False and may be
+    degenerate.  A valley pair reports the complementary gap
+    2*pi - delta between its two angles as realized_gap.
+    """
     if not (0.0 < delta < TWO_PI):
         raise InvalidDelta(f"angle difference {delta} outside (0, 2*pi)")
     lo, hi = safe_delta_range(profile, mode)
@@ -298,26 +298,14 @@ def _find_pair(profile: SupportProfile, delta: float, mode: str) -> TriplePair:
 
 def find_pair_mountain(profile: SupportProfile, arc: PolygonalArc,
                        delta: float) -> TriplePair:
-    """Pair of support lines whose angle difference, measured across the
-    apex of the profile, is delta.
-
-    Guaranteed strict for delta in safe_delta_range (from the apex step
-    width to 2*pi minus the minimum step width); outside it the result
-    is flagged guaranteed=False and may be degenerate.
-    """
-    return _find_pair(profile, delta, MOUNTAIN)
+    """find_pair(profile, delta, MOUNTAIN); arc is not read."""
+    return find_pair(profile, delta, MOUNTAIN)
 
 
 def find_pair_valley(profile: SupportProfile, arc: PolygonalArc,
                      delta: float) -> TriplePair:
-    """Pair of support lines whose angle difference measured across the
-    minimum step is delta; the complementary gap 2*pi - delta between
-    the two angles is reported as realized_gap.
-
-    Guaranteed strict for delta in safe_delta_range (from the minimum
-    step width to 2*pi minus the apex step width).
-    """
-    return _find_pair(profile, delta, VALLEY)
+    """find_pair(profile, delta, VALLEY); arc is not read."""
+    return find_pair(profile, delta, VALLEY)
 
 
 def safe_delta_range(profile: SupportProfile, mode: str) -> tuple[float, float]:
@@ -326,7 +314,9 @@ def safe_delta_range(profile: SupportProfile, mode: str) -> tuple[float, float]:
     membership in it."""
     if mode == MOUNTAIN:
         return (profile.apex_step.width, TWO_PI - profile.min_step.width)
-    return (profile.min_step.width, TWO_PI - profile.apex_step.width)
+    if mode == VALLEY:
+        return (profile.min_step.width, TWO_PI - profile.apex_step.width)
+    raise ValueError(f"mode must be {MOUNTAIN!r} or {VALLEY!r}, got {mode!r}")
 
 
 def pairs_identical(profile: SupportProfile, m: TriplePair,
@@ -385,6 +375,10 @@ def _build_chart(profile: SupportProfile) -> _Chart:
     [0, 2*pi] at the ends of these gap intervals and lists, per piece,
     the candidates covering it in jump, then sign (+ before -) order.
     A query bisects the cuts.
+
+    A candidate (i, sign) spans the apex step exactly when
+    (0 < i <= apex_index) == (sign > 0), else the minimum step: the ccw
+    side from a rising jump to the falling run passes the apex step.
     """
     slack = profile.param_slack
     steps = profile.steps
@@ -447,7 +441,7 @@ def enumerate_triples(profile: SupportProfile, arc: PolygonalArc,
     candidates are the jump angles paired with the angle gap away on
     either side, read off the gap chart by one bisection.  Each
     surviving configuration records whether its gap side spans the apex
-    step or the minimum step.
+    step or the minimum step, read off its candidate.
     """
     if not (0.0 < gap < TWO_PI):
         raise InvalidDelta(f"gap {gap} outside (0, 2*pi)")
@@ -460,23 +454,21 @@ def _configurations(profile: SupportProfile, gap: float,
                     cands: Iterable[tuple]) -> list[TriplePair]:
     """The configurations at gap of the (jump index, sign) candidates,
     pairing jump i with the angle psi = a_i + sign * gap, in the order
-    enumerate_triples returns them."""
+    enumerate_triples returns them.  A configuration's kind is its
+    candidate's, by the rule in _build_chart; at gap pi, (i, +1) and
+    (i, -1) give one pair, which then carries both kinds."""
     slack = profile.param_slack
-    apex = profile.apex_step
-    mins = profile.min_step
+    k = profile.apex_index
     found: dict[tuple, TriplePair] = {}
     for i, sign in cands:
         jump = profile.jumps[i]
         lo, hi = jump.low_param, jump.high_param
         psi = canon_angle(jump.angle + sign * gap)
-        side_start = jump.angle if sign > 0 else psi
+        apex_side = (0 < i <= k) == (sign > 0)
         for s2 in touch_params(profile, psi):
             if not (lo + slack < s2 < hi - slack):
                 continue
-            covers_apex = _gap_side_covers(side_start, gap,
-                                           apex.start, apex.width)
-            covers_min = _gap_side_covers(side_start, gap,
-                                          mins.start, mins.width)
+            covers_apex, covers_min = apex_side, not apex_side
             key = (round(jump.angle, 9), round(psi, 9), s2)
             prev = found.get(key)
             if prev is not None:
@@ -518,8 +510,8 @@ def _support_check(arc: PolygonalArc, theta: float, p: Point2, s: float,
     vertex v lies on the closed left of the line through p, that is
     g(v) = cos theta * (v.y - p.y) - sin theta * (v.x - p.x) >= -slack.
 
-    One pass over the runs of run_index(arc).  The corner of a run's box
-    farthest along the normal, (x_hi if sin theta >= 0 else x_lo,
+    One pass over arc.runs.  The corner of a run's box farthest along
+    the normal, (x_hi if sin theta >= 0 else x_lo,
     y_lo if cos theta >= 0 else y_hi), has the largest projection and
     the smallest g of any point in the box, and so in floating point
     too: rounding is monotone (a <= b gives fl(a) <= fl(b), and
@@ -544,7 +536,7 @@ def _support_check(arc: PolygonalArc, theta: float, p: Point2, s: float,
     start = 0
     # where in a run's tuple the corner's x and y are
     ix, iy = (1 if dy >= 0.0 else 0), (2 if dx >= 0.0 else 3)
-    for run in run_index(arc):
+    for run in arc.runs:
         cx, cy = run[ix], run[iy]
         if cx * dy + cy * ny >= best:
             fs = [x * dy + y * ny for x, y in zip(run[4], run[5])]
@@ -599,7 +591,7 @@ def verify_triple(arc: PolygonalArc, pair: TriplePair) -> TripleReport:
     because rounding is monotone, so the runs that cannot hold the
     extreme vertex or a vertex on the right are skipped, and the report
     is bitwise that of four passes over every vertex
-    (oracle.linear_verify_triple).  Cost: an O(n) run index, built once
-    per arc, then O(n/RUN + RUN*k) per call, k the number of runs read.
+    (oracle.linear_verify_triple).  Cost: O(n/RUN + RUN*k) per call, k
+    the number of runs read, on the runs build_arc stores on the arc.
     """
     return _verify(arc, pair, _support_check)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arcsupport import (EPS_ORIENT, Point2, TWO_PI, ZeroVector, angle_of,
-                        canon_angle, ccw_gap, orient)
+from arcsupport import (EPS_ORIENT, Point2, TWO_PI, canon_angle, ccw_gap,
+                        orient)
 from arcsupport.geometry import chain_bound, chain_orient
 
 angles = st.floats(min_value=-50.0, max_value=50.0,
@@ -103,17 +103,6 @@ def test_chain_orient_at_its_bound(orient_counts, k, far):
                 assert turn(i, j, m) == orient(pts[i], pts[j], pts[m])
 
 
-def test_angle_of_fixed_cases():
-    assert angle_of(Point2(1, 0)) == 0.0
-    assert angle_of(Point2(0, 1)) == pytest.approx(math.pi / 2)
-    assert angle_of(Point2(-1, -1)) == pytest.approx(5 * math.pi / 4)
-
-
-def test_angle_of_zero_vector():
-    with pytest.raises(ZeroVector):
-        angle_of(Point2(0.0, 0.0))
-
-
 def test_ccw_gap_fixed_cases():
     assert ccw_gap(0.0, math.pi / 2) == pytest.approx(math.pi / 2)
     assert ccw_gap(3 * math.pi / 2, math.pi / 4) == pytest.approx(3 * math.pi / 4)
@@ -153,18 +142,25 @@ def test_one_fixed_tolerance_policy():
 
 def test_public_names_resolve_and_removed_ones_stay_gone():
     import arcsupport
-    from arcsupport import arc, geometry, oracle, pairs, profile
+    from arcsupport import arc, cli, geometry, oracle, pairs, profile
     lemma_helpers = ("cross_section", "support_line", "DirectedLine",
                      "unique_crossing", "MalformedFunction")
     for name in ("scan_ledger", "ScanStep", "interval_sub", "Interval",
-                 "filled_interval", "scale_to_unit",
-                 "ProfileStep") + lemma_helpers:
+                 "filled_interval", "scale_to_unit", "ProfileStep",
+                 "angle_of", "ZeroVector") + lemma_helpers:
         assert not hasattr(arcsupport, name), name
     for mod, name in ((pairs, "scan_ledger"), (pairs, "ScanStep"),
                       (pairs, "_Piece"), (geometry, "interval_sub"),
                       (geometry, "Interval"), (profile, "filled_interval"),
-                      (arc, "scale_to_unit"), (profile, "ProfileStep")):
+                      (arc, "scale_to_unit"), (profile, "ProfileStep"),
+                      (geometry, "angle_of"), (geometry, "ZeroVector"),
+                      (arc, "run_index"), (pairs, "_gap_side_covers"),
+                      (pairs, "_find_pair"), (cli, "_scan")):
         assert not hasattr(mod, name), name
+    # the runs are a field that build_arc fills, not a memo kept aside
+    assert not hasattr(arcsupport.PolygonalArc, "_indexes")
+    assert "_indexes" not in {
+        f.name for f in dataclasses.fields(arcsupport.PolygonalArc)}
     # a hull corner is the profile's step, under the step's field names
     assert [f.name for f in dataclasses.fields(arcsupport.HullCorner)] == [
         "point", "level", "start", "end", "width"]
@@ -174,8 +170,9 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
     for alias in ("min_step_width", "apex_step_width", "max_level"):
         assert not hasattr(arcsupport.SupportProfile, alias), alias
     assert not hasattr(Point2, "__add__")
+    assert not hasattr(Point2, "__sub__")
     assert "coordinate_box" not in {
         f.name for f in dataclasses.fields(arcsupport.FuzzConfig)}
-    assert len(set(arcsupport.__all__)) == len(arcsupport.__all__) == 48
+    assert len(set(arcsupport.__all__)) == len(arcsupport.__all__) == 47
     for name in arcsupport.__all__:
         assert getattr(arcsupport, name) is not None, name

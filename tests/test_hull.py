@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcsupport import (EPS_ANGLE, ArcError, Hull, HullCorner, Point2,
-                        StraightArc, angle_of, build_arc, build_profile,
+                        StraightArc, build_arc, build_profile, canon_angle,
                         ccw_gap, corollary_check, melkman_hull,
                         monotone_chain_hull, orient, verify_triple)
 from families import convex_arc, walk_arc
@@ -65,7 +65,8 @@ def point2_melkman_hull(arc):
     m = len(cycle)
     start = min(range(m), key=lambda i: arc.params[cycle[i][0]])
     cycle = cycle[start:] + cycle[:start]
-    edges = [angle_of(cycle[(i + 1) % m][1] - cycle[i][1]) for i in range(m)]
+    edges = [canon_angle(math.atan2(b.y - a.y, b.x - a.x))
+             for (_, a), (_, b) in zip(cycle, cycle[1:] + cycle[:1])]
     corners = []
     for i, (idx, b) in enumerate(cycle):
         ext = ccw_gap(edges[i - 1], edges[i])

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from arcsupport import (EPS_ANGLE, MOUNTAIN, TWO_PI, VALLEY, InvalidDelta,
-                        build_arc, build_profile, ccw_gap, circ_dist,
-                        corollary_check, enumerate_triples,
-                        find_pair_mountain, find_pair_valley,
+                        build_arc, build_profile, canon_angle, ccw_gap,
+                        circ_dist, corollary_check, enumerate_triples,
+                        find_pair, find_pair_mountain, find_pair_valley,
                         jump_to_jump_gaps, melkman_hull, pairs_identical,
                         safe_delta_range, touch_params, verify_triple)
 from arcsupport import pairs
@@ -89,6 +89,14 @@ def test_invalid_delta(e1, e1_profile):
             find_pair_mountain(e1_profile, e1, bad)
         with pytest.raises(InvalidDelta):
             find_pair_valley(e1_profile, e1, bad)
+
+
+def test_unknown_mode_is_refused(e1_profile):
+    # a misspelt mode once read as a valley
+    with pytest.raises(ValueError, match="'mountian'"):
+        find_pair(e1_profile, PI, "mountian")
+    with pytest.raises(ValueError, match="'both'"):
+        safe_delta_range(e1_profile, "both")
 
 
 def test_enumerate_rejects_gaps_outside_the_open_turn(e1, e1_profile):
@@ -207,6 +215,101 @@ def test_at_most_two_candidates_on_any_chart_piece(fuzz_pool):
                     f"vertices={[(v.x, v.y) for v in arc.vertices]!r}")
                 most = max(most, len(cands))
     assert most == 2
+
+
+def family_draws(fuzz_pool):
+    """The fuzz pool, then convex arcs and walks at sizes around one run
+    of 16 vertices and at scale, as (arc, profile) pairs."""
+    draws = list(fuzz_pool)
+    for n in (16, 17, 33, 400, 1600):
+        for make in (convex_arc, walk_arc):
+            arc = build_arc(make(n, random.Random(n)))
+            draws.append((arc, build_profile(melkman_hull(arc))))
+    return draws
+
+
+def spans_apex(profile, cand):
+    """The kind of a (jump, sign) candidate, as _configurations reads
+    it: does its gap side span the apex step?"""
+    i, sign = cand
+    return (0 < i <= profile.apex_index) == (sign > 0)
+
+
+def test_each_safe_chart_piece_holds_one_candidate_of_its_kind(fuzz_pool):
+    # the paper's statement per arc: on a mode's safe range the arc has
+    # exactly one pair of that kind, a mountain pair across the apex
+    # step and a valley pair across the minimum step
+    pieces = {MOUNTAIN: 0, VALLEY: 0}
+    for arc, profile in family_draws(fuzz_pool):
+        chart = _gap_chart(profile)
+        for a, b, cands in zip(chart.breaks, chart.breaks[1:], chart.cands):
+            if b - a <= 4 * EPS_ANGLE:
+                continue
+            for mode in (MOUNTAIN, VALLEY):
+                lo, hi = safe_delta_range(profile, mode)
+                if max(a, lo) >= min(b, hi):
+                    continue
+                kind = [c for c in cands
+                        if spans_apex(profile, c) == (mode == MOUNTAIN)]
+                assert len(kind) == 1, (
+                    f"{mode}: gaps ({a!r}, {b!r}) hold {cands}, "
+                    f"vertices={[(v.x, v.y) for v in arc.vertices]!r}")
+                pieces[mode] += 1
+    assert min(pieces.values()) > 2800
+
+
+def gap_side_covers(start, gap, step_start, step_width):
+    """Does the ccw arc of length gap starting at start contain the
+    whole step [step_start, step_start + step_width]?"""
+    off = ccw_gap(start, step_start)
+    if off > TWO_PI - EPS_ANGLE:
+        off = 0.0
+    return off + step_width <= gap + EPS_ANGLE
+
+
+def geometric_kinds(profile, gap):
+    """(covers_apex, covers_min) of each configuration at gap, keyed as
+    _configurations merges them, read off the steps its gap side spans:
+    every jump wider than the slack, on both sides."""
+    apex, mins = profile.apex_step, profile.min_step
+    kinds = {}
+    for i, jump in enumerate(profile.jumps):
+        if jump.high_param - jump.low_param <= profile.param_slack:
+            continue
+        for sign in (1.0, -1.0):
+            psi = canon_angle(jump.angle + sign * gap)
+            start = jump.angle if sign > 0 else psi
+            covers = (gap_side_covers(start, gap, apex.start, apex.width),
+                      gap_side_covers(start, gap, mins.start, mins.width))
+            for c in pairs._configurations(profile, gap, [(i, sign)]):
+                key = (round(c.theta_double, 9), round(c.theta_single, 9),
+                       c.s2)
+                prev = kinds.get(key, (False, False))
+                kinds[key] = (prev[0] or covers[0], prev[1] or covers[1])
+    return kinds
+
+
+def test_candidate_kinds_match_the_gap_side_geometry(fuzz_pool):
+    # the kind rule against the test it replaced: which extreme step
+    # lies inside the ccw arc of the pair's gap side
+    rng = random.Random(13)
+    configs = both = 0
+    for arc, profile in family_draws(fuzz_pool):
+        gaps = [rng.uniform(1e-6, TWO_PI - 1e-6) for _ in range(20)]
+        for gap in gaps + [PI]:
+            kinds = geometric_kinds(profile, gap)
+            found = enumerate_triples(profile, arc, gap)
+            assert len(found) == len(kinds), gap
+            for c in found:
+                key = (round(c.theta_double, 9), round(c.theta_single, 9),
+                       c.s2)
+                assert (c.covers_apex, c.covers_min) == kinds[key], (
+                    f"gap={gap!r}, {c}, "
+                    f"vertices={[(v.x, v.y) for v in arc.vertices]!r}")
+                configs += 1
+                both += c.covers_apex and c.covers_min
+    # at pi each pool arc's mountain and valley pair coincide
+    assert configs > 20_000 and both >= 1000
 
 
 def test_every_scan_output_verifies(fuzz_pool):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from arcsupport import (Hull, Point2, angle_of, build_arc, build_profile,
+from arcsupport import (Hull, Point2, build_arc, build_profile, canon_angle,
                         ccw_gap, circ_dist, melkman_hull, oracle_touch_params,
                         touch_params)
 from arcsupport import hull as hull_module
@@ -61,11 +61,12 @@ def test_steps_tile_the_circle_exactly(fuzz_pool, monkeypatch):
     # touch_params relies on this: the step at or before theta holds it
     calls = []
 
-    def counted(v):
-        calls.append(v)
-        return angle_of(v)
+    def counted(theta):
+        calls.append(theta)
+        return canon_angle(theta)
 
-    monkeypatch.setattr(hull_module, "angle_of", counted)
+    # the hull's only canon_angle calls are its edge directions
+    monkeypatch.setattr(hull_module, "canon_angle", counted)
     rng = random.Random(1600)
     arcs = [arc for arc, _ in fuzz_pool] + [
         build_arc(make(1600, rng)) for make in (convex_arc, walk_arc)]

@@ -29,7 +29,6 @@ from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
                         orient, point_at, random_simple_arc, touch_params,
                         verify_triple)
 from arcsupport import arc as arc_module
-from arcsupport.arc import run_index
 from arcsupport.geometry import chain_orient
 from arcsupport.oracle import (COORDINATE_BOX, _certainly_crosses,
                                _linear_support_check,
@@ -142,17 +141,32 @@ def test_cached_indexes_stay_out_of_identity(e2):
     assert _window(warm, MOUNTAIN) is _window(warm, MOUNTAIN)
 
 
+class ReadRuns(tuple):
+    """An arc's runs that count how often they are read through."""
+
+    reads = 0
+
+    def __iter__(self):
+        ReadRuns.reads += 1
+        return tuple.__iter__(self)
+
+
 def test_run_index_stays_out_of_identity():
     vertices = convex_arc(40, random.Random(40))
-    cold, warm = build_arc(vertices), build_arc(vertices)
-    pair = find_pair_mountain(build_profile(melkman_hull(warm)), warm, 3.0)
-    assert verify_triple(warm, pair).passed
-    runs = run_index(warm)
-    assert len(runs) == 3  # 16 + 16 + 8 vertices
-    verify_triple(warm, pair)
-    assert run_index(warm) is runs  # built once per arc
-    assert warm == cold and hash(warm) == hash(cold)
-    assert repr(warm) == repr(cold)
+    arc = build_arc(vertices)
+    assert len(arc.runs) == 3  # 16 + 16 + 8 vertices
+    # the runs take no part in ==, hash or repr
+    other = dataclasses.replace(arc, runs=())
+    assert other == arc and hash(other) == hash(arc)
+    assert repr(other) == repr(arc) == repr(build_arc(vertices))
+    # verify_triple reads the runs build_arc stored, one pass per line,
+    # and never builds them again
+    pair = find_pair_mountain(build_profile(melkman_hull(arc)), arc, 3.0)
+    probe = dataclasses.replace(arc, runs=ReadRuns(arc.runs))
+    ReadRuns.reads = 0
+    assert verify_triple(probe, pair) == verify_triple(arc, pair)
+    assert verify_triple(arc, pair).passed
+    assert ReadRuns.reads == 2
 
 
 def chart_gaps(profile):
@@ -289,7 +303,8 @@ def test_first_of_two_tied_vertices_is_the_anchor():
 
 
 class CountedRun(tuple):
-    """A run of run_index that records when its vertices are read."""
+    """A run of PolygonalArc.runs that records when its vertices are
+    read."""
 
     reads: set = set()
 
@@ -305,8 +320,9 @@ def test_line_check_reads_at_most_10_runs(make):
     n = 1600
     arc = build_arc(make(n, random.Random(n)))
     profile = build_profile(melkman_hull(arc))
-    arc._indexes["runs"] = [CountedRun(run) for run in run_index(arc)]
-    assert len(run_index(arc)) == 100
+    arc = dataclasses.replace(
+        arc, runs=tuple([CountedRun(run) for run in arc.runs]))
+    assert len(arc.runs) == 100
     rng = random.Random(20)
     deltas = [rng.uniform(1e-6, TWO_PI - 1e-6) for _ in range(20)]
     slack = EPS_TOUCH * arc.diagonal

@@ -7,8 +7,9 @@ and safe to share.
 Simpleness is checked by a sort and sweep over the segments' bounding
 boxes grown by EPS_TOUCH * diagonal (the broad phase of Cohen, Lin,
 Manocha & Ponamgi, "I-COLLIDE", 1995): only pairs whose grown boxes
-meet reach the tolerant orientation test, which makes "intersect" mean
-"grown boxes meet and the orientations cross or touch".
+meet reach the tolerant orientation test on the coordinate lists, which
+makes "intersect" mean "grown boxes meet and the orientations cross or
+touch".  The sweep is the gate; the test itself reads no box.
 
 The same broad phase serves pairs.verify_triple: an arc's vertices in
 runs of RUN, each with its bounding box (PolygonalArc.runs, built by
@@ -108,43 +109,37 @@ def _as_points(vertices: Iterable) -> list[Point2]:
     return pts
 
 
-def _on_segment(p: Point2, q: Point2, r: Point2) -> bool:
-    # r collinear with pq; is it inside the box?
-    return (min(p.x, q.x) <= r.x <= max(p.x, q.x)
-            and min(p.y, q.y) <= r.y <= max(p.y, q.y))
+def _on_segment(xs: Sequence[float], ys: Sequence[float], p: int, q: int,
+                r: int) -> bool:
+    # vertex r collinear with segment pq; is it inside the box?
+    return (min(xs[p], xs[q]) <= xs[r] <= max(xs[p], xs[q])
+            and min(ys[p], ys[q]) <= ys[r] <= max(ys[p], ys[q]))
 
 
 def _segments_intersect(turn: Callable[[int, int, int], int],
-                        pts: Sequence[Point2], i: int, j: int,
-                        pad: float) -> bool:
+                        xs: Sequence[float], ys: Sequence[float], i: int,
+                        j: int) -> bool:
     """Closed-segment intersection test (touching counts) of segments i
-    and j of the chain pts, turn its orientation test
-    (geometry.chain_orient), gated by the segments' bounding boxes grown
-    by pad.
+    and j of the chain with coordinates xs, ys, turn its orientation
+    test (geometry.chain_orient).
 
     The tolerant orientations can call a tiny segment far along the
-    line of another touching it; segments whose grown boxes miss never
-    intersect.  The gate is tested last, as it rarely decides.
+    line of another touching it, so callers hand over only pairs whose
+    grown boxes meet: segments whose grown boxes miss never intersect.
     """
     o1 = turn(i, i + 1, j)
     o2 = turn(i, i + 1, j + 1)
     o3 = turn(j, j + 1, i)
     o4 = turn(j, j + 1, i + 1)
-    a1, a2, b1, b2 = pts[i], pts[i + 1], pts[j], pts[j + 1]
-    touching = ((o1 != o2 and o3 != o4)
-                or (o1 == 0 and _on_segment(a1, a2, b1))
-                or (o2 == 0 and _on_segment(a1, a2, b2))
-                or (o3 == 0 and _on_segment(b1, b2, a1))
-                or (o4 == 0 and _on_segment(b1, b2, a2)))
-    return (touching
-            and min(a1.x, a2.x) - pad <= max(b1.x, b2.x) + pad
-            and min(b1.x, b2.x) - pad <= max(a1.x, a2.x) + pad
-            and min(a1.y, a2.y) - pad <= max(b1.y, b2.y) + pad
-            and min(b1.y, b2.y) - pad <= max(a1.y, a2.y) + pad)
+    return ((o1 != o2 and o3 != o4)
+            or (o1 == 0 and _on_segment(xs, ys, i, i + 1, j))
+            or (o2 == 0 and _on_segment(xs, ys, i, i + 1, j + 1))
+            or (o3 == 0 and _on_segment(xs, ys, j, j + 1, i))
+            or (o4 == 0 and _on_segment(xs, ys, j, j + 1, i + 1)))
 
 
-def _swept_crossing(pts: Sequence[Point2], xs: Sequence[float],
-                    ys: Sequence[float], turn: Callable[[int, int, int], int],
+def _swept_crossing(xs: Sequence[float], ys: Sequence[float],
+                    turn: Callable[[int, int, int], int],
                     pad: float) -> Optional[tuple[int, int]]:
     """First pair (i, j), i + 2 <= j, of intersecting segments, or None.
 
@@ -152,8 +147,8 @@ def _swept_crossing(pts: Sequence[Point2], xs: Sequence[float],
     grown by pad, and each scans forward while the next left edge is
     within its right edge.  The non-adjacent pairs whose grown y-ranges
     also meet are the candidates, tested in (i, j) order, so the first
-    hit is the one the pairwise loop finds.  Pairs left out have grown
-    boxes that miss, which _segments_intersect rejects anyway.  Cost
+    hit is the one the pairwise loop finds.  Their grown boxes meet, as
+    _segments_intersect requires; pairs left out never intersect.  Cost
     O(n log n + k), k the pairs whose grown x-ranges meet.
     """
     boxes = []
@@ -178,17 +173,17 @@ def _swept_crossing(pts: Sequence[Point2], xs: Sequence[float],
                     later.setdefault(j, []).append(i)
     for i in sorted(later):
         for j in sorted(later[i]):
-            if _segments_intersect(turn, pts, i, j, pad):
+            if _segments_intersect(turn, xs, ys, i, j):
                 return i, j
     return None
 
 
 def _checked_arc(vertices: Iterable, first_crossing: Callable[
         ..., Optional[tuple[int, int]]]) -> PolygonalArc:
-    """Validate a vertex chain, with first_crossing(pts, xs, ys, turn,
-    pad) naming the first pair of non-adjacent segments that intersect,
-    if any: pts the points, xs and ys their coordinates, turn the
-    chain's orientation test and pad the box growth."""
+    """Validate a vertex chain, with first_crossing(xs, ys, turn, pad)
+    naming the first pair of non-adjacent segments that intersect, if
+    any: xs and ys the coordinates, turn the chain's orientation test
+    and pad the box growth."""
     pts = _as_points(vertices)
     if len(pts) < 2:
         raise TooFewVertices(f"need at least 2 vertices, got {len(pts)}")
@@ -211,7 +206,7 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
     params = list(accumulate(steps, initial=0.0))
 
     # adjacent segments may share only the common vertex: no back-tracking
-    turn = chain_orient(pts, xs, ys)
+    turn = chain_orient(xs, ys)
     for i in range(len(pts) - 2):
         if turn(i, i + 1, i + 2) == 0:
             ux, uy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
@@ -220,7 +215,7 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
                 raise SelfIntersecting(
                     f"back-tracking at vertex {pts[i + 1]}")
 
-    hit = first_crossing(pts, xs, ys, turn, min_sep)
+    hit = first_crossing(xs, ys, turn, min_sep)
     if hit is not None:
         raise SelfIntersecting("segments %d and %d intersect" % hit)
     runs = []

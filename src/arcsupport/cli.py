@@ -71,8 +71,8 @@ def cmd_analyze(args) -> int:
                  "step": [s.start, s.end],
                  "exterior_angle": s.width}
                 for s in profile.steps],
-            "jumps": [{"angle": j.angle, "span": [j.low_param, j.high_param]}
-                      for j in profile.jumps],
+            "jumps": [{"angle": s.start, "span": list(jump)}
+                      for s, jump in zip(profile.steps, profile.jumps)],
             "min_step_width": profile.min_step.width,
             "apex_step_width": profile.apex_step.width,
             "levels": list(profile.levels),
@@ -90,8 +90,8 @@ def cmd_analyze(args) -> int:
     print(f"apex step width : {profile.apex_step.width:.12g}")
     print("level sequence  : " + " ".join(f"{v:.9g}" for v in profile.levels))
     print("jumps           : " + "; ".join(
-        f"{j.angle:.9f} -> [{j.low_param:.9g}, {j.high_param:.9g}]"
-        for j in profile.jumps))
+        f"{s.start:.9f} -> [{lo:.9g}, {hi:.9g}]"
+        for s, (lo, hi) in zip(profile.steps, profile.jumps)))
     return EXIT_OK
 
 

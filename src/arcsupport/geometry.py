@@ -16,15 +16,15 @@ decision changes when an arc is scaled, rotated or moved:
   largest corner parameter.  No slack has an absolute floor.
 
 The layers that test many triples of one chain (the hull, arc
-validation, the sampler's crossing filter) compare each cross product,
-computed as orient computes it, with one bound for the whole chain
-(:func:`chain_bound`): EPS_ORIENT times the squared span of all its
-points.  Three points span at most what the chain spans, max and min
-are exact and rounding is monotone, so the threshold orient computes
-for any three is at most the bound.  A cross product beyond the bound
-thus has the sign orient returns; only the rest go through orient
-itself (:func:`chain_orient`), and no decision, error or message
-changes.
+validation, the sampler's crossing filter) read only the chain's
+coordinate lists.  Each cross product, computed as orient computes it,
+meets one bound for the whole chain (:func:`chain_bound`): EPS_ORIENT
+times the squared span of all its points.  Three points span at most
+what the chain spans, max and min are exact and rounding is monotone,
+so orient's threshold for any three (:func:`triple_bound`) is at most
+the bound.  A cross product beyond the bound thus has orient's sign;
+only the rest are held to their triple's threshold (:func:`chain_orient`),
+and no decision, error or message changes.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ class Point2:
 
     x: float
     y: float
-
-    def dist(self, other: "Point2") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 def canon_angle(theta: float) -> float:
@@ -72,15 +69,10 @@ def circ_dist(a: float, b: float) -> float:
     return min(g, TWO_PI - g)
 
 
-def orient(p: Point2, q: Point2, r: Point2) -> int:
-    """Orientation of r relative to the directed line p -> q.
-
-    Returns +1 if r is strictly to the left, -1 strictly to the right,
-    0 if collinear within eps_orient scaled by the squared span of the
-    three points.
-    """
-    px, py, qx, qy, rx, ry = p.x, p.y, q.x, q.y, r.x, r.y
-    cross = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+def triple_bound(px: float, py: float, qx: float, qy: float, rx: float,
+                 ry: float) -> float:
+    """orient's threshold for the points (px, py), (qx, qy), (rx, ry):
+    EPS_ORIENT times their squared span."""
     # the span max - min of each axis, without the slower builtins
     if px < qx:
         dx = (qx if qx > rx else rx) - (px if px < rx else rx)
@@ -90,8 +82,19 @@ def orient(p: Point2, q: Point2, r: Point2) -> int:
         dy = (qy if qy > ry else ry) - (py if py < ry else ry)
     else:
         dy = (py if py > ry else ry) - (qy if qy < ry else ry)
-    thr = EPS_ORIENT * (dx * dx + dy * dy)
-    if abs(cross) <= thr:
+    return EPS_ORIENT * (dx * dx + dy * dy)
+
+
+def orient(p: Point2, q: Point2, r: Point2) -> int:
+    """Orientation of r relative to the directed line p -> q.
+
+    Returns +1 if r is strictly to the left, -1 strictly to the right,
+    0 if collinear within eps_orient scaled by the squared span of the
+    three points (triple_bound).
+    """
+    px, py, qx, qy, rx, ry = p.x, p.y, q.x, q.y, r.x, r.y
+    cross = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    if abs(cross) <= triple_bound(px, py, qx, qy, rx, ry):
         return 0
     return 1 if cross > 0.0 else -1
 
@@ -106,25 +109,25 @@ def chain_bound(xs: Sequence[float], ys: Sequence[float]) -> float:
     return EPS_ORIENT * (dx * dx + dy * dy)
 
 
-def chain_orient(pts: Sequence[Point2], xs: Sequence[float],
+def chain_orient(xs: Sequence[float],
                  ys: Sequence[float]) -> Callable[[int, int, int], int]:
-    """turn(i, j, k) == orient(pts[i], pts[j], pts[k]) for a chain and
-    its coordinate lists xs, ys.
+    """turn(i, j, k) is orient's answer for the points i, j, k of the
+    chain with coordinate lists xs, ys.
 
     turn computes orient's cross product on the lists; beyond the
-    chain's bound its sign is orient's answer, and within it turn calls
-    orient, so every call gives orient's result.
+    chain's bound its sign is orient's answer, and within it turn
+    compares it with the triple's own threshold, as orient does.
     """
     bound = chain_bound(xs, ys)
+    neg = -bound
 
     def turn(i: int, j: int, k: int) -> int:
         px = xs[i]
         py = ys[i]
         cross = (xs[j] - px) * (ys[k] - py) - (ys[j] - py) * (xs[k] - px)
-        if cross > bound:
-            return 1
-        if cross < -bound:
-            return -1
-        return orient(pts[i], pts[j], pts[k])
+        if neg <= cross <= bound and abs(cross) <= triple_bound(
+                px, py, xs[j], ys[j], xs[k], ys[k]):
+            return 0
+        return 1 if cross > 0.0 else -1
 
     return turn

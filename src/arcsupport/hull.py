@@ -63,7 +63,7 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     # the vertices once, as floats, for turns and edge directions
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
-    turn = chain_orient(pts, xs, ys)
+    turn = chain_orient(xs, ys)
     n = len(pts)
 
     # collapse a collinear prefix so the deque starts from a strict turn

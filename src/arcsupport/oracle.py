@@ -80,13 +80,18 @@ def oracle_touch_params(arc: PolygonalArc, theta: float) -> tuple[float, ...]:
 
 def pairwise_simple_check(vertices: Iterable) -> PolygonalArc:
     """Reference for build_arc: the same checks, with every pair of
-    non-adjacent segments tested in (i, j) order; O(n^2)."""
+    non-adjacent segments tested in (i, j) order, first by their
+    bounding boxes grown by pad; O(n^2)."""
 
-    def first_crossing(pts, xs, ys, turn, pad):
-        nseg = len(pts) - 1
-        for i in range(nseg):
-            for j in range(i + 2, nseg):
-                if _segments_intersect(turn, pts, i, j, pad):
+    def first_crossing(xs, ys, turn, pad):
+        boxes = [(min(ax, bx) - pad, max(ax, bx) + pad,
+                  min(ay, by) - pad, max(ay, by) + pad)
+                 for ax, bx, ay, by in zip(xs, xs[1:], ys, ys[1:])]
+        for i, (x0, x1, y0, y1) in enumerate(boxes):
+            for j in range(i + 2, len(boxes)):
+                u0, u1, v0, v1 = boxes[j]
+                if (x0 <= u1 and u0 <= x1 and y0 <= v1 and v0 <= y1
+                        and _segments_intersect(turn, xs, ys, i, j)):
                     return i, j
         return None
 
@@ -98,14 +103,14 @@ def linear_touch_params(profile: SupportProfile,
     """Reference for profile.touch_params: a linear search over the
     jumps, then the steps, in index order; O(m) per query."""
     theta = canon_angle(theta)
-    for jump in profile.jumps:
-        if circ_dist(theta, jump.angle) <= EPS_ANGLE:
-            return (jump.low_param, jump.high_param)
+    for step, jump in zip(profile.steps, profile.jumps):
+        if circ_dist(theta, step.start) <= EPS_ANGLE:
+            return jump
     for step in profile.steps:
         if ccw_gap(step.start, theta) < step.width:
             return (step.level,)
-    nearest = min(profile.jumps, key=lambda j: circ_dist(theta, j.angle))
-    return (nearest.low_param, nearest.high_param)
+    return min(zip(profile.steps, profile.jumps),
+               key=lambda sj: circ_dist(theta, sj[0].start))[1]
 
 
 def quadratic_ledger(profile: SupportProfile, mode: str) -> list[tuple]:
@@ -165,8 +170,8 @@ def linear_enumerate_triples(profile: SupportProfile,
     query each; 2m queries per gap."""
     slack = profile.param_slack
     return _configurations(profile, gap, [
-        (i, sign) for i, jump in enumerate(profile.jumps)
-        if jump.high_param - jump.low_param > slack
+        (i, sign) for i, (lo, hi) in enumerate(profile.jumps)
+        if hi - lo > slack
         for sign in (1.0, -1.0)])
 
 

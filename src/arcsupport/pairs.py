@@ -386,8 +386,7 @@ def _build_chart(profile: SupportProfile) -> _Chart:
     rise = [s.level for s in steps[:k + 1]]
     fall = [-s.level for s in steps[k + 1:]]  # negated: ascending too
     parts = []
-    for i, jump in enumerate(profile.jumps):
-        lo, hi = jump.low_param, jump.high_param
+    for i, (lo, hi) in enumerate(profile.jumps):
         if hi - lo <= slack:
             continue
         low, high = lo + slack, hi - slack
@@ -403,7 +402,7 @@ def _build_chart(profile: SupportProfile) -> _Chart:
         # the two bisections can cross (s > e)
         if s >= e:
             continue
-        a, first, last = jump.angle, steps[s].start, steps[e - 1].end
+        a, first, last = steps[i].start, steps[s].start, steps[e - 1].end
         for sign, x, y in ((1.0, ccw_gap(a, first), ccw_gap(a, last)),
                            (-1.0, ccw_gap(last, a), ccw_gap(first, a))):
             x, y = x - _CHART_PAD, y + _CHART_PAD
@@ -461,21 +460,21 @@ def _configurations(profile: SupportProfile, gap: float,
     k = profile.apex_index
     found: dict[tuple, TriplePair] = {}
     for i, sign in cands:
-        jump = profile.jumps[i]
-        lo, hi = jump.low_param, jump.high_param
-        psi = canon_angle(jump.angle + sign * gap)
+        lo, hi = profile.jumps[i]
+        a = profile.steps[i].start
+        psi = canon_angle(a + sign * gap)
         apex_side = (0 < i <= k) == (sign > 0)
         for s2 in touch_params(profile, psi):
             if not (lo + slack < s2 < hi - slack):
                 continue
             covers_apex, covers_min = apex_side, not apex_side
-            key = (round(jump.angle, 9), round(psi, 9), s2)
+            key = (round(a, 9), round(psi, 9), s2)
             prev = found.get(key)
             if prev is not None:
                 covers_apex = covers_apex or prev.covers_apex
                 covers_min = covers_min or prev.covers_min
             found[key] = TriplePair(
-                "enumerated", jump.angle, psi, lo, s2, hi, strict=True,
+                "enumerated", a, psi, lo, s2, hi, strict=True,
                 requested_delta=gap, realized_gap=gap,
                 covers_apex=covers_apex, covers_min=covers_min)
     anchor = profile.min_step.start
@@ -488,7 +487,7 @@ def jump_to_jump_gaps(profile: SupportProfile) -> list[float]:
     """All pairwise ccw gaps between jump angles; differences within
     tolerance of one of these are tie-prone and skipped by uniqueness
     campaigns."""
-    angles = [j.angle for j in profile.jumps]
+    angles = [s.start for s in profile.steps]
     out = []
     for a in angles:
         for b in angles:

@@ -12,8 +12,9 @@ levels rise strictly to the maximum-parameter corner and then fall
 strictly back; the package relies on that unimodal shape and verifies
 it at construction time.
 
+A jump sits where a step starts and is stored as its two levels.
 Queries on a built profile are logarithmic in its corner count m: the
-jump angles are sorted once per profile, on first use, and a touch
+step starts are sorted once per profile, on first use, and a touch
 query bisects them (O(log m)).  The indexes the pair searches build
 (the scan windows and the gap chart) are kept on the profile too.  The
 lemma helpers built on a profile are in oracle.py: the pipeline never
@@ -32,26 +33,17 @@ from .hull import Hull, HullCorner
 
 
 @dataclass(frozen=True)
-class Jump:
-    """Angle where a hull edge lies on the support line; low_param and
-    high_param are the levels of the steps on either side of it."""
-
-    angle: float
-    low_param: float
-    high_param: float
-
-
-@dataclass(frozen=True)
 class SupportProfile:
     """Full step representation over one period.
 
     steps are the hull's corners, in counterclockwise order starting at
-    the minimum-level step; jumps[i] sits at steps[i].start (so jumps[0]
-    is the wrap jump into the minimum step).
+    the minimum-level step; jumps[i], the jump at steps[i].start, is the
+    pair (low, high) of the levels either side of it (so jumps[0] is the
+    wrap jump into the minimum step).
     """
 
     steps: tuple[HullCorner, ...]
-    jumps: tuple[Jump, ...]
+    jumps: tuple[tuple[float, float], ...]
     apex_index: int
 
     @property
@@ -82,14 +74,14 @@ class SupportProfile:
 
     @property
     def _by_angle(self) -> tuple[tuple[float, ...], tuple[int, ...]]:
-        """Jump angles in ascending order, and the index in jumps of each.
-        jumps[i] sits at steps[i].start, so this orders the steps too."""
+        """Jump angles, the steps' starts, in ascending order, and the
+        index in steps (and jumps) of each."""
         got = self._indexes.get("angles")
         if got is None:
-            jumps = self.jumps
-            order = sorted(range(len(jumps)), key=lambda i: jumps[i].angle)
+            starts = [s.start for s in self.steps]
+            order = sorted(range(len(starts)), key=starts.__getitem__)
             got = self._indexes["angles"] = (
-                tuple([jumps[i].angle for i in order]), tuple(order))
+                tuple([starts[i] for i in order]), tuple(order))
         return got
 
 
@@ -101,22 +93,18 @@ def build_profile(hull: Hull) -> SupportProfile:
     the level sequence, which also rejects a cycle starting elsewhere.
     """
     steps = hull.corners
-    m = len(steps)
-    jumps = []
-    for i, step in enumerate(steps):
-        prev = steps[i - 1]
-        lo, hi = sorted((prev.level, step.level))
-        jumps.append(Jump(step.start, lo, hi))
-
     levels = [s.level for s in steps]
-    apex = max(range(m), key=lambda i: levels[i])
+    # the jump at a step's start lies between its level and the one before
+    jumps = tuple([(a, b) if a < b else (b, a)
+                   for a, b in zip(levels[-1:] + levels, levels)])
+    apex = max(range(len(levels)), key=levels.__getitem__)
     rising = levels[:apex + 1]
     falling = levels[apex:] + [levels[0]]
     if (any(a >= b for a, b in zip(rising, rising[1:]))
             or any(a <= b for a, b in zip(falling, falling[1:]))):
         raise ValueError(f"level sequence {levels} is not rise-then-fall")
 
-    return SupportProfile(steps, tuple(jumps), apex_index=apex)
+    return SupportProfile(steps, jumps, apex_index=apex)
 
 
 # circ_dist rounds by a few ulps of 2*pi; the candidate window is this
@@ -155,8 +143,7 @@ def touch_params(profile: SupportProfile, theta: float) -> tuple[float, ...]:
     hits = [order[p] for p in _positions(angles, theta - w, theta + w)
             if circ_dist(theta, angles[p]) <= EPS_ANGLE]
     if hits:
-        jump = profile.jumps[min(hits)]
-        return (jump.low_param, jump.high_param)
+        return profile.jumps[min(hits)]
     # each step ends on the very float the next one starts at, so the
     # step starting at or before theta (index -1: the one wrapping past
     # 0) holds it; a theta within rounding of that step's end is within

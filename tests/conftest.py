@@ -39,14 +39,18 @@ def fuzz_pool():
 @pytest.fixture
 def orient_counts(monkeypatch):
     """Counts of orientation decisions ("decided": calls of each
-    chain's geometry.chain_orient test) and of full orient evaluations
-    ("full"), under every name an arcsupport module holds for either."""
+    chain's geometry.chain_orient test) and of those held against their
+    own triple's threshold ("full": calls of geometry.triple_bound,
+    which orient makes on every call and a chain test makes only
+    within the chain's bound), under every name an arcsupport module
+    holds for either."""
     counts = {"decided": 0, "full": 0}
-    orient, chain_orient = geometry.orient, geometry.chain_orient
+    triple_bound = geometry.triple_bound
+    chain_orient = geometry.chain_orient
 
-    def counted_orient(*args):
+    def counted_triple_bound(*args):
         counts["full"] += 1
-        return orient(*args)
+        return triple_bound(*args)
 
     def counted_chain_orient(*args):
         turn = chain_orient(*args)
@@ -59,7 +63,8 @@ def orient_counts(monkeypatch):
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("arcsupport"):
-            for attr, orig, new in (("orient", orient, counted_orient),
+            for attr, orig, new in (("triple_bound", triple_bound,
+                                     counted_triple_bound),
                                     ("chain_orient", chain_orient,
                                      counted_chain_orient)):
                 if getattr(mod, attr, None) is orig:

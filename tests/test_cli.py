@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -414,3 +415,29 @@ def test_fuzz_csv_is_byte_identical():
     assert summary == {"trials": 300, "strict": 160, "unique": 160,
                        "unique_total": 160, "corollary_at_pi": 300,
                        "anomalies": []}
+
+
+def test_fuzz_records_a_failed_verification_as_an_anomaly(monkeypatch,
+                                                          capsys):
+    # a verifier that fails the third trial's check: the campaign must
+    # name that trial, in the summary and on stdout
+    from arcsupport import cli
+    from arcsupport.oracle import FuzzConfig
+    verify = cli.verify_triple
+    calls = 0
+
+    def failing_third(arc, pair):
+        nonlocal calls
+        calls += 1
+        report = verify(arc, pair)
+        return (dataclasses.replace(report, ordering=False) if calls == 3
+                else report)
+
+    monkeypatch.setattr(cli, "verify_triple", failing_third)
+    rows, summary = cli.run_fuzz(FuzzConfig(trials=5, seed=7))
+    assert summary["anomalies"] == [2]
+    assert [r["verified"] for r in rows] == [True, True, False, True, True]
+    calls = 0
+    assert main(["fuzz", "--trials", "5", "--seed", "7"]) == 0
+    assert "anomalies             : 1 at trials [2]\n" in (
+        capsys.readouterr().out)

@@ -90,10 +90,11 @@ def test_chain_orient_at_its_bound(orient_counts, k, far):
             ys = [0.0, 0.0, cross / s, 0.0]
             assert chain_bound(xs, ys) == bound
             pts = [Point2(x, y) for x, y in zip(xs, ys)]
-            turn = chain_orient(pts, xs, ys)
+            turn = chain_orient(xs, ys)
             orient_counts.update(full=0)
             got = turn(0, 1, 2)
-            # the filter decides exactly the cross products beyond it
+            # the filter decides exactly the cross products beyond it;
+            # the rest take the triple's own threshold
             assert orient_counts["full"] == (abs(cross) <= bound)
             if far == 3.0 or abs(cross) > bound:
                 assert got == (1 if cross > 0.0 else -1)
@@ -171,8 +172,15 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
         assert not hasattr(arcsupport.SupportProfile, alias), alias
     assert not hasattr(Point2, "__add__")
     assert not hasattr(Point2, "__sub__")
+    assert not hasattr(Point2, "dist")
+    # a jump is its pair of levels; its angle is its step's start
+    assert not hasattr(arcsupport, "Jump")
+    assert not hasattr(profile, "Jump")
+    # the chain tests read only the coordinate lists
+    assert list(inspect.signature(geometry.chain_orient).parameters) == [
+        "xs", "ys"]
     assert "coordinate_box" not in {
         f.name for f in dataclasses.fields(arcsupport.FuzzConfig)}
-    assert len(set(arcsupport.__all__)) == len(arcsupport.__all__) == 47
+    assert len(set(arcsupport.__all__)) == len(arcsupport.__all__) == 46
     for name in arcsupport.__all__:
         assert getattr(arcsupport, name) is not None, name

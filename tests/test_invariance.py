@@ -113,7 +113,7 @@ def test_enumeration_at_a_jump_to_jump_gap_is_scale_free(k):
     arc = build_arc([(math.ldexp(x, k), math.ldexp(y, k))
                      for x, y in [(0, 0), (3, 0), (3, 1), (2, 1)]])
     profile = build_profile(melkman_hull(arc))
-    gap = ccw_gap(profile.jumps[0].angle, profile.jumps[2].angle)
+    gap = ccw_gap(profile.steps[0].start, profile.steps[2].start)
     configs = enumerate_triples(profile, arc, gap)
     assert [c.triple for c in configs] == [
         tuple(math.ldexp(s, k) for s in triple)

@@ -4,7 +4,8 @@ import tracemalloc
 
 import pytest
 
-from arcsupport import (FuzzConfig, GenerationExhausted, StraightArc,
+from arcsupport import (MOUNTAIN, VALLEY, FuzzConfig, GenerationExhausted,
+                        StraightArc,
                         build_arc, circ_dist, enumerate_triples,
                         find_pair_mountain, grid_scan_pairs,
                         jump_to_jump_gaps, melkman_hull, monotone_chain_hull,
@@ -138,3 +139,18 @@ def test_config_validation():
         FuzzConfig(vertex_range=(2, 5))
     with pytest.raises(ValueError):
         FuzzConfig(delta_policy="fixed")
+
+
+def test_safe_range_narrower_than_the_margins_draws_its_middle():
+    config = FuzzConfig(delta_policy="safe_range")
+    lo, margin = 1.0, oracle.SAFE_MARGIN
+    for mode in (MOUNTAIN, VALLEY):
+        for trial in range(3):
+            for width in (0.0, margin, 1.5 * margin):
+                hi = lo + width
+                assert oracle.draw_delta(config, trial, mode, (lo, hi)) == (
+                    0.5 * (lo + hi))
+            # a range wider than both margins is drawn from
+            delta = oracle.draw_delta(config, trial, mode, (lo, lo + 1.0))
+            assert lo + margin <= delta <= lo + 1.0 - margin
+            assert delta != lo + 0.5

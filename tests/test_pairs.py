@@ -5,8 +5,9 @@ import random
 import pytest
 
 from arcsupport import (EPS_ANGLE, MOUNTAIN, TWO_PI, VALLEY, InvalidDelta,
-                        build_arc, build_profile, canon_angle, ccw_gap,
-                        circ_dist, corollary_check, enumerate_triples,
+                        SupportProfile, build_arc, build_profile,
+                        canon_angle, ccw_gap, circ_dist, corollary_check,
+                        enumerate_triples,
                         find_pair, find_pair_mountain, find_pair_valley,
                         jump_to_jump_gaps, melkman_hull, pairs_identical,
                         safe_delta_range, touch_params, verify_triple)
@@ -273,12 +274,13 @@ def geometric_kinds(profile, gap):
     every jump wider than the slack, on both sides."""
     apex, mins = profile.apex_step, profile.min_step
     kinds = {}
-    for i, jump in enumerate(profile.jumps):
-        if jump.high_param - jump.low_param <= profile.param_slack:
+    for i, (lo, hi) in enumerate(profile.jumps):
+        if hi - lo <= profile.param_slack:
             continue
+        a = profile.steps[i].start
         for sign in (1.0, -1.0):
-            psi = canon_angle(jump.angle + sign * gap)
-            start = jump.angle if sign > 0 else psi
+            psi = canon_angle(a + sign * gap)
+            start = a if sign > 0 else psi
             covers = (gap_side_covers(start, gap, apex.start, apex.width),
                       gap_side_covers(start, gap, mins.start, mins.width))
             for c in pairs._configurations(profile, gap, [(i, sign)]):
@@ -587,3 +589,35 @@ def test_gap_chart_is_built_once_per_profile(monkeypatch, e2):
     # the chart stays out of the profile's identity
     assert warm == cold and hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
+
+
+def test_scan_clamps_a_delta_beyond_the_ledger_to_row_0(e2_profile,
+                                                       monkeypatch):
+    # widths summing at least 2 ulps below 2 pi put the largest delta
+    # below 2 pi beyond every row: the scan reads row 0, the widest, as
+    # it does at row 0's own widest width.  Real arcs' widths sum to
+    # within 1 ulp of 2 pi, so only a hand-made profile gets here
+    steps = list(e2_profile.steps)
+    steps[-1] = dataclasses.replace(
+        steps[-1], width=steps[-1].width - 8 * math.ulp(TWO_PI))
+    profile = SupportProfile(tuple(steps), e2_profile.jumps,
+                             apex_index=e2_profile.apex_index)
+    delta = math.nextafter(TWO_PI, 0.0)
+    lookup = pairs._lookup
+    hits = []
+
+    def spy(win, d):
+        got = lookup(win, d)
+        hits.append(got[0])
+        return got
+
+    monkeypatch.setattr(pairs, "_lookup", spy)
+    for mode in (MOUNTAIN, VALLEY):
+        row = _window(profile, mode).rows[0]
+        widest = row[4] - row[1]
+        assert widest <= math.nextafter(delta, 0.0)
+        pair = find_pair(profile, delta, mode)
+        assert hits[-1] is None and not pair.guaranteed
+        at_row = find_pair(profile, widest, mode)
+        assert hits[-1] is row
+        assert dataclasses.replace(pair, requested_delta=widest) == at_row

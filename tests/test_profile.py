@@ -23,7 +23,7 @@ def rotate(arc_vertices, phi):
 def test_e1_profile_structure(e1_profile):
     p = e1_profile
     assert p.levels == (0.0, 1.0, 2.0)
-    jumps = {round(j.angle, 12): (j.low_param, j.high_param) for j in p.jumps}
+    jumps = {round(s.start, 12): j for s, j in zip(p.steps, p.jumps)}
     assert jumps[0.0] == (0.0, 1.0)
     assert jumps[round(PI / 2, 12)] == (1.0, 2.0)
     assert jumps[round(5 * PI / 4, 12)] == (0.0, 2.0)
@@ -34,7 +34,7 @@ def test_e1_profile_structure(e1_profile):
 def test_e2_profile_structure(e2_profile):
     p = e2_profile
     assert p.levels == (0.0, 3.0, 4.0, 5.0)
-    jumps = {round(j.angle, 9): (j.low_param, j.high_param) for j in p.jumps}
+    jumps = {round(s.start, 9): j for s, j in zip(p.steps, p.jumps)}
     assert jumps[0.0] == (0.0, 3.0)
     assert jumps[round(PI / 2, 9)] == (3.0, 4.0)
     assert jumps[round(PI, 9)] == (4.0, 5.0)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
                         VALLEY, ArcError, FuzzConfig, GenerationExhausted,
-                        HullCorner, Jump, Point2, SelfIntersecting,
+                        HullCorner, Point2, SelfIntersecting,
                         StraightArc, SupportProfile, TriplePair, build_arc,
                         build_profile, enumerate_triples, find_pair_mountain,
                         find_pair_valley, jump_to_jump_gaps, melkman_hull,
@@ -68,8 +68,8 @@ def around(x, eps):
 def touch_queries(profile):
     qs = [0.0, -0.0, 5e-324, -5e-324, TWO_PI, math.nextafter(TWO_PI, 0.0)]
     qs += around(0.0, EPS) + around(TWO_PI, EPS)
-    for j in profile.jumps:
-        qs += around(j.angle, EPS) + [j.angle + TWO_PI, j.angle - TWO_PI]
+    for s in profile.steps:
+        qs += around(s.start, EPS) + [s.start + TWO_PI, s.start - TWO_PI]
     qs += [s.start + 0.5 * s.width for s in profile.steps]
     return qs
 
@@ -92,8 +92,8 @@ def test_lowest_jump_index_wins_across_the_wrap():
     levels = [0.0, 2.0, 1.0]
     steps = tuple(HullCorner(Point2(lv, 0.0), lv, a, b, (b - a) % TWO_PI)
                   for a, b, lv in zip(starts, ends, levels))
-    jumps = tuple(Jump(a, *sorted((levels[i - 1], levels[i])))
-                  for i, a in enumerate(starts))
+    jumps = tuple(tuple(sorted((levels[i - 1], levels[i])))
+                  for i in range(len(starts)))
     profile = SupportProfile(steps, jumps, apex_index=1)
     for theta in (0.0, 1e-10, -1e-10, TWO_PI - 1e-10):
         assert touch_params(profile, theta) == (0.0, 1.0)
@@ -206,8 +206,8 @@ def test_chart_skips_a_jump_narrower_than_twice_the_slack():
     ends = starts[1:] + [TWO_PI]
     steps = tuple(HullCorner(Point2(lv, 0.0), lv, a, b, b - a)
                   for a, b, lv in zip(starts, ends, levels))
-    jumps = tuple(Jump(a, *sorted((levels[i - 1], levels[i])))
-                  for i, a in enumerate(starts))
+    jumps = tuple(tuple(sorted((levels[i - 1], levels[i])))
+                  for i in range(len(starts)))
     profile = SupportProfile(steps, jumps, apex_index=3)
     assert 1 not in {i for piece in _gap_chart(profile).cands
                      for i, _ in piece}
@@ -285,7 +285,7 @@ def test_first_of_two_tied_vertices_is_the_anchor():
     right = [(1 + j, j ** 2 / 10) for j in range(16)]
     arc = build_arc(left + right)
     profile = build_profile(melkman_hull(arc))
-    assert any(j.angle == 0.0 for j in profile.jumps)
+    assert any(s.start == 0.0 for s in profile.steps)
     slack = EPS_TOUCH * arc.diagonal
     for k in (15, 16):
         s = arc.params[k]
@@ -466,15 +466,65 @@ def test_chain_orient_equals_orient_on_adversarial_chains(pts, k, offset,
     for chain in scaled_and_moved(pts, k, offset, grid):
         xs, ys = [x for x, _ in chain], [y for _, y in chain]
         points = [Point2(x, y) for x, y in chain]
-        turn = chain_orient(points, xs, ys)
+        turn = chain_orient(xs, ys)
         for i, j, m in itertools.permutations(range(len(chain)), 3):
             assert turn(i, j, m) == orient(points[i], points[j],
                                            points[m]), (chain, i, j, m)
 
 
+def checked_pairs(mp):
+    """Wrap arc._segments_intersect so that every pair it is asked about
+    must have boxes, grown by build_arc's pad, that meet; returns the
+    list of pairs asked about."""
+    predicate = arc_module._segments_intersect
+    asked = []
+    chain = [None, 0.0]  # the last chain's xs and its pad
+
+    def checked(turn, xs, ys, i, j):
+        if chain[0] is not xs:
+            chain[:] = [xs, EPS_TOUCH * math.hypot(max(xs) - min(xs),
+                                                   max(ys) - min(ys))]
+        pad = chain[1]
+        for cs in (xs, ys):
+            lo_i, hi_i = min(cs[i], cs[i + 1]), max(cs[i], cs[i + 1])
+            lo_j, hi_j = min(cs[j], cs[j + 1]), max(cs[j], cs[j + 1])
+            assert lo_i - pad <= hi_j + pad and lo_j - pad <= hi_i + pad, (
+                xs, ys, i, j)
+        asked.append((i, j))
+        return predicate(turn, xs, ys, i, j)
+
+    mp.setattr(arc_module, "_segments_intersect", checked)
+    return asked
+
+
+@pytest.mark.parametrize("make", [convex_arc, walk_arc])
+def test_swept_pairs_have_meeting_grown_boxes(monkeypatch, make):
+    # the sweep's sort and break meet the x-ranges, its own test the
+    # y-ranges: the predicate needs no gate of its own
+    asked = checked_pairs(monkeypatch)
+    n = 1600
+    build_arc(make(n, random.Random(n)))
+    # these families hand the predicate few pairs (none at this seed);
+    # stacked diagonals hand it every non-adjacent pair
+    asked.clear()
+    build_arc(stacked_diagonals(20))
+    assert len(asked) == 18 * 17 // 2
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(**ADVERSARIAL)
+def test_swept_pairs_have_meeting_grown_boxes_on_adversarial_chains(
+        pts, k, offset, grid):
+    with pytest.MonkeyPatch.context() as mp:
+        checked_pairs(mp)
+        for chain in scaled_and_moved(pts, k, offset, grid):
+            verdict(build_arc, chain)
+
+
 @pytest.mark.parametrize("make", [convex_arc, walk_arc])
 def test_sweep_calls_the_predicate_at_most_n_times(monkeypatch, make):
-    # the pairwise loop makes (n - 2)(n - 3)/2 calls: 1,276,003 here
+    # the pairwise loop tests the grown boxes of (n - 2)(n - 3)/2 pairs,
+    # 1,276,003 here, and asks the predicate about those that meet
     calls = 0
     predicate = arc_module._segments_intersect
 

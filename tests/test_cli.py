@@ -86,6 +86,63 @@ def test_cli_output_is_byte_identical(arc, tmp_path, capsys):
             CLI_DIGESTS[arc, command]), command
 
 
+# sha256 of the SVG that render writes for each pinned arc at delta pi
+RENDER_DIGESTS = {
+    "e1": "705491a35a5b5bd047556b19cf663a1e18eb176182d1042c39f23d2f77ea7b15",
+    "e2": "738b38dad0062f7295d045c84b092bb9f0bccab4681634eec0b8070927fdf2e1",
+    "fallback":
+        "9c1ef3f44a62cead226487cb4889247daf9ba6e56decff97e22a26dd9cf213a1",
+}
+
+
+@pytest.mark.parametrize("arc", sorted(PINNED_ARCS))
+def test_render_output_is_byte_identical(arc, tmp_path, capsys):
+    path = tmp_path / "arc.json"
+    path.write_text(json.dumps({"vertices": PINNED_ARCS[arc]}))
+    out = tmp_path / "pair.svg"
+    assert main(["render", str(path), "--delta", repr(PI),
+                 "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        RENDER_DIGESTS[arc])
+
+
+# the whole stderr of analyze on an arc each check refuses: the messages
+# that name a vertex print it as a Point2
+REFUSALS = {
+    "duplicate_vertex": (
+        b'{"vertices": [[0, 0], [1, 0], [1, 0], [1, 1]]}',
+        "DuplicateVertex: consecutive vertices coincide near "
+        "Point2(x=1.0, y=0.0)"),
+    "back_tracking": (
+        b'{"vertices": [[0, 0], [2, 0], [1, 0], [1, 1]]}',
+        "SelfIntersecting: back-tracking at vertex Point2(x=2.0, y=0.0)"),
+    "crossing": (
+        b'{"vertices": [[0, 0], [2, 0], [1, 1], [1, -1]]}',
+        "SelfIntersecting: segments 0 and 2 intersect"),
+    "nan_vertex": (
+        b'{"vertices": [[0, 0], [1, 0], [NaN, 1]]}',
+        "ArcError: non-finite vertex Point2(x=nan, y=1.0)"),
+    "infinite_vertex": (
+        b'{"vertices": [[0, 0], [1, 0], [1, -Infinity]]}',
+        "ArcError: non-finite vertex Point2(x=1.0, y=-inf)"),
+    "exterior_angle": (
+        b'{"vertices": [[0, 0], [1, 1e-10], [2, 0]]}',
+        "StraightArc: degenerate exterior angle 2.000000165480742e-10 "
+        "at corner Point2(x=1.0, y=1e-10)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_message_is_byte_identical(case, tmp_path, capsys):
+    contents, line = REFUSALS[case]
+    path = tmp_path / "arc.json"
+    path.write_bytes(contents)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
 def test_analyze_straight_arc_exits_2(tmp_path, capsys):
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [2, 0]]}))

@@ -57,13 +57,14 @@ RUN = 16
 class PolygonalArc:
     """Validated simple polygonal arc.
 
-    params[i] is the cumulative Euclidean length up to vertices[i];
-    params[0] == 0 and params[-1] == length.  Run r of runs holds
-    vertices r * RUN to r * RUN + RUN - 1 as (x_lo, x_hi, y_lo, y_hi,
-    xs, ys): its bounding box and its coordinates.
+    Vertex i is (xs[i], ys[i]).  params[i] is the cumulative Euclidean
+    length up to vertex i; params[0] == 0 and params[-1] == length.
+    Run r of runs holds vertices r * RUN to r * RUN + RUN - 1 as (x_lo,
+    x_hi, y_lo, y_hi, xs, ys): its bounding box and its coordinates.
     """
 
-    vertices: tuple[Point2, ...]
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
     params: tuple[float, ...]
     length: float
     diagonal: float  # bounding-box diagonal, the distance scale for tolerances
@@ -71,7 +72,7 @@ class PolygonalArc:
     runs: tuple[tuple, ...] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.xs)
 
 
 def _is_real(c) -> bool:
@@ -81,32 +82,30 @@ def _is_real(c) -> bool:
         not isinstance(c, bool) and isinstance(c, numbers.Real))
 
 
-def _as_points(vertices: Iterable) -> list[Point2]:
-    """Points from Point2 instances or pairs of real numbers; anything
-    else (a string, a bool, a third coordinate, a non-finite value)
-    raises ArcError."""
+def _coordinates(vertices: Iterable) -> tuple[list[float], list[float]]:
+    """The x and the y coordinates of vertices given as Point2 instances
+    or pairs of real numbers; anything else (a string, a bool, a third
+    coordinate, a non-finite value) raises ArcError."""
     try:
         items = list(vertices)
     except TypeError:
         raise ArcError(f"vertices must be a list of [x, y] pairs, "
                        f"got {type(vertices).__name__}") from None
-    pts = []
+    xs, ys = [], []
     for i, v in enumerate(items):
-        if isinstance(v, Point2):
-            p = v
-        else:
-            try:
-                x, y = v
-                if not (_is_real(x) and _is_real(y)):
-                    raise TypeError
-                p = Point2(float(x), float(y))
-            except (TypeError, ValueError, OverflowError):
-                raise ArcError(f"vertices[{i}] is not an [x, y] pair of "
-                               f"numbers") from None
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise ArcError(f"non-finite vertex {p}")
-        pts.append(p)
-    return pts
+        try:
+            x, y = (v.x, v.y) if isinstance(v, Point2) else v
+            if not (_is_real(x) and _is_real(y)):
+                raise TypeError
+            x, y = float(x), float(y)
+        except (TypeError, ValueError, OverflowError):
+            raise ArcError(f"vertices[{i}] is not an [x, y] pair of "
+                           f"numbers") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ArcError(f"non-finite vertex {Point2(x, y)}")
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
 
 
 def _on_segment(xs: Sequence[float], ys: Sequence[float], p: int, q: int,
@@ -184,12 +183,9 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
     naming the first pair of non-adjacent segments that intersect, if
     any: xs and ys the coordinates, turn the chain's orientation test
     and pad the box growth."""
-    pts = _as_points(vertices)
-    if len(pts) < 2:
-        raise TooFewVertices(f"need at least 2 vertices, got {len(pts)}")
-    # the vertices once, as floats, for every loop below
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+    xs, ys = _coordinates(vertices)
+    if len(xs) < 2:
+        raise TooFewVertices(f"need at least 2 vertices, got {len(xs)}")
     diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
     if diag == 0.0:
         raise TooFewVertices("all vertices coincide")
@@ -199,7 +195,8 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
              for ax, bx, ay, by in zip(xs, xs[1:], ys, ys[1:])]
     if min(steps) <= min_sep:
         i = next(i for i, step in enumerate(steps) if step <= min_sep)
-        raise DuplicateVertex(f"consecutive vertices coincide near {pts[i]}")
+        raise DuplicateVertex(f"consecutive vertices coincide near "
+                              f"{Point2(xs[i], ys[i])}")
     # a list, not tuple(accumulate(...)): that tuple grows by
     # reallocation, and once freed it stays in the interpreter's free
     # list of its final size, so many small arcs would pile them up
@@ -207,13 +204,13 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
 
     # adjacent segments may share only the common vertex: no back-tracking
     turn = chain_orient(xs, ys)
-    for i in range(len(pts) - 2):
+    for i in range(len(xs) - 2):
         if turn(i, i + 1, i + 2) == 0:
             ux, uy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
             wx, wy = xs[i + 2] - xs[i + 1], ys[i + 2] - ys[i + 1]
             if ux * wx + uy * wy < 0.0:
-                raise SelfIntersecting(
-                    f"back-tracking at vertex {pts[i + 1]}")
+                raise SelfIntersecting(f"back-tracking at vertex "
+                                       f"{Point2(xs[i + 1], ys[i + 1])}")
 
     hit = first_crossing(xs, ys, turn, min_sep)
     if hit is not None:
@@ -222,8 +219,8 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
     for i in range(0, len(xs), RUN):
         rx, ry = xs[i:i + RUN], ys[i:i + RUN]
         runs.append((min(rx), max(rx), min(ry), max(ry), rx, ry))
-    return PolygonalArc(tuple(pts), tuple(params), params[-1], diag,
-                        tuple(runs))
+    return PolygonalArc(tuple(xs), tuple(ys), tuple(params), params[-1],
+                        diag, tuple(runs))
 
 
 def build_arc(vertices: Iterable) -> PolygonalArc:
@@ -253,9 +250,9 @@ def point_at(arc: PolygonalArc, s: float) -> Point2:
         raise ParamOutOfRange(f"parameter {s} outside [0, {arc.length}]")
     s = min(max(s, 0.0), arc.length)
     i = bisect_right(arc.params, s) - 1
-    i = min(i, len(arc.vertices) - 2)
-    a, b = arc.vertices[i], arc.vertices[i + 1]
+    i = min(i, len(arc.xs) - 2)
+    (ax, bx), (ay, by) = arc.xs[i:i + 2], arc.ys[i:i + 2]
     span = arc.params[i + 1] - arc.params[i]
     t = (s - arc.params[i]) / span
-    return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+    return Point2(ax + t * (bx - ax), ay + t * (by - ay))
 

@@ -59,12 +59,9 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     inside the step touches exactly B.  Raises StraightArc when every
     vertex is collinear within tolerance.
     """
-    pts = arc.vertices
-    # the vertices once, as floats, for turns and edge directions
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+    xs, ys = arc.xs, arc.ys
     turn = chain_orient(xs, ys)
-    n = len(pts)
+    n = len(xs)
 
     # collapse a collinear prefix so the deque starts from a strict turn
     last = 1
@@ -129,9 +126,10 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     corners = []
     for i, idx in enumerate(cycle):
         ext = ccw_gap(edges[i - 1], edges[i])
+        point = Point2(xs[idx], ys[idx])
         if not (EPS_ANGLE < ext < math.pi):
             raise StraightArc(
-                f"degenerate exterior angle {ext} at corner {pts[idx]}")
+                f"degenerate exterior angle {ext} at corner {point}")
         corners.append(
-            HullCorner(pts[idx], params[idx], edges[i - 1], edges[i], ext))
+            HullCorner(point, params[idx], edges[i - 1], edges[i], ext))
     return Hull(tuple(corners))

@@ -71,7 +71,7 @@ def oracle_touch_params(arc: PolygonalArc, theta: float) -> tuple[float, ...]:
     """
     theta = canon_angle(theta)
     nx, ny = math.sin(theta), -math.cos(theta)
-    proj = [v.x * nx + v.y * ny for v in arc.vertices]
+    proj = [x * nx + y * ny for x, y in zip(arc.xs, arc.ys)]
     cut = max(proj) - EPS_TOUCH * arc.diagonal
     cand = [arc.params[i] for i, p in enumerate(proj) if p >= cut]
     lo, hi = min(cand), max(cand)
@@ -175,26 +175,25 @@ def linear_enumerate_triples(profile: SupportProfile,
         for sign in (1.0, -1.0)])
 
 
-def _extreme_anchor(arc: PolygonalArc, theta: float) -> Point2:
-    # vertex with the largest projection on the outward normal; an
+def _extreme_anchor(arc: PolygonalArc, theta: float) -> int:
+    # first vertex with the largest projection on the outward normal; an
     # independent reconstruction of the support line's position
     nx, ny = math.sin(theta), -math.cos(theta)
-    return max(arc.vertices, key=lambda v: v.x * nx + v.y * ny)
+    return max(range(len(arc)), key=lambda i: arc.xs[i] * nx + arc.ys[i] * ny)
 
 
-def _all_left(theta: float, anchor: Point2, points: Iterable[Point2],
+def _all_left(theta: float, anchor: Point2, arc: PolygonalArc,
               slack: float) -> bool:
     dx, dy = math.cos(theta), math.sin(theta)
-    return all(dx * (v.y - anchor.y) - dy * (v.x - anchor.x) >= -slack
-               for v in points)
+    return all(dx * (y - anchor.y) - dy * (x - anchor.x) >= -slack
+               for x, y in zip(arc.xs, arc.ys))
 
 
 def _linear_support_check(arc: PolygonalArc, theta: float, p: Point2,
-                          s: float, slack: float) -> tuple[Point2, bool]:
+                          s: float, slack: float) -> tuple[int, bool]:
     """Reference for pairs._support_check: one pass over every vertex
-    for the anchor, one for the left test; s is not read."""
-    return (_extreme_anchor(arc, theta),
-            _all_left(theta, p, arc.vertices, slack))
+    for the anchor's index, one for the left test; s is not read."""
+    return _extreme_anchor(arc, theta), _all_left(theta, p, arc, slack)
 
 
 def linear_verify_triple(arc: PolygonalArc, pair: TriplePair) -> TripleReport:
@@ -240,7 +239,7 @@ def support_line(profile: SupportProfile, arc: PolygonalArc,
     smallest parameter."""
     theta = canon_angle(theta)
     anchor = point_at(arc, min(touch_params(profile, theta)))
-    if not _all_left(theta, anchor, arc.vertices, EPS_TOUCH * arc.diagonal):
+    if not _all_left(theta, anchor, arc, EPS_TOUCH * arc.diagonal):
         raise ValueError(f"a vertex falls on the right of the support line "
                          f"at {theta}")
     return DirectedLine(theta, anchor)
@@ -335,19 +334,19 @@ def grid_scan_pairs(arc: PolygonalArc, gap: float) -> list[tuple[float, float]]:
         nx, ny = np.sin(angles), -np.cos(angles)
         proj, term = np.empty_like(nx), np.empty_like(nx)
 
-        def project(v: Point2) -> np.ndarray:
-            np.multiply(v.x, nx, out=proj)
-            np.multiply(v.y, ny, out=term)
+        def project(x: float, y: float) -> np.ndarray:
+            np.multiply(x, nx, out=proj)
+            np.multiply(y, ny, out=term)
             return np.add(proj, term, out=proj)
 
         top = np.full_like(nx, -np.inf)
-        for v in arc.vertices:
-            np.maximum(top, project(v), out=top)
+        for x, y in zip(arc.xs, arc.ys):
+            np.maximum(top, project(x, y), out=top)
         cut = top - slack
         lo, hi = np.full_like(nx, np.inf), np.full_like(nx, -np.inf)
         near = np.empty(nx.shape, dtype=bool)
-        for v, s in zip(arc.vertices, arc.params):
-            np.greater_equal(project(v), cut, out=near)
+        for x, y, s in zip(arc.xs, arc.ys, arc.params):
+            np.greater_equal(project(x, y), cut, out=near)
             np.minimum(lo, s, out=lo, where=near)
             np.maximum(hi, s, out=hi, where=near)
         return lo, hi
@@ -485,7 +484,7 @@ def _arc_and_hull(config: FuzzConfig, trial_index: int,
         if _certainly_crosses(xs, ys):
             continue
         try:
-            arc = build_arc([Point2(x, y) for x, y in zip(xs, ys)])
+            arc = build_arc(zip(xs, ys))
         except ArcError:
             continue
         try:

@@ -496,18 +496,21 @@ def jump_to_jump_gaps(profile: SupportProfile) -> list[float]:
     return sorted(out)
 
 
-def _line_distance(theta: float, anchor: Point2, p: Point2) -> float:
+def _line_distance(arc: PolygonalArc, theta: float, k: int,
+                   *points: Point2) -> float:
+    """Largest distance of points from the line at theta through vertex k."""
     dx, dy = math.cos(theta), math.sin(theta)
-    return abs(dx * (p.y - anchor.y) - dy * (p.x - anchor.x))
+    x, y = arc.xs[k], arc.ys[k]
+    return max(abs(dx * (p.y - y) - dy * (p.x - x)) for p in points)
 
 
 def _support_check(arc: PolygonalArc, theta: float, p: Point2, s: float,
-                   slack: float) -> tuple[Point2, bool]:
-    """The line at theta read off the arc's vertices: the first vertex
-    of largest projection on the outward normal (sin theta, -cos theta),
-    which re-derives the support line's position, and whether every
-    vertex v lies on the closed left of the line through p, that is
-    g(v) = cos theta * (v.y - p.y) - sin theta * (v.x - p.x) >= -slack.
+                   slack: float) -> tuple[int, bool]:
+    """The line at theta read off the arc's vertices: the index of the
+    first vertex of largest projection on the outward normal (sin theta,
+    -cos theta), which re-derives the support line's position, and
+    whether every vertex (x, y) lies on the closed left of the line
+    through p, g = cos theta * (y - p.y) - sin theta * (x - p.x) >= -slack.
 
     One pass over arc.runs.  The corner of a run's box farthest along
     the normal, (x_hi if sin theta >= 0 else x_lo,
@@ -529,8 +532,7 @@ def _support_check(arc: PolygonalArc, theta: float, p: Point2, s: float,
     ny = -dx  # the normal is (dy, ny)
     lim = -slack
     k = bisect_right(arc.params, s, 1) - 1  # the vertex at or before s
-    v = arc.vertices[k]
-    best = v.x * dy + v.y * ny
+    best = arc.xs[k] * dy + arc.ys[k] * ny
     left = True
     start = 0
     # where in a run's tuple the corner's x and y are
@@ -548,13 +550,13 @@ def _support_check(arc: PolygonalArc, theta: float, p: Point2, s: float,
             left = all(dx * (y - py) - dy * (x - px) >= lim
                        for x, y in zip(run[4], run[5]))
         start += RUN
-    return arc.vertices[k], left
+    return k, left
 
 
 def _verify(arc: PolygonalArc, pair: TriplePair, check) -> TripleReport:
     """The report of verify_triple, with check(arc, theta, p, s, slack)
-    giving the anchor and the left flag of the line at theta through p,
-    the point at its touch parameter s."""
+    giving the anchor's index and the left flag of the line at theta
+    through p, the point at its touch parameter s."""
     dist_slack = EPS_TOUCH * arc.diagonal
     param_slack = EPS_TOUCH * arc.length
     p1 = point_at(arc, min(max(pair.s1, 0.0), arc.length))
@@ -563,9 +565,10 @@ def _verify(arc: PolygonalArc, pair: TriplePair, check) -> TripleReport:
     d_anchor, d_left = check(arc, pair.theta_double, p1, pair.s1, dist_slack)
     s_anchor, s_left = check(arc, pair.theta_single, p2, pair.s2, dist_slack)
 
-    double_ok = (_line_distance(pair.theta_double, d_anchor, p1) <= dist_slack
-                 and _line_distance(pair.theta_double, d_anchor, p3) <= dist_slack)
-    single_ok = _line_distance(pair.theta_single, s_anchor, p2) <= dist_slack
+    double_ok = (_line_distance(arc, pair.theta_double, d_anchor, p1, p3)
+                 <= dist_slack)
+    single_ok = (_line_distance(arc, pair.theta_single, s_anchor, p2)
+                 <= dist_slack)
     if pair.strict:
         order_ok = (pair.s1 + param_slack < pair.s2 < pair.s3 - param_slack)
     else:

@@ -24,8 +24,7 @@ def render_pair_svg(arc: PolygonalArc, hull: Hull, pair: TriplePair) -> str:
     Geometry stays in mathematical orientation; the y axis is flipped
     only in the final screen transform.
     """
-    xs = [v.x for v in arc.vertices]
-    ys = [v.y for v in arc.vertices]
+    xs, ys = arc.xs, arc.ys
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     # a hull has three corners that do not line up, so both spans are

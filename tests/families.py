@@ -5,7 +5,13 @@ uniform draws like the sampler's, and one arc with a tiny hull edge."""
 import math
 import random
 
+from arcsupport import Point2
 from arcsupport.oracle import COORDINATE_BOX
+
+
+def points(arc):
+    # the arc's vertices as points, for the Point2 references
+    return [Point2(x, y) for x, y in zip(arc.xs, arc.ys)]
 
 
 def convex_arc(n, rng):

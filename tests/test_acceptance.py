@@ -18,6 +18,7 @@ from arcsupport import (FuzzConfig, MOUNTAIN, VALLEY, build_profile,
                         safe_delta_range, touch_params, verify_triple)
 from arcsupport.cli import run_fuzz
 from arcsupport.oracle import cross_section, unique_crossing
+from families import points
 
 PI = math.pi
 ATAN_HALF = math.atan(0.5)
@@ -117,7 +118,7 @@ def test_criterion_5_oracle_equivalence(fuzz_pool):
 
     for arc, _ in fuzz_pool:
         mel = melkman_hull(arc)
-        mono = monotone_chain_hull(list(arc.vertices))
+        mono = monotone_chain_hull(points(arc))
         assert sorted(c.level for c in mel.corners) == sorted(
             arc.params[i] for i in mono)
 

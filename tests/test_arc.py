@@ -89,8 +89,8 @@ def test_point_at_out_of_range(e1):
 def test_param_steps_are_edge_lengths(fuzz_pool):
     for arc, _ in fuzz_pool[:50]:
         for i in range(len(arc) - 1):
-            a, b = arc.vertices[i], arc.vertices[i + 1]
-            edge = math.hypot(a.x - b.x, a.y - b.y)
+            edge = math.hypot(arc.xs[i] - arc.xs[i + 1],
+                              arc.ys[i] - arc.ys[i + 1])
             assert arc.params[i + 1] - arc.params[i] == pytest.approx(edge)
 
 
@@ -123,7 +123,7 @@ def test_vertex_must_be_two_numbers(bad):
 def test_points_and_numeric_pairs_accepted():
     from fractions import Fraction
     arc = build_arc([Point2(0.0, 0.0), [1, 0], (Fraction(1), 1.0)])
-    assert arc.vertices[2] == Point2(1.0, 1.0)
+    assert (arc.xs[2], arc.ys[2]) == (1.0, 1.0)
 
 
 def test_numeric_coordinate_types_build_the_same_arc():

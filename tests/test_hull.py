@@ -10,7 +10,7 @@ from arcsupport import (EPS_ANGLE, ArcError, Hull, HullCorner, Point2,
                         StraightArc, build_arc, build_profile, canon_angle,
                         ccw_gap, corollary_check, melkman_hull,
                         monotone_chain_hull, orient, verify_triple)
-from families import convex_arc, walk_arc
+from families import convex_arc, points, walk_arc
 from test_reference import grid_chains, tiny_near_collinear
 
 
@@ -18,7 +18,7 @@ def point2_melkman_hull(arc):
     """Reference for melkman_hull: the same algorithm with a plain
     orient call on the Point2 vertices for every test, where the loops
     ask again the triples the interior test has just decided."""
-    items = list(enumerate(arc.vertices))
+    items = list(enumerate(points(arc)))
 
     first, last = items[0], items[1]
     for k in range(2, len(items)):
@@ -162,7 +162,7 @@ def test_exterior_angles_sum(fuzz_pool):
 def test_melkman_matches_monotone_chain(fuzz_pool):
     for arc, _ in fuzz_pool:
         mel = melkman_hull(arc)
-        mono = monotone_chain_hull(list(arc.vertices))
+        mono = monotone_chain_hull(points(arc))
         assert sorted(c.level for c in mel.corners) == sorted(
             arc.params[i] for i in mono)
 
@@ -237,12 +237,12 @@ def test_all_vertices_inside_hull(fuzz_pool):
         for i in range(m):
             a = hull.corners[i].point
             b = hull.corners[(i + 1) % m].point
-            for v in arc.vertices:
+            for v in points(arc):
                 assert orient(a, b, v) >= 0
 
 
 def test_monotone_chain_fixture(e2):
-    idx = monotone_chain_hull(list(e2.vertices))
+    idx = monotone_chain_hull(points(e2))
     assert sorted(idx) == [0, 1, 2, 3]
     with pytest.raises(StraightArc):
         monotone_chain_hull([Point2(0, 0), Point2(1, 0), Point2(2, 0)])

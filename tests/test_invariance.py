@@ -47,7 +47,8 @@ def outputs(vertices):
 
 
 def pool_vertices(fuzz_pool, i):
-    return [(v.x, v.y) for v in fuzz_pool[i][0].vertices]
+    arc = fuzz_pool[i][0]
+    return list(zip(arc.xs, arc.ys))
 
 
 @SETTINGS

@@ -13,6 +13,7 @@ from arcsupport import (MOUNTAIN, VALLEY, FuzzConfig, GenerationExhausted,
 from arcsupport import oracle
 from arcsupport.cli import main
 from arcsupport.oracle import COORDINATE_BOX
+from families import points
 
 PI = math.pi
 RES = 2 * PI / 100_000
@@ -89,9 +90,9 @@ def test_generator_deterministic():
     cfg = FuzzConfig(trials=3, seed=42)
     a = random_simple_arc(cfg, 0)
     b = random_simple_arc(cfg, 0)
-    assert a.vertices == b.vertices
+    assert (a.xs, a.ys) == (b.xs, b.ys)
     c = random_simple_arc(cfg, 1)
-    assert a.vertices != c.vertices
+    assert (a.xs, a.ys) != (c.xs, c.ys)
 
 
 def test_generator_respects_bounds():
@@ -99,8 +100,7 @@ def test_generator_respects_bounds():
     for trial in range(20):
         arc = random_simple_arc(cfg, trial)
         assert 5 <= len(arc) <= 7
-        assert all(0.0 <= v.x <= COORDINATE_BOX and 0.0 <= v.y <= COORDINATE_BOX
-                   for v in arc.vertices)
+        assert all(0.0 <= c <= COORDINATE_BOX for c in arc.xs + arc.ys)
 
 
 def test_generator_exhaustion():
@@ -114,7 +114,7 @@ def test_generator_rejects_what_the_pipeline_finds_straight(monkeypatch,
     # a 2e-10 turn: the monotone chain keeps the apex as a corner, but
     # melkman_hull, which run_fuzz calls next, rejects the arc
     flat = build_arc([(0, 0), (1, 1e-10), (2, 0)])
-    assert len(monotone_chain_hull(list(flat.vertices))) == 3
+    assert len(monotone_chain_hull(points(flat))) == 3
     with pytest.raises(StraightArc):
         melkman_hull(flat)
     monkeypatch.setattr(oracle, "_certainly_crosses", lambda xs, ys: False)

@@ -194,7 +194,7 @@ def test_at_most_two_configurations_at_any_gap(fuzz_pool):
             configs = enumerate_triples(profile, arc, delta)
             assert len(configs) <= 2, (
                 f"counterexample: delta={delta!r}, "
-                f"vertices={[(v.x, v.y) for v in arc.vertices]!r}")
+                f"vertices={list(zip(arc.xs, arc.ys))!r}")
 
 
 def test_at_most_two_candidates_on_any_chart_piece(fuzz_pool):
@@ -213,7 +213,7 @@ def test_at_most_two_candidates_on_any_chart_piece(fuzz_pool):
             if b - a > 4 * EPS_ANGLE:
                 assert len(cands) <= 2, (
                     f"counterexample: gaps ({a!r}, {b!r}) hold {cands}, "
-                    f"vertices={[(v.x, v.y) for v in arc.vertices]!r}")
+                    f"vertices={list(zip(arc.xs, arc.ys))!r}")
                 most = max(most, len(cands))
     assert most == 2
 
@@ -254,7 +254,7 @@ def test_each_safe_chart_piece_holds_one_candidate_of_its_kind(fuzz_pool):
                         if spans_apex(profile, c) == (mode == MOUNTAIN)]
                 assert len(kind) == 1, (
                     f"{mode}: gaps ({a!r}, {b!r}) hold {cands}, "
-                    f"vertices={[(v.x, v.y) for v in arc.vertices]!r}")
+                    f"vertices={list(zip(arc.xs, arc.ys))!r}")
                 pieces[mode] += 1
     assert min(pieces.values()) > 2800
 
@@ -307,7 +307,7 @@ def test_candidate_kinds_match_the_gap_side_geometry(fuzz_pool):
                        c.s2)
                 assert (c.covers_apex, c.covers_min) == kinds[key], (
                     f"gap={gap!r}, {c}, "
-                    f"vertices={[(v.x, v.y) for v in arc.vertices]!r}")
+                    f"vertices={list(zip(arc.xs, arc.ys))!r}")
                 configs += 1
                 both += c.covers_apex and c.covers_min
     # at pi each pool arc's mountain and valley pair coincide

@@ -15,9 +15,9 @@ PI = math.pi
 ATAN_HALF = math.atan(0.5)
 
 
-def rotate(arc_vertices, phi):
+def rotate(arc, phi):
     c, s = math.cos(phi), math.sin(phi)
-    return [(c * p.x - s * p.y, s * p.x + c * p.y) for p in arc_vertices]
+    return [(c * x - s * y, s * x + c * y) for x, y in zip(arc.xs, arc.ys)]
 
 
 def test_e1_profile_structure(e1_profile):
@@ -146,7 +146,7 @@ def test_profile_matches_oracle(fuzz_pool):
 
 def test_rotation_equivariance(e1):
     for phi in (0.3, 1.0, 2.5, 4.0):
-        rot = build_arc(rotate(e1.vertices, phi))
+        rot = build_arc(rotate(e1, phi))
         prof = build_profile(melkman_hull(rot))
         base = build_profile(melkman_hull(e1))
         assert prof.levels == base.levels
@@ -155,7 +155,8 @@ def test_rotation_equivariance(e1):
 
 
 def test_scale_invariance(e2):
-    unit = build_arc([(p.x / e2.length, p.y / e2.length) for p in e2.vertices])
+    unit = build_arc([(x / e2.length, y / e2.length)
+                      for x, y in zip(e2.xs, e2.ys)])
     prof = build_profile(melkman_hull(unit))
     base = build_profile(melkman_hull(e2))
     for s_unit, s_base in zip(prof.steps, base.steps):

@@ -251,8 +251,9 @@ def point_at(arc: PolygonalArc, s: float) -> Point2:
     s = min(max(s, 0.0), arc.length)
     i = bisect_right(arc.params, s) - 1
     i = min(i, len(arc.xs) - 2)
-    (ax, bx), (ay, by) = arc.xs[i:i + 2], arc.ys[i:i + 2]
+    xs, ys = arc.xs, arc.ys
     span = arc.params[i + 1] - arc.params[i]
     t = (s - arc.params[i]) / span
-    return Point2(ax + t * (bx - ax), ay + t * (by - ay))
+    return Point2(xs[i] + t * (xs[i + 1] - xs[i]),
+                  ys[i] + t * (ys[i + 1] - ys[i]))
 

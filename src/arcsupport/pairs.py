@@ -497,11 +497,10 @@ def jump_to_jump_gaps(profile: SupportProfile) -> list[float]:
 
 
 def _line_distance(arc: PolygonalArc, theta: float, k: int,
-                   *points: Point2) -> float:
-    """Largest distance of points from the line at theta through vertex k."""
+                   p: Point2) -> float:
+    """Distance of p from the line at theta through vertex k."""
     dx, dy = math.cos(theta), math.sin(theta)
-    x, y = arc.xs[k], arc.ys[k]
-    return max(abs(dx * (p.y - y) - dy * (p.x - x)) for p in points)
+    return abs(dx * (p.y - arc.ys[k]) - dy * (p.x - arc.xs[k]))
 
 
 def _support_check(arc: PolygonalArc, theta: float, p: Point2, s: float,
@@ -565,10 +564,11 @@ def _verify(arc: PolygonalArc, pair: TriplePair, check) -> TripleReport:
     d_anchor, d_left = check(arc, pair.theta_double, p1, pair.s1, dist_slack)
     s_anchor, s_left = check(arc, pair.theta_single, p2, pair.s2, dist_slack)
 
-    double_ok = (_line_distance(arc, pair.theta_double, d_anchor, p1, p3)
-                 <= dist_slack)
-    single_ok = (_line_distance(arc, pair.theta_single, s_anchor, p2)
-                 <= dist_slack)
+    double_ok = (
+        _line_distance(arc, pair.theta_double, d_anchor, p1) <= dist_slack
+        and _line_distance(arc, pair.theta_double, d_anchor, p3) <= dist_slack)
+    single_ok = (
+        _line_distance(arc, pair.theta_single, s_anchor, p2) <= dist_slack)
     if pair.strict:
         order_ok = (pair.s1 + param_slack < pair.s2 < pair.s3 - param_slack)
     else:

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
-from .geometry import EPS_TOUCH, Point2, chain_orient
+from .geometry import EPS_ORIENT, EPS_TOUCH, Point2, chain_orient
 
 
 class ArcError(ValueError):
@@ -51,6 +52,12 @@ class ParamOutOfRange(ArcError):
 
 # vertices per run of PolygonalArc.runs
 RUN = 16
+
+# the bounding-box diagonals build_arc accepts, about 1.5e-139 and
+# 9.5e153: within them no cross product overflows and no orientation
+# threshold leaves the normal floats (derived in build_arc)
+MIN_SPAN = math.sqrt(sys.float_info.min / (EPS_ORIENT * EPS_TOUCH ** 2))
+MAX_SPAN = math.sqrt(sys.float_info.max / 2.0)
 
 
 @dataclass(frozen=True)
@@ -189,6 +196,9 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
     diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
     if diag == 0.0:
         raise TooFewVertices("all vertices coincide")
+    if not MIN_SPAN <= diag <= MAX_SPAN:
+        raise ArcError(f"bounding-box diagonal {diag} outside "
+                       f"[{MIN_SPAN:.3g}, {MAX_SPAN:.3g}]")
     min_sep = EPS_TOUCH * diag
 
     steps = [math.hypot(ax - bx, ay - by)
@@ -229,6 +239,17 @@ def build_arc(vertices: Iterable) -> PolygonalArc:
     Raises TooFewVertices, DuplicateVertex or SelfIntersecting on bad
     input.  Consecutive collinear vertices are accepted (they merely
     subdivide a segment); exact back-tracking is rejected as non-simple.
+
+    The bounding-box diagonal d must lie in [MIN_SPAN, MAX_SPAN], else
+    ArcError.  Every coordinate difference is at most d, so a cross
+    product is at most 2 * d**2, finite for d <= MAX_SPAN =
+    sqrt(max float / 2), about 9.5e153.  Consecutive vertices are more
+    than EPS_TOUCH * d apart, so the smallest orientation threshold,
+    EPS_ORIENT times the squared span of three points two of which are
+    consecutive, is at least EPS_ORIENT * (EPS_TOUCH * d)**2, a normal
+    float for d >= MIN_SPAN = sqrt(min normal float / (EPS_ORIENT *
+    EPS_TOUCH**2)), about 1.5e-139.  Beyond them cross products overflow
+    to inf or nan, or thresholds underflow, and crossing chains pass.
 
     Two non-adjacent segments intersect when their bounding boxes,
     grown by EPS_TOUCH * diagonal, meet and the tolerant orientation

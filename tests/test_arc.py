@@ -7,6 +7,9 @@ import pytest
 
 from arcsupport import (ArcError, DuplicateVertex, ParamOutOfRange, Point2,
                         SelfIntersecting, TooFewVertices, build_arc, point_at)
+from arcsupport import (MOUNTAIN, build_profile, find_pair, melkman_hull,
+                        render_pair_svg, verify_triple)
+from arcsupport.arc import MAX_SPAN, MIN_SPAN
 from families import convex_arc, walk_arc
 
 
@@ -34,6 +37,44 @@ def test_touching_rejected():
 def test_backtracking_rejected():
     with pytest.raises(SelfIntersecting):
         build_arc([(0, 0), (2, 0), (1, 0)])
+
+
+def span_verdict(vertices):
+    try:
+        build_arc(vertices)
+    except ArcError as exc:
+        if str(exc).startswith("bounding-box diagonal"):
+            return "span"
+        return type(exc).__name__
+    return "accepted"
+
+
+def test_spans_whose_orientations_leave_the_floats_are_refused():
+    # chains in [0, 10) scaled by 2^510 have cross products that
+    # overflow to inf or nan, scaled by 2^-540 thresholds that
+    # underflow: each is refused for its span, never given a verdict
+    # other than its own at scale 1
+    rng = random.Random(1)
+    chains = [[(10 * rng.random(), 10 * rng.random()) for _ in range(6)]
+              for _ in range(300)]
+    verdicts = {"accepted": 0, "span": 0}
+    for chain in chains:
+        own = span_verdict(chain)
+        verdicts["accepted"] += own == "accepted"
+        for k in (510, -540, 100, -100):
+            got = span_verdict([(math.ldexp(x, k), math.ldexp(y, k))
+                                for x, y in chain])
+            assert got in (own, "span"), (k, chain)
+            verdicts["span"] += got == "span"
+    assert verdicts == {"accepted": 81, "span": 600}
+    # the limits themselves are accepted, the next floats out are not
+    assert len(build_arc([(0.0, 0.0), (MIN_SPAN, 0.0)])) == 2
+    assert len(build_arc([(0.0, 0.0), (0.0, MAX_SPAN)])) == 2
+    for far in (math.nextafter(MIN_SPAN, 0.0), math.nextafter(MAX_SPAN, 2e308),
+                math.inf):
+        assert span_verdict([(0.0, 0.0), (far, 0.0)]) == (
+            "span" if math.isfinite(far) else "ArcError")
+    assert span_verdict([(-1e308, 0.0), (1e308, 0.0)]) == "span"
 
 
 @pytest.mark.parametrize("k", [-20, 0, 20])
@@ -147,6 +188,28 @@ def test_validation_decides_each_triple_once(orient_counts, make):
     orient_counts.update(decided=0, full=0)
     build_arc([(float(i), 0.0) for i in range(n)])
     assert orient_counts["decided"] == orient_counts["full"] == n - 2
+
+
+@pytest.mark.parametrize("make", [convex_arc, walk_arc])
+def test_pipeline_builds_a_point_per_hull_corner_only(monkeypatch, make):
+    # the arc keeps floats: a Point2 is built per hull corner and per
+    # point_at (three to verify a pair, five to draw it), not per vertex
+    built = 0
+    init = Point2.__init__
+
+    def counted(self, x, y):
+        nonlocal built
+        built += 1
+        init(self, x, y)
+
+    monkeypatch.setattr(Point2, "__init__", counted)
+    arc = build_arc(make(1600, random.Random(1600)))
+    hull = melkman_hull(arc)
+    profile = build_profile(hull)
+    pair = find_pair(profile, math.pi, MOUNTAIN)
+    assert verify_triple(arc, pair).passed
+    render_pair_svg(arc, hull, pair)
+    assert built <= len(hull) + 8
 
 
 def test_building_small_arcs_keeps_no_memory():

@@ -223,6 +223,8 @@ FAILURES = {
     "segment_hull": ([[0, 0], [1e-3, 0], [2e-3, 1e-12], [1000, 0]],
                      ["analyze", "{arc}"],
                      2, "StraightArc: hull degenerates to a segment"),
+    "span": ([[0, 0], [1e154, 0], [1e154, 1e154]], ["analyze", "{arc}"],
+             2, "ArcError: bounding-box diagonal "),
     "find_pair_delta": (E1, ["find-pair", "{arc}", "--delta", "7"],
                         3, "InvalidDelta: "),
     "render_delta_zero": (E1, ["render", "{arc}", "--delta", "0",

@@ -156,8 +156,13 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
                       (arc, "scale_to_unit"), (profile, "ProfileStep"),
                       (geometry, "angle_of"), (geometry, "ZeroVector"),
                       (arc, "run_index"), (pairs, "_gap_side_covers"),
-                      (pairs, "_find_pair"), (cli, "_scan")):
+                      (pairs, "_find_pair"), (cli, "_scan"),
+                      (arc, "_as_points")):
         assert not hasattr(mod, name), name
+    # an arc keeps its coordinates once, as floats
+    assert [f.name for f in dataclasses.fields(arcsupport.PolygonalArc)][
+        :2] == ["xs", "ys"]
+    assert not hasattr(arcsupport.PolygonalArc, "vertices")
     # the runs are a field that build_arc fills, not a memo kept aside
     assert not hasattr(arcsupport.PolygonalArc, "_indexes")
     assert "_indexes" not in {

@@ -6,7 +6,7 @@ import pytest
 
 from arcsupport import (MOUNTAIN, VALLEY, FuzzConfig, GenerationExhausted,
                         StraightArc,
-                        build_arc, circ_dist, enumerate_triples,
+                        build_arc, build_profile, circ_dist, enumerate_triples,
                         find_pair_mountain, grid_scan_pairs,
                         jump_to_jump_gaps, melkman_hull, monotone_chain_hull,
                         oracle_touch_params, random_simple_arc)
@@ -50,6 +50,20 @@ def test_grid_scan_localizes_scan_output(e2, e2_profile):
             or circ_dist(a, pair.theta_double) <= RES)
     assert (circ_dist(b, pair.theta_single) <= RES
             or circ_dist(b, pair.theta_double) <= RES)
+
+
+def test_grid_scan_joins_a_cluster_across_angle_zero(e2, e2_profile):
+    # E2 turned so that its gap-2.0 pair's single line sits at angle 0:
+    # the hits at the grid's last and first angles are one cluster
+    pair, = enumerate_triples(e2_profile, e2, 2.0)
+    c, s = math.cos(-pair.theta_single), math.sin(-pair.theta_single)
+    arc = build_arc([(c * x - s * y, s * x + c * y)
+                     for x, y in zip(e2.xs, e2.ys)])
+    want, = enumerate_triples(build_profile(melkman_hull(arc)), arc, 2.0)
+    assert circ_dist(want.theta_single, 0.0) <= 1e-12
+    (a, b), = grid_scan_pairs(arc, 2.0)
+    assert circ_dist(a, want.theta_single) <= RES
+    assert circ_dist(b, want.theta_double) <= RES
 
 
 def test_grid_scan_finds_both_kinds(e1, e1_profile):

@@ -216,6 +216,29 @@ def test_chart_skips_a_jump_narrower_than_twice_the_slack():
             linear_enumerate_triples(profile, gap)), gap
 
 
+@pytest.mark.parametrize("extra", [1e-14, 1e-13])
+def test_chart_splits_gap_intervals_that_wrap_past_the_circle(extra):
+    # levels 0, 1, 3, 2: the minimum step is eps_angle + extra wide,
+    # narrower than the chart's pad, so jump 0's two candidates reach
+    # past gap 0 on one side and past 2 pi on the other, and the chart
+    # carries each over the seam
+    levels = [0.0, 1.0, 3.0, 2.0]
+    width = EPS_ANGLE + extra
+    rest = (TWO_PI - width) / 3
+    starts = [0.0, width, width + rest, width + 2 * rest]
+    ends = starts[1:] + [TWO_PI]
+    steps = tuple(HullCorner(Point2(lv, 0.0), lv, a, b, b - a)
+                  for a, b, lv in zip(starts, ends, levels))
+    jumps = tuple(tuple(sorted((levels[i - 1], levels[i])))
+                  for i in range(len(starts)))
+    profile = SupportProfile(steps, jumps, apex_index=2)
+    chart = _gap_chart(profile)
+    assert chart.cands[0] == chart.cands[-1] == ((0, 1.0), (0, -1.0))
+    for gap in chart_gaps(profile):
+        assert repr(enumerate_triples(profile, None, gap)) == repr(
+            linear_enumerate_triples(profile, gap)), gap
+
+
 def verify_pairs(arc, profile, delta):
     """The scan pairs and the enumerated pairs at delta."""
     return ([find_pair_mountain(profile, arc, delta),

@@ -249,7 +249,8 @@ def build_arc(vertices: Iterable) -> PolygonalArc:
     consecutive, is at least EPS_ORIENT * (EPS_TOUCH * d)**2, a normal
     float for d >= MIN_SPAN = sqrt(min normal float / (EPS_ORIENT *
     EPS_TOUCH**2)), about 1.5e-139.  Beyond them cross products overflow
-    to inf or nan, or thresholds underflow, and crossing chains pass.
+    to inf or nan, or thresholds underflow, and a crossing chain can
+    pass as simple.
 
     Two non-adjacent segments intersect when their bounding boxes,
     grown by EPS_TOUCH * diagonal, meet and the tolerant orientation

@@ -10,7 +10,7 @@ from .arc import (ArcError, DuplicateVertex, ParamOutOfRange, PolygonalArc,
                   SelfIntersecting, TooFewVertices, build_arc, point_at)
 from .geometry import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, TWO_PI, Point2,
                        canon_angle, ccw_gap, circ_dist, orient)
-from .hull import Hull, HullCorner, StraightArc, melkman_hull
+from .hull import Hull, StraightArc, melkman_hull
 from .oracle import (FuzzConfig, GenerationExhausted, grid_scan_pairs,
                      monotone_chain_hull, oracle_touch_params,
                      random_simple_arc)
@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcError", "CorollaryResult", "DuplicateVertex", "EPS_ANGLE",
     "EPS_ORIENT", "EPS_TOUCH", "FuzzConfig", "GenerationExhausted", "Hull",
-    "HullCorner", "InvalidDelta", "MOUNTAIN", "ParamOutOfRange",
-    "Point2", "PolygonalArc", "SelfIntersecting", "StraightArc",
+    "InvalidDelta", "MOUNTAIN", "ParamOutOfRange", "Point2", "PolygonalArc",
+    "SelfIntersecting", "StraightArc",
     "SupportProfile", "TWO_PI", "TooFewVertices", "TriplePair",
     "TripleReport", "VALLEY", "build_arc", "build_profile", "canon_angle",
     "ccw_gap", "circ_dist", "corollary_check", "enumerate_triples",

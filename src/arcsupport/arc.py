@@ -102,9 +102,11 @@ def _coordinates(vertices: Iterable) -> tuple[list[float], list[float]]:
     for i, v in enumerate(items):
         try:
             x, y = (v.x, v.y) if isinstance(v, Point2) else v
-            if not (_is_real(x) and _is_real(y)):
-                raise TypeError
-            x, y = float(x), float(y)
+            # floats, the common case, need no type test or conversion
+            if type(x) is not float or type(y) is not float:
+                if not (_is_real(x) and _is_real(y)):
+                    raise TypeError
+                x, y = float(x), float(y)
         except (TypeError, ValueError, OverflowError):
             raise ArcError(f"vertices[{i}] is not an [x, y] pair of "
                            f"numbers") from None

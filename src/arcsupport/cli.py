@@ -61,37 +61,40 @@ def _maybe_degrees(value: float, to_degrees: bool) -> float:
 
 
 def cmd_analyze(args) -> int:
-    arc, _, profile = _load(args.input)
+    arc, hull, profile = _load(args.input)
+    starts, widths, levels = profile.starts, profile.widths, profile.levels
+    ends = starts[1:] + starts[:1]
+    points = [(arc.xs[i], arc.ys[i]) for i in hull.corners]
+    low, apex = widths[0], widths[profile.apex_index]
     if args.json:
         doc = {
             "length": arc.length,
             "corners": [
-                {"point": [s.point.x, s.point.y],
-                 "param": s.level,
-                 "step": [s.start, s.end],
-                 "exterior_angle": s.width}
-                for s in profile.steps],
-            "jumps": [{"angle": s.start, "span": list(jump)}
-                      for s, jump in zip(profile.steps, profile.jumps)],
-            "min_step_width": profile.min_step.width,
-            "apex_step_width": profile.apex_step.width,
-            "levels": list(profile.levels),
+                {"point": list(pt), "param": level, "step": [a, b],
+                 "exterior_angle": w}
+                for pt, level, a, b, w in zip(points, levels, starts, ends,
+                                              widths)],
+            "jumps": [{"angle": a, "span": list(jump)}
+                      for a, jump in zip(starts, profile.jumps)],
+            "min_step_width": low,
+            "apex_step_width": apex,
+            "levels": list(levels),
         }
         print(json.dumps(doc, indent=2))
         return EXIT_OK
 
     print(f"arc: {len(arc)} vertices, length {arc.length:.12g}")
     print(f"{'corner':>22}  {'param':>12}  {'step interval':>28}  {'exterior':>12}")
-    for s in profile.steps:
-        pt = f"({s.point.x:.6g}, {s.point.y:.6g})"
-        print(f"{pt:>22}  {s.level:>12.9g}  "
-              f"[{s.start:>12.9f}, {s.end:>12.9f}]  {s.width:>12.9f}")
-    print(f"min step width  : {profile.min_step.width:.12g}")
-    print(f"apex step width : {profile.apex_step.width:.12g}")
-    print("level sequence  : " + " ".join(f"{v:.9g}" for v in profile.levels))
+    for (x, y), level, a, b, w in zip(points, levels, starts, ends, widths):
+        pt = f"({x:.6g}, {y:.6g})"
+        print(f"{pt:>22}  {level:>12.9g}  "
+              f"[{a:>12.9f}, {b:>12.9f}]  {w:>12.9f}")
+    print(f"min step width  : {low:.12g}")
+    print(f"apex step width : {apex:.12g}")
+    print("level sequence  : " + " ".join(f"{v:.9g}" for v in levels))
     print("jumps           : " + "; ".join(
-        f"{s.start:.9f} -> [{lo:.9g}, {hi:.9g}]"
-        for s, (lo, hi) in zip(profile.steps, profile.jumps)))
+        f"{a:.9f} -> [{lo:.9g}, {hi:.9g}]"
+        for a, (lo, hi) in zip(starts, profile.jumps)))
     return EXIT_OK
 
 

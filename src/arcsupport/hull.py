@@ -5,6 +5,12 @@ Melkman's online deque algorithm runs in linear time on a simple
 polyline.  Hull vertices that are interior to a hull edge (collinear
 within tolerance) are merged away, so every remaining corner makes a
 strict turn and carries a positive angular step.
+
+The hull is four tuple columns with one entry per corner: the vertex
+indices, the arc parameters (levels), the step starts and the step
+widths.  A step ends on the very float the next one starts at, so no
+end column is kept.  No object is built per corner, and the profile
+holds the same tuples.
 """
 
 from __future__ import annotations
@@ -22,28 +28,21 @@ class StraightArc(ValueError):
 
 
 @dataclass(frozen=True)
-class HullCorner:
-    """Hull corner and its step of the support profile.
-
-    level is the corner's arc parameter.  The step [start, end]
-    (counterclockwise, on the circle) is the closure of the set of
-    support angles at which the support line touches exactly this
-    corner; width, the corner's exterior angle, is its length.
-    """
-
-    point: Point2
-    level: float
-    start: float
-    end: float
-    width: float
-
-
-@dataclass(frozen=True)
 class Hull:
     """Corners in counterclockwise boundary order, starting at the
-    corner with the smallest arc parameter."""
+    corner with the smallest arc parameter, as four columns.
 
-    corners: tuple[HullCorner, ...]
+    Corner i is vertex corners[i] of the arc, at arc parameter
+    levels[i].  Its step of the support profile, the closure of the set
+    of support angles at which the support line touches exactly this
+    corner, runs counterclockwise from starts[i] to starts[(i + 1) % m];
+    widths[i], the corner's exterior angle, is its length.
+    """
+
+    corners: tuple[int, ...]
+    levels: tuple[float, ...]
+    starts: tuple[float, ...]
+    widths: tuple[float, ...]
 
     def __len__(self) -> int:
         return len(self.corners)
@@ -52,12 +51,13 @@ class Hull:
 def melkman_hull(arc: PolygonalArc) -> Hull:
     """Convex hull of the arc's vertex chain via Melkman's algorithm.
 
-    Returns corners in counterclockwise order with their arc parameters
-    and angular steps.  For corner B with counterclockwise neighbours A
-    (incoming) and C (outgoing), the step runs from the direction of
-    A->B to the direction of B->C; the support line for angles strictly
-    inside the step touches exactly B.  Raises StraightArc when every
-    vertex is collinear within tolerance.
+    Returns the corners in counterclockwise order with their arc
+    parameters and angular steps, as the columns of a Hull.  For corner
+    B with counterclockwise neighbours A (incoming) and C (outgoing),
+    the step runs from the direction of A->B to the direction of B->C;
+    the support line for angles strictly inside the step touches
+    exactly B.  Raises StraightArc when every vertex is collinear within
+    tolerance.
     """
     xs, ys = arc.xs, arc.ys
     turn = chain_orient(xs, ys)
@@ -118,18 +118,15 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     params = arc.params
     start = min(range(m), key=lambda i: params[cycle[i]])
     cycle = cycle[start:] + cycle[:start]
-    # edges[i] is the direction of the edge leaving corner i: the end of
-    # its step and the start of the next one, the same float for both.
-    # Two corners are distinct points, so no edge is the zero vector
-    edges = [canon_angle(math.atan2(ys[b] - ys[a], xs[b] - xs[a]))
-             for a, b in zip(cycle, cycle[1:] + cycle[:1])]
-    corners = []
-    for i, idx in enumerate(cycle):
-        ext = ccw_gap(edges[i - 1], edges[i])
-        point = Point2(xs[idx], ys[idx])
+    # the direction of the edge entering corner i starts its step and
+    # ends the step before, the same float for both.  Two corners are
+    # distinct points, so no edge is the zero vector
+    starts = [canon_angle(math.atan2(ys[b] - ys[a], xs[b] - xs[a]))
+              for a, b in zip(cycle[-1:] + cycle[:-1], cycle)]
+    widths = [ccw_gap(a, b) for a, b in zip(starts, starts[1:] + starts[:1])]
+    for i, ext in enumerate(widths):
         if not (EPS_ANGLE < ext < math.pi):
-            raise StraightArc(
-                f"degenerate exterior angle {ext} at corner {point}")
-        corners.append(
-            HullCorner(point, params[idx], edges[i - 1], edges[i], ext))
-    return Hull(tuple(corners))
+            raise StraightArc(f"degenerate exterior angle {ext} at corner "
+                              f"{Point2(xs[cycle[i]], ys[cycle[i]])}")
+    return Hull(tuple(cycle), tuple([params[i] for i in cycle]),
+                tuple(starts), tuple(widths))

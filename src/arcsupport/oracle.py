@@ -103,14 +103,15 @@ def linear_touch_params(profile: SupportProfile,
     """Reference for profile.touch_params: a linear search over the
     jumps, then the steps, in index order; O(m) per query."""
     theta = canon_angle(theta)
-    for step, jump in zip(profile.steps, profile.jumps):
-        if circ_dist(theta, step.start) <= EPS_ANGLE:
+    for start, jump in zip(profile.starts, profile.jumps):
+        if circ_dist(theta, start) <= EPS_ANGLE:
             return jump
-    for step in profile.steps:
-        if ccw_gap(step.start, theta) < step.width:
-            return (step.level,)
-    return min(zip(profile.steps, profile.jumps),
-               key=lambda sj: circ_dist(theta, sj[0].start))[1]
+    for start, width, level in zip(profile.starts, profile.widths,
+                                   profile.levels):
+        if ccw_gap(start, theta) < width:
+            return (level,)
+    return min(zip(profile.starts, profile.jumps),
+               key=lambda sj: circ_dist(theta, sj[0]))[1]
 
 
 def quadratic_ledger(profile: SupportProfile, mode: str) -> list[tuple]:
@@ -227,9 +228,10 @@ def cross_section(profile: SupportProfile, s: float) -> tuple[float, float] | No
     parameter it is empty (None).
     """
     slack = profile.param_slack
-    for step in profile.steps:
-        if abs(step.level - s) <= slack:
-            return (step.start, step.end)
+    starts = profile.starts
+    for i, level in enumerate(profile.levels):
+        if abs(level - s) <= slack:
+            return (starts[i], starts[(i + 1) % len(starts)])
     return None
 
 

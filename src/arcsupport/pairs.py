@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 from .arc import RUN, PolygonalArc, point_at
@@ -122,18 +123,13 @@ class _Window:
 def _unroll(profile: SupportProfile, mode: str):
     """Window coordinates of the steps read from the mode's anchor step:
     (anchor angle, step starts, step ends, build levels)."""
-    m = len(profile.steps)
-    start = 0 if mode == MOUNTAIN else profile.apex_index
-    sign = 1.0 if mode == MOUNTAIN else -1.0
-    x_lo, x_hi, levels = [], [], []
-    x = 0.0
-    for i in range(m):
-        step = profile.steps[(start + i) % m]
-        x_lo.append(x)
-        x += step.width
-        x_hi.append(x)
-        levels.append(sign * step.level)
-    return profile.steps[start].start, x_lo, x_hi, levels
+    k = 0 if mode == MOUNTAIN else profile.apex_index
+    widths, levels = profile.widths, profile.levels
+    xs = list(accumulate(widths[k:] + widths[:k], initial=0.0))
+    levels = levels[k:] + levels[:k]
+    if mode == VALLEY:
+        levels = tuple([-v for v in levels])
+    return profile.starts[k], xs[:-1], xs[1:], levels
 
 
 def _build_window(profile: SupportProfile, mode: str) -> _Window:
@@ -312,10 +308,11 @@ def safe_delta_range(profile: SupportProfile, mode: str) -> tuple[float, float]:
     """Range of differences, ends included, for which the scan yields a
     strict triple on every arc; the pair's guaranteed flag is delta's
     membership in it."""
+    low, apex = profile.widths[0], profile.widths[profile.apex_index]
     if mode == MOUNTAIN:
-        return (profile.apex_step.width, TWO_PI - profile.min_step.width)
+        return (apex, TWO_PI - low)
     if mode == VALLEY:
-        return (profile.min_step.width, TWO_PI - profile.apex_step.width)
+        return (low, TWO_PI - apex)
     raise ValueError(f"mode must be {MOUNTAIN!r} or {VALLEY!r}, got {mode!r}")
 
 
@@ -381,10 +378,10 @@ def _build_chart(profile: SupportProfile) -> _Chart:
     side from a rising jump to the falling run passes the apex step.
     """
     slack = profile.param_slack
-    steps = profile.steps
+    starts = profile.starts
     k = profile.apex_index
-    rise = [s.level for s in steps[:k + 1]]
-    fall = [-s.level for s in steps[k + 1:]]  # negated: ascending too
+    rise = profile.levels[:k + 1]
+    fall = [-v for v in profile.levels[k + 1:]]  # negated: ascending too
     parts = []
     for i, (lo, hi) in enumerate(profile.jumps):
         if hi - lo <= slack:
@@ -402,7 +399,8 @@ def _build_chart(profile: SupportProfile) -> _Chart:
         # the two bisections can cross (s > e)
         if s >= e:
             continue
-        a, first, last = steps[i].start, steps[s].start, steps[e - 1].end
+        # the run's last step, e - 1, ends where step e starts
+        a, first, last = starts[i], starts[s], starts[e % len(starts)]
         for sign, x, y in ((1.0, ccw_gap(a, first), ccw_gap(a, last)),
                            (-1.0, ccw_gap(last, a), ccw_gap(first, a))):
             x, y = x - _CHART_PAD, y + _CHART_PAD
@@ -461,7 +459,7 @@ def _configurations(profile: SupportProfile, gap: float,
     found: dict[tuple, TriplePair] = {}
     for i, sign in cands:
         lo, hi = profile.jumps[i]
-        a = profile.steps[i].start
+        a = profile.starts[i]
         psi = canon_angle(a + sign * gap)
         apex_side = (0 < i <= k) == (sign > 0)
         for s2 in touch_params(profile, psi):
@@ -477,7 +475,7 @@ def _configurations(profile: SupportProfile, gap: float,
                 "enumerated", a, psi, lo, s2, hi, strict=True,
                 requested_delta=gap, realized_gap=gap,
                 covers_apex=covers_apex, covers_min=covers_min)
-    anchor = profile.min_step.start
+    anchor = profile.starts[0]
     return sorted(found.values(),
                   key=lambda c: (ccw_gap(anchor, c.theta_double),
                                  ccw_gap(anchor, c.theta_single), c.s2))
@@ -487,7 +485,7 @@ def jump_to_jump_gaps(profile: SupportProfile) -> list[float]:
     """All pairwise ccw gaps between jump angles; differences within
     tolerance of one of these are tie-prone and skipped by uniqueness
     campaigns."""
-    angles = [s.start for s in profile.steps]
+    angles = profile.starts
     out = []
     for a in angles:
         for b in angles:

@@ -6,6 +6,9 @@ turn this is a step function: one step per hull corner, whose width is
 the corner's exterior angle, plus a two-valued jump wherever a hull
 edge lies on the line.  The profile stores this combinatorial object
 symbolically, so every downstream scan is exact up to atan2 rounding.
+It keeps the steps as the hull's columns, the very tuples of levels,
+starts and widths (a step ends where the next one starts), and builds
+no object per step.
 
 Reading the steps counterclockwise from the minimum-parameter corner,
 levels rise strictly to the maximum-parameter corner and then fall
@@ -29,39 +32,31 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .geometry import EPS_ANGLE, EPS_TOUCH, TWO_PI, canon_angle, circ_dist
-from .hull import Hull, HullCorner
+from .hull import Hull
 
 
 @dataclass(frozen=True)
 class SupportProfile:
-    """Full step representation over one period.
+    """Full step representation over one period, as columns.
 
-    steps are the hull's corners, in counterclockwise order starting at
-    the minimum-level step; jumps[i], the jump at steps[i].start, is the
-    pair (low, high) of the levels either side of it (so jumps[0] is the
-    wrap jump into the minimum step).
+    Step i, at the i-th hull corner counterclockwise from the minimum
+    level, has the level levels[i] and runs from starts[i] to
+    starts[(i + 1) % m], widths[i] long: the hull's own tuples.
+    jumps[i], the jump at starts[i], is the pair (low, high) of the
+    levels either side of it (so jumps[0] is the wrap jump into the
+    minimum step).  Step apex_index has the largest level.
     """
 
-    steps: tuple[HullCorner, ...]
+    levels: tuple[float, ...]
+    starts: tuple[float, ...]
+    widths: tuple[float, ...]
     jumps: tuple[tuple[float, float], ...]
     apex_index: int
 
     @property
-    def min_step(self) -> HullCorner:
-        return self.steps[0]
-
-    @property
-    def apex_step(self) -> HullCorner:
-        return self.steps[self.apex_index]
-
-    @property
-    def levels(self) -> tuple[float, ...]:
-        return tuple([s.level for s in self.steps])
-
-    @property
     def param_slack(self) -> float:
         """Tolerance on arc parameters, relative to the largest level."""
-        return EPS_TOUCH * self.apex_step.level
+        return EPS_TOUCH * self.levels[self.apex_index]
 
     # derived indexes, built on first use and kept on the instance (the
     # profile is immutable): the sorted jump angles (_by_angle) and the
@@ -75,10 +70,10 @@ class SupportProfile:
     @property
     def _by_angle(self) -> tuple[tuple[float, ...], tuple[int, ...]]:
         """Jump angles, the steps' starts, in ascending order, and the
-        index in steps (and jumps) of each."""
+        step (and jump) index of each."""
         got = self._indexes.get("angles")
         if got is None:
-            starts = [s.start for s in self.steps]
+            starts = self.starts
             order = sorted(range(len(starts)), key=starts.__getitem__)
             got = self._indexes["angles"] = (
                 tuple([starts[i] for i in order]), tuple(order))
@@ -92,19 +87,19 @@ def build_profile(hull: Hull) -> SupportProfile:
     steps start at the minimum level; checks the rise-then-fall shape of
     the level sequence, which also rejects a cycle starting elsewhere.
     """
-    steps = hull.corners
-    levels = [s.level for s in steps]
+    levels = hull.levels
     # the jump at a step's start lies between its level and the one before
     jumps = tuple([(a, b) if a < b else (b, a)
                    for a, b in zip(levels[-1:] + levels, levels)])
     apex = max(range(len(levels)), key=levels.__getitem__)
     rising = levels[:apex + 1]
-    falling = levels[apex:] + [levels[0]]
+    falling = levels[apex:] + levels[:1]
     if (any(a >= b for a, b in zip(rising, rising[1:]))
             or any(a <= b for a, b in zip(falling, falling[1:]))):
-        raise ValueError(f"level sequence {levels} is not rise-then-fall")
+        raise ValueError(
+            f"level sequence {list(levels)} is not rise-then-fall")
 
-    return SupportProfile(steps, jumps, apex_index=apex)
+    return SupportProfile(levels, hull.starts, hull.widths, jumps, apex)
 
 
 # circ_dist rounds by a few ulps of 2*pi; the candidate window is this
@@ -148,5 +143,5 @@ def touch_params(profile: SupportProfile, theta: float) -> tuple[float, ...]:
     # step starting at or before theta (index -1: the one wrapping past
     # 0) holds it; a theta within rounding of that step's end is within
     # eps_angle of the jump there and was answered above
-    return (profile.steps[order[bisect_right(angles, theta) - 1]].level,)
+    return (profile.levels[order[bisect_right(angles, theta) - 1]],)
 

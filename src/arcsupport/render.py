@@ -47,9 +47,9 @@ def render_pair_svg(arc: PolygonalArc, hull: Hull, pair: TriplePair) -> str:
 
     # the point lists with sx and sy written out, not called per point
     hull_pts = " ".join(
-        f"{MARGIN + (c.point.x - min_x) * scale:.3f},"
-        f"{HEIGHT - (MARGIN + (c.point.y - min_y) * scale):.3f}"
-        for c in hull.corners)
+        f"{MARGIN + (xs[i] - min_x) * scale:.3f},"
+        f"{HEIGHT - (MARGIN + (ys[i] - min_y) * scale):.3f}"
+        for i in hull.corners)
     out.append(f'<polygon points="{hull_pts}" fill="none" '
                f'stroke="{HULL_STROKE}" stroke-dasharray="6 4"/>')
 

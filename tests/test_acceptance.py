@@ -119,7 +119,7 @@ def test_criterion_5_oracle_equivalence(fuzz_pool):
     for arc, _ in fuzz_pool:
         mel = melkman_hull(arc)
         mono = monotone_chain_hull(points(arc))
-        assert sorted(c.level for c in mel.corners) == sorted(
+        assert sorted(mel.levels) == sorted(
             arc.params[i] for i in mono)
 
     rng = random.Random(4001)  # same draws as the mountain campaign
@@ -144,12 +144,12 @@ def test_criterion_5_oracle_equivalence(fuzz_pool):
 
 def test_criterion_6_lemma_suite(fuzz_pool):
     for arc, profile in fuzz_pool:
-        n = len(profile.steps)
-        total = sum(s.width for s in profile.steps)
+        n = len(profile.widths)
+        total = sum(profile.widths)
         assert abs(total - 2 * PI) <= n * 1e-9
 
-        for step in profile.steps:
-            sec = cross_section(profile, step.level)
+        for level in profile.levels:
+            sec = cross_section(profile, level)
             assert sec is not None
             assert ccw_gap(sec[0], sec[1]) < PI
 

@@ -143,7 +143,7 @@ def test_one_fixed_tolerance_policy():
 
 def test_public_names_resolve_and_removed_ones_stay_gone():
     import arcsupport
-    from arcsupport import arc, cli, geometry, oracle, pairs, profile
+    from arcsupport import arc, cli, geometry, hull, oracle, pairs, profile
     lemma_helpers = ("cross_section", "support_line", "DirectedLine",
                      "unique_crossing", "MalformedFunction")
     for name in ("scan_ledger", "ScanStep", "interval_sub", "Interval",
@@ -167,9 +167,18 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
     assert not hasattr(arcsupport.PolygonalArc, "_indexes")
     assert "_indexes" not in {
         f.name for f in dataclasses.fields(arcsupport.PolygonalArc)}
-    # a hull corner is the profile's step, under the step's field names
-    assert [f.name for f in dataclasses.fields(arcsupport.HullCorner)] == [
-        "point", "level", "start", "end", "width"]
+    # the hull is four columns, one entry per corner, and no record per
+    # corner; a step's end is the next step's start, kept once
+    assert [f.name for f in dataclasses.fields(arcsupport.Hull)] == [
+        "corners", "levels", "starts", "widths"]
+    assert not hasattr(arcsupport, "HullCorner")
+    assert not hasattr(hull, "HullCorner")
+    # the profile holds the hull's columns, not steps
+    assert [f.name for f in dataclasses.fields(arcsupport.SupportProfile)
+            if f.init] == ["levels", "starts", "widths", "jumps",
+                           "apex_index"]
+    for name in ("steps", "min_step", "apex_step"):
+        assert not hasattr(arcsupport.SupportProfile, name), name
     for name in lemma_helpers:  # moved beside the other references
         assert not hasattr(profile, name), name
         assert getattr(oracle, name).__module__ == "arcsupport.oracle", name
@@ -186,6 +195,6 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
         "xs", "ys"]
     assert "coordinate_box" not in {
         f.name for f in dataclasses.fields(arcsupport.FuzzConfig)}
-    assert len(set(arcsupport.__all__)) == len(arcsupport.__all__) == 46
+    assert len(set(arcsupport.__all__)) == len(arcsupport.__all__) == 45
     for name in arcsupport.__all__:
         assert getattr(arcsupport, name) is not None, name

@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcsupport import (EPS_ANGLE, ArcError, Hull, HullCorner, Point2,
+from arcsupport import (EPS_ANGLE, ArcError, Hull, Point2,
                         StraightArc, build_arc, build_profile, canon_angle,
                         ccw_gap, corollary_check, melkman_hull,
                         monotone_chain_hull, orient, verify_triple)
@@ -67,14 +68,15 @@ def point2_melkman_hull(arc):
     cycle = cycle[start:] + cycle[:start]
     edges = [canon_angle(math.atan2(b.y - a.y, b.x - a.x))
              for (_, a), (_, b) in zip(cycle, cycle[1:] + cycle[:1])]
-    corners = []
-    for i, (idx, b) in enumerate(cycle):
+    widths = []
+    for i, (_, b) in enumerate(cycle):
         ext = ccw_gap(edges[i - 1], edges[i])
         if not (EPS_ANGLE < ext < math.pi):
             raise StraightArc(f"degenerate exterior angle {ext} at corner {b}")
-        corners.append(
-            HullCorner(b, arc.params[idx], edges[i - 1], edges[i], ext))
-    return Hull(tuple(corners))
+        widths.append(ext)
+    corners = tuple(idx for idx, _ in cycle)
+    return Hull(corners, tuple(arc.params[idx] for idx in corners),
+                tuple(edges[-1:] + edges[:-1]), tuple(widths))
 
 
 def outcome(hull_of, arc):
@@ -86,10 +88,14 @@ def outcome(hull_of, arc):
     return hull, repr(hull)
 
 
-def assert_turns_left(hull):
+def corner_points(arc, hull):
+    return [Point2(arc.xs[i], arc.ys[i]) for i in hull.corners]
+
+
+def assert_turns_left(arc, hull):
     # the hull keeps no orientation pass: the deque must give a
     # counterclockwise cycle of strict turns
-    pts = [c.point for c in hull.corners]
+    pts = corner_points(arc, hull)
     m = len(pts)
     assert m >= 3
     for i in range(m):
@@ -98,18 +104,19 @@ def assert_turns_left(hull):
 
 def test_e1_corners(e1):
     hull = melkman_hull(e1)
-    assert [(c.point.x, c.point.y, c.level) for c in hull.corners] == [
-        (0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (1.0, 1.0, 2.0)]
+    assert hull.corners == (0, 1, 2)
+    assert [(e1.xs[i], e1.ys[i]) for i in hull.corners] == [
+        (0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+    assert hull.levels == (0.0, 1.0, 2.0)
 
 
 def test_interior_vertex_excluded():
     arc = build_arc([(0, 0), (1, 0.4), (2, 0), (2, 2)])
     hull = melkman_hull(arc)
-    pts = [(c.point.x, c.point.y) for c in hull.corners]
-    assert (1.0, 0.4) not in pts
+    assert 1 not in hull.corners
     assert len(hull.corners) == 3
     d = math.hypot(1, 0.4)
-    assert [c.level for c in hull.corners] == pytest.approx([0.0, 2 * d, 2 * d + 2])
+    assert hull.levels == pytest.approx([0.0, 2 * d, 2 * d + 2])
 
 
 def test_straight_arc_rejected():
@@ -120,16 +127,15 @@ def test_straight_arc_rejected():
 
 def test_e1_corner_steps(e1):
     hull = melkman_hull(e1)
-    by_level = {c.level: c for c in hull.corners}
-    c = by_level[1.0]
-    assert (c.start, c.end) == pytest.approx((0.0, math.pi / 2))
-    assert c.width == pytest.approx(math.pi / 2)
-    c = by_level[2.0]
-    assert (c.start, c.end) == pytest.approx((math.pi / 2, 5 * math.pi / 4))
-    assert c.width == pytest.approx(3 * math.pi / 4)
-    c = by_level[0.0]
-    assert (c.start, c.end) == pytest.approx((5 * math.pi / 4, 0.0), abs=1e-12)
-    assert c.width == pytest.approx(3 * math.pi / 4)
+    # corner i's step ends where corner i + 1's starts
+    ends = hull.starts[1:] + hull.starts[:1]
+    steps = {level: (a, b, w) for level, a, b, w in zip(
+        hull.levels, hull.starts, ends, hull.widths)}
+    assert steps[1.0] == pytest.approx((0.0, math.pi / 2, math.pi / 2))
+    assert steps[2.0] == pytest.approx(
+        (math.pi / 2, 5 * math.pi / 4, 3 * math.pi / 4))
+    assert steps[0.0] == pytest.approx(
+        (5 * math.pi / 4, 0.0, 3 * math.pi / 4), abs=1e-12)
 
 
 @pytest.mark.parametrize("scale, offset",
@@ -140,7 +146,7 @@ def test_far_from_origin_keeps_e2_pair(scale, offset):
     arc = build_arc([(x * scale + offset, y * scale + offset)
                      for x, y in [(0, 0), (3, 0), (3, 1), (2, 1)]])
     hull = melkman_hull(arc)
-    assert_turns_left(hull)
+    assert_turns_left(arc, hull)
     profile = build_profile(hull)
     res = corollary_check(profile, arc, math.pi)
     assert res.identical
@@ -155,24 +161,25 @@ def test_far_from_origin_keeps_e2_pair(scale, offset):
 
 def test_exterior_angles_sum(fuzz_pool):
     for arc, profile in fuzz_pool:
-        total = sum(s.width for s in profile.steps)
-        assert abs(total - 2 * math.pi) <= len(profile.steps) * 1e-9
+        total = sum(profile.widths)
+        assert abs(total - 2 * math.pi) <= len(profile.widths) * 1e-9
 
 
 def test_melkman_matches_monotone_chain(fuzz_pool):
     for arc, _ in fuzz_pool:
         mel = melkman_hull(arc)
         mono = monotone_chain_hull(points(arc))
-        assert sorted(c.level for c in mel.corners) == sorted(
+        assert sorted(mel.levels) == sorted(
             arc.params[i] for i in mono)
 
 
 def test_corners_turn_counterclockwise(fuzz_pool):
     for arc, _ in fuzz_pool:
-        assert_turns_left(melkman_hull(arc))
+        assert_turns_left(arc, melkman_hull(arc))
     rng = random.Random(1600)
     for make in (convex_arc, walk_arc):
-        assert_turns_left(melkman_hull(build_arc(make(1600, rng))))
+        arc = build_arc(make(1600, rng))
+        assert_turns_left(arc, melkman_hull(arc))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -185,7 +192,7 @@ def test_corners_turn_counterclockwise_on_adversarial_chains(pts, offset):
         hull = melkman_hull(arc)
     except (ArcError, StraightArc):
         return
-    assert_turns_left(hull)
+    assert_turns_left(arc, hull)
 
 
 def test_melkman_equals_point2_reference(fuzz_pool):
@@ -230,13 +237,30 @@ def test_hull_decides_each_triple_once(orient_counts, make):
     assert orient_counts["decided"] == orient_counts["full"] == n - 2
 
 
+def test_hull_and_profile_keep_few_bytes_per_corner():
+    # the corners as columns: an index, three floats (the level is the
+    # arc's own) and a jump pair per corner, about 164 bytes in all; a
+    # record and a Point2 per corner kept about 309
+    n = 10_000
+    arc = build_arc(convex_arc(n, random.Random(n)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hull = melkman_hull(arc)
+        profile = build_profile(hull)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(hull) == len(profile.levels) == n
+    assert kept <= 200 * n
+
+
 def test_all_vertices_inside_hull(fuzz_pool):
     for arc, _ in fuzz_pool[:200]:
-        hull = melkman_hull(arc)
-        m = len(hull.corners)
+        pts = corner_points(arc, melkman_hull(arc))
+        m = len(pts)
         for i in range(m):
-            a = hull.corners[i].point
-            b = hull.corners[(i + 1) % m].point
+            a, b = pts[i], pts[(i + 1) % m]
             for v in points(arc):
                 assert orient(a, b, v) >= 0
 

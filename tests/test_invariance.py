@@ -114,7 +114,7 @@ def test_enumeration_at_a_jump_to_jump_gap_is_scale_free(k):
     arc = build_arc([(math.ldexp(x, k), math.ldexp(y, k))
                      for x, y in [(0, 0), (3, 0), (3, 1), (2, 1)]])
     profile = build_profile(melkman_hull(arc))
-    gap = ccw_gap(profile.steps[0].start, profile.steps[2].start)
+    gap = ccw_gap(profile.starts[0], profile.starts[2])
     configs = enumerate_triples(profile, arc, gap)
     assert [c.triple for c in configs] == [
         tuple(math.ldexp(s, k) for s in triple)

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from arcsupport import (EPS_ANGLE, MOUNTAIN, TWO_PI, VALLEY, InvalidDelta,
-                        SupportProfile, build_arc, build_profile,
-                        canon_angle, ccw_gap, circ_dist, corollary_check,
-                        enumerate_triples,
+                        build_arc, build_profile, canon_angle, ccw_gap,
+                        circ_dist, corollary_check, enumerate_triples,
                         find_pair, find_pair_mountain, find_pair_valley,
                         jump_to_jump_gaps, melkman_hull, pairs_identical,
                         safe_delta_range, touch_params, verify_triple)
@@ -272,17 +271,19 @@ def geometric_kinds(profile, gap):
     """(covers_apex, covers_min) of each configuration at gap, keyed as
     _configurations merges them, read off the steps its gap side spans:
     every jump wider than the slack, on both sides."""
-    apex, mins = profile.apex_step, profile.min_step
+    k = profile.apex_index
+    apex = profile.starts[k], profile.widths[k]
+    mins = profile.starts[0], profile.widths[0]
     kinds = {}
     for i, (lo, hi) in enumerate(profile.jumps):
         if hi - lo <= profile.param_slack:
             continue
-        a = profile.steps[i].start
+        a = profile.starts[i]
         for sign in (1.0, -1.0):
             psi = canon_angle(a + sign * gap)
             start = a if sign > 0 else psi
-            covers = (gap_side_covers(start, gap, apex.start, apex.width),
-                      gap_side_covers(start, gap, mins.start, mins.width))
+            covers = (gap_side_covers(start, gap, *apex),
+                      gap_side_covers(start, gap, *mins))
             for c in pairs._configurations(profile, gap, [(i, sign)]):
                 key = (round(c.theta_double, 9), round(c.theta_single, 9),
                        c.s2)
@@ -332,7 +333,7 @@ def test_ledger_monotone(fuzz_pool):
             # one row per hull corner, ascending by build level
             sign = 1.0 if mode == MOUNTAIN else -1.0
             assert [r[0] for r in rows] == sorted(
-                sign * s.level for s in profile.steps)
+                sign * v for v in profile.levels)
             gaps = [(r_lo - l_hi, r_hi - l_lo)
                     for _, l_lo, l_hi, r_lo, r_hi in rows]
             for (a_lo, a_hi), (b_lo, b_hi) in zip(gaps, gaps[1:]):
@@ -562,7 +563,7 @@ def test_enumeration_reads_a_few_candidates(monkeypatch):
     monkeypatch.setattr(pairs, "touch_params", counted)
     arc = build_arc(convex_arc(128, random.Random(128)))
     profile = build_profile(melkman_hull(arc))
-    assert len(profile.steps) == 128
+    assert len(profile.levels) == 128
     configs = 0
     for k in range(100):
         gap = TWO_PI * (k + 0.5) / 100
@@ -597,11 +598,10 @@ def test_scan_clamps_a_delta_beyond_the_ledger_to_row_0(e2_profile,
     # below 2 pi beyond every row: the scan reads row 0, the widest, as
     # it does at row 0's own widest width.  Real arcs' widths sum to
     # within 1 ulp of 2 pi, so only a hand-made profile gets here
-    steps = list(e2_profile.steps)
-    steps[-1] = dataclasses.replace(
-        steps[-1], width=steps[-1].width - 8 * math.ulp(TWO_PI))
-    profile = SupportProfile(tuple(steps), e2_profile.jumps,
-                             apex_index=e2_profile.apex_index)
+    widths = e2_profile.widths
+    profile = dataclasses.replace(
+        e2_profile,
+        widths=widths[:-1] + (widths[-1] - 8 * math.ulp(TWO_PI),))
     delta = math.nextafter(TWO_PI, 0.0)
     lookup = pairs._lookup
     hits = []

@@ -23,38 +23,43 @@ def rotate(arc, phi):
 def test_e1_profile_structure(e1_profile):
     p = e1_profile
     assert p.levels == (0.0, 1.0, 2.0)
-    jumps = {round(s.start, 12): j for s, j in zip(p.steps, p.jumps)}
+    jumps = {round(a, 12): j for a, j in zip(p.starts, p.jumps)}
     assert jumps[0.0] == (0.0, 1.0)
     assert jumps[round(PI / 2, 12)] == (1.0, 2.0)
     assert jumps[round(5 * PI / 4, 12)] == (0.0, 2.0)
-    assert p.min_step.width == pytest.approx(3 * PI / 4)
-    assert p.apex_step.width == pytest.approx(3 * PI / 4)
+    assert p.widths[0] == pytest.approx(3 * PI / 4)
+    assert p.widths[p.apex_index] == pytest.approx(3 * PI / 4)
 
 
 def test_e2_profile_structure(e2_profile):
     p = e2_profile
     assert p.levels == (0.0, 3.0, 4.0, 5.0)
-    jumps = {round(s.start, 9): j for s, j in zip(p.steps, p.jumps)}
+    jumps = {round(a, 9): j for a, j in zip(p.starts, p.jumps)}
     assert jumps[0.0] == (0.0, 3.0)
     assert jumps[round(PI / 2, 9)] == (3.0, 4.0)
     assert jumps[round(PI, 9)] == (4.0, 5.0)
     assert jumps[round(PI + ATAN_HALF, 9)] == (0.0, 5.0)
-    assert p.min_step.width == pytest.approx(PI - ATAN_HALF)
-    assert p.apex_step.width == pytest.approx(ATAN_HALF)
+    assert p.widths[0] == pytest.approx(PI - ATAN_HALF)
+    assert p.widths[p.apex_index] == pytest.approx(ATAN_HALF)
 
 
 def test_profile_needs_the_hull_to_start_at_the_minimum(e2):
     # melkman_hull lists corners from the minimum-parameter one; a cycle
     # starting elsewhere breaks the rise-then-fall shape
-    corners = melkman_hull(e2).corners
-    for start in range(1, len(corners)):
+    hull = melkman_hull(e2)
+    for start in range(1, len(hull)):
         with pytest.raises(ValueError, match="rise-then-fall"):
-            build_profile(Hull(corners[start:] + corners[:start]))
+            build_profile(Hull(*[col[start:] + col[:start] for col in (
+                hull.corners, hull.levels, hull.starts, hull.widths)]))
 
 
 def test_profile_steps_are_the_hull_corners(e2):
+    # the same tuples, not copies
     hull = melkman_hull(e2)
-    assert build_profile(hull).steps is hull.corners
+    profile = build_profile(hull)
+    assert profile.levels is hull.levels
+    assert profile.starts is hull.starts
+    assert profile.widths is hull.widths
 
 
 def test_steps_tile_the_circle_exactly(fuzz_pool, monkeypatch):
@@ -76,9 +81,11 @@ def test_steps_tile_the_circle_exactly(fuzz_pool, monkeypatch):
         m = len(hull)
         assert len(calls) == m  # one direction per hull edge
         profile = build_profile(hull)
-        steps = profile.steps
+        # a step ends where the next starts: its width spans that gap
+        starts = profile.starts
         for i in range(m):
-            assert steps[i].end == steps[(i + 1) % m].start, i
+            assert profile.widths[i] == ccw_gap(starts[i],
+                                                starts[(i + 1) % m]), i
         # the sorted jump angles are a rotation of the step order
         _, order = profile._by_angle
         k = order[0]
@@ -107,8 +114,8 @@ def test_cross_section(e1_profile):
 
 def test_cross_section_shorter_than_pi(fuzz_pool):
     for _, profile in fuzz_pool[:300]:
-        for step in profile.steps:
-            sec = cross_section(profile, step.level)
+        for level in profile.levels:
+            sec = cross_section(profile, level)
             assert sec is not None
             assert ccw_gap(sec[0], sec[1]) < PI - 1e-9
 
@@ -150,8 +157,8 @@ def test_rotation_equivariance(e1):
         prof = build_profile(melkman_hull(rot))
         base = build_profile(melkman_hull(e1))
         assert prof.levels == base.levels
-        for s_rot, s_base in zip(prof.steps, base.steps):
-            assert circ_dist(s_rot.start, s_base.start + phi) < 1e-9
+        for a_rot, a_base in zip(prof.starts, base.starts):
+            assert circ_dist(a_rot, a_base + phi) < 1e-9
 
 
 def test_scale_invariance(e2):
@@ -159,9 +166,10 @@ def test_scale_invariance(e2):
                       for x, y in zip(e2.xs, e2.ys)])
     prof = build_profile(melkman_hull(unit))
     base = build_profile(melkman_hull(e2))
-    for s_unit, s_base in zip(prof.steps, base.steps):
-        assert circ_dist(s_unit.start, s_base.start) < 1e-9
-        assert s_unit.level == pytest.approx(s_base.level / e2.length)
+    for a_unit, a_base in zip(prof.starts, base.starts):
+        assert circ_dist(a_unit, a_base) < 1e-9
+    assert prof.levels == pytest.approx(
+        [v / e2.length for v in base.levels])
 
 
 SYMMETRIC_TENT = [(0.0, 0.0), (PI, 1.0), (2 * PI, 0.0)]

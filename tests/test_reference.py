@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
                         VALLEY, ArcError, FuzzConfig, GenerationExhausted,
-                        HullCorner, Point2, SelfIntersecting,
+                        Point2, SelfIntersecting,
                         StraightArc, SupportProfile, TriplePair, build_arc,
                         build_profile, enumerate_triples, find_pair_mountain,
                         find_pair_valley, jump_to_jump_gaps, melkman_hull,
@@ -53,7 +53,7 @@ def profiles(fuzz_pool):
     rng = random.Random(400)
     big = [build_profile(melkman_hull(build_arc(make(400, rng))))
            for make in (convex_arc, walk_arc)]
-    assert len(big[0].steps) == 400
+    assert len(big[0].levels) == 400
     return [p for _, p in fuzz_pool] + big
 
 
@@ -68,9 +68,9 @@ def around(x, eps):
 def touch_queries(profile):
     qs = [0.0, -0.0, 5e-324, -5e-324, TWO_PI, math.nextafter(TWO_PI, 0.0)]
     qs += around(0.0, EPS) + around(TWO_PI, EPS)
-    for s in profile.steps:
-        qs += around(s.start, EPS) + [s.start + TWO_PI, s.start - TWO_PI]
-    qs += [s.start + 0.5 * s.width for s in profile.steps]
+    for a in profile.starts:
+        qs += around(a, EPS) + [a + TWO_PI, a - TWO_PI]
+    qs += [a + 0.5 * w for a, w in zip(profile.starts, profile.widths)]
     return qs
 
 
@@ -87,14 +87,13 @@ def test_touch_params_equals_linear_search(profiles):
 def test_lowest_jump_index_wins_across_the_wrap():
     # two jumps 1.5 eps apart on either side of angle 0: jumps[0] sits
     # just below 2 pi, so it sorts last but must still win at theta = 0
-    starts = [TWO_PI - 0.75 * EPS, 0.75 * EPS, 2.0]
+    starts = (TWO_PI - 0.75 * EPS, 0.75 * EPS, 2.0)
     ends = starts[1:] + starts[:1]
-    levels = [0.0, 2.0, 1.0]
-    steps = tuple(HullCorner(Point2(lv, 0.0), lv, a, b, (b - a) % TWO_PI)
-                  for a, b, lv in zip(starts, ends, levels))
+    widths = tuple((b - a) % TWO_PI for a, b in zip(starts, ends))
+    levels = (0.0, 2.0, 1.0)
     jumps = tuple(tuple(sorted((levels[i - 1], levels[i])))
                   for i in range(len(starts)))
-    profile = SupportProfile(steps, jumps, apex_index=1)
+    profile = SupportProfile(levels, starts, widths, jumps, apex_index=1)
     for theta in (0.0, 1e-10, -1e-10, TWO_PI - 1e-10):
         assert touch_params(profile, theta) == (0.0, 1.0)
         assert touch_params(profile, theta) == linear_touch_params(profile, theta)
@@ -179,7 +178,7 @@ def chart_gaps(profile):
     for b in breaks:
         gaps += around(b, EPS)
     gaps += [0.5 * (a + b) for a, b in zip(breaks, breaks[1:])]
-    if len(profile.steps) <= 20:
+    if len(profile.levels) <= 20:
         for g in jump_to_jump_gaps(profile):
             gaps += around(g, EPS)
     return [g for g in gaps if 0.0 < g < TWO_PI]
@@ -201,14 +200,12 @@ def test_chart_skips_a_jump_narrower_than_twice_the_slack():
     # slack = EPS_TOUCH * 200 = 2e-7; jump 1 spans 2.9e-7, wider than
     # the slack but not than 2 * slack, so lo + slack > hi - slack and
     # the falling branch's bisections cross past the last step
-    levels = [0.0, 2.9e-7, 100.0, 200.0, 1.2e-7]
-    starts = [TWO_PI * j / 5 for j in range(5)]
-    ends = starts[1:] + [TWO_PI]
-    steps = tuple(HullCorner(Point2(lv, 0.0), lv, a, b, b - a)
-                  for a, b, lv in zip(starts, ends, levels))
+    levels = (0.0, 2.9e-7, 100.0, 200.0, 1.2e-7)
+    starts = tuple(TWO_PI * j / 5 for j in range(5))
+    widths = tuple(b - a for a, b in zip(starts, starts[1:] + (TWO_PI,)))
     jumps = tuple(tuple(sorted((levels[i - 1], levels[i])))
                   for i in range(len(starts)))
-    profile = SupportProfile(steps, jumps, apex_index=3)
+    profile = SupportProfile(levels, starts, widths, jumps, apex_index=3)
     assert 1 not in {i for piece in _gap_chart(profile).cands
                      for i, _ in piece}
     for gap in chart_gaps(profile):
@@ -222,16 +219,14 @@ def test_chart_splits_gap_intervals_that_wrap_past_the_circle(extra):
     # narrower than the chart's pad, so jump 0's two candidates reach
     # past gap 0 on one side and past 2 pi on the other, and the chart
     # carries each over the seam
-    levels = [0.0, 1.0, 3.0, 2.0]
+    levels = (0.0, 1.0, 3.0, 2.0)
     width = EPS_ANGLE + extra
     rest = (TWO_PI - width) / 3
-    starts = [0.0, width, width + rest, width + 2 * rest]
-    ends = starts[1:] + [TWO_PI]
-    steps = tuple(HullCorner(Point2(lv, 0.0), lv, a, b, b - a)
-                  for a, b, lv in zip(starts, ends, levels))
+    starts = (0.0, width, width + rest, width + 2 * rest)
+    widths = tuple(b - a for a, b in zip(starts, starts[1:] + (TWO_PI,)))
     jumps = tuple(tuple(sorted((levels[i - 1], levels[i])))
                   for i in range(len(starts)))
-    profile = SupportProfile(steps, jumps, apex_index=2)
+    profile = SupportProfile(levels, starts, widths, jumps, apex_index=2)
     chart = _gap_chart(profile)
     assert chart.cands[0] == chart.cands[-1] == ((0, 1.0), (0, -1.0))
     for gap in chart_gaps(profile):
@@ -308,7 +303,7 @@ def test_first_of_two_tied_vertices_is_the_anchor():
     right = [(1 + j, j ** 2 / 10) for j in range(16)]
     arc = build_arc(left + right)
     profile = build_profile(melkman_hull(arc))
-    assert any(s.start == 0.0 for s in profile.steps)
+    assert 0.0 in profile.starts
     slack = EPS_TOUCH * arc.diagonal
     for k in (15, 16):
         s = arc.params[k]

@@ -2,9 +2,12 @@
 angular support steps.
 
 Melkman's online deque algorithm runs in linear time on a simple
-polyline.  Hull vertices that are interior to a hull edge (collinear
-within tolerance) are merged away, so every remaining corner makes a
-strict turn and carries a positive angular step.
+polyline.  Its two loops, the pops at the back and the poplefts at the
+front, compute each orientation's cross product inline and ask the
+chain's orientation test (geometry.chain_orient) only about a product
+within the chain's bound.  Hull vertices that are interior to a hull
+edge (collinear within tolerance) are merged away, so every remaining
+corner makes a strict turn and carries a positive angular step.
 
 The hull is four tuple columns with one entry per corner: the vertex
 indices, the arc parameters (levels), the step starts and the step
@@ -20,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .arc import PolygonalArc
-from .geometry import EPS_ANGLE, Point2, canon_angle, ccw_gap, chain_orient
+from .geometry import EPS_ANGLE, TWO_PI, Point2, chain_bound, chain_orient
 
 
 class StraightArc(ValueError):
@@ -76,25 +79,37 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     # vertex indices; the first and last entry are the same vertex
     hull = deque([k, 0, last, k] if o > 0 else [k, last, 0, k])
 
-    # each triple is decided once: the interior test's two answers are
-    # the first tests of the pop and popleft loops
+    # the two deque loops write turn's cross product out: beyond the
+    # chain's bound its sign is turn's answer, and only a product within
+    # it asks turn, which holds it to the triple's own threshold
+    bound = chain_bound(xs, ys)
+    neg = -bound
     for i in range(k + 1, n):
-        left = turn(hull[-2], hull[-1], i)
-        if left > 0:
-            right = turn(i, hull[0], hull[1])
-            if right > 0:
-                continue  # interior point
-        else:
+        xi = xs[i]
+        yi = ys[i]
+        size = len(hull)
+        # pop while i is not left of hull[-2] -> hull[-1]
+        while len(hull) > 2:
+            a = hull[-2]
+            b = hull[-1]
+            ax = xs[a]
+            ay = ys[a]
+            c = (xs[b] - ax) * (yi - ay) - (ys[b] - ay) * (xi - ax)
+            if c > bound or c >= neg and turn(a, b, i) > 0:
+                break
             hull.pop()
-            while len(hull) > 2 and turn(hull[-2], hull[-1], i) <= 0:
-                hull.pop()
-            # the pops leave hull[0] and hull[1] in place
-            right = turn(i, hull[0], hull[1])
-        hull.append(i)
-        if right <= 0:
+        # popleft while hull[0] -> hull[1] is not left of i; i joins the
+        # back only after this loop, so len > 1 counts it as len > 2
+        while len(hull) > 1:
+            a = hull[0]
+            b = hull[1]
+            c = (xs[a] - xi) * (ys[b] - yi) - (ys[a] - yi) * (xs[b] - xi)
+            if c > bound or c >= neg and turn(i, a, b) > 0:
+                break
             hull.popleft()
-            while len(hull) > 2 and turn(i, hull[0], hull[1]) <= 0:
-                hull.popleft()
+        if len(hull) == size:
+            continue  # neither loop changed the deque: interior point
+        hull.append(i)
         hull.appendleft(i)
 
     cycle = list(hull)[:-1]  # drop the duplicated seam entry
@@ -120,10 +135,16 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     cycle = cycle[start:] + cycle[:start]
     # the direction of the edge entering corner i starts its step and
     # ends the step before, the same float for both.  Two corners are
-    # distinct points, so no edge is the zero vector
-    starts = [canon_angle(math.atan2(ys[b] - ys[a], xs[b] - xs[a]))
+    # distinct points, so no edge is the zero vector.  atan2 lies in
+    # [-pi, pi] and a difference of two starts in (-2pi, 2pi), where
+    # canon_angle's fmod is exact: it adds 2pi to a negative value and
+    # folds a sum that rounds up to 2pi back to 0
+    starts = [t if (t := math.atan2(ys[b] - ys[a], xs[b] - xs[a])) >= 0.0
+              else u if (u := t + TWO_PI) < TWO_PI else 0.0
               for a, b in zip(cycle[-1:] + cycle[:-1], cycle)]
-    widths = [ccw_gap(a, b) for a, b in zip(starts, starts[1:] + starts[:1])]
+    widths = [t if (t := b - a) >= 0.0
+              else u if (u := t + TWO_PI) < TWO_PI else 0.0
+              for a, b in zip(starts, starts[1:] + starts[:1])]
     for i, ext in enumerate(widths):
         if not (EPS_ANGLE < ext < math.pi):
             raise StraightArc(f"degenerate exterior angle {ext} at corner "

@@ -1,4 +1,8 @@
-"""SVG figures: arc, hull, the two support lines and the labeled triple."""
+"""SVG figures: arc, hull, the two support lines and the labeled triple.
+
+Each arc vertex is formatted once; the hull polygon reuses its corners'
+strings from the polyline's list.
+"""
 
 from __future__ import annotations
 
@@ -45,18 +49,15 @@ def render_pair_svg(arc: PolygonalArc, hull: Hull, pair: TriplePair) -> str:
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
 
-    # the point lists with sx and sy written out, not called per point
-    hull_pts = " ".join(
-        f"{MARGIN + (xs[i] - min_x) * scale:.3f},"
-        f"{HEIGHT - (MARGIN + (ys[i] - min_y) * scale):.3f}"
-        for i in hull.corners)
+    # each vertex formatted once, with sx and sy written out; the hull
+    # polygon joins its corners' strings
+    pts = ["%.3f,%.3f" % (MARGIN + (x - min_x) * scale,
+                          HEIGHT - (MARGIN + (y - min_y) * scale))
+           for x, y in zip(xs, ys)]
+    hull_pts = " ".join([pts[i] for i in hull.corners])
     out.append(f'<polygon points="{hull_pts}" fill="none" '
                f'stroke="{HULL_STROKE}" stroke-dasharray="6 4"/>')
-
-    arc_pts = " ".join(
-        f"{MARGIN + (x - min_x) * scale:.3f},"
-        f"{HEIGHT - (MARGIN + (y - min_y) * scale):.3f}"
-        for x, y in zip(xs, ys))
+    arc_pts = " ".join(pts)
     out.append(f'<polyline points="{arc_pts}" fill="none" '
                f'stroke="{ARC_STROKE}" stroke-width="2"/>')
 

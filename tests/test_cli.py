@@ -2,12 +2,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 import re
 
 import pytest
 
+from arcsupport import (MOUNTAIN, VALLEY, build_arc, build_profile,
+                        find_pair, melkman_hull, render_pair_svg)
 from arcsupport.cli import main
-from families import FALLBACK_VERTICES
+from arcsupport.render import HEIGHT, MARGIN, WIDTH
+from families import FALLBACK_VERTICES, convex_arc, walk_arc
 
 PI = math.pi
 
@@ -104,6 +108,44 @@ def test_render_output_is_byte_identical(arc, tmp_path, capsys):
                  "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         RENDER_DIGESTS[arc])
+
+
+def fstring_points(arc, hull):
+    """The points attributes of the hull polygon and the arc polyline,
+    formatted as render once did: one f-string per point, so a convex
+    vertex was formatted twice."""
+    xs, ys = arc.xs, arc.ys
+    min_x, max_x = min(xs), max(xs)
+    min_y, max_y = min(ys), max(ys)
+    scale = min((WIDTH - 2 * MARGIN) / (max_x - min_x),
+                (HEIGHT - 2 * MARGIN) / (max_y - min_y))
+    hull_pts = " ".join(
+        f"{MARGIN + (xs[i] - min_x) * scale:.3f},"
+        f"{HEIGHT - (MARGIN + (ys[i] - min_y) * scale):.3f}"
+        for i in hull.corners)
+    arc_pts = " ".join(
+        f"{MARGIN + (x - min_x) * scale:.3f},"
+        f"{HEIGHT - (MARGIN + (y - min_y) * scale):.3f}"
+        for x, y in zip(xs, ys))
+    return hull_pts, arc_pts
+
+
+def test_render_points_match_the_fstring_reference(fuzz_pool):
+    arcs = [arc for arc, _ in fuzz_pool]
+    rng = random.Random(400)
+    arcs += [build_arc(make(400, rng)) for make in (convex_arc, walk_arc)]
+    shape = re.compile(r'<(polygon|polyline) points="([^"]*)"')
+    for arc in arcs:
+        hull = melkman_hull(arc)
+        profile = build_profile(hull)
+        want = fstring_points(arc, hull)
+        for mode in (MOUNTAIN, VALLEY):
+            for delta in (1.0, PI, 5.0):
+                svg = render_pair_svg(arc, hull,
+                                      find_pair(profile, delta, mode))
+                got = shape.findall(svg)
+                assert [tag for tag, _ in got] == ["polygon", "polyline"]
+                assert tuple(pts for _, pts in got) == want
 
 
 # the whole stderr of analyze on an arc each check refuses: the messages

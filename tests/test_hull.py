@@ -1,7 +1,10 @@
+import inspect
 import math
 import random
+import sys
 import tracemalloc
 from collections import deque
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from arcsupport import (EPS_ANGLE, ArcError, Hull, Point2,
                         StraightArc, build_arc, build_profile, canon_angle,
                         ccw_gap, corollary_check, melkman_hull,
                         monotone_chain_hull, orient, verify_triple)
+from arcsupport.geometry import chain_bound, chain_orient
 from families import convex_arc, points, walk_arc
 from test_reference import grid_chains, tiny_near_collinear
 
@@ -221,13 +225,15 @@ def test_melkman_equals_point2_reference_on_adversarial_chains(pts, offset):
 @pytest.mark.parametrize("make", [convex_arc, walk_arc])
 def test_hull_decides_each_triple_once(orient_counts, make):
     # the reference asks about 6 orientations per vertex here, each a
-    # full orient call; the interior test's answers carry over into the
-    # loops, and the chain's bound decides nearly all of them
+    # full orient call.  The deque loops decide on their own cross
+    # product beyond the chain's bound, so turn hears only the
+    # collinear prefix, the seam sweep (a pass over the corners) and
+    # the few products within the bound
     n = 1600
     arc = build_arc(make(n, random.Random(n)))
     orient_counts.update(decided=0, full=0)
-    melkman_hull(arc)
-    assert orient_counts["decided"] <= 4 * n
+    hull = melkman_hull(arc)
+    assert orient_counts["decided"] <= len(hull) + 0.01 * n + 2
     assert orient_counts["full"] <= 0.01 * n
     # the counters count: on a straight chain every test is a full call
     arc = build_arc([(float(i), 0.0) for i in range(n)])
@@ -235,6 +241,51 @@ def test_hull_decides_each_triple_once(orient_counts, make):
     with pytest.raises(StraightArc):
         melkman_hull(arc)
     assert orient_counts["decided"] == orient_counts["full"] == n - 2
+
+
+# a short tail segment within the orientation tolerance of a hull
+# edge's line, a hair to its left: the cross product of the loop named
+# is positive and within the chain's bound, and its triple's own
+# threshold makes it 0, so the sign alone would decide the other way
+FALLBACK_CHAINS = {
+    "turn(a, b, i)": [(0.0, 0.0), (1.0, 0.0), (1.5, 1.0),
+                      (1.000000002, 2e-13), (1.000000011, 1.1e-12)],
+    "turn(i, a, b)": [(0.0, 0.0), (1.0, 0.0), (1.5, 1.0),
+                      (-0.5, 2e-12), (-0.50001, 2.4e-12)],
+}
+
+
+@pytest.mark.parametrize("call", sorted(FALLBACK_CHAINS))
+def test_deque_loop_asks_turn_within_the_bound(call):
+    arc = build_arc(FALLBACK_CHAINS[call])
+    xs, ys = arc.xs, arc.ys
+    source, first = inspect.getsourcelines(melkman_hull)
+    line = first + next(k for k, text in enumerate(source) if call in text)
+    turn_code = chain_orient(xs, ys).__code__
+    asked = []  # (i, j, k, answer) of each turn called from that line
+
+    def answer(frame, event, arg):
+        if event == "return":
+            asked.append((*itemgetter("i", "j", "k")(frame.f_locals), arg))
+        return answer
+
+    def calls(frame, event, arg):
+        if frame.f_code is turn_code and frame.f_back.f_lineno == line:
+            return answer
+        return None
+
+    sys.settrace(calls)
+    try:
+        got = outcome(melkman_hull, arc)
+    finally:
+        sys.settrace(None)
+    want = outcome(point2_melkman_hull, arc)
+    assert want[0] is not None
+    assert got == want
+    bound = chain_bound(xs, ys)
+    assert any(0.0 < (xs[j] - xs[i]) * (ys[k] - ys[i])
+               - (ys[j] - ys[i]) * (xs[k] - xs[i]) <= bound and t == 0
+               for i, j, k, t in asked), asked
 
 
 def test_hull_and_profile_keep_few_bytes_per_corner():

@@ -166,8 +166,7 @@ def _swept_crossing(xs: Sequence[float], ys: Sequence[float],
         boxes.append((x0 - pad, x1 + pad, y0 - pad, y1 + pad, i))
     boxes.sort()
     nseg = len(boxes)
-    # the j of each candidate (i, j), by i; most segments have none
-    later: dict[int, list[int]] = {}
+    cands = []  # the candidates (i, j), i < j; most segments have none
     for pos in range(nseg):
         _, x_hi, y_lo, y_hi, i = boxes[pos]
         for nxt in range(pos + 1, nseg):
@@ -175,14 +174,10 @@ def _swept_crossing(xs: Sequence[float], ys: Sequence[float],
             if x_lo_j > x_hi:
                 break
             if abs(i - j) >= 2 and y_lo_j <= y_hi and y_lo <= y_hi_j:
-                if i < j:
-                    later.setdefault(i, []).append(j)
-                else:
-                    later.setdefault(j, []).append(i)
-    for i in sorted(later):
-        for j in sorted(later[i]):
-            if _segments_intersect(turn, xs, ys, i, j):
-                return i, j
+                cands.append((i, j) if i < j else (j, i))
+    for i, j in sorted(cands):
+        if _segments_intersect(turn, xs, ys, i, j):
+            return i, j
     return None
 
 

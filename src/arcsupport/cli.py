@@ -40,7 +40,7 @@ EXIT_CODES = ((ArcError, EXIT_VALIDATION), (StraightArc, EXIT_VALIDATION),
 
 
 def _load(path: str):
-    """Read and validate an arc file and build its hull and profile."""
+    """Read and validate an arc file and build its profile."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -52,8 +52,7 @@ def _load(path: str):
     except (KeyError, TypeError) as exc:  # not an object with "vertices"
         raise ArcError(
             f"expected {{\"vertices\": [[x, y], ...]}}: {exc}") from exc
-    hull = melkman_hull(arc)
-    return arc, hull, build_profile(hull)
+    return arc, build_profile(melkman_hull(arc))
 
 
 def _maybe_degrees(value: float, to_degrees: bool) -> float:
@@ -61,10 +60,10 @@ def _maybe_degrees(value: float, to_degrees: bool) -> float:
 
 
 def cmd_analyze(args) -> int:
-    arc, hull, profile = _load(args.input)
+    arc, profile = _load(args.input)
     starts, widths, levels = profile.starts, profile.widths, profile.levels
     ends = starts[1:] + starts[:1]
-    points = [(arc.xs[i], arc.ys[i]) for i in hull.corners]
+    points = [(arc.xs[i], arc.ys[i]) for i in profile.corners]
     low, apex = widths[0], widths[profile.apex_index]
     if args.json:
         doc = {
@@ -127,7 +126,7 @@ def _run_mode(profile, arc, delta, mode):
 
 
 def cmd_find_pair(args) -> int:
-    arc, _, profile = _load(args.input)
+    arc, profile = _load(args.input)
     delta = math.radians(args.delta) if args.degrees else args.delta
     if args.mode == "both":
         m = _run_mode(profile, arc, delta, MOUNTAIN)
@@ -146,9 +145,9 @@ def cmd_find_pair(args) -> int:
 
 
 def cmd_render(args) -> int:
-    arc, hull, profile = _load(args.input)
+    arc, profile = _load(args.input)
     delta = math.radians(args.delta) if args.degrees else args.delta
-    svg = render_pair_svg(arc, hull, find_pair(profile, delta, args.mode))
+    svg = render_pair_svg(arc, profile, find_pair(profile, delta, args.mode))
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"wrote {args.output}")

@@ -29,8 +29,8 @@ so orient's threshold for any three (:func:`triple_bound`) is at most
 the bound.  A cross product beyond the bound thus has orient's sign;
 only the rest are held to their triple's threshold (:func:`chain_orient`),
 and no decision, error or message changes.  The hull's two deque loops
-write the cross product out and compare it with :func:`chain_bound`
-themselves, and ask chain_orient's test only within the bound.
+write chain_orient's test out: they compare the cross product with
+:func:`chain_bound`, and only within it with :func:`triple_bound`.
 """
 
 from __future__ import annotations

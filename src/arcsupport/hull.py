@@ -3,17 +3,17 @@ angular support steps.
 
 Melkman's online deque algorithm runs in linear time on a simple
 polyline.  Its two loops, the pops at the back and the poplefts at the
-front, compute each orientation's cross product inline and ask the
-chain's orientation test (geometry.chain_orient) only about a product
-within the chain's bound.  Hull vertices that are interior to a hull
-edge (collinear within tolerance) are merged away, so every remaining
+front, decide each orientation inline as geometry.chain_orient does:
+by the cross product's sign beyond the chain's bound, within it by
+geometry.triple_bound.  Hull vertices that are interior to a hull edge
+(collinear within tolerance) are merged away, so every remaining
 corner makes a strict turn and carries a positive angular step.
 
 The hull is four tuple columns with one entry per corner: the vertex
 indices, the arc parameters (levels), the step starts and the step
 widths.  A step ends on the very float the next one starts at, so no
-end column is kept.  No object is built per corner, and the profile
-holds the same tuples.
+end column is kept.  No object is built per corner; the profile
+extends the hull and holds the same tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .arc import PolygonalArc
-from .geometry import EPS_ANGLE, TWO_PI, Point2, chain_bound, chain_orient
+from .geometry import (EPS_ANGLE, TWO_PI, Point2, chain_bound, chain_orient,
+                       triple_bound)
 
 
 class StraightArc(ValueError):
@@ -79,9 +80,9 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     # vertex indices; the first and last entry are the same vertex
     hull = deque([k, 0, last, k] if o > 0 else [k, last, 0, k])
 
-    # the two deque loops write turn's cross product out: beyond the
-    # chain's bound its sign is turn's answer, and only a product within
-    # it asks turn, which holds it to the triple's own threshold
+    # the deque loops write turn out: beyond the chain's bound the
+    # product's sign is its answer, and within it the product is left
+    # only above the triple's own threshold, which is never negative
     bound = chain_bound(xs, ys)
     neg = -bound
     for i in range(k + 1, n):
@@ -95,7 +96,8 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
             ax = xs[a]
             ay = ys[a]
             c = (xs[b] - ax) * (yi - ay) - (ys[b] - ay) * (xi - ax)
-            if c > bound or c >= neg and turn(a, b, i) > 0:
+            if (c > bound or c >= neg
+                    and c > triple_bound(ax, ay, xs[b], ys[b], xi, yi)):
                 break
             hull.pop()
         # popleft while hull[0] -> hull[1] is not left of i; i joins the
@@ -104,7 +106,8 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
             a = hull[0]
             b = hull[1]
             c = (xs[a] - xi) * (ys[b] - yi) - (ys[a] - yi) * (xs[b] - xi)
-            if c > bound or c >= neg and turn(i, a, b) > 0:
+            if (c > bound or c >= neg
+                    and c > triple_bound(xi, yi, xs[a], ys[a], xs[b], ys[b])):
                 break
             hull.popleft()
         if len(hull) == size:

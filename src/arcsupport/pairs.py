@@ -144,10 +144,7 @@ def _build_window(profile: SupportProfile, mode: str) -> _Window:
 def _window(profile: SupportProfile, mode: str) -> _Window:
     """The profile's window for mode, built on first use and kept on the
     profile: each later scan of the same profile reuses it."""
-    win = profile._indexes.get(mode)
-    if win is None:
-        win = profile._indexes[mode] = _build_window(profile, mode)
-    return win
+    return profile._index(mode, lambda p: _build_window(p, mode))
 
 
 def _build_rows(x_lo, x_hi, levels) -> list[tuple]:
@@ -423,10 +420,7 @@ def _build_chart(profile: SupportProfile) -> _Chart:
 def _gap_chart(profile: SupportProfile) -> _Chart:
     """The profile's gap chart, built on first use and kept on the
     profile."""
-    chart = profile._indexes.get("gaps")
-    if chart is None:
-        chart = profile._indexes["gaps"] = _build_chart(profile)
-    return chart
+    return profile._index("gaps", _build_chart)
 
 
 def enumerate_triples(profile: SupportProfile, arc: PolygonalArc,

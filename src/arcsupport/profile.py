@@ -6,9 +6,9 @@ turn this is a step function: one step per hull corner, whose width is
 the corner's exterior angle, plus a two-valued jump wherever a hull
 edge lies on the line.  The profile stores this combinatorial object
 symbolically, so every downstream scan is exact up to atan2 rounding.
-It keeps the steps as the hull's columns, the very tuples of levels,
-starts and widths (a step ends where the next one starts), and builds
-no object per step.
+A profile is its hull extended: it holds the hull's very tuples of
+corners, levels, starts and widths (a step ends where the next one
+starts), adds the jumps and the apex, and builds no object per step.
 
 Reading the steps counterclockwise from the minimum-parameter corner,
 levels rise strictly to the maximum-parameter corner and then fall
@@ -29,27 +29,24 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .geometry import EPS_ANGLE, EPS_TOUCH, TWO_PI, canon_angle, circ_dist
 from .hull import Hull
 
 
 @dataclass(frozen=True)
-class SupportProfile:
-    """Full step representation over one period, as columns.
+class SupportProfile(Hull):
+    """Full step representation over one period: a hull and its jumps.
 
     Step i, at the i-th hull corner counterclockwise from the minimum
     level, has the level levels[i] and runs from starts[i] to
-    starts[(i + 1) % m], widths[i] long: the hull's own tuples.
-    jumps[i], the jump at starts[i], is the pair (low, high) of the
-    levels either side of it (so jumps[0] is the wrap jump into the
-    minimum step).  Step apex_index has the largest level.
+    starts[(i + 1) % m], widths[i] long.  jumps[i], the jump at
+    starts[i], is the pair (low, high) of the levels either side of it
+    (so jumps[0] is the wrap jump into the minimum step).  Step
+    apex_index has the largest level.
     """
 
-    levels: tuple[float, ...]
-    starts: tuple[float, ...]
-    widths: tuple[float, ...]
     jumps: tuple[tuple[float, float], ...]
     apex_index: int
 
@@ -67,17 +64,20 @@ class SupportProfile:
     _indexes: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
-    @property
-    def _by_angle(self) -> tuple[tuple[float, ...], tuple[int, ...]]:
-        """Jump angles, the steps' starts, in ascending order, and the
-        step (and jump) index of each."""
-        got = self._indexes.get("angles")
+    def _index(self, key: str, build: Callable[[SupportProfile], Any]):
+        """The index kept under key: build(self) on first use."""
+        got = self._indexes.get(key)
         if got is None:
-            starts = self.starts
-            order = sorted(range(len(starts)), key=starts.__getitem__)
-            got = self._indexes["angles"] = (
-                tuple([starts[i] for i in order]), tuple(order))
+            got = self._indexes[key] = build(self)
         return got
+
+
+def _by_angle(profile: SupportProfile) -> tuple[tuple, tuple]:
+    """Jump angles, the steps' starts, in ascending order, and the step
+    (and jump) index of each."""
+    starts = profile.starts
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    return tuple([starts[i] for i in order]), tuple(order)
 
 
 def build_profile(hull: Hull) -> SupportProfile:
@@ -99,7 +99,8 @@ def build_profile(hull: Hull) -> SupportProfile:
         raise ValueError(
             f"level sequence {list(levels)} is not rise-then-fall")
 
-    return SupportProfile(levels, hull.starts, hull.widths, jumps, apex)
+    return SupportProfile(hull.corners, levels, hull.starts, hull.widths,
+                          jumps, apex)
 
 
 # circ_dist rounds by a few ulps of 2*pi; the candidate window is this
@@ -131,9 +132,10 @@ def touch_params(profile: SupportProfile, theta: float) -> tuple[float, ...]:
     angles, sorted once per profile, so a query costs O(log m).
     """
     theta = canon_angle(theta)
-    # the cache first: a query takes about 1.5 us, and the property
-    # call alone added 6 %
-    angles, order = profile._indexes.get("angles") or profile._by_angle
+    # the cache first: a query takes about 1.5 us, and the method call
+    # alone adds 6 %
+    angles, order = (profile._indexes.get("angles")
+                     or profile._index("angles", _by_angle))
     w = EPS_ANGLE + _ROUNDING
     hits = [order[p] for p in _positions(angles, theta - w, theta + w)
             if circ_dist(theta, angles[p]) <= EPS_ANGLE]

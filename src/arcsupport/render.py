@@ -1,7 +1,7 @@
 """SVG figures: arc, hull, the two support lines and the labeled triple.
 
 Each arc vertex is formatted once; the hull polygon reuses its corners'
-strings from the polyline's list.
+strings from the polyline's list.  Each touch point is computed once.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ def render_pair_svg(arc: PolygonalArc, hull: Hull, pair: TriplePair) -> str:
     out.append(f'<polyline points="{arc_pts}" fill="none" '
                f'stroke="{ARC_STROKE}" stroke-width="2"/>')
 
+    p1, p2, p3 = [point_at(arc, min(max(s, 0.0), arc.length))
+                  for s in pair.triple]
     reach = 2.0 * arc.diagonal
-    for theta, s in ((pair.theta_double, pair.s1),
-                     (pair.theta_single, pair.s2)):
-        a = point_at(arc, min(max(s, 0.0), arc.length))
+    for theta, a in ((pair.theta_double, p1), (pair.theta_single, p2)):
         dx, dy = math.cos(theta), math.sin(theta)
         x1, y1 = a.x - reach * dx, a.y - reach * dy
         x2, y2 = a.x + reach * dx, a.y + reach * dy
@@ -72,8 +72,7 @@ def render_pair_svg(arc: PolygonalArc, hull: Hull, pair: TriplePair) -> str:
                    f'x2="{sx(x2):.3f}" y2="{sy(y2):.3f}" '
                    f'stroke="{LINE_STROKE}" stroke-width="1.5"/>')
 
-    for label, s in (("s1", pair.s1), ("s2", pair.s2), ("s3", pair.s3)):
-        p = point_at(arc, min(max(s, 0.0), arc.length))
+    for label, p in (("s1", p1), ("s2", p2), ("s3", p3)):
         out.append(f'<circle cx="{sx(p.x):.3f}" cy="{sy(p.y):.3f}" r="4" '
                    f'fill="{POINT_FILL}"/>')
         out.append(f'<text x="{sx(p.x) + 7:.3f}" y="{sy(p.y) - 7:.3f}" '

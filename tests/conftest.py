@@ -43,10 +43,11 @@ def orient_counts(monkeypatch):
     own triple's threshold ("full": calls of geometry.triple_bound,
     which orient makes on every call and a chain test makes only
     within the chain's bound), under every name an arcsupport module
-    holds for either.  Melkman's deque loops in melkman_hull decide a
-    cross product beyond the chain's bound themselves, so "decided"
-    counts there only its collinear prefix, its seam sweep and the
-    loops' calls within the bound."""
+    holds for either.  Melkman's deque loops in melkman_hull decide
+    every cross product themselves, asking only triple_bound within the
+    chain's bound, so "decided" counts there only its collinear prefix
+    and its seam sweep, and "full" counts the loops' products within
+    the bound too."""
     counts = {"decided": 0, "full": 0}
     triple_bound = geometry.triple_bound
     chain_orient = geometry.chain_orient

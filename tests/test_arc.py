@@ -193,7 +193,7 @@ def test_validation_decides_each_triple_once(orient_counts, make):
 @pytest.mark.parametrize("make", [convex_arc, walk_arc])
 def test_pipeline_builds_points_for_point_at_only(monkeypatch, make):
     # the arc and the hull keep floats: a Point2 is built per point_at
-    # call (three to verify a pair, five to draw it), not per vertex or
+    # call (three to verify a pair, three to draw it), not per vertex or
     # per hull corner
     built = 0
     init = Point2.__init__
@@ -210,7 +210,7 @@ def test_pipeline_builds_points_for_point_at_only(monkeypatch, make):
     pair = find_pair(profile, math.pi, MOUNTAIN)
     assert verify_triple(arc, pair).passed
     render_pair_svg(arc, hull, pair)
-    assert built <= 8
+    assert built <= 6
 
 
 def test_building_small_arcs_keeps_no_memory():

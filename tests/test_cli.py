@@ -141,8 +141,10 @@ def test_render_points_match_the_fstring_reference(fuzz_pool):
         want = fstring_points(arc, hull)
         for mode in (MOUNTAIN, VALLEY):
             for delta in (1.0, PI, 5.0):
-                svg = render_pair_svg(arc, hull,
-                                      find_pair(profile, delta, mode))
+                pair = find_pair(profile, delta, mode)
+                svg = render_pair_svg(arc, hull, pair)
+                # a profile is a hull: drawn from it, the figure is the same
+                assert render_pair_svg(arc, profile, pair) == svg
                 got = shape.findall(svg)
                 assert [tag for tag, _ in got] == ["polygon", "polyline"]
                 assert tuple(pts for _, pts in got) == want

@@ -173,10 +173,14 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
         "corners", "levels", "starts", "widths"]
     assert not hasattr(arcsupport, "HullCorner")
     assert not hasattr(hull, "HullCorner")
-    # the profile holds the hull's columns, not steps
+    # the profile is the hull extended: it inherits the four columns,
+    # declares only the jumps, the apex and its indexes, and holds no steps
+    assert issubclass(arcsupport.SupportProfile, arcsupport.Hull)
     assert [f.name for f in dataclasses.fields(arcsupport.SupportProfile)
-            if f.init] == ["levels", "starts", "widths", "jumps",
+            if f.init] == ["corners", "levels", "starts", "widths", "jumps",
                            "apex_index"]
+    assert list(vars(arcsupport.SupportProfile)["__annotations__"]) == [
+        "jumps", "apex_index", "_indexes"]
     for name in ("steps", "min_step", "apex_step"):
         assert not hasattr(arcsupport.SupportProfile, name), name
     for name in lemma_helpers:  # moved beside the other references

@@ -14,7 +14,7 @@ from arcsupport import (EPS_ANGLE, ArcError, Hull, Point2,
                         StraightArc, build_arc, build_profile, canon_angle,
                         ccw_gap, corollary_check, melkman_hull,
                         monotone_chain_hull, orient, verify_triple)
-from arcsupport.geometry import chain_bound, chain_orient
+from arcsupport.geometry import chain_bound, triple_bound
 from families import convex_arc, points, walk_arc
 from test_reference import grid_chains, tiny_near_collinear
 
@@ -226,9 +226,9 @@ def test_melkman_equals_point2_reference_on_adversarial_chains(pts, offset):
 def test_hull_decides_each_triple_once(orient_counts, make):
     # the reference asks about 6 orientations per vertex here, each a
     # full orient call.  The deque loops decide on their own cross
-    # product beyond the chain's bound, so turn hears only the
-    # collinear prefix, the seam sweep (a pass over the corners) and
-    # the few products within the bound
+    # product, asking triple_bound only about the few products within
+    # the chain's bound, so turn hears only the collinear prefix and the
+    # seam sweep (a pass over the corners)
     n = 1600
     arc = build_arc(make(n, random.Random(n)))
     orient_counts.update(decided=0, full=0)
@@ -244,33 +244,40 @@ def test_hull_decides_each_triple_once(orient_counts, make):
 
 
 # a short tail segment within the orientation tolerance of a hull
-# edge's line, a hair to its left: the cross product of the loop named
-# is positive and within the chain's bound, and its triple's own
-# threshold makes it 0, so the sign alone would decide the other way
+# edge's line, a hair to its left: the cross product of the loop that
+# decides the turn named is positive and within the chain's bound, and
+# its triple's own threshold makes it 0, so the sign alone would decide
+# the other way.  Each loop asks triple_bound with the points in turn's
+# order, on the line given
 FALLBACK_CHAINS = {
-    "turn(a, b, i)": [(0.0, 0.0), (1.0, 0.0), (1.5, 1.0),
-                      (1.000000002, 2e-13), (1.000000011, 1.1e-12)],
-    "turn(i, a, b)": [(0.0, 0.0), (1.0, 0.0), (1.5, 1.0),
-                      (-0.5, 2e-12), (-0.50001, 2.4e-12)],
+    "turn(a, b, i)": ([(0.0, 0.0), (1.0, 0.0), (1.5, 1.0),
+                       (1.000000002, 2e-13), (1.000000011, 1.1e-12)],
+                      "triple_bound(ax, ay, xs[b], ys[b], xi, yi)"),
+    "turn(i, a, b)": ([(0.0, 0.0), (1.0, 0.0), (1.5, 1.0),
+                       (-0.5, 2e-12), (-0.50001, 2.4e-12)],
+                      "triple_bound(xi, yi, xs[a], ys[a], xs[b], ys[b])"),
 }
 
 
 @pytest.mark.parametrize("call", sorted(FALLBACK_CHAINS))
 def test_deque_loop_asks_turn_within_the_bound(call):
-    arc = build_arc(FALLBACK_CHAINS[call])
+    chain, text = FALLBACK_CHAINS[call]
+    arc = build_arc(chain)
     xs, ys = arc.xs, arc.ys
     source, first = inspect.getsourcelines(melkman_hull)
-    line = first + next(k for k, text in enumerate(source) if call in text)
-    turn_code = chain_orient(xs, ys).__code__
-    asked = []  # (i, j, k, answer) of each turn called from that line
+    line = first + next(k for k, code in enumerate(source) if text in code)
+    asked = []  # (points, threshold) of each triple_bound from that line
 
     def answer(frame, event, arg):
         if event == "return":
-            asked.append((*itemgetter("i", "j", "k")(frame.f_locals), arg))
+            asked.append((itemgetter("px", "py", "qx", "qy", "rx", "ry")(
+                frame.f_locals), arg))
         return answer
 
     def calls(frame, event, arg):
-        if frame.f_code is turn_code and frame.f_back.f_lineno == line:
+        if (frame.f_code is triple_bound.__code__
+                and frame.f_back.f_code is melkman_hull.__code__
+                and frame.f_back.f_lineno == line):
             return answer
         return None
 
@@ -282,10 +289,12 @@ def test_deque_loop_asks_turn_within_the_bound(call):
     want = outcome(point2_melkman_hull, arc)
     assert want[0] is not None
     assert got == want
+    # turn's cross product, positive and within the bound, yet not
+    # above the threshold: the loop called it 0
     bound = chain_bound(xs, ys)
-    assert any(0.0 < (xs[j] - xs[i]) * (ys[k] - ys[i])
-               - (ys[j] - ys[i]) * (xs[k] - xs[i]) <= bound and t == 0
-               for i, j, k, t in asked), asked
+    assert any(0.0 < (qx - px) * (ry - py) - (qy - py) * (rx - px)
+               <= min(bound, t)
+               for (px, py, qx, qy, rx, ry), t in asked), asked
 
 
 def test_hull_and_profile_keep_few_bytes_per_corner():

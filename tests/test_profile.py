@@ -8,6 +8,7 @@ from arcsupport import (Hull, Point2, build_arc, build_profile, canon_angle,
                         touch_params)
 from arcsupport.oracle import (MalformedFunction, cross_section, support_line,
                                unique_crossing)
+from arcsupport.profile import _by_angle
 from families import convex_arc, walk_arc
 
 PI = math.pi
@@ -53,9 +54,12 @@ def test_profile_needs_the_hull_to_start_at_the_minimum(e2):
 
 
 def test_profile_steps_are_the_hull_corners(e2):
-    # the same tuples, not copies
+    # the profile is the hull extended and holds the same tuples, not
+    # copies
     hull = melkman_hull(e2)
     profile = build_profile(hull)
+    assert isinstance(profile, Hull)
+    assert profile.corners is hull.corners
     assert profile.levels is hull.levels
     assert profile.starts is hull.starts
     assert profile.widths is hull.widths
@@ -83,7 +87,7 @@ def test_steps_tile_the_circle_exactly(fuzz_pool):
             assert profile.widths[i].hex() == ccw_gap(
                 starts[i], starts[(i + 1) % m]).hex(), i
         # the sorted jump angles are a rotation of the step order
-        _, order = profile._by_angle
+        _, order = _by_angle(profile)
         k = order[0]
         assert order == tuple(range(k, m)) + tuple(range(k))
 

@@ -93,7 +93,8 @@ def test_lowest_jump_index_wins_across_the_wrap():
     levels = (0.0, 2.0, 1.0)
     jumps = tuple(tuple(sorted((levels[i - 1], levels[i])))
                   for i in range(len(starts)))
-    profile = SupportProfile(levels, starts, widths, jumps, apex_index=1)
+    profile = SupportProfile(tuple(range(len(levels))), levels, starts,
+                             widths, jumps, apex_index=1)
     for theta in (0.0, 1e-10, -1e-10, TWO_PI - 1e-10):
         assert touch_params(profile, theta) == (0.0, 1.0)
         assert touch_params(profile, theta) == linear_touch_params(profile, theta)
@@ -205,7 +206,8 @@ def test_chart_skips_a_jump_narrower_than_twice_the_slack():
     widths = tuple(b - a for a, b in zip(starts, starts[1:] + (TWO_PI,)))
     jumps = tuple(tuple(sorted((levels[i - 1], levels[i])))
                   for i in range(len(starts)))
-    profile = SupportProfile(levels, starts, widths, jumps, apex_index=3)
+    profile = SupportProfile(tuple(range(len(levels))), levels, starts,
+                             widths, jumps, apex_index=3)
     assert 1 not in {i for piece in _gap_chart(profile).cands
                      for i, _ in piece}
     for gap in chart_gaps(profile):
@@ -226,7 +228,8 @@ def test_chart_splits_gap_intervals_that_wrap_past_the_circle(extra):
     widths = tuple(b - a for a, b in zip(starts, starts[1:] + (TWO_PI,)))
     jumps = tuple(tuple(sorted((levels[i - 1], levels[i])))
                   for i in range(len(starts)))
-    profile = SupportProfile(levels, starts, widths, jumps, apex_index=2)
+    profile = SupportProfile(tuple(range(len(levels))), levels, starts,
+                             widths, jumps, apex_index=2)
     chart = _gap_chart(profile)
     assert chart.cands[0] == chart.cands[-1] == ((0, 1.0), (0, -1.0))
     for gap in chart_gaps(profile):

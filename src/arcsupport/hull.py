@@ -5,9 +5,9 @@ Melkman's online deque algorithm runs in linear time on a simple
 polyline.  Its two loops, the pops at the back and the poplefts at the
 front, decide each orientation inline as geometry.chain_orient does:
 by the cross product's sign beyond the chain's bound, within it by
-geometry.triple_bound.  Hull vertices that are interior to a hull edge
-(collinear within tolerance) are merged away, so every remaining
-corner makes a strict turn and carries a positive angular step.
+geometry.triple_bound, each corner's turn as its later neighbour joins,
+but for the seam's.  Corners collinear within tolerance are merged
+away, so every corner left makes a strict turn and a positive step.
 
 The hull is four tuple columns with one entry per corner: the vertex
 indices, the arc parameters (levels), the step starts and the step
@@ -117,15 +117,15 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
 
     cycle = list(hull)[:-1]  # drop the duplicated seam entry
 
-    # sweep out any collinear corners the deque seam may have left behind
-    changed = True
-    while changed and len(cycle) > 2:
-        changed = False
-        for i in range(len(cycle)):
-            if turn(cycle[i - 1], cycle[i], cycle[(i + 1) % len(cycle)]) <= 0:
-                del cycle[i]
-                changed = True
-                break
+    # no loop decided the seam's turn: test it, then the back corner's,
+    # and after each drop the two that meet across the gap, front first
+    while len(cycle) > 2:
+        if turn(cycle[-1], cycle[0], cycle[1]) <= 0:
+            del cycle[0]
+        elif turn(cycle[-2], cycle[-1], cycle[0]) <= 0:
+            del cycle[-1]
+        else:
+            break
     if len(cycle) < 3:
         raise StraightArc("hull degenerates to a segment within tolerance")
 

@@ -118,7 +118,7 @@ def quadratic_ledger(profile: SupportProfile, mode: str) -> list[tuple]:
     """Reference for the scan window's rows: each corner level's position
     on the other branch by a linear search, corners ordered by a sort;
     O(m^2)."""
-    _, x_lo, x_hi, levels = _unroll(profile, mode)
+    _, x_lo, x_hi, levels, _ = _unroll(profile, mode)
     m = len(levels)
     k = max(range(m), key=lambda i: levels[i])
 

@@ -122,19 +122,20 @@ class _Window:
 
 def _unroll(profile: SupportProfile, mode: str):
     """Window coordinates of the steps read from the mode's anchor step:
-    (anchor angle, step starts, step ends, build levels)."""
+    (anchor angle, step starts, step ends, build levels, top level's index)."""
     k = 0 if mode == MOUNTAIN else profile.apex_index
     widths, levels = profile.widths, profile.levels
     xs = list(accumulate(widths[k:] + widths[:k], initial=0.0))
     levels = levels[k:] + levels[:k]
+    top = len(levels) - k if mode == VALLEY else profile.apex_index
     if mode == VALLEY:
         levels = tuple([-v for v in levels])
-    return profile.starts[k], xs[:-1], xs[1:], levels
+    return profile.starts[k], xs[:-1], xs[1:], levels, top
 
 
 def _build_window(profile: SupportProfile, mode: str) -> _Window:
-    anchor, x_lo, x_hi, levels = _unroll(profile, mode)
-    rows = _build_rows(x_lo, x_hi, levels)
+    anchor, x_lo, x_hi, levels, top = _unroll(profile, mode)
+    rows = _build_rows(x_lo, x_hi, levels, top)
     # tuples from lists, not generators: CPython sizes those exactly, so
     # they reuse its free lists instead of refilling them per profile
     return _Window(anchor, tuple(rows),
@@ -147,7 +148,7 @@ def _window(profile: SupportProfile, mode: str) -> _Window:
     return profile._index(mode, lambda p: _build_window(p, mode))
 
 
-def _build_rows(x_lo, x_hi, levels) -> list[tuple]:
+def _build_rows(x_lo, x_hi, levels, k: int) -> list[tuple]:
     """Ledger of a rise-then-fall staircase in O(m): one row per corner,
     ascending by level.
 
@@ -159,15 +160,14 @@ def _build_rows(x_lo, x_hi, levels) -> list[tuple]:
     the width there is one value: the upper row's widest, bitwise the
     lower row's narrowest.  The rows thus tile the full width range.
 
-    levels[0] must be the minimum.  A two-pointer merge of the rising
-    branch (ascending) and the falling branch (read backwards, also
-    ascending) visits the corners by level; the two pointers are also
-    the branches' positions at the level in hand: the rising branch at
-    the start of its next corner's step, the falling branch at the end
-    of its next corner's step.
+    levels[0] must be the minimum and levels[k] the maximum.  A
+    two-pointer merge of the rising branch (ascending) and the falling
+    branch (read backwards, also ascending) visits the corners by level;
+    the two pointers are also the branches' positions at the level in
+    hand: the rising branch at the start of its next corner's step, the
+    falling branch at the end of its next corner's step.
     """
     m = len(levels)
-    k = max(range(m), key=lambda i: levels[i])
     end = x_hi[m - 1]  # corner 0 rises; the window's far end falls to it
     rows = [(levels[0], x_lo[0], x_hi[0], end, end)]
     r, f = 1, m - 1  # lowest corner above the level on each branch

@@ -46,7 +46,7 @@ def orient_counts(monkeypatch):
     holds for either.  Melkman's deque loops in melkman_hull decide
     every cross product themselves, asking only triple_bound within the
     chain's bound, so "decided" counts there only its collinear prefix
-    and its seam sweep, and "full" counts the loops' products within
+    and its seam repair, and "full" counts the loops' products within
     the bound too."""
     counts = {"decided": 0, "full": 0}
     triple_bound = geometry.triple_bound

@@ -83,6 +83,19 @@ def point2_melkman_hull(arc):
                 tuple(edges[-1:] + edges[:-1]), tuple(widths))
 
 
+# a chain within the orientation tolerance of the x axis but for one
+# vertex 0.1 to 1 off it: the deque's seam may turn straight here, and
+# the repair drops it, at times with a corner across the gap
+near_line = st.builds(
+    lambda pts, j, lift: [
+        (x, t * (1.0 + abs(x)) + (lift if i == j % len(pts) else 0.0))
+        for i, (x, t) in enumerate(pts)],
+    st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-3e-12, 3e-12)),
+             min_size=4, max_size=10),
+    st.integers(0, 9),
+    st.floats(0.1, 1.0) | st.floats(-1.0, -0.1))
+
+
 def outcome(hull_of, arc):
     """The hull and its repr, or the StraightArc message."""
     try:
@@ -97,8 +110,8 @@ def corner_points(arc, hull):
 
 
 def assert_turns_left(arc, hull):
-    # the hull keeps no orientation pass: the deque must give a
-    # counterclockwise cycle of strict turns
+    # the hull tests no turn again but at its seam: the deque and the
+    # seam repair must give a counterclockwise cycle of strict turns
     pts = corner_points(arc, hull)
     m = len(pts)
     assert m >= 3
@@ -187,7 +200,7 @@ def test_corners_turn_counterclockwise(fuzz_pool):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(pts=grid_chains | tiny_near_collinear,
+@given(pts=grid_chains | tiny_near_collinear | near_line,
        offset=st.sampled_from([0.0, 1e6, -1e12]))
 def test_corners_turn_counterclockwise_on_adversarial_chains(pts, offset):
     # slivers, collinear runs and far offsets, where a sign could flip
@@ -211,7 +224,7 @@ def test_melkman_equals_point2_reference(fuzz_pool):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(pts=grid_chains | tiny_near_collinear,
+@given(pts=grid_chains | tiny_near_collinear | near_line,
        offset=st.sampled_from([0.0, 1e6, -1e12]))
 def test_melkman_equals_point2_reference_on_adversarial_chains(pts, offset):
     # the chains of test_corners_turn_counterclockwise_on_adversarial_chains
@@ -227,13 +240,13 @@ def test_hull_decides_each_triple_once(orient_counts, make):
     # the reference asks about 6 orientations per vertex here, each a
     # full orient call.  The deque loops decide on their own cross
     # product, asking triple_bound only about the few products within
-    # the chain's bound, so turn hears only the collinear prefix and the
-    # seam sweep (a pass over the corners)
+    # the chain's bound, so turn hears only the collinear prefix (one
+    # triple) and the seam repair (the seam and the back corner)
     n = 1600
     arc = build_arc(make(n, random.Random(n)))
     orient_counts.update(decided=0, full=0)
-    hull = melkman_hull(arc)
-    assert orient_counts["decided"] <= len(hull) + 0.01 * n + 2
+    melkman_hull(arc)
+    assert orient_counts["decided"] <= 3
     assert orient_counts["full"] <= 0.01 * n
     # the counters count: on a straight chain every test is a full call
     arc = build_arc([(float(i), 0.0) for i in range(n)])
@@ -241,6 +254,32 @@ def test_hull_decides_each_triple_once(orient_counts, make):
     with pytest.raises(StraightArc):
         melkman_hull(arc)
     assert orient_counts["decided"] == orient_counts["full"] == n - 2
+
+
+# chains whose seam turns straight within the tolerance, so the repair
+# drops it and then a corner that meets the next across the gap: the new
+# front, or the back.  A repair that skips the back corner, or stops
+# after one drop, leaves a degenerate exterior angle on one of them
+SEAM_CHAINS = {
+    "front, front": [(1.0091061014572573, -3.2192581453378694e-12),
+                     (1.7513463990830744, 0.9319504689960507),
+                     (-0.8845272832322155, -4.844821915398545e-12),
+                     (0.6051039706109238, -2.098607876326204e-12),
+                     (0.9818890359899548, -1.0054844982254089e-14)],
+    "front, back": [(0.999999999998181, -1.8189894035458565e-12),
+                    (2.0, 0.0), (2.0000000074505806, 1.9999999925494194),
+                    (1.0, 0.0), (2.0, 1.0)],
+}
+
+
+@pytest.mark.parametrize("drops", sorted(SEAM_CHAINS))
+def test_seam_repair_drops_across_the_gap(drops):
+    arc = build_arc(SEAM_CHAINS[drops])
+    got = outcome(melkman_hull, arc)
+    assert got == outcome(point2_melkman_hull, arc)
+    hull = got[0]
+    assert hull.corners == (0, 1, 2)
+    assert_turns_left(arc, hull)
 
 
 # a short tail segment within the orientation tolerance of a hull

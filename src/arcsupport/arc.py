@@ -209,15 +209,15 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
     # list of its final size, so many small arcs would pile them up
     params = list(accumulate(steps, initial=0.0))
 
-    # adjacent segments may share only the common vertex: no back-tracking
-    turn = chain_orient(xs, ys)
+    # adjacent segments may share only the common vertex: no back-tracking,
+    # which only edges that point back (a negative dot product) can do
+    turn, _ = chain_orient(xs, ys)
     for i in range(len(xs) - 2):
-        if turn(i, i + 1, i + 2) == 0:
-            ux, uy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
-            wx, wy = xs[i + 2] - xs[i + 1], ys[i + 2] - ys[i + 1]
-            if ux * wx + uy * wy < 0.0:
-                raise SelfIntersecting(f"back-tracking at vertex "
-                                       f"{Point2(xs[i + 1], ys[i + 1])}")
+        ux, uy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
+        wx, wy = xs[i + 2] - xs[i + 1], ys[i + 2] - ys[i + 1]
+        if ux * wx + uy * wy < 0.0 and turn(i, i + 1, i + 2) == 0:
+            raise SelfIntersecting(f"back-tracking at vertex "
+                                   f"{Point2(xs[i + 1], ys[i + 1])}")
 
     hit = first_crossing(xs, ys, turn, min_sep)
     if hit is not None:
@@ -264,7 +264,7 @@ def build_arc(vertices: Iterable) -> PolygonalArc:
 
 def point_at(arc: PolygonalArc, s: float) -> Point2:
     """Point at arc-length parameter s, by linear interpolation."""
-    slack = 1e-12 * arc.length
+    slack = EPS_TOUCH * arc.length
     if s < -slack or s > arc.length + slack:
         raise ParamOutOfRange(f"parameter {s} outside [0, {arc.length}]")
     s = min(max(s, 0.0), arc.length)

@@ -29,8 +29,7 @@ so orient's threshold for any three (:func:`triple_bound`) is at most
 the bound.  A cross product beyond the bound thus has orient's sign;
 only the rest are held to their triple's threshold (:func:`chain_orient`),
 and no decision, error or message changes.  The hull's two deque loops
-write chain_orient's test out: they compare the cross product with
-:func:`chain_bound`, and only within it with :func:`triple_bound`.
+write chain_orient's test out, with the bound it returns beside turn.
 """
 
 from __future__ import annotations
@@ -115,10 +114,10 @@ def chain_bound(xs: Sequence[float], ys: Sequence[float]) -> float:
     return EPS_ORIENT * (dx * dx + dy * dy)
 
 
-def chain_orient(xs: Sequence[float],
-                 ys: Sequence[float]) -> Callable[[int, int, int], int]:
-    """turn(i, j, k) is orient's answer for the points i, j, k of the
-    chain with coordinate lists xs, ys.
+def chain_orient(xs: Sequence[float], ys: Sequence[float]
+                 ) -> tuple[Callable[[int, int, int], int], float]:
+    """(turn, chain_bound(xs, ys)): turn(i, j, k) is orient's answer for
+    the points i, j, k of the chain with coordinate lists xs, ys.
 
     turn computes orient's cross product on the lists; beyond the
     chain's bound its sign is orient's answer, and within it turn
@@ -136,4 +135,4 @@ def chain_orient(xs: Sequence[float],
             return 0
         return 1 if cross > 0.0 else -1
 
-    return turn
+    return turn, bound

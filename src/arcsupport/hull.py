@@ -23,8 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .arc import PolygonalArc
-from .geometry import (EPS_ANGLE, TWO_PI, Point2, chain_bound, chain_orient,
-                       triple_bound)
+from .geometry import EPS_ANGLE, TWO_PI, Point2, chain_orient, triple_bound
 
 
 class StraightArc(ValueError):
@@ -64,7 +63,7 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     tolerance.
     """
     xs, ys = arc.xs, arc.ys
-    turn = chain_orient(xs, ys)
+    turn, bound = chain_orient(xs, ys)
     n = len(xs)
 
     # collapse a collinear prefix so the deque starts from a strict turn
@@ -83,7 +82,6 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     # the deque loops write turn out: beyond the chain's bound the
     # product's sign is its answer, and within it the product is left
     # only above the triple's own threshold, which is never negative
-    bound = chain_bound(xs, ys)
     neg = -bound
     for i in range(k + 1, n):
         xi = xs[i]

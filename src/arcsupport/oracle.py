@@ -33,6 +33,8 @@ from .profile import SupportProfile, touch_params
 # side of the square random_simple_arc draws vertices from; every
 # decision is scale-relative, so the size selects nothing
 COORDINATE_BOX = 10.0
+# draws random_simple_arc makes before it raises GenerationExhausted
+MAX_DRAWS = 10_000
 
 
 class GenerationExhausted(RuntimeError):
@@ -452,8 +454,7 @@ def _certainly_crosses(xs: list[float], ys: list[float]) -> bool:
     return False
 
 
-def random_simple_arc(config: FuzzConfig, trial_index: int,
-                      max_rejections: int = 10_000) -> PolygonalArc:
+def random_simple_arc(config: FuzzConfig, trial_index: int) -> PolygonalArc:
     """Deterministic rejection-sampled simple, non-straight arc.
 
     Vertices are drawn uniformly in the COORDINATE_BOX square;
@@ -467,17 +468,17 @@ def random_simple_arc(config: FuzzConfig, trial_index: int,
     such a draw is one build_arc rejects, and the filter changes no
     accepted arc.
     """
-    return _arc_and_hull(config, trial_index, max_rejections)[0]
+    return _arc_and_hull(config, trial_index)[0]
 
 
-def _arc_and_hull(config: FuzzConfig, trial_index: int,
-                  max_rejections: int = 10_000) -> tuple[PolygonalArc, Hull]:
+def _arc_and_hull(config: FuzzConfig,
+                  trial_index: int) -> tuple[PolygonalArc, Hull]:
     """random_simple_arc's arc and the hull that showed it is not
     straight, so a fuzz trial needs no second melkman_hull call."""
     rng = random.Random(f"{config.seed}:{trial_index}")
     lo_n, hi_n = config.vertex_range
     box = COORDINATE_BOX
-    for _ in range(max_rejections):
+    for _ in range(MAX_DRAWS):
         n = rng.randint(lo_n, hi_n)
         # x, y per vertex; box * random() is the float rng.uniform(0.0,
         # box) returns, without its call
@@ -494,7 +495,7 @@ def _arc_and_hull(config: FuzzConfig, trial_index: int,
         except StraightArc:
             continue
     raise GenerationExhausted(
-        f"no simple arc after {max_rejections} draws (trial {trial_index})")
+        f"no simple arc after {MAX_DRAWS} draws (trial {trial_index})")
 
 
 # distance kept from either end of the safe range by the safe_range policy

@@ -5,8 +5,9 @@ from decimal import Decimal
 
 import pytest
 
-from arcsupport import (ArcError, DuplicateVertex, ParamOutOfRange, Point2,
-                        SelfIntersecting, TooFewVertices, build_arc, point_at)
+from arcsupport import (EPS_TOUCH, ArcError, DuplicateVertex, ParamOutOfRange,
+                        Point2, SelfIntersecting, TooFewVertices, build_arc,
+                        point_at)
 from arcsupport import (MOUNTAIN, build_profile, find_pair, melkman_hull,
                         render_pair_svg, verify_triple)
 from arcsupport.arc import MAX_SPAN, MIN_SPAN
@@ -125,6 +126,14 @@ def test_point_at_out_of_range(e1):
         point_at(e1, -0.5)
     with pytest.raises(ParamOutOfRange):
         point_at(e1, 2.5)
+    # the slack is EPS_TOUCH times the arc's length, at either end
+    length = e1.length
+    assert point_at(e1, length * (1 + 0.5 * EPS_TOUCH)) == Point2(1.0, 1.0)
+    assert point_at(e1, -length * 0.5 * EPS_TOUCH) == Point2(0.0, 0.0)
+    with pytest.raises(ParamOutOfRange):
+        point_at(e1, length * (1 + 2 * EPS_TOUCH))
+    with pytest.raises(ParamOutOfRange):
+        point_at(e1, -length * 2 * EPS_TOUCH)
 
 
 def test_param_steps_are_edge_lengths(fuzz_pool):
@@ -178,16 +187,27 @@ def test_numeric_coordinate_types_build_the_same_arc():
 
 @pytest.mark.parametrize("make", [convex_arc, walk_arc])
 def test_validation_decides_each_triple_once(orient_counts, make):
-    # one orientation per vertex for back-tracking and four per pair of
-    # segments tested; the chain's bound decides nearly all of them
+    # the back-tracking check asks turn only where adjacent edges point
+    # back, which no edge of the convex family does, and the sweep four
+    # times per pair of segments tested; the chain's bound decides
+    # nearly all of them
     n = 1600
     build_arc(make(n, random.Random(n)))
-    assert orient_counts["decided"] <= n
+    if make is convex_arc:
+        assert orient_counts["decided"] == 0
+    else:
+        assert orient_counts["decided"] <= 0.2 * n
     assert orient_counts["full"] <= 0.01 * n
-    # the counters count: on a straight chain every test is a full call
+    # a straight chain points forward at every vertex: turn hears nothing
     orient_counts.update(decided=0, full=0)
     build_arc([(float(i), 0.0) for i in range(n)])
-    assert orient_counts["decided"] == orient_counts["full"] == n - 2
+    assert orient_counts["decided"] == orient_counts["full"] == 0
+    # the counters count: on a zigzag every pair of edges points back,
+    # and the chain's bound decides every turn
+    orient_counts.update(decided=0, full=0)
+    build_arc([(0.1 * i, float(i % 2)) for i in range(n)])
+    assert orient_counts["decided"] == n - 2
+    assert orient_counts["full"] == 0
 
 
 @pytest.mark.parametrize("make", [convex_arc, walk_arc])

@@ -90,7 +90,8 @@ def test_chain_orient_at_its_bound(orient_counts, k, far):
             ys = [0.0, 0.0, cross / s, 0.0]
             assert chain_bound(xs, ys) == bound
             pts = [Point2(x, y) for x, y in zip(xs, ys)]
-            turn = chain_orient(xs, ys)
+            turn, chain = chain_orient(xs, ys)
+            assert chain == bound
             orient_counts.update(full=0)
             got = turn(0, 1, 2)
             # the filter decides exactly the cross products beyond it;

@@ -117,10 +117,11 @@ def test_generator_respects_bounds():
         assert all(0.0 <= c <= COORDINATE_BOX for c in arc.xs + arc.ys)
 
 
-def test_generator_exhaustion():
+def test_generator_exhaustion(monkeypatch):
     cfg = FuzzConfig(trials=1, seed=1)
+    monkeypatch.setattr(oracle, "MAX_DRAWS", 0)
     with pytest.raises(GenerationExhausted):
-        random_simple_arc(cfg, 0, max_rejections=0)
+        random_simple_arc(cfg, 0)
 
 
 def test_generator_rejects_what_the_pipeline_finds_straight(monkeypatch,
@@ -133,8 +134,9 @@ def test_generator_rejects_what_the_pipeline_finds_straight(monkeypatch,
         melkman_hull(flat)
     monkeypatch.setattr(oracle, "_certainly_crosses", lambda xs, ys: False)
     monkeypatch.setattr(oracle, "build_arc", lambda pts: flat)
+    monkeypatch.setattr(oracle, "MAX_DRAWS", 1)
     with pytest.raises(GenerationExhausted):
-        random_simple_arc(FuzzConfig(trials=1, seed=1), 0, max_rejections=1)
+        random_simple_arc(FuzzConfig(trials=1, seed=1), 0)
     assert main(["fuzz", "--trials", "1"]) == 5
     assert capsys.readouterr().err.startswith("GenerationExhausted: ")
 

@@ -29,6 +29,7 @@ from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
                         orient, point_at, random_simple_arc, touch_params,
                         verify_triple)
 from arcsupport import arc as arc_module
+from arcsupport import oracle
 from arcsupport.geometry import chain_orient
 from arcsupport.oracle import (COORDINATE_BOX, _certainly_crosses,
                                _linear_support_check,
@@ -487,7 +488,7 @@ def test_chain_orient_equals_orient_on_adversarial_chains(pts, k, offset,
     for chain in scaled_and_moved(pts, k, offset, grid):
         xs, ys = [x for x, _ in chain], [y for _, y in chain]
         points = [Point2(x, y) for x, y in chain]
-        turn = chain_orient(xs, ys)
+        turn, _ = chain_orient(xs, ys)
         for i, j, m in itertools.permutations(range(len(chain)), 3):
             assert turn(i, j, m) == orient(points[i], points[j],
                                            points[m]), (chain, i, j, m)
@@ -619,15 +620,16 @@ def test_sampler_equals_unfiltered_rejection(fuzz_pool):
                     unfiltered_simple_arc(config, trial)), (config, trial)
 
 
-def test_discarded_draws_count_against_the_cap():
+def test_discarded_draws_count_against_the_cap(monkeypatch):
     for trial in range(20):
         for cap in range(1, 13):
             try:
                 want = unfiltered_simple_arc(POOL_CONFIG, trial, cap)
             except GenerationExhausted:
                 want = None
+            monkeypatch.setattr(oracle, "MAX_DRAWS", cap)
             try:
-                got = random_simple_arc(POOL_CONFIG, trial, cap)
+                got = random_simple_arc(POOL_CONFIG, trial)
             except GenerationExhausted:
                 got = None
             assert got == want, (trial, cap)

@@ -267,12 +267,15 @@ def point_at(arc: PolygonalArc, s: float) -> Point2:
     slack = EPS_TOUCH * arc.length
     if s < -slack or s > arc.length + slack:
         raise ParamOutOfRange(f"parameter {s} outside [0, {arc.length}]")
-    s = min(max(s, 0.0), arc.length)
-    i = bisect_right(arc.params, s) - 1
-    i = min(i, len(arc.xs) - 2)
-    xs, ys = arc.xs, arc.ys
-    span = arc.params[i + 1] - arc.params[i]
-    t = (s - arc.params[i]) / span
-    return Point2(xs[i] + t * (xs[i + 1] - xs[i]),
-                  ys[i] + t * (ys[i + 1] - ys[i]))
+    return Point2(*_point_xy(arc, s))
 
+
+def _point_xy(arc: PolygonalArc, s: float) -> tuple[float, float]:
+    """point_at's x and y at s clamped into [0, length], unchecked."""
+    params = arc.params
+    s = min(max(s, 0.0), arc.length)
+    i = min(bisect_right(params, s) - 1, len(params) - 2)
+    a = params[i]
+    t = (s - a) / (params[i + 1] - a)
+    xs, ys = arc.xs, arc.ys
+    return xs[i] + t * (xs[i + 1] - xs[i]), ys[i] + t * (ys[i + 1] - ys[i])

@@ -21,8 +21,8 @@ from .hull import StraightArc, melkman_hull
 from .oracle import (FuzzConfig, GenerationExhausted, _arc_and_hull,
                      draw_delta)
 from .pairs import (MOUNTAIN, VALLEY, InvalidDelta, TriplePair,
-                    corollary_check, enumerate_triples, find_pair,
-                    jump_to_jump_gaps, pairs_identical, safe_delta_range,
+                    _near_jump_gap, corollary_check, enumerate_triples,
+                    find_pair, pairs_identical, safe_delta_range,
                     verify_triple)
 from .profile import build_profile
 from .render import render_pair_svg
@@ -170,8 +170,7 @@ def run_fuzz(config: FuzzConfig):
         pair, typed, report = _run_mode(profile, arc, delta, mode)
         if pair.strict:
             strict_hits += 1
-            tie_prone = (pair.near_tie or any(
-                abs(delta - g) <= 1e-6 for g in jump_to_jump_gaps(profile)))
+            tie_prone = pair.near_tie or _near_jump_gap(profile, delta)
             if not tie_prone:
                 unique_total += 1
                 if typed == 1:

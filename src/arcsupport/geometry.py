@@ -3,11 +3,11 @@ tolerance policy.
 
 All angle values in the package are plain radians canonicalized to
 [0, 2*pi).  Comparisons across the seam at 0 go through :func:`ccw_gap`
-and :func:`circ_dist`.  Three places unroll the circle themselves:
-profile._positions splits a touch query's window at the seam,
-pairs._unroll lays the steps out from a scan's anchor step, and
-pairs._build_chart splits the gap intervals that reach past 0 or
-2*pi.
+and :func:`circ_dist`.  Four places unroll the circle themselves:
+profile.touch_params and pairs._near_jump_gap search the far end too
+where a window reaches past the seam, pairs._unroll lays the steps out
+from a scan's anchor step, and pairs._build_chart splits the gap
+intervals that reach past 0 or 2*pi.
 
 The tolerances are fixed and relative to the input's own scale, so no
 decision changes when an arc is scaled, rotated or moved:

@@ -178,25 +178,18 @@ def linear_enumerate_triples(profile: SupportProfile,
         for sign in (1.0, -1.0)])
 
 
-def _extreme_anchor(arc: PolygonalArc, theta: float) -> int:
-    # first vertex with the largest projection on the outward normal; an
-    # independent reconstruction of the support line's position
-    nx, ny = math.sin(theta), -math.cos(theta)
-    return max(range(len(arc)), key=lambda i: arc.xs[i] * nx + arc.ys[i] * ny)
-
-
-def _all_left(theta: float, anchor: Point2, arc: PolygonalArc,
-              slack: float) -> bool:
-    dx, dy = math.cos(theta), math.sin(theta)
-    return all(dx * (y - anchor.y) - dy * (x - anchor.x) >= -slack
-               for x, y in zip(arc.xs, arc.ys))
-
-
-def _linear_support_check(arc: PolygonalArc, theta: float, p: Point2,
-                          s: float, slack: float) -> tuple[int, bool]:
+def _linear_support_check(arc: PolygonalArc, dx: float, dy: float,
+                          px: float, py: float, s: float,
+                          slack: float) -> tuple[int, bool]:
     """Reference for pairs._support_check: one pass over every vertex
     for the anchor's index, one for the left test; s is not read."""
-    return _extreme_anchor(arc, theta), _all_left(theta, p, arc, slack)
+    # the first vertex with the largest projection on the outward normal
+    # (dy, -dx): an independent reconstruction of the line's position
+    ny = -dx
+    return (max(range(len(arc)),
+                key=lambda i: arc.xs[i] * dy + arc.ys[i] * ny),
+            all(dx * (y - py) - dy * (x - px) >= -slack
+                for x, y in zip(arc.xs, arc.ys)))
 
 
 def linear_verify_triple(arc: PolygonalArc, pair: TriplePair) -> TripleReport:
@@ -243,7 +236,9 @@ def support_line(profile: SupportProfile, arc: PolygonalArc,
     smallest parameter."""
     theta = canon_angle(theta)
     anchor = point_at(arc, min(touch_params(profile, theta)))
-    if not _all_left(theta, anchor, arc, EPS_TOUCH * arc.diagonal):
+    if not _linear_support_check(arc, math.cos(theta), math.sin(theta),
+                                 anchor.x, anchor.y, None,
+                                 EPS_TOUCH * arc.diagonal)[1]:
         raise ValueError(f"a vertex falls on the right of the support line "
                          f"at {theta}")
     return DirectedLine(theta, anchor)

@@ -45,10 +45,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
-from .arc import RUN, PolygonalArc, point_at
-from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
-                       ccw_gap, circ_dist)
-from .profile import _ROUNDING, SupportProfile, touch_params
+from .arc import RUN, PolygonalArc, _point_xy
+from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, canon_angle, ccw_gap,
+                       circ_dist)
+from .profile import _ROUNDING, SupportProfile, _by_angle, touch_params
 
 MOUNTAIN = "mountain"
 VALLEY = "valley"
@@ -145,7 +145,8 @@ def _build_window(profile: SupportProfile, mode: str) -> _Window:
 def _window(profile: SupportProfile, mode: str) -> _Window:
     """The profile's window for mode, built on first use and kept on the
     profile: each later scan of the same profile reuses it."""
-    return profile._index(mode, lambda p: _build_window(p, mode))
+    return (profile._indexes.get(mode)
+            or profile._index(mode, lambda p: _build_window(p, mode)))
 
 
 def _build_rows(x_lo, x_hi, levels, k: int) -> list[tuple]:
@@ -191,12 +192,14 @@ def _lookup(win: _Window, delta: float):
     the between-level widths either side of delta.  No row contains
     delta only when rounding puts it beyond the ledger; that returns
     None."""
-    i = bisect_right(win.neg_hi, -delta)
+    neg_hi = win.neg_hi
+    i = bisect_right(neg_hi, -delta)
     hit = win.rows[i - 1] if i else None
     if hit is not None and delta < hit[3] - hit[2]:  # below the apex row
         hit = None
-    near_tie = any(abs(delta + n) <= EPS_ANGLE
-                   for n in win.neg_hi[max(i - 1, 1):max(i, 1) + 1])
+    j = max(i - 1, 1)  # rows i - 1 and i, or row 1 alone (m >= 3)
+    near_tie = (abs(delta + neg_hi[j]) <= EPS_ANGLE
+                or j < i < len(neg_hi) and abs(delta + neg_hi[i]) <= EPS_ANGLE)
     return hit, near_tie
 
 
@@ -245,8 +248,8 @@ def _assign_roles(profile: SupportProfile, theta_left: float,
                 s2c = min(max(s2, s1), s3)
                 cands.append((strict, s3 - s1, theta_d, theta_s, s1, s2c, s3))
     if cands:
-        cands.sort(key=lambda c: (not c[0], -c[1], c[5]))
-        strict, _, theta_d, theta_s, s1, s2, s3 = cands[0]
+        strict, _, theta_d, theta_s, s1, s2, s3 = min(
+            cands, key=lambda c: (not c[0], -c[1], c[5]))
         return theta_d, theta_s, s1, s2, s3, strict
     # both touch sets degenerate: report the certificate level flatly on
     # the wider span, theta_left on a tie
@@ -488,38 +491,41 @@ def jump_to_jump_gaps(profile: SupportProfile) -> list[float]:
     return sorted(out)
 
 
-def _line_distance(arc: PolygonalArc, theta: float, k: int,
-                   p: Point2) -> float:
-    """Distance of p from the line at theta through vertex k."""
-    dx, dy = math.cos(theta), math.sin(theta)
-    return abs(dx * (p.y - arc.ys[k]) - dy * (p.x - arc.xs[k]))
+def _near_jump_gap(profile: SupportProfile, delta: float) -> bool:
+    """any(abs(delta - g) <= 1e-6 for g in jump_to_jump_gaps(profile))
+    in O(m log m): as ccw_gap(a, b) is b - a or b - a + 2*pi, it tries
+    for each a only the b within 1e-6 + _ROUNDING of a + delta, mod 2*pi."""
+    angles = profile._index("angles", _by_angle)[0]
+    reach = 1e-6 + _ROUNDING
+    return any(a != b and abs(delta - ccw_gap(a, b)) <= 1e-6
+               for a in angles for c in (a + delta, a + delta - TWO_PI)
+               for b in angles[bisect_left(angles, c - reach):
+                               bisect_right(angles, c + reach)])
 
 
-def _support_check(arc: PolygonalArc, theta: float, p: Point2, s: float,
-                   slack: float) -> tuple[int, bool]:
-    """The line at theta read off the arc's vertices: the index of the
-    first vertex of largest projection on the outward normal (sin theta,
-    -cos theta), which re-derives the support line's position, and
-    whether every vertex (x, y) lies on the closed left of the line
-    through p, g = cos theta * (y - p.y) - sin theta * (x - p.x) >= -slack.
+def _support_check(arc: PolygonalArc, dx: float, dy: float, px: float,
+                   py: float, s: float, slack: float) -> tuple[int, bool]:
+    """The line of direction (dx, dy) = (cos theta, sin theta) read off
+    the arc's vertices: the index of the first vertex of largest
+    projection on the outward normal (dy, -dx), which re-derives the
+    support line's position, and whether every vertex (x, y) lies on the
+    closed left of the line through (px, py): g = dx * (y - py) -
+    dy * (x - px) >= -slack.
 
     One pass over arc.runs.  The corner of a run's box farthest along
-    the normal, (x_hi if sin theta >= 0 else x_lo,
-    y_lo if cos theta >= 0 else y_hi), has the largest projection and
-    the smallest g of any point in the box, and so in floating point
-    too: rounding is monotone (a <= b gives fl(a) <= fl(b), and
-    fl(a + b), fl(a - b) and fl(c * a) are monotone in a), so the
-    corner's value, computed by the very expression the vertices use,
-    bounds the computed value of every vertex in the run.  The best
-    projection starts at the vertex at parameter s, the pair's own touch
-    point, and a run is read only when its corner reaches the best so
-    far or lies beyond -slack.  A skipped run holds no vertex of the
-    largest projection and none on the right, so the anchor (the first
-    of equals, as max returns it) and the flag are bitwise those of a
-    pass over every vertex.
+    the normal, (x_hi if dy >= 0 else x_lo, y_lo if dx >= 0 else y_hi),
+    has the largest projection and the smallest g of any point in the
+    box, and so in floating point too: rounding is monotone (a <= b
+    gives fl(a) <= fl(b), and fl(a + b), fl(a - b) and fl(c * a) are
+    monotone in a), so the corner's value, computed by the very
+    expression the vertices use, bounds the computed value of every
+    vertex in the run.  The best projection starts at the vertex at
+    parameter s, the pair's own touch point, and a run is read only
+    when its corner reaches the best so far or lies beyond -slack.  A
+    skipped run holds no vertex of the largest projection and none on
+    the right, so the anchor (the first of equals, as max returns it)
+    and the flag are bitwise those of a pass over every vertex.
     """
-    dx, dy = math.cos(theta), math.sin(theta)
-    px, py = p.x, p.y
     ny = -dx  # the normal is (dy, ny)
     lim = -slack
     k = bisect_right(arc.params, s, 1) - 1  # the vertex at or before s
@@ -545,22 +551,20 @@ def _support_check(arc: PolygonalArc, theta: float, p: Point2, s: float,
 
 
 def _verify(arc: PolygonalArc, pair: TriplePair, check) -> TripleReport:
-    """The report of verify_triple, with check(arc, theta, p, s, slack)
-    giving the anchor's index and the left flag of the line at theta
-    through p, the point at its touch parameter s."""
+    """The report of verify_triple, with check(arc, cos theta,
+    sin theta, x, y, s, slack) giving the anchor's index and the left
+    flag of the line at theta through (x, y), the point at s."""
     dist_slack = EPS_TOUCH * arc.diagonal
     param_slack = EPS_TOUCH * arc.length
-    p1 = point_at(arc, min(max(pair.s1, 0.0), arc.length))
-    p2 = point_at(arc, min(max(pair.s2, 0.0), arc.length))
-    p3 = point_at(arc, min(max(pair.s3, 0.0), arc.length))
-    d_anchor, d_left = check(arc, pair.theta_double, p1, pair.s1, dist_slack)
-    s_anchor, s_left = check(arc, pair.theta_single, p2, pair.s2, dist_slack)
-
-    double_ok = (
-        _line_distance(arc, pair.theta_double, d_anchor, p1) <= dist_slack
-        and _line_distance(arc, pair.theta_double, d_anchor, p3) <= dist_slack)
-    single_ok = (
-        _line_distance(arc, pair.theta_single, s_anchor, p2) <= dist_slack)
+    xs, ys = arc.xs, arc.ys
+    (x1, y1), (x2, y2), (x3, y3) = [_point_xy(arc, s) for s in pair.triple]
+    dx, dy = math.cos(pair.theta_double), math.sin(pair.theta_double)
+    k, d_left = check(arc, dx, dy, x1, y1, pair.s1, dist_slack)
+    double_ok = (abs(dx * (y1 - ys[k]) - dy * (x1 - xs[k])) <= dist_slack
+                 and abs(dx * (y3 - ys[k]) - dy * (x3 - xs[k])) <= dist_slack)
+    dx, dy = math.cos(pair.theta_single), math.sin(pair.theta_single)
+    k, s_left = check(arc, dx, dy, x2, y2, pair.s2, dist_slack)
+    single_ok = abs(dx * (y2 - ys[k]) - dy * (x2 - xs[k])) <= dist_slack
     if pair.strict:
         order_ok = (pair.s1 + param_slack < pair.s2 < pair.s3 - param_slack)
     else:

@@ -83,17 +83,22 @@ def point2_melkman_hull(arc):
                 tuple(edges[-1:] + edges[:-1]), tuple(widths))
 
 
-# a chain within the orientation tolerance of the x axis but for one
-# vertex 0.1 to 1 off it: the deque's seam may turn straight here, and
-# the repair drops it, at times with a corner across the gap
-near_line = st.builds(
-    lambda pts, j, lift: [
-        (x, t * (1.0 + abs(x)) + (lift if i == j % len(pts) else 0.0))
-        for i, (x, t) in enumerate(pts)],
-    st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-3e-12, 3e-12)),
-             min_size=4, max_size=10),
-    st.integers(0, 9),
-    st.floats(0.1, 1.0) | st.floats(-1.0, -0.1))
+def near_line(offset):
+    """A chain within the orientation tolerance of the x axis but for
+    one vertex 0.1 to 1 off it: the deque's seam may turn straight
+    here, and the repair drops it, at times with a corner across the
+    gap.  Its |y| noise reaches 3e-12 (1 + |x|) or 4 (1 + |x|) float
+    spacings at offset, whichever is larger, so that once the chain is
+    moved by offset its points still sit off one line."""
+    noise = max(3e-12, 4 * math.ulp(offset))
+    return st.builds(
+        lambda pts, j, lift: [
+            (x, t * (1.0 + abs(x)) + (lift if i == j % len(pts) else 0.0))
+            for i, (x, t) in enumerate(pts)],
+        st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-noise, noise)),
+                 min_size=4, max_size=10),
+        st.integers(0, 9),
+        st.floats(0.1, 1.0) | st.floats(-1.0, -0.1))
 
 
 def simple_chain(pts):
@@ -112,11 +117,10 @@ def simple_chain(pts):
 # slivers, collinear runs and far offsets, where a sign could flip.
 # Most raw draws overlap or repeat themselves; keeping only the points
 # that leave the chain simple lets nearly every example build an arc
-hull_chains = st.builds(
-    lambda pts, offset: simple_chain([(x + offset, y + offset)
-                                      for x, y in pts]),
-    grid_chains | tiny_near_collinear | near_line,
-    st.sampled_from([0.0, 1e6, -1e12]))
+hull_chains = st.sampled_from([0.0, 1e6, -1e12]).flatmap(
+    lambda offset: st.builds(
+        lambda pts: simple_chain([(x + offset, y + offset) for x, y in pts]),
+        grid_chains | tiny_near_collinear | near_line(offset)))
 
 
 def outcome(hull_of, arc):

@@ -11,6 +11,7 @@ decides most orientations on one bound per chain; its reference is
 orient on every triple.  Results must be equal, not close.
 """
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -36,7 +37,9 @@ from arcsupport.oracle import (COORDINATE_BOX, _certainly_crosses,
                                linear_enumerate_triples, linear_ledger_lookup,
                                linear_touch_params, linear_verify_triple,
                                pairwise_simple_check, quadratic_ledger)
-from arcsupport.pairs import _gap_chart, _lookup, _support_check, _window
+from arcsupport.pairs import (_gap_chart, _lookup, _near_jump_gap,
+                              _support_check, _window)
+from arcsupport.profile import _ROUNDING
 from conftest import POOL_CONFIG
 from families import FALLBACK_VERTICES, convex_arc, uniform_draws, walk_arc
 
@@ -100,6 +103,86 @@ def test_lowest_jump_index_wins_across_the_wrap():
         assert touch_params(profile, theta) == (0.0, 1.0)
         assert touch_params(profile, theta) == linear_touch_params(profile, theta)
     assert touch_params(profile, EPS) == (0.0, 2.0)
+
+
+def test_lowest_jump_index_wins_in_mid_circle():
+    # jumps 4 and 0 sit 1.5 eps apart at 3.0 and 3.0 + 1.5 eps (the
+    # minimum step starts just after step 4 ends), so the lower index is
+    # the one above the query angle; jump 2 at 0.5 eps is the lowest
+    # sorted angle, and jump 3 at 1.0 the next.  A walk that stops one
+    # position short on either side, skips the bisection's own position
+    # or does not go on past 2 pi misses a jump here
+    a = 3.0
+    starts = (a + 1.5 * EPS, 5.0, 0.5 * EPS, 1.0, a)
+    ends = starts[1:] + starts[:1]
+    widths = tuple((b - s) % TWO_PI for s, b in zip(starts, ends))
+    levels = (0.0, 4.0, 3.0, 2.0, 1.0)
+    jumps = tuple(tuple(sorted((levels[i - 1], levels[i])))
+                  for i in range(len(starts)))
+    profile = SupportProfile(tuple(range(len(levels))), levels, starts,
+                             widths, jumps, apex_index=1)
+    pinned = {
+        a + 0.75 * EPS: (0.0, 1.0),   # within eps of both: jump 0 wins
+        a + 0.25 * EPS: (1.0, 2.0),   # of jump 4 only, below theta
+        a + 1.25 * EPS: (0.0, 1.0),   # of jump 0 only, above theta
+        a - 0.5 * EPS: (1.0, 2.0),
+        # within rounding of step 2's end, the jump at 1.0, above theta
+        math.nextafter(1.0, 0.0): (2.0, 3.0),
+        1.0 - _ROUNDING: (2.0, 3.0),
+        1.0 + _ROUNDING: (2.0, 3.0),
+        # below 2 pi, within eps of jump 2 only, which is past 2 pi
+        TWO_PI - 0.25 * EPS: (3.0, 4.0),
+        a - 2 * EPS: (2.0,),
+        a + 2.5 * EPS: (0.0,),
+    }
+    for theta, want in pinned.items():
+        assert touch_params(profile, theta) == want, theta
+        for t in around(theta, 0.0) + [theta + TWO_PI, theta - TWO_PI]:
+            assert touch_params(profile, t) == linear_touch_params(
+                profile, t), t
+    for theta in touch_queries(profile):
+        assert touch_params(profile, theta) == linear_touch_params(
+            profile, theta), theta
+
+
+def near_a_gap(gaps, delta):
+    """any(abs(delta - g) <= 1e-6 for g in gaps), cli.run_fuzz's old tie
+    test, over the sorted gaps within 1e-5 of delta only: every other
+    gap is farther than 1e-6 plus any rounding."""
+    near = gaps[bisect.bisect_left(gaps, delta - 1e-5):
+                bisect.bisect_right(gaps, delta + 1e-5)]
+    return any(abs(delta - g) <= 1e-6 for g in near)
+
+
+def test_jump_gap_bisection_equals_the_gap_list(fuzz_pool):
+    # the fuzz campaign's tie test on strict trials: _near_jump_gap
+    # bisects the sorted jump angles around a + delta for each jump
+    # angle a, and must answer as the m^2 list of jump-to-jump gaps.
+    # Each delta sits at a gap, 1e-6 either side of it or a float from
+    # one of those.  The convex hulls (m = 400, 1600) have m^2 gaps and
+    # each query costs O(m log m) there, so they take a seeded sample
+    draws = [profile for _, profile in fuzz_pool]
+    for n in (400, 1600):
+        for make in (convex_arc, walk_arc):
+            arc = build_arc(make(n, random.Random(n)))
+            draws.append(build_profile(melkman_hull(arc)))
+    rng = random.Random(21)
+    tested = hits = 0
+    for profile in draws:
+        gaps = jump_to_jump_gaps(profile)
+        deltas = [rng.uniform(0.0, TWO_PI) for _ in range(5)]
+        for g in rng.sample(gaps, 40) if len(gaps) > 1000 else gaps:
+            for c in (g, g + 1e-6, g - 1e-6):
+                deltas += [c, math.nextafter(c, math.inf),
+                           math.nextafter(c, -math.inf)]
+        for delta in deltas:
+            if not 0.0 < delta < TWO_PI:
+                continue
+            want = near_a_gap(gaps, delta)
+            assert _near_jump_gap(profile, delta) == want, (delta, profile)
+            tested += 1
+            hits += want
+    assert tested > 100_000 and 0 < hits < tested
 
 
 def test_ledger_equals_quadratic_build(profiles):
@@ -259,9 +342,11 @@ def doctored(pair):
     return out
 
 
-def touch_point(arc, s):
-    """The point verify_triple reads at s."""
-    return point_at(arc, min(max(s, 0.0), arc.length))
+def line_check(check, arc, theta, s, slack):
+    """check's anchor and left flag for the line at theta through the
+    point verify_triple reads at s."""
+    p = point_at(arc, min(max(s, 0.0), arc.length))
+    return check(arc, math.cos(theta), math.sin(theta), p.x, p.y, s, slack)
 
 
 def same_check(arc, pair):
@@ -272,9 +357,9 @@ def same_check(arc, pair):
     slack = EPS_TOUCH * arc.diagonal
     for theta, s in ((pair.theta_double, pair.s1),
                      (pair.theta_single, pair.s2)):
-        p = touch_point(arc, s)
-        anchor, left = _support_check(arc, theta, p, s, slack)
-        ref_anchor, ref_left = _linear_support_check(arc, theta, p, s, slack)
+        anchor, left = line_check(_support_check, arc, theta, s, slack)
+        ref_anchor, ref_left = line_check(_linear_support_check, arc, theta,
+                                          s, slack)
         assert anchor == ref_anchor and left == ref_left, (pair, theta)
     return report
 
@@ -311,11 +396,10 @@ def test_first_of_two_tied_vertices_is_the_anchor():
     slack = EPS_TOUCH * arc.diagonal
     for k in (15, 16):
         s = arc.params[k]
-        p = touch_point(arc, s)
-        anchor, left_ok = _support_check(arc, 0.0, p, s, slack)
+        anchor, left_ok = line_check(_support_check, arc, 0.0, s, slack)
         assert anchor == 15 and left_ok
-        assert (anchor, left_ok) == _linear_support_check(arc, 0.0, p, s,
-                                                          slack)
+        assert (anchor, left_ok) == line_check(_linear_support_check, arc,
+                                               0.0, s, slack)
     pair = TriplePair("mountain", 0.0, math.pi / 2, arc.params[15],
                       arc.params[20], arc.params[16], strict=False,
                       requested_delta=math.pi / 2,
@@ -354,8 +438,7 @@ def test_line_check_reads_at_most_10_runs(make):
         for theta, s in ((pair.theta_double, pair.s1),
                          (pair.theta_single, pair.s2)):
             CountedRun.reads = set()
-            p = touch_point(arc, s)
-            _support_check(arc, theta, p, s, slack)
+            line_check(_support_check, arc, theta, s, slack)
             most = max(most, len(CountedRun.reads))
             checks += 1
     assert checks >= 80 and 1 <= most <= 10

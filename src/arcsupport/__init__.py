@@ -19,7 +19,8 @@ from .pairs import (MOUNTAIN, VALLEY, CorollaryResult, InvalidDelta,
                     enumerate_triples, find_pair, find_pair_mountain,
                     find_pair_valley, jump_to_jump_gaps, pairs_identical,
                     safe_delta_range, verify_triple)
-from .profile import SupportProfile, build_profile, touch_params
+from .profile import (NotRiseThenFall, SupportProfile, build_profile,
+                      touch_params)
 from .render import render_pair_svg
 
 __version__ = "0.1.0"
@@ -27,8 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcError", "CorollaryResult", "DuplicateVertex", "EPS_ANGLE",
     "EPS_ORIENT", "EPS_TOUCH", "FuzzConfig", "GenerationExhausted", "Hull",
-    "InvalidDelta", "MOUNTAIN", "ParamOutOfRange", "Point2", "PolygonalArc",
-    "SelfIntersecting", "StraightArc",
+    "InvalidDelta", "MOUNTAIN", "NotRiseThenFall", "ParamOutOfRange",
+    "Point2", "PolygonalArc", "SelfIntersecting", "StraightArc",
     "SupportProfile", "TWO_PI", "TooFewVertices", "TriplePair",
     "TripleReport", "VALLEY", "build_arc", "build_profile", "canon_angle",
     "ccw_gap", "circ_dist", "corollary_check", "enumerate_triples",

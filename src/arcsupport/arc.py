@@ -9,7 +9,12 @@ boxes grown by EPS_TOUCH * diagonal (the broad phase of Cohen, Lin,
 Manocha & Ponamgi, "I-COLLIDE", 1995): only pairs whose grown boxes
 meet reach the tolerant orientation test on the coordinate lists, which
 makes "intersect" mean "grown boxes meet and the orientations cross or
-touch".  The sweep is the gate; the test itself reads no box.
+touch".  The sweep is the gate; the test itself reads no box.  A chain
+whose x-steps (or y-steps) all move one way and clear the margin of
+the grown boxes needs no sweep: no two non-adjacent grown boxes meet,
+which its own coordinates certify in O(n) (_clears), so build_arc
+builds no box for it.  The edge vectors are computed once and serve
+the step lengths and the back-tracking test.
 
 The same broad phase serves pairs.verify_triple: an arc's vertices in
 runs of RUN, each with its bounding box (PolygonalArc.runs, built by
@@ -24,10 +29,11 @@ import numbers
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, gt, sub
 from typing import Callable, Iterable, Optional, Sequence
 
-from .geometry import EPS_ORIENT, EPS_TOUCH, Point2, chain_orient
+from .geometry import EPS_ORIENT, EPS_TOUCH, Point2, _chain_turn
 
 
 class ArcError(ValueError):
@@ -181,6 +187,39 @@ def _swept_crossing(xs: Sequence[float], ys: Sequence[float],
     return None
 
 
+def _clears(cs: Sequence[float], pad: float) -> bool:
+    """True when every step of the coordinate column cs moves the same
+    way and clears the margin of the grown boxes: fl(b - pad) >
+    fl(a + pad) for a step from a up to b, or from b down to a, the very
+    expressions the boxes are built from.
+
+    Then the grown range of segment i on this axis ends before that of
+    segment i + 2 starts (rounding is monotone), and before that of any
+    later segment: no two non-adjacent grown boxes meet.  Three steps,
+    the first, a middle and the last, are tested first (most chains
+    fail there), then every step in C, up to the first that fails.
+    """
+    m = len(cs) // 2
+    if cs[0] < cs[1] and cs[m - 1] < cs[m] and cs[-2] < cs[-1]:
+        return all(map(gt, map(sub, cs[1:], repeat(pad)),
+                       map(add, cs, repeat(pad))))
+    if cs[0] > cs[1] and cs[m - 1] > cs[m] and cs[-2] > cs[-1]:
+        return all(map(gt, map(sub, cs, repeat(pad)),
+                       map(add, cs[1:], repeat(pad))))
+    return False
+
+
+def _first_crossing(xs: Sequence[float], ys: Sequence[float],
+                    turn: Callable[[int, int, int], int],
+                    pad: float) -> Optional[tuple[int, int]]:
+    """build_arc's crossing search: None, with no box built, when the x-
+    or the y-steps certify the chain (_clears), else _swept_crossing's
+    answer.  The certificate only says what the sweep would find."""
+    if _clears(xs, pad) or _clears(ys, pad):
+        return None
+    return _swept_crossing(xs, ys, turn, pad)
+
+
 def _checked_arc(vertices: Iterable, first_crossing: Callable[
         ..., Optional[tuple[int, int]]]) -> PolygonalArc:
     """Validate a vertex chain, with first_crossing(xs, ys, turn, pad)
@@ -190,7 +229,9 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
     xs, ys = _coordinates(vertices)
     if len(xs) < 2:
         raise TooFewVertices(f"need at least 2 vertices, got {len(xs)}")
-    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    dx = max(xs) - min(xs)
+    dy = max(ys) - min(ys)
+    diag = math.hypot(dx, dy)
     if diag == 0.0:
         raise TooFewVertices("all vertices coincide")
     if not MIN_SPAN <= diag <= MAX_SPAN:
@@ -198,8 +239,11 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
                        f"[{MIN_SPAN:.3g}, {MAX_SPAN:.3g}]")
     min_sep = EPS_TOUCH * diag
 
-    steps = [math.hypot(ax - bx, ay - by)
-             for ax, bx, ay, by in zip(xs, xs[1:], ys, ys[1:])]
+    # the edges once: they give the steps and the back-tracking test
+    # (a - b is -(b - a) exactly, and hypot ignores sign)
+    ex = list(map(sub, xs[1:], xs))
+    ey = list(map(sub, ys[1:], ys))
+    steps = list(map(math.hypot, ex, ey))
     if min(steps) <= min_sep:
         i = next(i for i, step in enumerate(steps) if step <= min_sep)
         raise DuplicateVertex(f"consecutive vertices coincide near "
@@ -209,15 +253,17 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
     # list of its final size, so many small arcs would pile them up
     params = list(accumulate(steps, initial=0.0))
 
+    # the chain's bound from the spans above, as geometry.chain_bound
+    # computes it
+    turn = _chain_turn(xs, ys, EPS_ORIENT * (dx * dx + dy * dy))
     # adjacent segments may share only the common vertex: no back-tracking,
     # which only edges that point back (a negative dot product) can do
-    turn, _ = chain_orient(xs, ys)
-    for i in range(len(xs) - 2):
-        ux, uy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
-        wx, wy = xs[i + 2] - xs[i + 1], ys[i + 2] - ys[i + 1]
+    for i, (ux, uy, wx, wy) in enumerate(zip(ex, ey, ex[1:], ey[1:])):
         if ux * wx + uy * wy < 0.0 and turn(i, i + 1, i + 2) == 0:
             raise SelfIntersecting(f"back-tracking at vertex "
                                    f"{Point2(xs[i + 1], ys[i + 1])}")
+    # the sweep's boxes are the peak of a long arc: drop the edges first
+    del ex, ey
 
     hit = first_crossing(xs, ys, turn, min_sep)
     if hit is not None:
@@ -251,15 +297,18 @@ def build_arc(vertices: Iterable) -> PolygonalArc:
 
     Two non-adjacent segments intersect when their bounding boxes,
     grown by EPS_TOUCH * diagonal, meet and the tolerant orientation
-    test finds them crossing or touching.  A sort and sweep over the
-    grown boxes finds the candidate pairs in O(n log n + k), k the
-    pairs whose grown x-ranges meet; k is at most n times the most
-    segments one vertical line meets, so the cost is near-linear unless
-    the arc passes over one x-range many times, and quadratic at worst
-    (stacked diagonals).  oracle.pairwise_simple_check is the pairwise
-    reference.
+    test finds them crossing or touching.  When every x-step (or every
+    y-step) moves the same way with fl(b - pad) > fl(a + pad), pad the
+    growth, no two such boxes meet and no pair needs the test: O(n).
+    Else a sort and sweep over the grown boxes finds the candidate
+    pairs in O(n log n + k), k the pairs whose grown x-ranges meet; k
+    is at most n times the most segments one vertical line meets, so
+    the cost is near-linear unless the arc passes over one x-range many
+    times, and quadratic at worst (stacked diagonals).
+    oracle.pairwise_simple_check is the pairwise reference; it tests
+    every pair, certified or not.
     """
-    return _checked_arc(vertices, _swept_crossing)
+    return _checked_arc(vertices, _first_crossing)
 
 
 def point_at(arc: PolygonalArc, s: float) -> Point2:

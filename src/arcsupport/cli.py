@@ -24,7 +24,7 @@ from .pairs import (MOUNTAIN, VALLEY, InvalidDelta, TriplePair,
                     _near_jump_gap, corollary_check, enumerate_triples,
                     find_pair, pairs_identical, safe_delta_range,
                     verify_triple)
-from .profile import build_profile
+from .profile import NotRiseThenFall, build_profile
 from .render import render_pair_svg
 
 EXIT_OK = 0
@@ -35,8 +35,8 @@ EXIT_GENERATION = 5
 
 # the documented exit code of each failure; the first matching type wins
 EXIT_CODES = ((ArcError, EXIT_VALIDATION), (StraightArc, EXIT_VALIDATION),
-              (InvalidDelta, EXIT_DELTA), (OSError, EXIT_IO),
-              (GenerationExhausted, EXIT_GENERATION))
+              (NotRiseThenFall, EXIT_VALIDATION), (InvalidDelta, EXIT_DELTA),
+              (OSError, EXIT_IO), (GenerationExhausted, EXIT_GENERATION))
 
 
 def _load(path: str):

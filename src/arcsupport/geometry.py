@@ -30,6 +30,9 @@ the bound.  A cross product beyond the bound thus has orient's sign;
 only the rest are held to their triple's threshold (:func:`chain_orient`),
 and no decision, error or message changes.  The hull's two deque loops
 write chain_orient's test out, with the bound it returns beside turn.
+Arc validation has the chain's spans already, for its diagonal, and
+builds the same test from them (_chain_turn) without a chain_bound
+pass.
 """
 
 from __future__ import annotations
@@ -124,6 +127,13 @@ def chain_orient(xs: Sequence[float], ys: Sequence[float]
     compares it with the triple's own threshold, as orient does.
     """
     bound = chain_bound(xs, ys)
+    return _chain_turn(xs, ys, bound), bound
+
+
+def _chain_turn(xs: Sequence[float], ys: Sequence[float],
+                bound: float) -> Callable[[int, int, int], int]:
+    """chain_orient's turn, for a caller that holds the chain's spans
+    and so its bound, chain_bound(xs, ys), already."""
     neg = -bound
 
     def turn(i: int, j: int, k: int) -> int:
@@ -135,4 +145,4 @@ def chain_orient(xs: Sequence[float], ys: Sequence[float]
             return 0
         return 1 if cross > 0.0 else -1
 
-    return turn, bound
+    return turn

@@ -36,6 +36,11 @@ from .geometry import EPS_ANGLE, EPS_TOUCH, TWO_PI, canon_angle, circ_dist
 from .hull import Hull
 
 
+class NotRiseThenFall(ValueError):
+    """A hull whose levels, read from its first corner, do not rise
+    strictly to one apex and then fall strictly back."""
+
+
 @dataclass(frozen=True)
 class SupportProfile(Hull):
     """Full step representation over one period: a hull and its jumps.
@@ -86,7 +91,8 @@ def build_profile(hull: Hull) -> SupportProfile:
 
     The hull lists its corners from the minimum-parameter one, so the
     steps start at the minimum level; checks the rise-then-fall shape of
-    the level sequence, which also rejects a cycle starting elsewhere.
+    the level sequence, which also rejects a cycle starting elsewhere,
+    and raises NotRiseThenFall when it fails.
     """
     levels = hull.levels
     # the jump at a step's start lies between its level and the one before
@@ -97,7 +103,7 @@ def build_profile(hull: Hull) -> SupportProfile:
     falling = levels[apex:] + levels[:1]
     if (any(a >= b for a, b in zip(rising, rising[1:]))
             or any(a <= b for a, b in zip(falling, falling[1:]))):
-        raise ValueError(
+        raise NotRiseThenFall(
             f"level sequence {list(levels)} is not rise-then-fall")
 
     return SupportProfile(hull.corners, levels, hull.starts, hull.widths,

@@ -1,7 +1,9 @@
 """SVG figures: arc, hull, the two support lines and the labeled triple.
 
-Each arc vertex is formatted once; the hull polygon reuses its corners'
-strings from the polyline's list.  Each touch point is computed once.
+The bounding box comes from the boxes of the arc's runs.  Each arc
+vertex is formatted once, all of them by one format call; the hull
+polygon reuses its corners' strings from the polyline's text.  Each
+touch point is computed once.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ def render_pair_svg(arc: PolygonalArc, hull: Hull, pair: TriplePair) -> str:
     Geometry stays in mathematical orientation; the y axis is flipped
     only in the final screen transform.
     """
-    xs, ys = arc.xs, arc.ys
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
+    # the bounding box from the runs' boxes, not four passes over n
+    runs = arc.runs
+    min_x, max_x = min([r[0] for r in runs]), max([r[1] for r in runs])
+    min_y, max_y = min([r[2] for r in runs]), max([r[3] for r in runs])
     # a hull has three corners that do not line up, so both spans are
     # positive; the figure is the same at every scale
     scale = min((WIDTH - 2 * MARGIN) / (max_x - min_x),
@@ -49,16 +52,19 @@ def render_pair_svg(arc: PolygonalArc, hull: Hull, pair: TriplePair) -> str:
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
 
-    # each vertex formatted once, with sx and sy written out; the hull
-    # polygon joins its corners' strings
-    pts = ["%.3f,%.3f" % (MARGIN + (x - min_x) * scale,
-                          HEIGHT - (MARGIN + (y - min_y) * scale))
-           for x, y in zip(xs, ys)]
+    # each vertex formatted once, with sx and sy written out, by one
+    # format call over all of them; the hull polygon joins its corners'
+    # strings, the polyline takes the formatted text whole
+    n = len(arc)
+    vals = [0.0] * (2 * n)
+    vals[0::2] = [MARGIN + (x - min_x) * scale for x in arc.xs]
+    vals[1::2] = [HEIGHT - (MARGIN + (y - min_y) * scale) for y in arc.ys]
+    text = ("%.3f,%.3f " * n) % tuple(vals)
+    pts = text.split()
     hull_pts = " ".join([pts[i] for i in hull.corners])
     out.append(f'<polygon points="{hull_pts}" fill="none" '
                f'stroke="{HULL_STROKE}" stroke-dasharray="6 4"/>')
-    arc_pts = " ".join(pts)
-    out.append(f'<polyline points="{arc_pts}" fill="none" '
+    out.append(f'<polyline points="{text[:-1]}" fill="none" '
                f'stroke="{ARC_STROKE}" stroke-width="2"/>')
 
     p1, p2, p3 = [point_at(arc, min(max(s, 0.0), arc.length))

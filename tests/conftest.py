@@ -39,20 +39,21 @@ def fuzz_pool():
 @pytest.fixture
 def orient_counts(monkeypatch):
     """Counts of orientation decisions ("decided": calls of each
-    chain's geometry.chain_orient test), of those held against their
-    own triple's threshold ("full": calls of geometry.triple_bound,
-    which orient makes on every call and a chain test makes only
-    within the chain's bound) and of chain bounds computed ("bounds":
-    calls of geometry.chain_bound), under every name an arcsupport
-    module holds for any of them.  Melkman's deque loops in
-    melkman_hull decide every cross product themselves, asking only
+    chain's orientation test, the turn that geometry._chain_turn builds
+    for build_arc and for geometry.chain_orient), of those held against
+    their own triple's threshold ("full": calls of
+    geometry.triple_bound, which orient makes on every call and a chain
+    test makes only within the chain's bound) and of chain bounds
+    computed ("bounds": calls of geometry.chain_bound), under every name
+    an arcsupport module holds for any of them.  Melkman's deque loops
+    in melkman_hull decide every cross product themselves, asking only
     triple_bound within the chain's bound, so "decided" counts there
     only its collinear prefix and its seam repair, and "full" counts
     the loops' products within the bound too."""
     counts = {"decided": 0, "full": 0, "bounds": 0}
     triple_bound = geometry.triple_bound
     chain_bound = geometry.chain_bound
-    chain_orient = geometry.chain_orient
+    chain_turn = geometry._chain_turn
 
     def counted_triple_bound(*args):
         counts["full"] += 1
@@ -62,14 +63,14 @@ def orient_counts(monkeypatch):
         counts["bounds"] += 1
         return chain_bound(*args)
 
-    def counted_chain_orient(*args):
-        turn, bound = chain_orient(*args)
+    def counted_chain_turn(*args):
+        turn = chain_turn(*args)
 
         def counted_turn(*idx):
             counts["decided"] += 1
             return turn(*idx)
 
-        return counted_turn, bound
+        return counted_turn
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("arcsupport"):
@@ -77,8 +78,8 @@ def orient_counts(monkeypatch):
                                      counted_triple_bound),
                                     ("chain_bound", chain_bound,
                                      counted_chain_bound),
-                                    ("chain_orient", chain_orient,
-                                     counted_chain_orient)):
+                                    ("_chain_turn", chain_turn,
+                                     counted_chain_turn)):
                 if getattr(mod, attr, None) is orig:
                     monkeypatch.setattr(mod, attr, new)
     return counts

@@ -190,7 +190,8 @@ def test_validation_decides_each_triple_once(orient_counts, make):
     # the back-tracking check asks turn only where adjacent edges point
     # back, which no edge of the convex family does, and the sweep four
     # times per pair of segments tested; the chain's bound decides
-    # nearly all of them
+    # nearly all of them.  The bound comes from the spans build_arc
+    # takes for the diagonal: no chain_bound call
     n = 1600
     build_arc(make(n, random.Random(n)))
     if make is convex_arc:
@@ -198,6 +199,7 @@ def test_validation_decides_each_triple_once(orient_counts, make):
     else:
         assert orient_counts["decided"] <= 0.2 * n
     assert orient_counts["full"] <= 0.01 * n
+    assert orient_counts["bounds"] == 0
     # a straight chain points forward at every vertex: turn hears nothing
     orient_counts.update(decided=0, full=0)
     build_arc([(float(i), 0.0) for i in range(n)])

@@ -321,6 +321,30 @@ def test_render_straight_arc_exits_2(tmp_path, capsys):
     assert "StraightArc" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["find-pair", "--delta", "3"]],
+                         ids=["analyze", "find-pair"])
+def test_profile_failure_exits_2_with_one_line(argv, tmp_path, monkeypatch,
+                                               capsys):
+    # build_profile's shape check is a validation failure like the
+    # others: handed a hull that starts one corner late, the command
+    # exits 2 with one stderr line, not a traceback
+    from arcsupport import Hull, cli
+
+    def rotated(hull):
+        return build_profile(Hull(*[col[1:] + col[:1] for col in (
+            hull.corners, hull.levels, hull.starts, hull.widths)]))
+
+    monkeypatch.setattr(cli, "build_profile", rotated)
+    path = tmp_path / "arc.json"
+    path.write_text(json.dumps({"vertices": E1}))
+    assert main([argv[0], str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "NotRiseThenFall: level sequence [1.0, 2.0, 0.0] is not "
+        "rise-then-fall"]
+
+
 def test_far_offset_e2(tmp_path, capsys):
     path = tmp_path / "far.json"
     path.write_text(json.dumps({"vertices": [

@@ -200,6 +200,6 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
         "xs", "ys"]
     assert "coordinate_box" not in {
         f.name for f in dataclasses.fields(arcsupport.FuzzConfig)}
-    assert len(set(arcsupport.__all__)) == len(arcsupport.__all__) == 45
+    assert len(set(arcsupport.__all__)) == len(arcsupport.__all__) == 46
     for name in arcsupport.__all__:
         assert getattr(arcsupport, name) is not None, name

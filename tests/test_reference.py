@@ -445,10 +445,10 @@ def test_line_check_reads_at_most_10_runs(make):
 
 
 def verdict(check, vertices):
-    """(None, params) of an accepted arc, or (class, message) of the
+    """(None, repr) of an accepted arc, or (class, message) of the
     rejection."""
     try:
-        return None, check(vertices).params
+        return None, repr(check(vertices))
     except ArcError as exc:
         return type(exc), str(exc)
 
@@ -509,6 +509,114 @@ def test_grown_boxes_meeting_at_an_edge_are_tested():
     # one float further right the boxes miss and both paths accept
     pts[3] = (math.nextafter(x, math.inf), 1.5e-12)
     assert same_verdict(pts)[0] is None
+
+
+def counted_sweeps(mp):
+    """Count the calls of arc._swept_crossing, the sort and sweep over
+    the grown boxes: a one-item list."""
+    sweep = arc_module._swept_crossing
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return sweep(*args)
+
+    mp.setattr(arc_module, "_swept_crossing", counted)
+    return calls
+
+
+def test_certificate_declines_a_step_on_the_margin(monkeypatch):
+    # an x-monotone chain whose step from 1 to x lands exactly on the
+    # margin, fl(x - pad) == fl(1 + pad): the grown boxes of segments 0
+    # and 2 meet at one x, so the certificate must decline, and the
+    # sweep finds the two touching
+    x = 1.0 + 2 * PAD
+    while x - PAD < 1.0 + PAD:
+        x = math.nextafter(x, math.inf)
+    while x - PAD > 1.0 + PAD:
+        x = math.nextafter(x, -math.inf)
+    assert x - PAD == 1.0 + PAD
+    pts = [(0.0, 0.0), (1.0, 0.0), (x, 1.5e-12), (x + 1e-3, 0.8e-12),
+           (1.5, 1.0)]
+    swept = counted_sweeps(monkeypatch)
+    assert same_verdict(pts) == (SelfIntersecting,
+                                 "segments 0 and 2 intersect")
+    assert swept == [1]
+    # one float further every x-step clears the margin: no box is built,
+    # and the pairwise reference, which tests every pair, accepts too
+    pts[2] = (math.nextafter(x, math.inf), 1.5e-12)
+    swept[0] = 0
+    assert same_verdict(pts)[0] is None
+    assert pts[2][0] - PAD > 1.0 + PAD and swept == [0]
+
+
+def rising_chain(start, steps, across, tail):
+    """A chain whose first coordinate rises from start by one step per
+    entry of steps: 0.25 where the entry is None, else k ulps past the
+    point where the step meets the margin of the grown boxes,
+    fl(b - pad) == fl(a + pad), k the entry.  across holds the other
+    coordinate of each vertex, tail extra vertices (as offsets from the
+    start); pad is that of the finished chain, refitted until it holds
+    still."""
+    pad = EPS_TOUCH
+    for _ in range(4):
+        cs = [start]
+        for k in steps:
+            a = cs[-1]
+            if k is None:
+                cs.append(a + 0.25)
+                continue
+            edge = a + pad
+            b = edge + pad
+            while b - pad < edge:
+                b = math.nextafter(b, math.inf)
+            while b - pad > edge:
+                b = math.nextafter(b, -math.inf)
+            for _ in range(abs(k)):
+                b = math.nextafter(b, math.copysign(math.inf, k))
+            cs.append(b)
+        pts = list(zip(cs, across)) + [(start + u, start + v)
+                                        for u, v in tail]
+        xs, ys = zip(*pts)
+        fitted = EPS_TOUCH * math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+        if fitted == pad:
+            break
+        pad = fitted
+    return pts
+
+
+def monotone_chain(offset, falling, flip, steps, tail):
+    """rising_chain from offset, negated when falling (rounding is
+    symmetric, so fl(a - pad) then meets fl(b + pad)), its coordinates
+    swapped when flip."""
+    sign = -1.0 if falling else 1.0
+    across = [0.0] + [y for _, y in steps]
+    pts = rising_chain(sign * offset, [k for k, _ in steps],
+                       [sign * offset + y for y in across], tail)
+    return [(sign * y, sign * x) if flip else (sign * x, sign * y)
+            for x, y in pts]
+
+
+# strictly monotone chains in x or y, rising or falling, at three
+# offsets (at -1e12 the pad is below one ulp), whose steps are plain or
+# sit a few ulps either side of the margin of the grown boxes, with an
+# optional tail of up to 3 vertices anywhere near them.  The other
+# coordinate is anywhere in [0, 1] or within the orientation tolerance
+# of 0, where segments a margin apart can touch
+monotone_chains = st.builds(
+    monotone_chain, st.sampled_from([0.0, 1e6, -1e12]), st.booleans(),
+    st.booleans(),
+    st.lists(st.tuples(st.none() | st.integers(-3, 3),
+                       st.floats(0.0, 1.0) | st.floats(-2e-12, 2e-12)),
+             min_size=2, max_size=10),
+    st.lists(st.tuples(st.floats(-1.0, 3.0), st.floats(0.0, 1.0)),
+             max_size=3))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(monotone_chains)
+def test_certificate_agrees_with_pairwise_at_the_margin(pts):
+    same_verdict(pts)
 
 
 # the grid makes shared and touching endpoints, collinear overlaps and
@@ -645,6 +753,16 @@ def test_sweep_calls_the_predicate_at_most_n_times(monkeypatch, make):
     # the counter counts: stacked diagonals test every non-adjacent pair
     build_arc(stacked_diagonals(20))
     assert calls == 18 * 17 // 2
+
+
+@pytest.mark.parametrize("make", [convex_arc, walk_arc])
+def test_sweep_builds_boxes_only_without_a_certificate(monkeypatch, make):
+    # every x-step of the walk clears the margin of the grown boxes, so
+    # build_arc sorts and scans no box; the convex family turns through
+    # 1.5 pi, monotone on neither axis, and is swept
+    swept = counted_sweeps(monkeypatch)
+    build_arc(make(1600, random.Random(1600)))
+    assert swept == [0 if make is walk_arc else 1]
 
 
 def test_crossing_filter_stops_at_the_orient_tolerance():

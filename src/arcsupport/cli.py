@@ -20,10 +20,9 @@ from .arc import ArcError, build_arc
 from .hull import StraightArc, melkman_hull
 from .oracle import (FuzzConfig, GenerationExhausted, _arc_and_hull,
                      draw_delta)
-from .pairs import (MOUNTAIN, VALLEY, InvalidDelta, TriplePair,
-                    _near_jump_gap, corollary_check, enumerate_triples,
-                    find_pair, pairs_identical, safe_delta_range,
-                    verify_triple)
+from .pairs import (MOUNTAIN, VALLEY, InvalidDelta, TriplePair, _evaluate,
+                    _near_jump_gap, corollary_check, find_pair,
+                    pairs_identical, safe_delta_range, verify_triple)
 from .profile import NotRiseThenFall, build_profile
 from .render import render_pair_svg
 
@@ -119,9 +118,8 @@ def _run_mode(profile, arc, delta, mode):
     kind (spanning the apex step for a mountain pair, the minimum step
     for a valley pair) and its verification report."""
     pair = find_pair(profile, delta, mode)
-    configs = enumerate_triples(profile, arc, delta)
-    typed = sum(1 for c in configs
-                if (c.covers_apex if pair.covers_apex else c.covers_min))
+    kind = 5 if mode == MOUNTAIN else 6  # covers_apex, covers_min
+    typed = sum(1 for c in _evaluate(profile, delta) if c[kind])
     return pair, typed, verify_triple(arc, pair)
 
 

@@ -5,9 +5,9 @@ The projection oracles deliberately avoid the hull and profile
 machinery so that agreement between the two routes is meaningful
 evidence.  The slow references are the straightforward linear and
 quadratic forms of the fast queries (arc validation, touch sets, the
-scan ledger and its lookup, the enumeration of triples, the check of
-a triple); tests
-require the fast forms to return the same values.  The lemma helpers
+enumeration of triples, the check of a triple); tests require the fast
+forms to return the same values.  The level scan that find_pair must
+equal is kept with the tests, in tests/reference.py.  The lemma helpers
 (a parameter's cross-section, the support line at an angle, the unique
 crossing of a continuous tent) state the paper's lemmas in code; only
 their tests call them.
@@ -25,7 +25,7 @@ from .arc import (ArcError, PolygonalArc, _checked_arc, _segments_intersect,
 from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
                        ccw_gap, chain_bound, circ_dist, orient)
 from .hull import Hull, StraightArc, melkman_hull
-from .pairs import (TripleReport, TriplePair, _configurations, _unroll,
+from .pairs import (TripleReport, TriplePair, _as_pairs, _configurations,
                     _verify)
 from .profile import SupportProfile, touch_params
 
@@ -116,66 +116,16 @@ def linear_touch_params(profile: SupportProfile,
                key=lambda sj: circ_dist(theta, sj[0]))[1]
 
 
-def quadratic_ledger(profile: SupportProfile, mode: str) -> list[tuple]:
-    """Reference for the scan window's rows: each corner level's position
-    on the other branch by a linear search, corners ordered by a sort;
-    O(m^2)."""
-    _, x_lo, x_hi, levels, _ = _unroll(profile, mode)
-    m = len(levels)
-    k = max(range(m), key=lambda i: levels[i])
-
-    def rise_pos(y: float) -> float:
-        for i in range(1, k + 1):
-            if levels[i - 1] < y < levels[i]:
-                return x_lo[i]
-        raise AssertionError(f"level {y} not on the rising branch")
-
-    def fall_pos(y: float) -> float:
-        for j in range(k, m):
-            nxt = levels[j + 1] if j + 1 < m else levels[0]
-            if nxt < y < levels[j]:
-                return x_hi[j]
-        raise AssertionError(f"level {y} not on the falling branch")
-
-    rows = []
-    for i in sorted(range(m), key=lambda i: levels[i]):
-        lam = levels[i]
-        if i == k:
-            left = right = (x_lo[k], x_hi[k])
-        elif i == 0:
-            left, right = (x_lo[0], x_hi[0]), (x_hi[-1], x_hi[-1])
-        elif i < k:
-            fp = fall_pos(lam)
-            left, right = (x_lo[i], x_hi[i]), (fp, fp)
-        else:
-            rp = rise_pos(lam)
-            left, right = (rp, rp), (x_lo[i], x_hi[i])
-        rows.append((lam, *left, *right))
-    return rows
-
-
-def linear_ledger_lookup(rows: list[tuple], delta: float):
-    """Reference for the scan's ledger lookup: walk from the last row to
-    the first for one whose widths contain delta, and test the widest
-    width of every row after the first (the width between its level and
-    the one below) for a near tie; O(m)."""
-    hit = next((row for row in reversed(rows)
-                if row[3] - row[2] <= delta <= row[4] - row[1]), None)
-    near_tie = any(abs(delta - (row[4] - row[1])) <= EPS_ANGLE
-                   for row in rows[1:])
-    return hit, near_tie
-
-
 def linear_enumerate_triples(profile: SupportProfile,
                              gap: float) -> list[TriplePair]:
     """Reference for pairs.enumerate_triples: every jump wider than the
     slack is paired with the angle gap away on either side, by one touch
     query each; 2m queries per gap."""
     slack = profile.param_slack
-    return _configurations(profile, gap, [
+    return _as_pairs(profile, gap, _configurations(profile, gap, [
         (i, sign) for i, (lo, hi) in enumerate(profile.jumps)
         if hi - lo > slack
-        for sign in (1.0, -1.0)])
+        for sign in (1.0, -1.0)]))
 
 
 def _linear_support_check(arc: PolygonalArc, dx: float, dy: float,

@@ -1,35 +1,37 @@
-"""Level scans for support-line pairs with triple touch points.
+"""Support-line pairs with triple touch points, read off the profile.
 
-Both scans unroll the circle into a window of width one turn and read
-the profile as a staircase.  The mountain scan anchors the window at
-the minimum step, where the staircase rises to the apex and falls back;
-the width of the staircase at level s, measured from the rising branch
-to the falling branch, decreases from a full turn down to the apex
-width as s climbs.  Finding the level whose width interval contains the
-requested angle difference recovers the two support angles, and the
-touch sets at those angles yield the triple: the line carrying two
-parameters is a jump line, the other contributes the middle parameter.
+A pair at angle difference delta is a jump line, which touches the arc
+at two parameters s1 < s3, and a support line delta away whose touch
+parameter s2 lies between them.  Its kind is the extreme step its gap
+side spans: the apex step for a mountain pair, the minimum step for a
+valley pair.  A valley pair found at requested difference delta spans
+delta across the minimum step, so the gap between its two angles read
+the other way around the circle is 2*pi - delta; that complementary
+gap is what find_pair reports as realized.
 
-The valley scan is the same machinery run upside down: anchor at the
-apex step, scan the widths of the valley between two consecutive peaks
-upward from the bottom.  A valley pair found at requested difference
-delta spans delta across the minimum step, so the gap between its two
-angles read the other way around the circle is 2*pi - delta; that
-complementary gap is what the scan reports as realized.
+find_pair answers as the level scan does (tests/reference.py keeps the
+scan as its oracle).  The scan unrolls the circle into a window one
+turn wide, read from the mode's anchor step (the minimum step for a
+mountain pair; the apex step, levels negated, for a valley pair), and
+reads the profile as a staircase: one row per hull corner, in
+ascending level, holding the window positions of the rising and the
+falling branch at that level.  Their difference, the width, shrinks as
+the level climbs, and the row read at delta is the highest whose
+widths reach delta.  find_pair builds no rows.  The window positions
+are the prefix sums of the widths, one float column per mode kept on
+the profile; the apex row and the minimum's row are closed forms of
+it, and every other row pairs a corner's step on one branch with a
+jump on the other, a candidate the gap chart lists at delta.  Away
+from ties the touch sets at the row's two angles are the jump's two
+levels and the corner's own, and the pair follows from the row
+without a touch query.
 
-Reading the ledger at a fixed angle difference is a rotating caliper
-(Toussaint, MELECON 1983).  Each mode's ledger holds one row per hull
-corner, in ascending level: the widths the staircase spans at that
-corner's level.  It is built once per profile, in O(m) for m corners,
-on the first scan, and kept on the profile; every scan after that
-reads it with one bisection, O(log m).
-
-The same caliper carried over every angle difference at once is the
-gap chart: for each jump, the gaps at which some level of its span lies
-the gap away on either side, cut into pieces that each list their
-candidate configurations.  It is built once per profile, in
-O(m log m), on the first enumeration, and kept on the profile; each
-enumerate_triples after that costs O(log m + k) for k candidates.
+The gap chart is a rotating caliper carried over every angle
+difference at once (Toussaint, MELECON 1983): for each jump, the gaps
+at which some level of its span lies the gap away on either side, cut
+into pieces that each list their candidates.  It is built once per
+profile, in O(m log m), on first use and kept on the profile; reading
+a gap after that costs O(log m + k) for its k candidates.
 
 verify_triple checks a pair against the raw vertices, not the profile.
 It reads them in runs of 16 with their bounding boxes (arc.runs, built
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable
 
 from .arc import RUN, PolygonalArc, _point_xy
@@ -111,117 +113,88 @@ class CorollaryResult:
 
 
 # ---------------------------------------------------------------------------
-# window construction and the width ledger
+# the scan's row at delta
 
-@dataclass(frozen=True)
-class _Window:
-    anchor: float                 # angle at window coordinate 0
-    rows: tuple[tuple, ...]       # one per corner, ascending by build level
-    neg_hi: tuple[float, ...]     # minus each row's widest width: ascending
+# one ulp of 2*pi: the rounding step of an angle, of a width and of a
+# window position
+_ULP = math.ulp(TWO_PI)
 
 
-def _unroll(profile: SupportProfile, mode: str):
-    """Window coordinates of the steps read from the mode's anchor step:
-    (anchor angle, step starts, step ends, build levels, top level's index)."""
+def _positions(profile: SupportProfile, mode: str) -> tuple[float, ...]:
+    """The mode's window positions, m + 1 prefix sums of the widths read
+    from its anchor step k: the window's step j, the profile's step
+    (j + k) % m, runs from xs[j] to xs[j + 1].  Built on first use and
+    kept on the profile."""
     k = 0 if mode == MOUNTAIN else profile.apex_index
-    widths, levels = profile.widths, profile.levels
-    xs = list(accumulate(widths[k:] + widths[:k], initial=0.0))
-    levels = levels[k:] + levels[:k]
-    top = len(levels) - k if mode == VALLEY else profile.apex_index
-    if mode == VALLEY:
-        levels = tuple([-v for v in levels])
-    return profile.starts[k], xs[:-1], xs[1:], levels, top
+    return (profile._indexes.get(mode) or profile._index(
+        mode, lambda p: tuple(accumulate(p.widths[k:] + p.widths[:k],
+                                         initial=0.0))))
 
 
-def _build_window(profile: SupportProfile, mode: str) -> _Window:
-    anchor, x_lo, x_hi, levels, top = _unroll(profile, mode)
-    rows = _build_rows(x_lo, x_hi, levels, top)
-    # tuples from lists, not generators: CPython sizes those exactly, so
-    # they reuse its free lists instead of refilling them per profile
-    return _Window(anchor, tuple(rows),
-                   tuple([l_lo - r_hi for _, l_lo, _, _, r_hi in rows]))
+def _middle_row(profile: SupportProfile, xs: tuple, k: int, delta: float,
+                mode: str):
+    """The scan's row at delta when delta lies strictly between the
+    widths of its two extreme rows: (corner, jump, jump_left, row).  One
+    branch sweeps the window's step corner, the other sits at the
+    profile's jump, on the left when jump_left, and row holds the
+    positions (left_lo, left_hi, right_lo, right_hi).
+
+    A corner's row pairs its step with the jump on the other branch
+    whose span holds its level.  With that jump at position x on the
+    left, the row holds delta when xs[c] - x < delta <= xs[c + 1] - x,
+    its narrowest and widest width, and on the right when
+    x - xs[c + 1] < delta <= x - xs[c]: one bisection of the positions,
+    by the very differences the widths are.  The rows tile the widths,
+    so the one candidate whose step c has a level inside the jump's span
+    is the scan's row.  The gap chart's candidates at delta of the
+    mode's kind come first.  The chart lists only jumps with a level
+    inside their span beyond the slack, so the row of a corner within
+    the slack of its jump's levels (only an arc with two hull corners
+    that close in parameter has one) is found by trying every jump of
+    the kind, O(m log m)."""
+    chart = _gap_chart(profile)
+    m = len(xs) - 1
+    levels, apex = profile.levels, profile.apex_index
+    mountain = mode == MOUNTAIN
+    for i, sign in chain(chart.cands[bisect_right(chart.breaks, delta) - 1],
+                         ((i, s) for s in (1.0, -1.0) for i in range(m))):
+        if ((0 < i <= apex) == (sign > 0)) != mountain:
+            continue  # a candidate of the other kind
+        # the jump's position, 1..m: the anchor jump sits at the far end
+        x = xs[(i - k - 1) % m + 1]
+        if sign > 0:  # psi = a_i + delta: the jump is the left position
+            c = bisect_left(xs, delta, key=lambda p: p - x) - 1
+        else:  # as p - x is -(x - p) exactly
+            c = bisect_right(xs, -delta, key=lambda p: p - x) - 1
+        lo, hi = profile.jumps[i]
+        if 0 <= c < m and lo < levels[(c + k) % m] < hi:
+            cell = (xs[c], xs[c + 1])
+            return c, i, sign > 0, ((x, x) + cell if sign > 0
+                                    else cell + (x, x))
 
 
-def _window(profile: SupportProfile, mode: str) -> _Window:
-    """The profile's window for mode, built on first use and kept on the
-    profile: each later scan of the same profile reuses it."""
-    return (profile._indexes.get(mode)
-            or profile._index(mode, lambda p: _build_window(p, mode)))
+def _clear_of_ties(profile: SupportProfile, m: int, jump: int,
+                   cell: tuple[float, float], x: float) -> bool:
+    """Are the touch sets at a row's two angles, as touch_params finds
+    them, the jump's two levels and the corner's own level?  x is the
+    corner's position in its step, cell = (xs[c], xs[c + 1]).
 
-
-def _build_rows(x_lo, x_hi, levels, k: int) -> list[tuple]:
-    """Ledger of a rise-then-fall staircase in O(m): one row per corner,
-    ascending by level.
-
-    A row (level, left_lo, left_hi, right_lo, right_hi) holds the window
-    positions of the rising and falling branch at the corner's level:
-    the corner's own branch sweeps its whole step, the other sits at a
-    jump.  Its widths run from right_lo - left_hi to right_hi - left_lo.
-    Between two adjacent corner levels both branches sit at jumps, so
-    the width there is one value: the upper row's widest, bitwise the
-    lower row's narrowest.  The rows thus tile the full width range.
-
-    levels[0] must be the minimum and levels[k] the maximum.  A
-    two-pointer merge of the rising branch (ascending) and the falling
-    branch (read backwards, also ascending) visits the corners by level;
-    the two pointers are also the branches' positions at the level in
-    hand: the rising branch at the start of its next corner's step, the
-    falling branch at the end of its next corner's step.
-    """
-    m = len(levels)
-    end = x_hi[m - 1]  # corner 0 rises; the window's far end falls to it
-    rows = [(levels[0], x_lo[0], x_hi[0], end, end)]
-    r, f = 1, m - 1  # lowest corner above the level on each branch
-    while r < k or f > k:
-        if f == k or (r < k and levels[r] < levels[f]):
-            rows.append((levels[r], x_lo[r], x_hi[r], x_hi[f], x_hi[f]))
-            r += 1
-        else:
-            rows.append((levels[f], x_lo[r], x_lo[r], x_lo[f], x_hi[f]))
-            f -= 1
-    rows.append((levels[k], x_lo[k], x_hi[k], x_lo[k], x_hi[k]))
-    return rows
-
-
-def _lookup(win: _Window, delta: float):
-    """The row the scan reads at delta, and whether delta lies within
-    eps_angle of a width between two corner levels (the widest of each
-    row after the first).  Widths shrink along the rows and each row's
-    narrowest is the next row's widest, so one bisection of neg_hi,
-    O(log m), finds both: the last row whose widest reaches delta, and
-    the between-level widths either side of delta.  No row contains
-    delta only when rounding puts it beyond the ledger; that returns
-    None."""
-    neg_hi = win.neg_hi
-    i = bisect_right(neg_hi, -delta)
-    hit = win.rows[i - 1] if i else None
-    if hit is not None and delta < hit[3] - hit[2]:  # below the apex row
-        hit = None
-    j = max(i - 1, 1)  # rows i - 1 and i, or row 1 alone (m >= 3)
-    near_tie = (abs(delta + neg_hi[j]) <= EPS_ANGLE
-                or j < i < len(neg_hi) and abs(delta + neg_hi[i]) <= EPS_ANGLE)
-    return hit, near_tie
-
-
-def _scan(profile: SupportProfile, mode: str, delta: float):
-    """Find window positions x_left < x_right with x_right - x_left ==
-    delta and a shared level certificate: the row nearest the
-    shared-step end (apex for the mountain, bottom for the valley) whose
-    width interval contains delta.  Both positions are clamped into the
-    row's branch intervals, left first; the certificate is the row's
-    level."""
-    win = _window(profile, mode)
-    hit, near_tie = _lookup(win, delta)
-    if hit is None:  # requested gap beyond the ledger by rounding: clamp
-        hit = win.rows[0]
-    level, l_lo, l_hi, r_lo, r_hi = hit
-    x_l = min(max(r_lo - delta, l_lo), l_hi)
-    x_r = min(max(x_l + delta, r_lo), r_hi)
-    if mode == VALLEY:
-        level = -level
-    theta_left = canon_angle(win.anchor + x_l)
-    theta_right = canon_angle(win.anchor + x_r)
-    return theta_left, theta_right, level, near_tie
+    A window position stands for an angle: anchor + xs[j] is the start
+    of the window's step j up to rounding.  Each width is a difference
+    of two starts rounded at most twice, each prefix sum rounds once
+    more, anchor + x and circ_dist round too, so the angle touch_params
+    compares lies within (1.5 m + 4) ulps of 2*pi of where the position
+    puts it; drift = (2 m + 16) ulps covers that.  Then with drift below
+    eps_angle the jump's angle lies within eps_angle of its own start.
+    When both steps beside the jump are wider than eps_angle + drift no
+    other jump lies within eps_angle of it, and when x lies farther than
+    that from both ends of its step the corner's angle lies inside that
+    step, with no jump within eps_angle."""
+    drift = (2 * m + 16) * _ULP
+    pad = EPS_ANGLE + drift
+    widths = profile.widths
+    return (drift < EPS_ANGLE and x - cell[0] > pad and cell[1] - x > pad
+            and widths[jump - 1] > pad and widths[jump] > pad)
 
 
 def _assign_roles(profile: SupportProfile, theta_left: float,
@@ -270,15 +243,62 @@ def find_pair(profile: SupportProfile, delta: float,
     outside it the result is flagged guaranteed=False and may be
     degenerate.  A valley pair reports the complementary gap
     2*pi - delta between its two angles as realized_gap.
+
+    The scan's row at delta gives the two angles, its level the
+    fallback certificate, and near_tie whether delta lies within
+    eps_angle of a width at which the scan passes from one row to the
+    next.  The top row (both branches on the apex step; for a valley
+    pair the minimum step) and row 0 (the anchor step and the window's
+    far end) are read off the positions; every other row is found by
+    _middle_row, O(log m).  Each row has one branch at a jump: on the
+    top row the left one, clamped to the step's start, on row 0 the
+    right one, at the window's end.  Clear of ties the jump line is the
+    double line and the corner's level is s2, with no touch query;
+    otherwise _assign_roles reads the two touch sets.
     """
     if not (0.0 < delta < TWO_PI):
         raise InvalidDelta(f"angle difference {delta} outside (0, 2*pi)")
     lo, hi = safe_delta_range(profile, mode)
-    guaranteed = lo <= delta <= hi
+    xs = _positions(profile, mode)
+    m = len(xs) - 1
+    k = 0 if mode == MOUNTAIN else profile.apex_index
+    top = profile.apex_index if mode == MOUNTAIN else m - k
+    widest_top, narrowest_0 = xs[top + 1] - xs[top], xs[m] - xs[1]
+    if delta <= widest_top:
+        corner, jump, jump_left = top, (top + k) % m, True
+        row = (xs[top], xs[top + 1]) * 2
+        near_tie = abs(delta - widest_top) <= EPS_ANGLE
+    elif delta > narrowest_0:  # also beyond row 0's widest, by rounding
+        corner, jump, jump_left = 0, k, False
+        row = (0.0, xs[1], xs[m], xs[m])
+        near_tie = abs(delta - narrowest_0) <= EPS_ANGLE
+    else:
+        corner, jump, jump_left, row = _middle_row(profile, xs, k, delta,
+                                                   mode)
+        near_tie = (abs(delta - (row[3] - row[0])) <= EPS_ANGLE
+                    or abs(delta - (row[2] - row[1])) <= EPS_ANGLE)
+    l_lo, l_hi, r_lo, r_hi = row
+    x_l = min(max(r_lo - delta, l_lo), l_hi)
+    x_r = min(max(x_l + delta, r_lo), r_hi)
+    anchor = profile.starts[k]
+    theta_left = canon_angle(anchor + x_l)
+    theta_right = canon_angle(anchor + x_r)
+    level = profile.levels[(corner + k) % m]
 
-    theta_left, theta_right, level, near_tie = _scan(profile, mode, delta)
-    theta_d, theta_s, s1, s2, s3, strict = _assign_roles(
-        profile, theta_left, theta_right, level)
+    slack = profile.param_slack
+    s1, s3 = profile.jumps[jump]
+    if (s3 - s1 > slack and _clear_of_ties(
+            profile, m, jump, row[2:] if jump_left else row[:2],
+            x_r if jump_left else x_l)):
+        # _assign_roles' one candidate: the jump line carries s1 and s3,
+        # and the level lies inside its span (on the top row and row 0,
+        # at one end of it)
+        theta_d, theta_s = ((theta_left, theta_right) if jump_left
+                            else (theta_right, theta_left))
+        s2, strict = level, s1 + slack < level < s3 - slack
+    else:
+        theta_d, theta_s, s1, s2, s3, strict = _assign_roles(
+            profile, theta_left, theta_right, level)
 
     if mode == MOUNTAIN:
         realized = ccw_gap(theta_left, theta_right)
@@ -287,7 +307,7 @@ def find_pair(profile: SupportProfile, delta: float,
 
     return TriplePair(mode, theta_d, theta_s, s1, s2, s3, strict,
                       requested_delta=delta, realized_gap=realized,
-                      guaranteed=guaranteed, near_tie=near_tie,
+                      guaranteed=lo <= delta <= hi, near_tie=near_tie,
                       covers_apex=(mode == MOUNTAIN),
                       covers_min=(mode == VALLEY))
 
@@ -439,21 +459,28 @@ def enumerate_triples(profile: SupportProfile, arc: PolygonalArc,
     """
     if not (0.0 < gap < TWO_PI):
         raise InvalidDelta(f"gap {gap} outside (0, 2*pi)")
+    return _as_pairs(profile, gap, _evaluate(profile, gap))
+
+
+def _evaluate(profile: SupportProfile, gap: float) -> list[tuple]:
+    """The configurations at gap in (0, 2*pi) as plain tuples, from the
+    candidates of the gap chart's piece there (see _configurations)."""
     chart = _gap_chart(profile)
     return _configurations(
         profile, gap, chart.cands[bisect_right(chart.breaks, gap) - 1])
 
 
 def _configurations(profile: SupportProfile, gap: float,
-                    cands: Iterable[tuple]) -> list[TriplePair]:
+                    cands: Iterable[tuple]) -> list[tuple]:
     """The configurations at gap of the (jump index, sign) candidates,
-    pairing jump i with the angle psi = a_i + sign * gap, in the order
-    enumerate_triples returns them.  A configuration's kind is its
-    candidate's, by the rule in _build_chart; at gap pi, (i, +1) and
-    (i, -1) give one pair, which then carries both kinds."""
+    pairing jump i with the angle psi = a_i + sign * gap, as tuples
+    (theta_double, theta_single, s1, s2, s3, covers_apex, covers_min).
+    A configuration's kind is its candidate's, by the rule in
+    _build_chart; at gap pi, (i, +1) and (i, -1) give one pair, which
+    then carries both kinds."""
     slack = profile.param_slack
     k = profile.apex_index
-    found: dict[tuple, TriplePair] = {}
+    found: dict[tuple, tuple] = {}
     for i, sign in cands:
         lo, hi = profile.jumps[i]
         a = profile.starts[i]
@@ -466,16 +493,24 @@ def _configurations(profile: SupportProfile, gap: float,
             key = (round(a, 9), round(psi, 9), s2)
             prev = found.get(key)
             if prev is not None:
-                covers_apex = covers_apex or prev.covers_apex
-                covers_min = covers_min or prev.covers_min
-            found[key] = TriplePair(
-                "enumerated", a, psi, lo, s2, hi, strict=True,
-                requested_delta=gap, realized_gap=gap,
-                covers_apex=covers_apex, covers_min=covers_min)
+                covers_apex = covers_apex or prev[5]
+                covers_min = covers_min or prev[6]
+            found[key] = (a, psi, lo, s2, hi, covers_apex, covers_min)
+    return list(found.values())
+
+
+def _as_pairs(profile: SupportProfile, gap: float,
+              configs: list[tuple]) -> list[TriplePair]:
+    """The configurations as enumerate_triples returns them: pairs in
+    the order of their angles counterclockwise from the minimum step's
+    start, then of s2."""
     anchor = profile.starts[0]
-    return sorted(found.values(),
-                  key=lambda c: (ccw_gap(anchor, c.theta_double),
-                                 ccw_gap(anchor, c.theta_single), c.s2))
+    configs = sorted(configs, key=lambda c: (ccw_gap(anchor, c[0]),
+                                             ccw_gap(anchor, c[1]), c[3]))
+    return [TriplePair("enumerated", a, psi, s1, s2, s3, strict=True,
+                       requested_delta=gap, realized_gap=gap,
+                       covers_apex=apex, covers_min=low)
+            for a, psi, s1, s2, s3, apex, low in configs]
 
 
 def jump_to_jump_gaps(profile: SupportProfile) -> list[float]:

@@ -20,9 +20,10 @@ Queries on a built profile are logarithmic in its corner count m: the
 step starts are sorted once per profile, on first use, and a touch
 query bisects them once, then walks out over the few jumps within
 eps_angle plus rounding of the query (O(log m)).  The indexes the pair
-searches build (the scan windows and the gap chart) are kept on the
-profile too.  The lemma helpers built on a profile are in oracle.py:
-the pipeline never calls them.
+searches build are kept on the profile too: each mode's window
+positions, m + 1 prefix sums of the widths, and the gap chart.  The
+lemma helpers built on a profile are in oracle.py: the pipeline never
+calls them.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import gt, lt
 from typing import Any, Callable
 
 from .geometry import EPS_ANGLE, EPS_TOUCH, TWO_PI, canon_angle, circ_dist
@@ -63,8 +65,8 @@ class SupportProfile(Hull):
 
     # derived indexes, built on first use and kept on the instance (the
     # profile is immutable): the sorted jump angles (_by_angle) and the
-    # indexes pairs.py builds, the scan window of each mode
-    # (pairs._window) and the gap chart (pairs._gap_chart).  A field out
+    # indexes pairs.py builds, the window positions of each mode
+    # (pairs._positions) and the gap chart (pairs._gap_chart).  A field out
     # of __init__, __eq__, __hash__ and __repr__ rather than keys added
     # to the instance dict later, which would slow every attribute read
     _indexes: dict = field(default_factory=dict, init=False, repr=False,
@@ -101,8 +103,8 @@ def build_profile(hull: Hull) -> SupportProfile:
     apex = max(range(len(levels)), key=levels.__getitem__)
     rising = levels[:apex + 1]
     falling = levels[apex:] + levels[:1]
-    if (any(a >= b for a, b in zip(rising, rising[1:]))
-            or any(a <= b for a, b in zip(falling, falling[1:]))):
+    if not (all(map(lt, rising, rising[1:]))
+            and all(map(gt, falling, falling[1:]))):
         raise NotRiseThenFall(
             f"level sequence {list(levels)} is not rise-then-fall")
 

@@ -544,6 +544,43 @@ def test_fuzz_csv_is_byte_identical():
                        "anomalies": []}
 
 
+# sha256 of the CSV of each 300-trial campaign and its summary's strict
+# and unique counts; corollary_at_pi is 300 and anomalies empty in all
+FUZZ_CSV_DIGESTS = {
+    (7, "safe_range"): (
+        "195531fb882872e0acefe56578a293190de8acb49234d30e88aeb290c176de7b",
+        300, 300),
+    (7, "full_range"): (
+        "c31602f3caf3b14d7c18b3b4dd762cbd6bbc65daa0f36d30c7062982d7a624cc",
+        160, 160),
+    (42, "safe_range"): (
+        "ff57463459c0bfc6b5b8c085c6c7a6cd08cbd690dca51575b37e35bf7f0ea402",
+        300, 300),
+    (42, "full_range"): (
+        "4cd5f593b9222ca5d420c61592e12565206b408fe0c5ea0fda29ec77333a8bf9",
+        144, 144),
+    (8001, "safe_range"): (
+        "d2e01810d615072f4958e6d25a1301e36aa49d9ff5b8dbcf5d5436a944760b14",
+        300, 300),
+    (8001, "full_range"): (
+        "5cb7af11c2507c2c40b2edaa2d442b798f429f455d76582ef9868bc86b0c41d3",
+        142, 142),
+}
+
+
+@pytest.mark.parametrize("seed, policy", sorted(FUZZ_CSV_DIGESTS))
+def test_fuzz_csv_digests_are_pinned(seed, policy):
+    from arcsupport.cli import fuzz_csv, run_fuzz
+    from arcsupport.oracle import FuzzConfig
+    digest, strict, unique = FUZZ_CSV_DIGESTS[seed, policy]
+    rows, summary = run_fuzz(FuzzConfig(trials=300, seed=seed,
+                                        delta_policy=policy))
+    assert hashlib.sha256(fuzz_csv(rows).encode()).hexdigest() == digest
+    assert summary == {"trials": 300, "strict": strict, "unique": unique,
+                       "unique_total": unique, "corollary_at_pi": 300,
+                       "anomalies": []}
+
+
 def test_fuzz_records_a_failed_verification_as_an_anomaly(monkeypatch,
                                                           capsys):
     # a verifier that fails the third trial's check: the campaign must

@@ -158,7 +158,12 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
                       (geometry, "angle_of"), (geometry, "ZeroVector"),
                       (arc, "run_index"), (pairs, "_gap_side_covers"),
                       (pairs, "_find_pair"), (cli, "_scan"),
-                      (arc, "_as_points")):
+                      (arc, "_as_points"), (pairs, "_Window"),
+                      (pairs, "_unroll"), (pairs, "_build_window"),
+                      (pairs, "_window"), (pairs, "_build_rows"),
+                      (pairs, "_lookup"), (pairs, "_scan"),
+                      (oracle, "quadratic_ledger"),
+                      (oracle, "linear_ledger_lookup")):
         assert not hasattr(mod, name), name
     # an arc keeps its coordinates once, as floats
     assert [f.name for f in dataclasses.fields(arcsupport.PolygonalArc)][

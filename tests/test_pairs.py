@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -11,8 +12,10 @@ from arcsupport import (EPS_ANGLE, MOUNTAIN, TWO_PI, VALLEY, InvalidDelta,
                         jump_to_jump_gaps, melkman_hull, pairs_identical,
                         safe_delta_range, touch_params, verify_triple)
 from arcsupport import pairs
-from arcsupport.pairs import _gap_chart, _window
+from arcsupport.pairs import _gap_chart
 from families import FALLBACK_VERTICES, convex_arc, walk_arc
+from reference import (between_level_widths, linear_ledger_lookup,
+                       quadratic_ledger, scan_find_pair)
 
 PI = math.pi
 ATAN_HALF = math.atan(0.5)
@@ -284,9 +287,9 @@ def geometric_kinds(profile, gap):
             start = a if sign > 0 else psi
             covers = (gap_side_covers(start, gap, *apex),
                       gap_side_covers(start, gap, *mins))
-            for c in pairs._configurations(profile, gap, [(i, sign)]):
-                key = (round(c.theta_double, 9), round(c.theta_single, 9),
-                       c.s2)
+            for a, psi, _, s2, *_ in pairs._configurations(profile, gap,
+                                                           [(i, sign)]):
+                key = (round(a, 9), round(psi, 9), s2)
                 prev = kinds.get(key, (False, False))
                 kinds[key] = (prev[0] or covers[0], prev[1] or covers[1])
     return kinds
@@ -327,9 +330,11 @@ def test_every_scan_output_verifies(fuzz_pool):
 
 
 def test_ledger_monotone(fuzz_pool):
+    # the scan's rows tile the widths: find_pair reads a row's near ties
+    # off its own two widths, as each is bitwise a neighbour's
     for _, profile in fuzz_pool[:200]:
         for mode in (MOUNTAIN, VALLEY):
-            rows = _window(profile, mode).rows
+            rows = quadratic_ledger(profile, mode)
             # one row per hull corner, ascending by build level
             sign = 1.0 if mode == MOUNTAIN else -1.0
             assert [r[0] for r in rows] == sorted(
@@ -530,7 +535,10 @@ def test_degenerate_role_fallback_is_pinned():
             assert t[-1] - t[0] <= profile.param_slack, (delta, theta)
 
 
-def test_a_scan_queries_each_touch_set_once(monkeypatch, fuzz_pool):
+def test_find_pair_queries_touch_sets_only_near_ties(monkeypatch,
+                                                     fuzz_pool):
+    # clear of ties the row settles the pair without a touch query;
+    # otherwise _assign_roles reads each of the two touch sets once
     calls = 0
     query = pairs.touch_params
 
@@ -542,12 +550,19 @@ def test_a_scan_queries_each_touch_set_once(monkeypatch, fuzz_pool):
     monkeypatch.setattr(pairs, "touch_params", counted)
     fallback = build_arc(FALLBACK_VERTICES)
     cases = fuzz_pool[:100] + [(fallback, build_profile(melkman_hull(fallback)))]
+    queried = 0
     for arc, profile in cases:
         for find in (find_pair_mountain, find_pair_valley):
             for delta in (1e-3, 0.1, PI, 6.2):
                 calls = 0
-                find(profile, arc, delta)
-                assert calls == 2, (find.__name__, delta)
+                pair = find(profile, arc, delta)
+                assert calls in (0, 2), (find.__name__, delta)
+                assert calls == 0 or pair.near_tie or not pair.strict, (
+                    find.__name__, delta)
+                queried += calls > 0
+    # the pool's pairs at these deltas are all clear of ties: only the
+    # fallback arc's (8 calls) read touch sets
+    assert 0 < queried <= 8, queried
 
 
 def test_enumeration_reads_a_few_candidates(monkeypatch):
@@ -592,8 +607,7 @@ def test_gap_chart_is_built_once_per_profile(monkeypatch, e2):
     assert repr(warm) == repr(cold)
 
 
-def test_scan_clamps_a_delta_beyond_the_ledger_to_row_0(e2_profile,
-                                                       monkeypatch):
+def test_scan_clamps_a_delta_beyond_the_ledger_to_row_0(e2_profile):
     # widths summing at least 2 ulps below 2 pi put the largest delta
     # below 2 pi beyond every row: the scan reads row 0, the widest, as
     # it does at row 0's own widest width.  Real arcs' widths sum to
@@ -603,21 +617,66 @@ def test_scan_clamps_a_delta_beyond_the_ledger_to_row_0(e2_profile,
         e2_profile,
         widths=widths[:-1] + (widths[-1] - 8 * math.ulp(TWO_PI),))
     delta = math.nextafter(TWO_PI, 0.0)
-    lookup = pairs._lookup
-    hits = []
-
-    def spy(win, d):
-        got = lookup(win, d)
-        hits.append(got[0])
-        return got
-
-    monkeypatch.setattr(pairs, "_lookup", spy)
     for mode in (MOUNTAIN, VALLEY):
-        row = _window(profile, mode).rows[0]
-        widest = row[4] - row[1]
+        rows = quadratic_ledger(profile, mode)
+        widest = rows[0][4] - rows[0][1]
         assert widest <= math.nextafter(delta, 0.0)
+        assert linear_ledger_lookup(rows, delta)[0] is None
         pair = find_pair(profile, delta, mode)
-        assert hits[-1] is None and not pair.guaranteed
+        assert repr(pair) == repr(scan_find_pair(profile, delta, mode, rows))
+        assert not pair.guaranteed
         at_row = find_pair(profile, widest, mode)
-        assert hits[-1] is row
+        assert linear_ledger_lookup(rows, widest)[0] is rows[0]
         assert dataclasses.replace(pair, requested_delta=widest) == at_row
+
+
+# computed by the level scan over its windows: find_pair keeps every
+# result of the scan to the last bit
+FIND_PAIR_DIGEST = (
+    "cd02c8102104dccaad5e43b0f3eae66cda397ba910feb8c383b3ae12b62ab729")
+ENUMERATION_DIGEST = (
+    "62fc840ef762c8d892dd477733fac5ba7ba59f26cb665e033b6d37b4722767ca")
+
+
+def pinned_draws(fuzz_pool):
+    """The seed-42 pool, then the convex and walk families at n = 80 and
+    400, as profiles."""
+    profiles = [profile for _, profile in fuzz_pool]
+    for n in (80, 400):
+        for make in (convex_arc, walk_arc):
+            profiles.append(build_profile(melkman_hull(build_arc(
+                make(n, random.Random(n))))))
+    return profiles
+
+
+def pinned_deltas(profile, mode):
+    """A grid over the turn, each end of the mode's safe range and the
+    floats either side of it, each width at which the scan passes from
+    one corner's row to the next, exactly and +- eps_angle, and deltas
+    outside the safe range on both sides; only those inside (0, 2 pi)."""
+    lo, hi = safe_delta_range(profile, mode)
+    deltas = [TWO_PI * (k + 0.5) / 24 for k in range(24)]
+    for end in (lo, hi):
+        deltas += [end, math.nextafter(end, 0.0), math.nextafter(end, 7.0)]
+    for w in between_level_widths(profile, mode):
+        deltas += [w, w + EPS_ANGLE, w - EPS_ANGLE]
+    deltas += [0.5 * lo, 0.5 * (hi + TWO_PI), 1e-3, TWO_PI - 1e-3]
+    return [d for d in deltas if 0.0 < d < TWO_PI]
+
+
+def test_find_pair_and_enumeration_are_pinned(fuzz_pool):
+    # sha256 over the repr of every find_pair and enumerate_triples
+    # result on the pinned draws: a change that keeps behaviour keeps
+    # both digests, to the last bit of every angle
+    found, enumerated = hashlib.sha256(), hashlib.sha256()
+    calls = 0
+    for profile in pinned_draws(fuzz_pool):
+        for mode in (MOUNTAIN, VALLEY):
+            for delta in pinned_deltas(profile, mode):
+                found.update(repr(find_pair(profile, delta, mode)).encode())
+                enumerated.update(
+                    repr(enumerate_triples(profile, None, delta)).encode())
+                calls += 1
+    assert calls > 85_000
+    assert found.hexdigest() == FIND_PAIR_DIGEST
+    assert enumerated.hexdigest() == ENUMERATION_DIGEST

@@ -1,10 +1,11 @@
 """The fast queries against their slow references in oracle.py.
 
 build_arc sweeps sorted segment boxes, touch_params bisects sorted jump
-angles, the scan ledger (one row per hull corner) is one two-pointer
-merge and the scan bisects it, enumerate_triples bisects the gap
-chart, and verify_triple reads only the runs of vertices whose box can
-matter; the references are the pairwise, linear and quadratic forms.
+angles, find_pair reads the scan's row off prefix sums and the gap
+chart, enumerate_triples bisects the gap chart, and verify_triple reads
+only the runs of vertices whose box can matter; the references are the
+pairwise, linear and quadratic forms, and for find_pair the scan over
+its quadratic ledger (tests/reference.py).
 random_simple_arc discards crossing draws before build_arc; its
 reference sends every draw through build_arc.  geometry.chain_orient
 decides most orientations on one bound per chain; its reference is
@@ -34,14 +35,14 @@ from arcsupport import oracle
 from arcsupport.geometry import chain_orient
 from arcsupport.oracle import (COORDINATE_BOX, _certainly_crosses,
                                _linear_support_check,
-                               linear_enumerate_triples, linear_ledger_lookup,
-                               linear_touch_params, linear_verify_triple,
-                               pairwise_simple_check, quadratic_ledger)
-from arcsupport.pairs import (_gap_chart, _lookup, _near_jump_gap,
-                              _support_check, _window)
+                               linear_enumerate_triples, linear_touch_params,
+                               linear_verify_triple, pairwise_simple_check)
+from arcsupport.pairs import (_gap_chart, _near_jump_gap, _positions,
+                              _support_check, find_pair)
 from arcsupport.profile import _ROUNDING
 from conftest import POOL_CONFIG
 from families import FALLBACK_VERTICES, convex_arc, uniform_draws, walk_arc
+from reference import quadratic_ledger, row_widths, scan_find_pair
 
 EPS = EPS_ANGLE
 
@@ -185,44 +186,36 @@ def test_jump_gap_bisection_equals_the_gap_list(fuzz_pool):
     assert tested > 100_000 and 0 < hits < tested
 
 
-def test_ledger_equals_quadratic_build(profiles):
-    for profile in profiles:
+def test_find_pair_equals_the_scan(profiles):
+    # deltas on and around every row's two widths (each row's widest is
+    # the narrowest of the one before it) and inside every row
+    fallback = build_profile(melkman_hull(build_arc(FALLBACK_VERTICES)))
+    count = 0
+    for profile in profiles + [fallback]:
         for mode in (MOUNTAIN, VALLEY):
-            assert _window(profile, mode).rows == tuple(
-                quadratic_ledger(profile, mode))
-
-
-def widths(row):
-    """(narrowest, widest) width of a ledger row."""
-    _, l_lo, l_hi, r_lo, r_hi = row
-    return r_lo - l_hi, r_hi - l_lo
-
-
-def test_ledger_lookup_equals_linear_walk(profiles):
-    for profile in profiles:
-        for mode in (MOUNTAIN, VALLEY):
-            win = _window(profile, mode)
-            # each row's widest is the narrowest of the one before it
-            deltas = around(widths(win.rows[0])[1], EPS)
-            for row in win.rows:
-                lo, hi = widths(row)
+            rows = quadratic_ledger(profile, mode)
+            deltas = around(row_widths(rows[0])[1], EPS)
+            for row in rows:
+                lo, hi = row_widths(row)
                 deltas += around(lo, EPS)
                 deltas.append(0.5 * (lo + hi))
-            # the one width between two adjacent corner levels
-            deltas += [widths(row)[1] for row in win.rows[1:]]
             for delta in deltas:
-                assert _lookup(win, delta) == linear_ledger_lookup(
-                    list(win.rows), delta), (mode, delta)
+                if 0.0 < delta < TWO_PI:
+                    assert repr(find_pair(profile, delta, mode)) == repr(
+                        scan_find_pair(profile, delta, mode, rows)), (
+                            mode, delta)
+                    count += 1
+    assert count > 75_000
 
 
 def test_cached_indexes_stay_out_of_identity(e2):
     cold = build_profile(melkman_hull(e2))
     warm = build_profile(melkman_hull(e2))
     touch_params(warm, 1.0)
-    _window(warm, MOUNTAIN)
+    _positions(warm, MOUNTAIN)
     assert warm == cold and hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
-    assert _window(warm, MOUNTAIN) is _window(warm, MOUNTAIN)
+    assert _positions(warm, MOUNTAIN) is _positions(warm, MOUNTAIN)
 
 
 class ReadRuns(tuple):
@@ -552,9 +545,10 @@ def test_certificate_declines_a_step_on_the_margin(monkeypatch):
 
 def rising_chain(start, steps, across, tail):
     """A chain whose first coordinate rises from start by one step per
-    entry of steps: 0.25 where the entry is None, else k ulps past the
-    point where the step meets the margin of the grown boxes,
-    fl(b - pad) == fl(a + pad), k the entry.  across holds the other
+    entry of steps: 0.25 where the entry is None, the entry itself where
+    it is a float, else k ulps past the point where the step meets the
+    margin of the grown boxes, fl(b - pad) == fl(a + pad), k the
+    entry.  across holds the other
     coordinate of each vertex, tail extra vertices (as offsets from the
     start); pad is that of the finished chain, refitted until it holds
     still."""
@@ -563,8 +557,8 @@ def rising_chain(start, steps, across, tail):
         cs = [start]
         for k in steps:
             a = cs[-1]
-            if k is None:
-                cs.append(a + 0.25)
+            if k is None or isinstance(k, float):
+                cs.append(a + (0.25 if k is None else k))
                 continue
             edge = a + pad
             b = edge + pad
@@ -613,9 +607,38 @@ monotone_chains = st.builds(
              max_size=3))
 
 
+# chains shaped like test_certificate_declines_a_step_on_the_margin's:
+# a long step (0.1 to 0.5, so the next one starts off the coarse binary
+# fractions, where rounding can tell the boxes' expressions from
+# others), a step on the margin (half the time) or up to 3 ulps past it
+# or 1 short, a tiny step, then a vertex far off, which sets the margin
+# (a fixed one can line its bits up with the steps').  The first four
+# vertices lie within twice the orientation tolerance of one line,
+# EPS_ORIENT times the long step's length, where the tolerant test can
+# call the long and the tiny segment touching across the margin step.
+# A certificate that accepts a step exactly on the margin, or tests the
+# margin by another expression, then accepts a chain the pairwise
+# reference refuses
+margin_chains = st.builds(
+    lambda offset, falling, flip, long, k, ts, far: monotone_chain(
+        offset, falling, flip, [(long, ts[0] * long * 1e-12),
+                                (k, ts[1] * long * 1e-12),
+                                (1e-3, ts[2] * long * 1e-12)], [far]),
+    st.sampled_from([0.0, 1e6, -1e12]), st.booleans(), st.booleans(),
+    st.floats(0.1, 0.5), st.just(0) | st.integers(-1, 3),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    st.tuples(st.floats(2.0, 4.0), st.floats(0.5, 1.5)))
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(monotone_chains)
 def test_certificate_agrees_with_pairwise_at_the_margin(pts):
+    same_verdict(pts)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(margin_chains)
+def test_certificate_agrees_with_pairwise_on_touching_chains(pts):
     same_verdict(pts)
 
 

@@ -173,6 +173,31 @@ def _middle_row(profile: SupportProfile, xs: tuple, k: int, delta: float,
                                     else cell + (x, x))
 
 
+def _scan_row(profile: SupportProfile, xs: tuple, k: int, delta: float,
+              mode: str):
+    """The scan's row at delta, (corner, jump, jump_left, row, near_tie)
+    as _middle_row gives the first four, and near_tie whether delta lies
+    within eps_angle of a width at which the scan passes from one row to
+    the next.  The top row (both branches on the apex step; for a valley
+    pair the minimum step) and row 0 (the anchor step and the window's
+    far end) are read off the positions; every other row is found by
+    _middle_row, O(log m).  A delta beyond row 0's widest by rounding
+    reads row 0, as the scan clamps it."""
+    m = len(xs) - 1
+    top = profile.apex_index if mode == MOUNTAIN else m - k
+    widest_top, narrowest_0 = xs[top + 1] - xs[top], xs[m] - xs[1]
+    if delta <= widest_top:
+        return (top, (top + k) % m, True, (xs[top], xs[top + 1]) * 2,
+                abs(delta - widest_top) <= EPS_ANGLE)
+    if delta > narrowest_0:  # also beyond row 0's widest, by rounding
+        return (0, k, False, (0.0, xs[1], xs[m], xs[m]),
+                abs(delta - narrowest_0) <= EPS_ANGLE)
+    corner, jump, jump_left, row = _middle_row(profile, xs, k, delta, mode)
+    return (corner, jump, jump_left, row,
+            abs(delta - (row[3] - row[0])) <= EPS_ANGLE
+            or abs(delta - (row[2] - row[1])) <= EPS_ANGLE)
+
+
 def _clear_of_ties(profile: SupportProfile, m: int, jump: int,
                    cell: tuple[float, float], x: float) -> bool:
     """Are the touch sets at a row's two angles, as touch_params finds
@@ -244,15 +269,11 @@ def find_pair(profile: SupportProfile, delta: float,
     degenerate.  A valley pair reports the complementary gap
     2*pi - delta between its two angles as realized_gap.
 
-    The scan's row at delta gives the two angles, its level the
-    fallback certificate, and near_tie whether delta lies within
-    eps_angle of a width at which the scan passes from one row to the
-    next.  The top row (both branches on the apex step; for a valley
-    pair the minimum step) and row 0 (the anchor step and the window's
-    far end) are read off the positions; every other row is found by
-    _middle_row, O(log m).  Each row has one branch at a jump: on the
-    top row the left one, clamped to the step's start, on row 0 the
-    right one, at the window's end.  Clear of ties the jump line is the
+    The scan's row at delta, from _scan_row, gives the two angles, its
+    level the fallback certificate, and near_tie.  Each row has one
+    branch at a jump: on the top row the left one, clamped to the
+    step's start, on row 0 the right one, at the window's end.  Clear
+    of ties the jump line is the
     double line and the corner's level is s2, with no touch query;
     otherwise _assign_roles reads the two touch sets.
     """
@@ -262,21 +283,8 @@ def find_pair(profile: SupportProfile, delta: float,
     xs = _positions(profile, mode)
     m = len(xs) - 1
     k = 0 if mode == MOUNTAIN else profile.apex_index
-    top = profile.apex_index if mode == MOUNTAIN else m - k
-    widest_top, narrowest_0 = xs[top + 1] - xs[top], xs[m] - xs[1]
-    if delta <= widest_top:
-        corner, jump, jump_left = top, (top + k) % m, True
-        row = (xs[top], xs[top + 1]) * 2
-        near_tie = abs(delta - widest_top) <= EPS_ANGLE
-    elif delta > narrowest_0:  # also beyond row 0's widest, by rounding
-        corner, jump, jump_left = 0, k, False
-        row = (0.0, xs[1], xs[m], xs[m])
-        near_tie = abs(delta - narrowest_0) <= EPS_ANGLE
-    else:
-        corner, jump, jump_left, row = _middle_row(profile, xs, k, delta,
-                                                   mode)
-        near_tie = (abs(delta - (row[3] - row[0])) <= EPS_ANGLE
-                    or abs(delta - (row[2] - row[1])) <= EPS_ANGLE)
+    corner, jump, jump_left, row, near_tie = _scan_row(profile, xs, k,
+                                                       delta, mode)
     l_lo, l_hi, r_lo, r_hi = row
     x_l = min(max(r_lo - delta, l_lo), l_hi)
     x_r = min(max(x_l + delta, r_lo), r_hi)

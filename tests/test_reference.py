@@ -38,11 +38,12 @@ from arcsupport.oracle import (COORDINATE_BOX, _certainly_crosses,
                                linear_enumerate_triples, linear_touch_params,
                                linear_verify_triple, pairwise_simple_check)
 from arcsupport.pairs import (_gap_chart, _near_jump_gap, _positions,
-                              _support_check, find_pair)
+                              _scan_row, _support_check, find_pair)
 from arcsupport.profile import _ROUNDING
 from conftest import POOL_CONFIG
 from families import FALLBACK_VERTICES, convex_arc, uniform_draws, walk_arc
-from reference import quadratic_ledger, row_widths, scan_find_pair
+from reference import (linear_ledger_lookup, quadratic_ledger, row_widths,
+                       scan_find_pair, unroll)
 
 EPS = EPS_ANGLE
 
@@ -184,6 +185,55 @@ def test_jump_gap_bisection_equals_the_gap_list(fuzz_pool):
             tested += 1
             hits += want
     assert tested > 100_000 and 0 < hits < tested
+
+
+def ledger_row(profile, mode, delta):
+    """The ledger row find_pair reads at delta, as (level, left_lo,
+    left_hi, right_lo, right_hi) with valley levels negated, and its
+    near_tie."""
+    k = 0 if mode == MOUNTAIN else profile.apex_index
+    xs = _positions(profile, mode)
+    corner, _, _, row, near_tie = _scan_row(profile, xs, k, delta, mode)
+    level = profile.levels[(corner + k) % len(profile.levels)]
+    return (-level if mode == VALLEY else level, *row), near_tie
+
+
+def test_ledger_equals_quadratic_build(profiles):
+    # the positions are the scan's window, and every row of the
+    # quadratic build is the row find_pair reads at that row's widest
+    for profile in profiles:
+        for mode in (MOUNTAIN, VALLEY):
+            _, x_lo, x_hi, _ = unroll(profile, mode)
+            assert _positions(profile, mode) == (*x_lo, x_hi[-1])
+            for row in quadratic_ledger(profile, mode):
+                delta = row_widths(row)[1]
+                assert ledger_row(profile, mode, delta)[0] == row, (mode,
+                                                                     row)
+
+
+def test_ledger_lookup_equals_linear_walk(profiles):
+    count = 0
+    for profile in profiles:
+        for mode in (MOUNTAIN, VALLEY):
+            rows = quadratic_ledger(profile, mode)
+            # each row's widest is the narrowest of the one before it
+            deltas = around(row_widths(rows[0])[1], EPS)
+            for row in rows:
+                lo, hi = row_widths(row)
+                deltas += around(lo, EPS)
+                deltas.append(0.5 * (lo + hi))
+            # the one width between two adjacent corner levels
+            deltas += [row_widths(row)[1] for row in rows[1:]]
+            for delta in deltas:
+                if not 0.0 < delta < TWO_PI:
+                    continue
+                hit, near_tie = linear_ledger_lookup(rows, delta)
+                # no row holds delta only beyond row 0 by rounding: the
+                # scan clamps it to row 0
+                assert ledger_row(profile, mode, delta) == (
+                    rows[0] if hit is None else hit, near_tie), (mode, delta)
+                count += 1
+    assert count > 75_000
 
 
 def test_find_pair_equals_the_scan(profiles):

@@ -36,7 +36,11 @@ a gap after that costs O(log m + k) for its k candidates.
 verify_triple checks a pair against the raw vertices, not the profile.
 It reads them in runs of 16 with their bounding boxes (arc.runs, built
 by build_arc) and skips each run whose box corner shows that it cannot
-change the answer, the broad phase build_arc also uses.
+change the answer, the broad phase build_arc also uses.  Each line takes
+one pass over the runs for its extreme projection, and its left test
+follows from that pass by a bound on the rounding (the filter stage of
+an adaptive predicate, Shewchuk 1997); only a line the bound cannot
+decide takes a second pass for the left test.
 """
 
 from __future__ import annotations
@@ -85,6 +89,20 @@ class TriplePair:
     covers_apex: bool = False
     covers_min: bool = False
 
+    # the fields' __init__, but filling the instance dict in one call:
+    # the generated one sets each field through object.__setattr__
+    def __init__(self, mode: str, theta_double: float, theta_single: float,
+                 s1: float, s2: float, s3: float, strict: bool,
+                 requested_delta: float, realized_gap: float,
+                 guaranteed: bool = True, near_tie: bool = False,
+                 covers_apex: bool = False, covers_min: bool = False):
+        self.__dict__.update(
+            mode=mode, theta_double=theta_double, theta_single=theta_single,
+            s1=s1, s2=s2, s3=s3, strict=strict,
+            requested_delta=requested_delta, realized_gap=realized_gap,
+            guaranteed=guaranteed, near_tie=near_tie,
+            covers_apex=covers_apex, covers_min=covers_min)
+
     @property
     def triple(self) -> tuple[float, float, float]:
         return (self.s1, self.s2, self.s3)
@@ -99,6 +117,12 @@ class TripleReport:
     left_side: bool
     ordering: bool
 
+    def __init__(self, double_touches: bool, single_touches: bool,
+                 left_side: bool, ordering: bool):  # as TriplePair's
+        self.__dict__.update(double_touches=double_touches,
+                             single_touches=single_touches,
+                             left_side=left_side, ordering=ordering)
+
     @property
     def passed(self) -> bool:
         return (self.double_touches and self.single_touches
@@ -110,6 +134,11 @@ class CorollaryResult:
     identical: bool
     mountain: TriplePair
     valley: TriplePair
+
+    def __init__(self, identical: bool, mountain: TriplePair,
+                 valley: TriplePair):  # as TriplePair's
+        self.__dict__.update(identical=identical, mountain=mountain,
+                             valley=valley)
 
 
 # ---------------------------------------------------------------------------
@@ -550,53 +579,79 @@ def _support_check(arc: PolygonalArc, dx: float, dy: float, px: float,
                    py: float, s: float, slack: float) -> tuple[int, bool]:
     """The line of direction (dx, dy) = (cos theta, sin theta) read off
     the arc's vertices: the index of the first vertex of largest
-    projection on the outward normal (dy, -dx), which re-derives the
-    support line's position, and whether every vertex (x, y) lies on the
-    closed left of the line through (px, py): g = dx * (y - py) -
-    dy * (x - px) >= -slack.
+    projection F(v) = x * dy + y * ny on the outward normal (dy, ny),
+    ny = -dx, which re-derives the support line's position, and whether
+    every vertex v = (x, y) lies on the closed left of the line through
+    p = (px, py): g(v) = dx * (y - py) - dy * (x - px) >= -slack.
 
-    One pass over arc.runs.  The corner of a run's box farthest along
-    the normal, (x_hi if dy >= 0 else x_lo, y_lo if dx >= 0 else y_hi),
-    has the largest projection and the smallest g of any point in the
-    box, and so in floating point too: rounding is monotone (a <= b
-    gives fl(a) <= fl(b), and fl(a + b), fl(a - b) and fl(c * a) are
-    monotone in a), so the corner's value, computed by the very
-    expression the vertices use, bounds the computed value of every
-    vertex in the run.  The best projection starts at the vertex at
-    parameter s, the pair's own touch point, and a run is read only
-    when its corner reaches the best so far or lies beyond -slack.  A
-    skipped run holds no vertex of the largest projection and none on
-    the right, so the anchor (the first of equals, as max returns it)
-    and the flag are bitwise those of a pass over every vertex.
+    The projection takes one pass over arc.runs.  The corner of a run's
+    box farthest along the normal, (x_hi if dy >= 0 else x_lo, y_lo if
+    dx >= 0 else y_hi), has the largest projection and the smallest g
+    of any point in the box, and so in floating point too: rounding is
+    monotone (a <= b gives fl(a) <= fl(b), and fl(a + b), fl(a - b) and
+    fl(c * a) are monotone in a), so the corner's value, computed by
+    the very expression the vertices use, bounds the computed value of
+    every vertex in the run.  The best projection starts at the vertex
+    at parameter s, the pair's own touch point, and a run is read only
+    when its corner reaches the best so far.  A skipped run holds no
+    vertex of the largest projection, so the anchor (the first of
+    equals, as max returns it) is bitwise that of a pass over every
+    vertex, and after the pass every vertex's computed projection is at
+    most best: by max in a run read, by its corner in a run skipped.
+
+    The left flag mostly follows from best, with no second read.  In
+    exact arithmetic g(v) = F(p) - F(v).  Let u = 2**-53, the unit
+    roundoff, |q| the length of a point q and d the arc's diagonal.  As
+    dx**2 + dy**2 = 1 up to rounding, |x * dy| + |y * ny| <= |v|, so to
+    first order in u the computed F(v) is off by at most 2u |v| (two
+    products and a sum), F(p) by 2u |p|, g(v) by 3u |v - p| (two
+    differences, two products and a difference) and fl(F(p) - best) by
+    u (|F(p)| + |best|).  p lies on an edge, so |v - p| <= d and
+    |v| <= |p| + d for every vertex.  Every computed F(v) is at most
+    best, so each computed g(v) is at least
+    fl(F(p) - best) - 6u (|p| + d).  E = 9u (|px| + |py| + d) exceeds
+    that error by at least 3u (|p| + d), room for the second-order
+    terms, for the rounding of E and of E - slack, and for products
+    that underflow (a few 2**-1075, far below u d as d >= MIN_SPAN).
+    So when fl(F(p) - best) >= E - slack, every computed g(v) is
+    >= -slack and the flag is True.  Otherwise a second pass reads each
+    run whose corner lies beyond -slack, until one holds a vertex
+    there, which is bitwise a pass over every vertex too.
     """
-    ny = -dx  # the normal is (dy, ny)
-    lim = -slack
+    ny = -dx
     k = bisect_right(arc.params, s, 1) - 1  # the vertex at or before s
     best = arc.xs[k] * dy + arc.ys[k] * ny
-    left = True
     start = 0
     # where in a run's tuple the corner's x and y are
     ix, iy = (1 if dy >= 0.0 else 0), (2 if dx >= 0.0 else 3)
     for run in arc.runs:
-        cx, cy = run[ix], run[iy]
-        if cx * dy + cy * ny >= best:
+        if run[ix] * dy + run[iy] * ny >= best:
             fs = [x * dy + y * ny for x, y in zip(run[4], run[5])]
             f = max(fs)  # every value before the first f is below it
             if f >= best:
                 j = start + fs.index(f)
                 if f > best or j < k:
                     best, k = f, j
-        if left and not (dx * (cy - py) - dy * (cx - px) >= lim):
-            left = all(dx * (y - py) - dy * (x - px) >= lim
-                       for x, y in zip(run[4], run[5]))
         start += RUN
-    return k, left
+    if (px * dy + py * ny - best
+            >= 9 * 2.0 ** -53 * (abs(px) + abs(py) + arc.diagonal) - slack):
+        return k, True
+    lim = -slack
+    for run in arc.runs:
+        cx, cy = run[ix], run[iy]
+        if not (dx * (cy - py) - dy * (cx - px) >= lim or all(
+                dx * (y - py) - dy * (x - px) >= lim
+                for x, y in zip(run[4], run[5]))):
+            return k, False
+    return k, True
 
 
 def _verify(arc: PolygonalArc, pair: TriplePair, check) -> TripleReport:
     """The report of verify_triple, with check(arc, cos theta,
     sin theta, x, y, s, slack) giving the anchor's index and the left
-    flag of the line at theta through (x, y), the point at s."""
+    flag of the line at theta through (x, y), the point at s:
+    _support_check, or the reference's two passes over every vertex
+    (oracle.linear_verify_triple)."""
     dist_slack = EPS_TOUCH * arc.diagonal
     param_slack = EPS_TOUCH * arc.length
     xs, ys = arc.xs, arc.ys
@@ -626,13 +681,18 @@ def verify_triple(arc: PolygonalArc, pair: TriplePair) -> TripleReport:
     claimed touch points; (d) the parameters are ordered, strictly so
     when the pair says strict.
 
-    (a) to (c) take one fused pass per line over the arc's vertices in
-    runs of RUN (_support_check).  A run's box corner bounds the
-    computed projections and left distances of all its vertices,
-    because rounding is monotone, so the runs that cannot hold the
-    extreme vertex or a vertex on the right are skipped, and the report
-    is bitwise that of four passes over every vertex
-    (oracle.linear_verify_triple).  Cost: O(n/RUN + RUN*k) per call, k
-    the number of runs read, on the runs build_arc stores on the arc.
+    (a) to (c) take one pass per line over the arc's vertices in runs
+    of RUN (_support_check).  A run's box corner bounds the computed
+    projections of all its vertices, because rounding is monotone, so
+    the runs that cannot hold the extreme vertex are skipped.  The left
+    test (c) follows from the extreme projection: every vertex lies on
+    the left when the touch point's projection falls short of it by at
+    most the slack less a bound on the rounding.  Only a line that test
+    cannot decide, some 1e6 diagonals from the origin or with its touch
+    point off the line, takes a second pass, which skips the runs whose
+    box corner lies on the left.  The report is bitwise that of four
+    passes over every vertex (oracle.linear_verify_triple).  Cost:
+    O(n/RUN + RUN*k) per call, k the number of runs read, on the runs
+    build_arc stores on the arc.
     """
     return _verify(arc, pair, _support_check)

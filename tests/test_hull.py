@@ -114,6 +114,36 @@ def simple_chain(pts):
     return chain
 
 
+def walk_back(starts, land, cuts, lift, mirror, noise):
+    """A chain along the x axis, noise * (1 + |x|) off it: from the
+    points starts up to a vertex lifted off the axis, down at land past
+    their far end, and back towards them to the cuts of the way.  The
+    last vertex, the deque's seam, turns straight between two points of
+    the line, and once it is dropped, at times so does the back corner.
+    mirror (1 or -1) scales x."""
+    starts = sorted(starts)
+    back = sorted((starts[-1] + c * (land - starts[-1]) for c in cuts),
+                  reverse=True)
+    line = starts + [land] + back
+    pts = [(mirror * x, t * (1.0 + abs(x))) for x, t in zip(line, noise)]
+    return simple_chain(pts[:len(starts)] + [lift] + pts[len(starts):])
+
+
+# noise 1e-14 to 1e-12 either way, within the orientation tolerance and
+# never 0: on an exact line no mutant of the seam repair was caught
+NOISE = st.integers(1, 100).map(lambda k: k * 1e-14)
+seam_walks = st.builds(
+    walk_back,
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+    st.floats(2.0, 3.0),
+    st.lists(st.integers(1, 99).map(lambda k: k / 100), min_size=2,
+             max_size=4),
+    st.tuples(st.floats(-1.0, 3.0),
+              st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)),
+    st.sampled_from([1.0, -1.0]),
+    st.lists(NOISE | NOISE.map(lambda t: -t), min_size=8, max_size=8))
+
+
 # slivers, collinear runs and far offsets, where a sign could flip.
 # Most raw draws overlap or repeat themselves; keeping only the points
 # that leave the chain simple lets nearly every example build an arc
@@ -280,6 +310,21 @@ def test_hull_decides_each_triple_once(orient_counts, make):
     with pytest.raises(StraightArc):
         melkman_hull(arc)
     assert orient_counts["decided"] == orient_counts["full"] == n - 2
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pts=seam_walks)
+def test_seam_repair_equals_point2_reference_on_walks_back(pts):
+    # the walks aim at the seam repair's drops: each must leave the
+    # reference's hull, a cycle of strict left turns
+    try:
+        arc = build_arc(pts)
+    except ArcError:
+        return
+    got = outcome(melkman_hull, arc)
+    assert got == outcome(point2_melkman_hull, arc)
+    if got[0] is not None:
+        assert_turns_left(arc, got[0])
 
 
 # chains whose seam turns straight within the tolerance, so the repair

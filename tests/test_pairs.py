@@ -1,14 +1,18 @@
+import copy
 import dataclasses
 import hashlib
+import inspect
 import math
+import pickle
 import random
 
 import pytest
 
-from arcsupport import (EPS_ANGLE, MOUNTAIN, TWO_PI, VALLEY, InvalidDelta,
-                        build_arc, build_profile, canon_angle, ccw_gap,
-                        circ_dist, corollary_check, enumerate_triples,
-                        find_pair, find_pair_mountain, find_pair_valley,
+from arcsupport import (EPS_ANGLE, MOUNTAIN, TWO_PI, VALLEY, CorollaryResult,
+                        InvalidDelta, TripleReport, TriplePair, build_arc,
+                        build_profile, canon_angle, ccw_gap, circ_dist,
+                        corollary_check, enumerate_triples, find_pair,
+                        find_pair_mountain, find_pair_valley,
                         jump_to_jump_gaps, melkman_hull, pairs_identical,
                         safe_delta_range, touch_params, verify_triple)
 from arcsupport import pairs
@@ -346,6 +350,57 @@ def test_ledger_monotone(fuzz_pool):
                 # end exactly
                 assert b_hi <= a_hi and b_lo <= a_lo
                 assert a_lo == b_hi
+
+
+def generated(cls):
+    """A frozen dataclass with cls's fields and the __init__ that
+    dataclass writes."""
+    return dataclasses.make_dataclass(cls.__name__, [
+        (f.name, f.type) if f.default is dataclasses.MISSING
+        else (f.name, f.type, dataclasses.field(default=f.default))
+        for f in dataclasses.fields(cls)], frozen=True)
+
+
+PAIR = TriplePair("mountain", 0.5, 2.0, 0.25, 1.0, 3.0, True,
+                  requested_delta=1.5, realized_gap=1.5, covers_apex=True)
+
+
+@pytest.mark.parametrize("cls, args, text", [
+    (TriplePair, ("valley", 1.0, 2.5, 0.0, 0.5, 1.0, False, 1.5, 4.5),
+     "TriplePair(mode='valley', theta_double=1.0, theta_single=2.5, "
+     "s1=0.0, s2=0.5, s3=1.0, strict=False, requested_delta=1.5, "
+     "realized_gap=4.5, guaranteed=True, near_tie=False, "
+     "covers_apex=False, covers_min=False)"),
+    (TripleReport, (True, False, True, True),
+     "TripleReport(double_touches=True, single_touches=False, "
+     "left_side=True, ordering=True)"),
+    (CorollaryResult, (False, PAIR, PAIR),
+     f"CorollaryResult(identical=False, mountain={PAIR!r}, valley={PAIR!r})"),
+], ids=["TriplePair", "TripleReport", "CorollaryResult"])
+def test_records_keep_the_frozen_dataclass_api(cls, args, text):
+    # the records fill their dict in one call, yet read, compare, hash,
+    # copy and refuse assignment as the generated frozen dataclass does
+    plain = generated(cls)
+    assert (inspect.signature(cls).parameters
+            == inspect.signature(plain).parameters)
+    assert [(f.name, f.type, f.default) for f in dataclasses.fields(cls)] == [
+        (f.name, f.type, f.default) for f in dataclasses.fields(plain)]
+    record, reference = cls(*args), plain(*args)
+    assert repr(record) == repr(reference) == text
+    assert hash(record) == hash(reference)
+    assert dataclasses.astuple(record) == dataclasses.astuple(reference)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert cls(**dict(zip(names, args))) == record
+    for copied in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert copied == record and hash(copied) == hash(record)
+    name = names[0]
+    moved = dataclasses.replace(record, **{name: not args[0]})
+    assert moved != record and getattr(moved, name) is (not args[0])
+    assert dataclasses.replace(moved, **{name: args[0]}) == record
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, args[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(record, name)
 
 
 def test_verify_rejects_doctored_pairs(e1, e1_profile):

@@ -487,6 +487,133 @@ def test_line_check_reads_at_most_10_runs(make):
     assert checks >= 80 and 1 <= most <= 10
 
 
+class Coordinate(float):
+    """A vertex coordinate that records its run when the left test
+    subtracts the touch point from it; the projection only multiplies."""
+
+    runs: set = set()
+
+    def __new__(cls, value, run):
+        self = super().__new__(cls, value)
+        self.run = run
+        return self
+
+    def __sub__(self, other):
+        Coordinate.runs.add(self.run)
+        return float(self) - other
+
+
+def left_counted(arc):
+    """The arc with coordinates in its runs that count the runs the
+    left test reads."""
+    return dataclasses.replace(arc, runs=tuple(
+        run[:4] + tuple(tuple(Coordinate(c, r) for c in column)
+                        for column in run[4:])
+        for r, run in enumerate(arc.runs)))
+
+
+@pytest.mark.parametrize("make", [convex_arc, walk_arc])
+def test_left_test_reads_no_run_on_passed_pairs(make):
+    # the left flag of a line through a pair's own touch point follows
+    # from its projection pass; the runs it reads for the anchor are the
+    # only reads, as test_line_check_reads_at_most_10_runs counts them
+    n = 1600
+    arc = build_arc(make(n, random.Random(n)))
+    profile = build_profile(melkman_hull(arc))
+    counted = left_counted(arc)
+    rng = random.Random(20)
+    deltas = [rng.uniform(1e-6, TWO_PI - 1e-6) for _ in range(20)]
+    slack = EPS_TOUCH * arc.diagonal
+    lines = 0
+    for pair in [p for delta in deltas
+                 for p in verify_pairs(arc, profile, delta)]:
+        report = verify_triple(arc, pair)
+        assert verify_triple(counted, pair) == report
+        if not report.passed:
+            continue
+        for theta, s in ((pair.theta_double, pair.s1),
+                         (pair.theta_single, pair.s2)):
+            Coordinate.runs = set()
+            assert line_check(_support_check, counted, theta, s, slack)[1]
+            assert Coordinate.runs == set(), (pair, theta)
+            lines += 1
+    assert lines >= 80
+
+
+def decided(arc, theta, s, slack):
+    """Does _support_check decide the left flag of the line at theta
+    through the point at s from its projection pass alone?  Its second
+    pass over the runs is the left test."""
+    probe = dataclasses.replace(arc, runs=ReadRuns(arc.runs))
+    ReadRuns.reads = 0
+    line_check(_support_check, probe, theta, s, slack)
+    return ReadRuns.reads == 1
+
+
+def translated(vertices, times):
+    """The vertices moved by times their diagonal in x and in y."""
+    xs, ys = [x for x, _ in vertices], [y for _, y in vertices]
+    t = times * math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    return [(x + t, y + t) for x, y in vertices]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e5, 1e6, 1e9])
+def test_left_certificate_declines_far_from_the_origin(offset):
+    # the certificate's margin grows with |px| + |py|: about a tenth of
+    # the slack at 1e5 diagonals out, above it from 1e6 on, where every
+    # line falls back to the left pass.  The flags stay the four passes'
+    rng = random.Random(20)
+    deltas = [rng.uniform(1e-6, TWO_PI - 1e-6) for _ in range(4)]
+    lines = passed = 0
+    for make in (convex_arc, walk_arc):
+        for n in (16, 17, 33, 400):
+            arc = build_arc(translated(make(n, random.Random(n)), offset))
+            profile = build_profile(melkman_hull(arc))
+            slack = EPS_TOUCH * arc.diagonal
+            for delta in deltas:
+                for pair in verify_pairs(arc, profile, delta):
+                    for p in [pair] + doctored(pair):
+                        report = same_check(arc, p)
+                        passed += report.passed
+                        for theta, s in ((p.theta_double, p.s1),
+                                         (p.theta_single, p.s2)):
+                            lines += 1
+                            if offset >= 1e6:
+                                assert not decided(arc, theta, s, slack)
+                            elif offset == 0.0 and report.passed:
+                                assert decided(arc, theta, s, slack)
+    assert lines > 1_500 and passed > 700
+
+
+@pytest.mark.parametrize("times", [0.0, 1e5])
+@pytest.mark.parametrize("ulps", [-3, -2, -1, 0, 1, 2, 3])
+def test_left_certificate_holds_on_its_margin(times, ulps):
+    # the line at theta = 0 below a V whose bottom vertex is (t, 0):
+    # dy = 0, so F(v) = -y exactly and best = 0, and the point
+    # p = (t, h) gives fl(F(p) - best) = -h, set to ulps floats from
+    # E - slack, E = 9u (|px| + |py| + d).  Every g is at least
+    # -h > -slack, so the flag is True on both sides of the
+    # margin; the certificate decides it from 0 ulps on, the left pass
+    # below
+    t = times * math.hypot(2.0, 1.0)
+    arc = build_arc([(t - 1.0, 1.0), (t, 0.0), (t + 1.0, 1.0)])
+    slack = EPS_TOUCH * arc.diagonal
+    h, seen = slack, []
+    while h not in seen:  # E reads h: settle on a fixed point
+        seen.append(h)
+        margin = 9 * 2.0 ** -53 * (abs(t) + abs(h) + arc.diagonal) - slack
+        for _ in range(abs(ulps)):
+            margin = math.nextafter(margin, math.copysign(math.inf, ulps))
+        h = -margin
+    assert h == seen[-1] and 0.0 < h < slack
+    probe = dataclasses.replace(arc, runs=ReadRuns(arc.runs))
+    for check, tested in ((_linear_support_check, arc),
+                          (_support_check, arc), (_support_check, probe)):
+        ReadRuns.reads = 0
+        assert check(tested, 1.0, 0.0, t, h, arc.params[1], slack) == (1, True)
+    assert ReadRuns.reads == (1 if ulps >= 0 else 2)
+
+
 def verdict(check, vertices):
     """(None, repr) of an accepted arc, or (class, message) of the
     rejection."""

@@ -32,7 +32,7 @@ and no decision, error or message changes.  The hull's two deque loops
 write chain_orient's test out, with the bound it returns beside turn.
 Arc validation has the chain's spans already, for its diagonal, and
 builds the same test from them (_chain_turn) without a chain_bound
-pass.
+pass; the sampler's filter holds every draw to its square's bound.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 from .arc import (ArcError, PolygonalArc, _checked_arc, _segments_intersect,
                   build_arc, point_at)
-from .geometry import (EPS_ANGLE, EPS_TOUCH, TWO_PI, Point2, canon_angle,
-                       ccw_gap, chain_bound, circ_dist, orient)
+from .geometry import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, TWO_PI, Point2,
+                       canon_angle, ccw_gap, circ_dist, orient)
 from .hull import Hull, StraightArc, melkman_hull
 from .pairs import (TripleReport, TriplePair, _as_pairs, _configurations,
                     _verify)
@@ -33,6 +33,8 @@ from .profile import SupportProfile, touch_params
 # side of the square random_simple_arc draws vertices from; every
 # decision is scale-relative, so the size selects nothing
 COORDINATE_BOX = 10.0
+# random_simple_arc's crossing threshold, the whole square's chain_bound
+DRAW_BOUND = EPS_ORIENT * (2 * COORDINATE_BOX ** 2)
 # draws random_simple_arc makes before it raises GenerationExhausted
 MAX_DRAWS = 10_000
 
@@ -376,12 +378,10 @@ def monotone_chain_hull(points: list[Point2]) -> list[int]:
     return cycle
 
 
-def _certainly_crosses(xs: list[float], ys: list[float]) -> bool:
+def _certainly_crosses(xs: list[float], ys: list[float], thr: float) -> bool:
     """True when two non-adjacent segments of the chain xs, ys cross
-    properly: all four cross products, each orient's expression, lie
-    beyond the chain's bound (geometry.chain_bound), so orient decides
-    each of them by its sign."""
-    thr = chain_bound(xs, ys)
+    properly: all four cross products, orient's expressions, lie beyond
+    thr; at or above geometry.chain_bound, orient decides each by sign."""
     for i in range(len(xs) - 3):
         px, py, qx, qy = xs[i], ys[i], xs[i + 1], ys[i + 1]
         ux, uy = qx - px, qy - py
@@ -407,11 +407,11 @@ def random_simple_arc(config: FuzzConfig, trial_index: int) -> PolygonalArc:
     straight, are redrawn.  The same (seed, trial_index) always yields
     the same arc.
 
-    A draw whose raw coordinates already show a proper crossing is
-    redrawn before build_arc sees it.  The whole chain's squared span is
-    at least the three-point span orient scales its tolerance by, so
-    such a draw is one build_arc rejects, and the filter changes no
-    accepted arc.
+    A draw whose raw coordinates cross beyond DRAW_BOUND is redrawn
+    before build_arc sees it.  Its spans lie in [0, COORDINATE_BOX] and
+    rounding is monotone, so DRAW_BOUND is at least its chain_bound and
+    orient's tolerance for any three of its points: build_arc rejects
+    it, and every crossing the filter passes: no accepted arc changes.
     """
     return _arc_and_hull(config, trial_index)[0]
 
@@ -429,7 +429,7 @@ def _arc_and_hull(config: FuzzConfig,
         # box) returns, without its call
         coords = [box * rng.random() for _ in range(2 * n)]
         xs, ys = coords[0::2], coords[1::2]
-        if _certainly_crosses(xs, ys):
+        if _certainly_crosses(xs, ys, DRAW_BOUND):
             continue
         try:
             arc = build_arc(zip(xs, ys))

@@ -21,17 +21,17 @@ widths reach delta.  find_pair builds no rows.  The window positions
 are the prefix sums of the widths, one float column per mode kept on
 the profile; the apex row and the minimum's row are closed forms of
 it, and every other row pairs a corner's step on one branch with a
-jump on the other, a candidate the gap chart lists at delta.  Away
-from ties the touch sets at the row's two angles are the jump's two
-levels and the corner's own, and the pair follows from the row
+jump on the other, found by bisecting each branch of the staircase.
+Away from ties the touch sets at the row's two angles are the jump's
+two levels and the corner's own, and the pair follows from the row
 without a touch query.
 
-The gap chart is a rotating caliper carried over every angle
-difference at once (Toussaint, MELECON 1983): for each jump, the gaps
-at which some level of its span lies the gap away on either side, cut
-into pieces that each list their candidates.  It is built once per
-profile, in O(m log m), on first use and kept on the profile; reading
-a gap after that costs O(log m + k) for its k candidates.
+The gap chart, read by enumerate_triples only, is a rotating caliper
+over every angle difference at once (Toussaint, MELECON 1983): for
+each jump, the gaps at which some level of its span lies the gap away
+on either side, cut into pieces that each list their candidates.  It
+is built once per profile, in O(m log m), on first use and kept on the
+profile; reading a gap after that costs O(log m + k) for k candidates.
 
 verify_triple checks a pair against the raw vertices, not the profile.
 It reads them in runs of 16 with their bounding boxes (arc.runs, built
@@ -48,7 +48,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
+from operator import neg
 from typing import Iterable
 
 from .arc import RUN, PolygonalArc, _point_xy
@@ -168,38 +169,38 @@ def _middle_row(profile: SupportProfile, xs: tuple, k: int, delta: float,
     profile's jump, on the left when jump_left, and row holds the
     positions (left_lo, left_hi, right_lo, right_hi).
 
-    A corner's row pairs its step with the jump on the other branch
-    whose span holds its level.  With that jump at position x on the
-    left, the row holds delta when xs[c] - x < delta <= xs[c + 1] - x,
-    its narrowest and widest width, and on the right when
-    x - xs[c + 1] < delta <= x - xs[c]: one bisection of the positions,
-    by the very differences the widths are.  The rows tile the widths,
-    so the one candidate whose step c has a level inside the jump's span
-    is the scan's row.  The gap chart's candidates at delta of the
-    mode's kind come first.  The chart lists only jumps with a level
-    inside their span beyond the slack, so the row of a corner within
-    the slack of its jump's levels (only an arc with two hull corners
-    that close in parameter has one) is found by trying every jump of
-    the kind, O(m log m)."""
-    chart = _gap_chart(profile)
+    A rising corner c of the window pairs with the falling jump at
+    position q under its level, widest width xs[q] - xs[c]; a falling
+    corner c with the rising jump at p, widest xs[c + 1] - xs[p].  The
+    scan reads the highest row whose widest reaches delta (a row's
+    narrowest is bitwise the widest above it): the higher of each
+    branch's highest such corner, r and f, by bisection (none: 0 or m,
+    the lowest step).  A probe's jump is one bisection of profile.levels
+    in place, through neg on the falling run apex + 1..m (m: step 0).
+    Window step or position j is profile step or jump (j + k) % m."""
     m = len(xs) - 1
     levels, apex = profile.levels, profile.apex_index
-    mountain = mode == MOUNTAIN
-    for i, sign in chain(chart.cands[bisect_right(chart.breaks, delta) - 1],
-                         ((i, s) for s in (1.0, -1.0) for i in range(m))):
-        if ((0 < i <= apex) == (sign > 0)) != mountain:
-            continue  # a candidate of the other kind
-        # the jump's position, 1..m: the anchor jump sits at the far end
-        x = xs[(i - k - 1) % m + 1]
-        if sign > 0:  # psi = a_i + delta: the jump is the left position
-            c = bisect_left(xs, delta, key=lambda p: p - x) - 1
-        else:  # as p - x is -(x - p) exactly
-            c = bisect_right(xs, -delta, key=lambda p: p - x) - 1
-        lo, hi = profile.jumps[i]
-        if 0 <= c < m and lo < levels[(c + k) % m] < hi:
-            cell = (xs[c], xs[c + 1])
-            return c, i, sign > 0, ((x, x) + cell if sign > 0
-                                    else cell + (x, x))
+    # xs[c] - x is -(x - xs[c]) exactly: the rising widths, negated
+    if mode == MOUNTAIN:  # k = 0: window and profile indexes agree
+        r = bisect_right(range(apex), -delta, 1, key=lambda c: xs[c] - xs[
+            bisect_right(levels, -levels[c], apex + 1, m, key=neg)]) - 1
+        f = bisect_left(range(m), delta, apex + 1, key=lambda c: xs[
+            c + 1] - xs[bisect_right(levels, levels[c], 1, apex)])
+        if levels[r] > levels[f % m]:
+            q = bisect_right(levels, -levels[r], apex + 1, m, key=neg)
+            return r, q % m, False, (xs[r], xs[r + 1], xs[q], xs[q])
+        p = bisect_right(levels, levels[f], 1, apex)
+        return f, p, True, (xs[p], xs[p], xs[f], xs[f + 1])
+    top = m - k
+    r = bisect_right(range(top), -delta, 1, key=lambda c: xs[c] - xs[
+        bisect_right(levels, levels[c + k], 1, k) + top]) - 1
+    f = bisect_left(range(m), delta, top + 1, key=lambda c: xs[c + 1] - xs[
+        bisect_right(levels, -levels[c - top], k + 1, m, key=neg) - k])
+    if levels[(r + k) % m] < levels[(f + k) % m]:
+        q = bisect_right(levels, levels[r + k], 1, k)
+        return r, q, False, (xs[r], xs[r + 1], xs[q + top], xs[q + top])
+    p = bisect_right(levels, -levels[f - top], k + 1, m, key=neg)
+    return f, p % m, True, (xs[p - k], xs[p - k], xs[f], xs[f + 1])
 
 
 def _scan_row(profile: SupportProfile, xs: tuple, k: int, delta: float,
@@ -210,8 +211,8 @@ def _scan_row(profile: SupportProfile, xs: tuple, k: int, delta: float,
     the next.  The top row (both branches on the apex step; for a valley
     pair the minimum step) and row 0 (the anchor step and the window's
     far end) are read off the positions; every other row is found by
-    _middle_row, O(log m).  A delta beyond row 0's widest by rounding
-    reads row 0, as the scan clamps it."""
+    _middle_row's two bisections.  A delta beyond row 0's widest by
+    rounding reads row 0, as the scan clamps it."""
     m = len(xs) - 1
     top = profile.apex_index if mode == MOUNTAIN else m - k
     widest_top, narrowest_0 = xs[top + 1] - xs[top], xs[m] - xs[1]
@@ -299,12 +300,12 @@ def find_pair(profile: SupportProfile, delta: float,
     2*pi - delta between its two angles as realized_gap.
 
     The scan's row at delta, from _scan_row, gives the two angles, its
-    level the fallback certificate, and near_tie.  Each row has one
-    branch at a jump: on the top row the left one, clamped to the
-    step's start, on row 0 the right one, at the window's end.  Clear
-    of ties the jump line is the
-    double line and the corner's level is s2, with no touch query;
-    otherwise _assign_roles reads the two touch sets.
+    level the fallback certificate, and near_tie; it takes log m probes
+    of the staircase and builds no gap chart.  Each row has one branch
+    at a jump: on the top row the left one, clamped to the step's
+    start, on row 0 the right one, at the window's end.  Clear of ties
+    the jump line is the double line and the corner's level is s2, with
+    no touch query; otherwise _assign_roles reads the two touch sets.
     """
     if not (0.0 < delta < TWO_PI):
         raise InvalidDelta(f"angle difference {delta} outside (0, 2*pi)")
@@ -478,8 +479,7 @@ def _build_chart(profile: SupportProfile) -> _Chart:
 
 
 def _gap_chart(profile: SupportProfile) -> _Chart:
-    """The profile's gap chart, built on first use and kept on the
-    profile."""
+    """The profile's gap chart, built on first use and kept on it."""
     return profile._index("gaps", _build_chart)
 
 

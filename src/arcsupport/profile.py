@@ -19,9 +19,9 @@ A jump sits where a step starts and is stored as its two levels.
 Queries on a built profile are logarithmic in its corner count m: the
 step starts are sorted once per profile, on first use, and a touch
 query bisects them once, then walks out over the few jumps within
-eps_angle plus rounding of the query (O(log m)).  The indexes the pair
-searches build are kept on the profile too: each mode's window
-positions, m + 1 prefix sums of the widths, and the gap chart.  The
+eps_angle plus rounding of the query (O(log m)).  pairs.py keeps its
+indexes here too: each mode's window positions, m + 1 prefix sums of
+the widths, for the scans, and the gap chart, for enumeration.  The
 lemma helpers built on a profile are in oracle.py: the pipeline never
 calls them.
 """

@@ -132,7 +132,8 @@ def test_generator_rejects_what_the_pipeline_finds_straight(monkeypatch,
     assert len(monotone_chain_hull(points(flat))) == 3
     with pytest.raises(StraightArc):
         melkman_hull(flat)
-    monkeypatch.setattr(oracle, "_certainly_crosses", lambda xs, ys: False)
+    monkeypatch.setattr(oracle, "_certainly_crosses",
+                        lambda xs, ys, thr: False)
     monkeypatch.setattr(oracle, "build_arc", lambda pts: flat)
     monkeypatch.setattr(oracle, "MAX_DRAWS", 1)
     with pytest.raises(GenerationExhausted):

@@ -19,7 +19,7 @@ from arcsupport import pairs
 from arcsupport.pairs import _gap_chart
 from families import FALLBACK_VERTICES, convex_arc, walk_arc
 from reference import (between_level_widths, linear_ledger_lookup,
-                       quadratic_ledger, scan_find_pair)
+                       quadratic_ledger, row_widths, scan_find_pair)
 
 PI = math.pi
 ATAN_HALF = math.atan(0.5)
@@ -660,6 +660,43 @@ def test_gap_chart_is_built_once_per_profile(monkeypatch, e2):
     # the chart stays out of the profile's identity
     assert warm == cold and hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
+
+
+def test_scans_build_no_gap_chart(monkeypatch, fuzz_pool):
+    # the chart serves enumeration only: the scans bisect the staircase
+    builds = 0
+    build = pairs._build_chart
+
+    def counted(profile):
+        nonlocal builds
+        builds += 1
+        return build(profile)
+
+    monkeypatch.setattr(pairs, "_build_chart", counted)
+    # fresh profiles: the pool's may carry a chart from other tests
+    arcs = [arc for arc, _ in fuzz_pool] + [build_arc(FALLBACK_VERTICES)]
+    for n in (80, 400):
+        for make in (convex_arc, walk_arc):
+            arcs.append(build_arc(make(n, random.Random(n))))
+    scans = 0
+    for arc in arcs:
+        profile = build_profile(melkman_hull(arc))
+        deltas = [TWO_PI * (k + 0.5) / 24 for k in range(24)]
+        for mode in (MOUNTAIN, VALLEY):
+            for row in quadratic_ledger(profile, mode):
+                w = row_widths(row)[1]
+                deltas += [w, math.nextafter(w, 0.0), math.nextafter(w, 7.0)]
+        for delta in deltas:
+            if 0.0 < delta < TWO_PI:
+                find_pair(profile, delta, MOUNTAIN)
+                find_pair(profile, delta, VALLEY)
+                corollary_check(profile, arc, delta)
+                scans += 1
+        assert "gaps" not in profile._indexes
+    assert scans > 45_000 and builds == 0
+    enumerate_triples(profile, arc, PI)
+    enumerate_triples(profile, arc, 1.0)
+    assert builds == 1 and "gaps" in profile._indexes
 
 
 def test_scan_clamps_a_delta_beyond_the_ledger_to_row_0(e2_profile):

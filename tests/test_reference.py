@@ -1,15 +1,17 @@
 """The fast queries against their slow references in oracle.py.
 
 build_arc sweeps sorted segment boxes, touch_params bisects sorted jump
-angles, find_pair reads the scan's row off prefix sums and the gap
-chart, enumerate_triples bisects the gap chart, and verify_triple reads
-only the runs of vertices whose box can matter; the references are the
-pairwise, linear and quadratic forms, and for find_pair the scan over
-its quadratic ledger (tests/reference.py).
-random_simple_arc discards crossing draws before build_arc; its
-reference sends every draw through build_arc.  geometry.chain_orient
-decides most orientations on one bound per chain; its reference is
-orient on every triple.  Results must be equal, not close.
+angles, find_pair finds the scan's row by two bisections of the
+staircase its prefix sums describe, with no gap chart, enumerate_triples
+bisects the gap chart, and verify_triple reads only the runs of
+vertices whose box can matter; the references are the pairwise, linear
+and quadratic forms, and for find_pair the scan over its quadratic
+ledger (tests/reference.py), also on hand-made staircases.
+random_simple_arc discards draws that cross beyond the bound of its
+whole square before build_arc; its reference sends every draw through
+build_arc.  geometry.chain_orient decides most orientations on one
+bound per chain; its reference is orient on every triple.  Results
+must be equal, not close.
 """
 
 import bisect
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
                         VALLEY, ArcError, FuzzConfig, GenerationExhausted,
-                        Point2, SelfIntersecting,
+                        Hull, Point2, SelfIntersecting,
                         StraightArc, SupportProfile, TriplePair, build_arc,
                         build_profile, enumerate_triples, find_pair_mountain,
                         find_pair_valley, jump_to_jump_gaps, melkman_hull,
@@ -32,9 +34,10 @@ from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
                         verify_triple)
 from arcsupport import arc as arc_module
 from arcsupport import oracle
-from arcsupport.geometry import chain_orient
-from arcsupport.oracle import (COORDINATE_BOX, _certainly_crosses,
-                               _linear_support_check,
+from arcsupport.geometry import (canon_angle, ccw_gap, chain_bound,
+                                 chain_orient)
+from arcsupport.oracle import (COORDINATE_BOX, DRAW_BOUND,
+                               _certainly_crosses, _linear_support_check,
                                linear_enumerate_triples, linear_touch_params,
                                linear_verify_triple, pairwise_simple_check)
 from arcsupport.pairs import (_gap_chart, _near_jump_gap, _positions,
@@ -234,6 +237,99 @@ def test_ledger_lookup_equals_linear_walk(profiles):
                     rows[0] if hit is None else hit, near_tie), (mode, delta)
                 count += 1
     assert count > 75_000
+
+
+def assert_rows_match(profile, mode, deltas):
+    """At each delta in (0, 2 pi), _scan_row reads the row and near_tie
+    of the linear walk over the quadratic ledger, and its jump sits at
+    the row's jump position with the corner's level in its span."""
+    rows = quadratic_ledger(profile, mode)
+    k = 0 if mode == MOUNTAIN else profile.apex_index
+    xs = _positions(profile, mode)
+    m = len(xs) - 1
+    for delta in deltas:
+        if not 0.0 < delta < TWO_PI:
+            continue
+        hit, near_tie = linear_ledger_lookup(rows, delta)
+        assert ledger_row(profile, mode, delta) == (
+            rows[0] if hit is None else hit, near_tie), (mode, delta)
+        corner, jump, jump_left, row, _ = _scan_row(profile, xs, k, delta,
+                                                    mode)
+        assert xs[(jump - k - 1) % m + 1] == row[0 if jump_left else 2]
+        lo, hi = profile.jumps[jump]
+        assert lo <= profile.levels[(corner + k) % m] <= hi, (mode, delta)
+
+
+def ulps_around(x, *reach):
+    """x, the floats 1 and 2 ulps either side of it and x +- each
+    further reach."""
+    below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+    out = [x, below, above, math.nextafter(below, -math.inf),
+           math.nextafter(above, math.inf)]
+    return out + [x + r for r in reach] + [x - r for r in reach]
+
+
+def staircase(levels, weights, offset=0.0):
+    """The profile of a hull made by hand: levels in corner order, step
+    starts at offset plus the running sums of weights scaled to one
+    turn, and widths the gaps between consecutive starts, as
+    melkman_hull computes them."""
+    total = sum(weights)
+    starts = [canon_angle(offset + TWO_PI * s / total)
+              for s in itertools.accumulate(weights[:-1], initial=0.0)]
+    widths = [ccw_gap(a, b) for a, b in zip(starts, starts[1:] + starts[:1])]
+    return build_profile(Hull(tuple(range(len(levels))), tuple(levels),
+                              tuple(starts), tuple(widths)))
+
+
+def test_staircase_search_on_one_sided_branches(e1):
+    convex = [build_profile(melkman_hull(build_arc(convex_arc(
+        n, random.Random(n))))) for n in (16, 80, 400)]
+    for profile in convex:
+        # every convex corner rises, so the mountain window has no
+        # falling middle corner and the valley window no rising one
+        assert profile.apex_index == len(profile.levels) - 1
+    apex_first = staircase((0.0, 5.0, 4.0, 3.0, 2.0, 1.0),
+                           (1.0, 2.0, 1.5, 1.0, 2.0, 0.5), 0.3)
+    assert apex_first.apex_index == 1
+    profiles = convex + [
+        build_profile(melkman_hull(e1)), apex_first,
+        build_profile(melkman_hull(build_arc(FALLBACK_VERTICES)))]
+    assert len(profiles[3].levels) == 3
+    for profile in profiles:
+        for mode in (MOUNTAIN, VALLEY):
+            deltas = []
+            for row in quadratic_ledger(profile, mode):
+                for w in row_widths(row):
+                    deltas += ulps_around(w, EPS)
+            assert_rows_match(profile, mode, deltas)
+
+
+@st.composite
+def staircases(draw):
+    """Profiles of 3 to 40 corners whose levels rise then fall, with the
+    apex anywhere from corner 1 to corner m - 1, and positive widths."""
+    values = sorted(draw(st.lists(st.floats(0.0, 1e3), min_size=3,
+                                  max_size=40, unique=True)))
+    rising = draw(st.lists(st.booleans(), min_size=len(values) - 2,
+                           max_size=len(values) - 2))
+    up = [v for v, r in zip(values[1:-1], rising) if r]
+    down = [v for v, r in zip(values[1:-1], rising) if not r]
+    levels = [values[0], *up, values[-1], *reversed(down)]
+    weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(levels),
+                            max_size=len(levels)))
+    return staircase(levels, weights, draw(st.floats(0.0, 6.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(staircases(), st.lists(st.floats(0.0, TWO_PI), max_size=10))
+def test_staircase_search_equals_linear_walk(profile, deltas):
+    for mode in (MOUNTAIN, VALLEY):
+        probes = list(deltas)
+        for row in quadratic_ledger(profile, mode):
+            for w in row_widths(row):
+                probes += ulps_around(w)
+        assert_rows_match(profile, mode, probes)
 
 
 def test_find_pair_equals_the_scan(profiles):
@@ -623,15 +719,18 @@ def verdict(check, vertices):
         return type(exc), str(exc)
 
 
-def crosses(vertices):
-    """The sampler's filter on a chain of (x, y) pairs."""
-    return _certainly_crosses([float(x) for x, _ in vertices],
-                              [float(y) for _, y in vertices])
+def crosses(vertices, thr=None):
+    """The sampler's filter on a chain of (x, y) pairs, at thr or else
+    at the chain's own bound, the least any draw is held to."""
+    xs, ys = [float(x) for x, _ in vertices], [float(y) for _, y in vertices]
+    return _certainly_crosses(xs, ys, chain_bound(xs, ys) if thr is None
+                              else thr)
 
 
 def same_verdict(vertices):
     """build_arc's verdict, which pairwise_simple_check must repeat; the
-    sampler's filter must flag no chain they accept."""
+    sampler's filter, at the chain's bound, must flag no chain they
+    accept."""
     fast = verdict(build_arc, vertices)
     assert fast == verdict(pairwise_simple_check, vertices), vertices
     if fast[0] is None:
@@ -643,11 +742,17 @@ def test_build_arc_equals_pairwise_on_random_draws():
     rejected = flagged = 0
     for pts in uniform_draws(20_000, 20_000):
         rejected += same_verdict(pts)[0] is not None
-        flagged += crosses(pts)
+        flagged += crosses(pts, DRAW_BOUND)
+        # the square's bound holds every draw's own
+        assert chain_bound(*zip(*pts)) <= DRAW_BOUND
     assert 0.7 < rejected / 20_000 < 0.9
-    # every rejection here is a plain crossing: the filter spares
-    # build_arc every draw it would reject
+    # every rejection here is a plain crossing: the filter, at the bound
+    # the sampler holds every draw to, spares build_arc every draw it
+    # would reject
     assert flagged == rejected
+    # a draw spanning the whole square meets the bound exactly
+    box = COORDINATE_BOX
+    assert chain_bound([0.0, box], [0.0, box]) == DRAW_BOUND
 
 
 def test_build_arc_equals_pairwise_on_pool_and_families(fuzz_pool):
@@ -975,10 +1080,10 @@ def test_crossing_filter_stops_at_the_orient_tolerance():
     pts = [Point2(x, y) for x, y in zip(xs, ys)]
     a1, a2 = pts[2], pts[3]
     assert orient(a1, a2, pts[0]) == orient(a1, a2, pts[1]) == 0
-    assert not _certainly_crosses(xs, ys)
+    assert not _certainly_crosses(xs, ys, chain_bound(xs, ys))
     # twice as far apart, orient sees the crossing and so does the filter
     ys = [-2 * t, 2 * t, 0.0, 0.0]
-    assert _certainly_crosses(xs, ys)
+    assert _certainly_crosses(xs, ys, chain_bound(xs, ys))
     assert same_verdict(list(zip(xs, ys)))[0] is SelfIntersecting
 
 

@@ -20,7 +20,7 @@ from .arc import ArcError, build_arc
 from .hull import StraightArc, melkman_hull
 from .oracle import (FuzzConfig, GenerationExhausted, _arc_and_hull,
                      draw_delta)
-from .pairs import (MOUNTAIN, VALLEY, InvalidDelta, TriplePair, _evaluate,
+from .pairs import (MOUNTAIN, VALLEY, InvalidDelta, TriplePair, _count_of_kind,
                     _near_jump_gap, corollary_check, find_pair,
                     pairs_identical, safe_delta_range, verify_triple)
 from .profile import NotRiseThenFall, build_profile
@@ -115,12 +115,10 @@ def _pair_doc(pair: TriplePair, unique_count: int, report,
 
 def _run_mode(profile, arc, delta, mode):
     """The scan's pair, the number of enumerated configurations of its
-    kind (spanning the apex step for a mountain pair, the minimum step
-    for a valley pair) and its verification report."""
+    kind (pairs._count_of_kind) and its verification report."""
     pair = find_pair(profile, delta, mode)
-    kind = 5 if mode == MOUNTAIN else 6  # covers_apex, covers_min
-    typed = sum(1 for c in _evaluate(profile, delta) if c[kind])
-    return pair, typed, verify_triple(arc, pair)
+    return (pair, _count_of_kind(profile, delta, mode),
+            verify_triple(arc, pair))
 
 
 def cmd_find_pair(args) -> int:

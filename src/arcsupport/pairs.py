@@ -17,10 +17,11 @@ reads the profile as a staircase: one row per hull corner, in
 ascending level, holding the window positions of the rising and the
 falling branch at that level.  Their difference, the width, shrinks as
 the level climbs, and the row read at delta is the highest whose
-widths reach delta.  find_pair builds no rows.  The window positions
-are the prefix sums of the widths, one float column per mode kept on
-the profile; the apex row and the minimum's row are closed forms of
-it, and every other row pairs a corner's step on one branch with a
+widths reach delta.  find_pair builds no rows.  Each mode keeps one
+staircase index on the profile, the window positions (prefix sums of
+the widths) and levels, negated for a valley pair, so one search
+serves both modes.  The top row and row 0 are closed forms of the
+positions; every other row pairs a corner's step on one branch with a
 jump on the other, found by bisecting each branch of the staircase.
 Away from ties the touch sets at the row's two angles are the jump's
 two levels and the corner's own, and the pair follows from the row
@@ -150,71 +151,65 @@ class CorollaryResult:
 _ULP = math.ulp(TWO_PI)
 
 
-def _positions(profile: SupportProfile, mode: str) -> tuple[float, ...]:
-    """The mode's window positions, m + 1 prefix sums of the widths read
-    from its anchor step k: the window's step j, the profile's step
-    (j + k) % m, runs from xs[j] to xs[j + 1].  Built on first use and
-    kept on the profile."""
-    k = 0 if mode == MOUNTAIN else profile.apex_index
-    return (profile._indexes.get(mode) or profile._index(
-        mode, lambda p: tuple(accumulate(p.widths[k:] + p.widths[:k],
-                                         initial=0.0))))
+def _staircase(profile: SupportProfile, mode: str) -> tuple:
+    """The mode's staircase index (k, top, xs, lv), built on first use
+    and kept on the profile: the scan's window from the anchor step k,
+    whose step j, the profile's step (j + k) % m, runs from xs[j] to
+    xs[j + 1] (prefix sums of the widths) at the level lv[j], negated
+    for a valley pair, so the levels rise from step 0 to the top step,
+    top, and fall back.  The mountain lv is profile.levels itself."""
+    got = profile._indexes.get(mode)
+    if got is None:
+        levels, widths, k = profile.levels, profile.widths, profile.apex_index
+        if mode == MOUNTAIN:  # from the minimum step up to the apex
+            k, top, lv = 0, k, levels
+        else:  # from the apex step up to the minimum, levels negated
+            top, lv = len(levels) - k, tuple(map(neg, levels[k:] + levels[:k]))
+        got = profile._indexes[mode] = (k, top, tuple(accumulate(
+            widths[k:] + widths[:k], initial=0.0)), lv)
+    return got
 
 
-def _middle_row(profile: SupportProfile, xs: tuple, k: int, delta: float,
-                mode: str):
-    """The scan's row at delta when delta lies strictly between the
-    widths of its two extreme rows: (corner, jump, jump_left, row).  One
-    branch sweeps the window's step corner, the other sits at the
-    profile's jump, on the left when jump_left, and row holds the
-    positions (left_lo, left_hi, right_lo, right_hi).
+def _middle_row(index: tuple, delta: float):
+    """The row at delta on a staircase index, for delta strictly between
+    the widths of the top row and row 0: (corner, jump, jump_left, row).
+    One branch sweeps the window's step corner, the other sits at the
+    profile's jump, on the left when jump_left; row holds the positions
+    (left_lo, left_hi, right_lo, right_hi).
 
-    A rising corner c of the window pairs with the falling jump at
-    position q under its level, widest width xs[q] - xs[c]; a falling
-    corner c with the rising jump at p, widest xs[c + 1] - xs[p].  The
-    scan reads the highest row whose widest reaches delta (a row's
-    narrowest is bitwise the widest above it): the higher of each
-    branch's highest such corner, r and f, by bisection (none: 0 or m,
-    the lowest step).  A probe's jump is one bisection of profile.levels
-    in place, through neg on the falling run apex + 1..m (m: step 0).
-    Window step or position j is profile step or jump (j + k) % m."""
-    m = len(xs) - 1
-    levels, apex = profile.levels, profile.apex_index
+    A rising corner c pairs with the falling jump at position q under
+    its level, widest width xs[q] - xs[c]; a falling corner c with the
+    rising jump at p, widest xs[c + 1] - xs[p].  The row read is the
+    highest whose widest reaches delta (a row's narrowest is bitwise the
+    widest above it): the higher of each branch's highest such corner,
+    r and f, by bisection (none: 0 or m, the lowest step).  A probe's
+    jump is one bisection of lv in place, through neg on the falling
+    run top + 1..m.  The levels are distinct (build_profile checks it),
+    so bisect_right finds the partner as bisect_left would."""
+    k, top, xs, lv = index
+    m = len(lv)
     # xs[c] - x is -(x - xs[c]) exactly: the rising widths, negated
-    if mode == MOUNTAIN:  # k = 0: window and profile indexes agree
-        r = bisect_right(range(apex), -delta, 1, key=lambda c: xs[c] - xs[
-            bisect_right(levels, -levels[c], apex + 1, m, key=neg)]) - 1
-        f = bisect_left(range(m), delta, apex + 1, key=lambda c: xs[
-            c + 1] - xs[bisect_right(levels, levels[c], 1, apex)])
-        if levels[r] > levels[f % m]:
-            q = bisect_right(levels, -levels[r], apex + 1, m, key=neg)
-            return r, q % m, False, (xs[r], xs[r + 1], xs[q], xs[q])
-        p = bisect_right(levels, levels[f], 1, apex)
-        return f, p, True, (xs[p], xs[p], xs[f], xs[f + 1])
-    top = m - k
     r = bisect_right(range(top), -delta, 1, key=lambda c: xs[c] - xs[
-        bisect_right(levels, levels[c + k], 1, k) + top]) - 1
-    f = bisect_left(range(m), delta, top + 1, key=lambda c: xs[c + 1] - xs[
-        bisect_right(levels, -levels[c - top], k + 1, m, key=neg) - k])
-    if levels[(r + k) % m] < levels[(f + k) % m]:
-        q = bisect_right(levels, levels[r + k], 1, k)
-        return r, q, False, (xs[r], xs[r + 1], xs[q + top], xs[q + top])
-    p = bisect_right(levels, -levels[f - top], k + 1, m, key=neg)
-    return f, p % m, True, (xs[p - k], xs[p - k], xs[f], xs[f + 1])
+        bisect_right(lv, -lv[c], top + 1, m, key=neg)]) - 1
+    f = bisect_left(range(m), delta, top + 1, key=lambda c: xs[
+        c + 1] - xs[bisect_right(lv, lv[c], 1, top)])
+    if lv[r] > lv[f % m]:
+        q = bisect_right(lv, -lv[r], top + 1, m, key=neg)
+        return r, (q + k) % m, False, (xs[r], xs[r + 1], xs[q], xs[q])
+    p = bisect_right(lv, lv[f], 1, top)
+    return f, (p + k) % m, True, (xs[p], xs[p], xs[f], xs[f + 1])
 
 
-def _scan_row(profile: SupportProfile, xs: tuple, k: int, delta: float,
-              mode: str):
-    """The scan's row at delta, (corner, jump, jump_left, row, near_tie)
-    as _middle_row gives the first four, and near_tie whether delta lies
-    within eps_angle of a width at which the scan passes from one row to
-    the next.  The top row (both branches on the apex step; for a valley
-    pair the minimum step) and row 0 (the anchor step and the window's
-    far end) are read off the positions; every other row is found by
-    _middle_row's two bisections.  A delta beyond row 0's widest by
+def _scan_row(index: tuple, delta: float):
+    """The row at delta on a staircase index, as (corner, jump,
+    jump_left, row, near_tie), near_tie being whether delta lies within
+    eps_angle of a width where the scan passes from one row to the next.
+    The top row (both branches on the top step) and row 0 (the anchor
+    step and the window's far end) are closed forms of the positions;
+    _middle_row finds every other.  A delta beyond row 0's widest by
     rounding reads row 0, as the scan clamps it."""
+    k, top, xs, _ = index
     m = len(xs) - 1
-    top = profile.apex_index if mode == MOUNTAIN else m - k
     widest_top, narrowest_0 = xs[top + 1] - xs[top], xs[m] - xs[1]
     if delta <= widest_top:
         return (top, (top + k) % m, True, (xs[top], xs[top + 1]) * 2,
@@ -222,7 +217,7 @@ def _scan_row(profile: SupportProfile, xs: tuple, k: int, delta: float,
     if delta > narrowest_0:  # also beyond row 0's widest, by rounding
         return (0, k, False, (0.0, xs[1], xs[m], xs[m]),
                 abs(delta - narrowest_0) <= EPS_ANGLE)
-    corner, jump, jump_left, row = _middle_row(profile, xs, k, delta, mode)
+    corner, jump, jump_left, row = _middle_row(index, delta)
     return (corner, jump, jump_left, row,
             abs(delta - (row[3] - row[0])) <= EPS_ANGLE
             or abs(delta - (row[2] - row[1])) <= EPS_ANGLE)
@@ -309,12 +304,10 @@ def find_pair(profile: SupportProfile, delta: float,
     """
     if not (0.0 < delta < TWO_PI):
         raise InvalidDelta(f"angle difference {delta} outside (0, 2*pi)")
-    lo, hi = safe_delta_range(profile, mode)
-    xs = _positions(profile, mode)
-    m = len(xs) - 1
-    k = 0 if mode == MOUNTAIN else profile.apex_index
-    corner, jump, jump_left, row, near_tie = _scan_row(profile, xs, k,
-                                                       delta, mode)
+    lo, hi = safe_delta_range(profile, mode)  # refuses an unknown mode
+    index = _staircase(profile, mode)
+    k, m = index[0], len(index[3])
+    corner, jump, jump_left, row, near_tie = _scan_row(index, delta)
     l_lo, l_hi, r_lo, r_hi = row
     x_l = min(max(r_lo - delta, l_lo), l_hi)
     x_r = min(max(x_l + delta, r_lo), r_hi)
@@ -436,23 +429,21 @@ def _build_chart(profile: SupportProfile) -> _Chart:
     side from a rising jump to the falling run passes the apex step.
     """
     slack = profile.param_slack
-    starts = profile.starts
-    k = profile.apex_index
-    rise = profile.levels[:k + 1]
-    fall = [-v for v in profile.levels[k + 1:]]  # negated: ascending too
+    starts, levels, k = profile.starts, profile.levels, profile.apex_index
     parts = []
     for i, (lo, hi) in enumerate(profile.jumps):
         if hi - lo <= slack:
             continue
         low, high = lo + slack, hi - slack
         # levels rise on steps 0..k, then fall back to step 0: a rising
-        # jump's span holds falling levels only, any other jump's span
-        # rising levels only
+        # jump's span holds falling levels only (bisected through neg),
+        # any other jump's span rising levels only
         if 0 < i <= k:
-            s = k + 1 + bisect_right(fall, -high)
-            e = k + 1 + bisect_left(fall, -low)
+            s = bisect_right(levels, -high, k + 1, key=neg)
+            e = bisect_left(levels, -low, k + 1, key=neg)
         else:
-            s, e = bisect_right(rise, low), bisect_left(rise, high)
+            s = bisect_right(levels, low, 0, k + 1)
+            e = bisect_left(levels, high, 0, k + 1)
         # no level inside; when hi - lo <= 2 * slack, low >= high and
         # the two bisections can cross (s > e)
         if s >= e:
@@ -505,6 +496,13 @@ def _evaluate(profile: SupportProfile, gap: float) -> list[tuple]:
     chart = _gap_chart(profile)
     return _configurations(
         profile, gap, chart.cands[bisect_right(chart.breaks, gap) - 1])
+
+
+def _count_of_kind(profile: SupportProfile, gap: float, mode: str) -> int:
+    """How many configurations at gap are of mode's kind: they span the
+    apex step for MOUNTAIN, the minimum step for VALLEY."""
+    kind = 5 if mode == MOUNTAIN else 6  # covers_apex, covers_min
+    return sum(1 for c in _evaluate(profile, gap) if c[kind])
 
 
 def _configurations(profile: SupportProfile, gap: float,

@@ -12,16 +12,16 @@ starts), adds the jumps and the apex, and builds no object per step.
 
 Reading the steps counterclockwise from the minimum-parameter corner,
 levels rise strictly to the maximum-parameter corner and then fall
-strictly back; the package relies on that unimodal shape and verifies
-it at construction time.
+strictly back, no level twice; the package relies on that unimodal
+shape and verifies it at construction time.
 
 A jump sits where a step starts and is stored as its two levels.
 Queries on a built profile are logarithmic in its corner count m: the
 step starts are sorted once per profile, on first use, and a touch
 query bisects them once, then walks out over the few jumps within
 eps_angle plus rounding of the query (O(log m)).  pairs.py keeps its
-indexes here too: each mode's window positions, m + 1 prefix sums of
-the widths, for the scans, and the gap chart, for enumeration.  The
+indexes here too: each mode's staircase index, its window positions
+and levels, for the scans, and the gap chart, for enumeration.  The
 lemma helpers built on a profile are in oracle.py: the pipeline never
 calls them.
 """
@@ -40,7 +40,7 @@ from .hull import Hull
 
 class NotRiseThenFall(ValueError):
     """A hull whose levels, read from its first corner, do not rise
-    strictly to one apex and then fall strictly back."""
+    strictly to one apex and then fall strictly back, or repeat a level."""
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class SupportProfile(Hull):
 
     # derived indexes, built on first use and kept on the instance (the
     # profile is immutable): the sorted jump angles (_by_angle) and the
-    # indexes pairs.py builds, the window positions of each mode
-    # (pairs._positions) and the gap chart (pairs._gap_chart).  A field out
+    # indexes pairs.py builds, the staircase index of each mode
+    # (pairs._staircase) and the gap chart (pairs._gap_chart).  A field out
     # of __init__, __eq__, __hash__ and __repr__ rather than keys added
     # to the instance dict later, which would slow every attribute read
     _indexes: dict = field(default_factory=dict, init=False, repr=False,
@@ -94,17 +94,20 @@ def build_profile(hull: Hull) -> SupportProfile:
     The hull lists its corners from the minimum-parameter one, so the
     steps start at the minimum level; checks the rise-then-fall shape of
     the level sequence, which also rejects a cycle starting elsewhere,
-    and raises NotRiseThenFall when it fails.
+    and that no level repeats (two corners are two vertices, at two
+    parameters), and raises NotRiseThenFall when it fails.
     """
     levels = hull.levels
     # the jump at a step's start lies between its level and the one before
     jumps = tuple([(a, b) if a < b else (b, a)
                    for a, b in zip(levels[-1:] + levels, levels)])
-    apex = max(range(len(levels)), key=levels.__getitem__)
+    apex = levels.index(max(levels))
     rising = levels[:apex + 1]
     falling = levels[apex:] + levels[:1]
+    ordered = sorted(levels)  # one merge of the branches' sorted runs
     if not (all(map(lt, rising, rising[1:]))
-            and all(map(gt, falling, falling[1:]))):
+            and all(map(gt, falling, falling[1:]))
+            and all(map(lt, ordered, ordered[1:]))):
         raise NotRiseThenFall(
             f"level sequence {list(levels)} is not rise-then-fall")
 

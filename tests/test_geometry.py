@@ -162,6 +162,7 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
                       (pairs, "_unroll"), (pairs, "_build_window"),
                       (pairs, "_window"), (pairs, "_build_rows"),
                       (pairs, "_lookup"), (pairs, "_scan"),
+                      (pairs, "_positions"),
                       (oracle, "quadratic_ledger"),
                       (oracle, "linear_ledger_lookup")):
         assert not hasattr(mod, name), name

@@ -102,6 +102,8 @@ def test_unknown_mode_is_refused(e1_profile):
     # a misspelt mode once read as a valley
     with pytest.raises(ValueError, match="'mountian'"):
         find_pair(e1_profile, PI, "mountian")
+    # refused before its staircase index is built
+    assert "mountian" not in e1_profile._indexes
     with pytest.raises(ValueError, match="'both'"):
         safe_delta_range(e1_profile, "both")
 

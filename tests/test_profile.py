@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from arcsupport import (Hull, Point2, build_arc, build_profile, canon_angle,
-                        ccw_gap, circ_dist, melkman_hull, oracle_touch_params,
-                        touch_params)
+from arcsupport import (Hull, NotRiseThenFall, Point2, build_arc,
+                        build_profile, canon_angle, ccw_gap, circ_dist,
+                        melkman_hull, oracle_touch_params, touch_params)
 from arcsupport.oracle import (MalformedFunction, cross_section, support_line,
                                unique_crossing)
 from arcsupport.profile import _by_angle
@@ -51,6 +51,17 @@ def test_profile_needs_the_hull_to_start_at_the_minimum(e2):
         with pytest.raises(ValueError, match="rise-then-fall"):
             build_profile(Hull(*[col[start:] + col[:start] for col in (
                 hull.corners, hull.levels, hull.starts, hull.widths)]))
+
+
+def test_profile_refuses_a_level_on_both_branches():
+    # each branch is strictly monotone, but level 2 is on both: the
+    # scan's rows would not be strict, so no profile is built
+    starts = (0.0, 1.0, 2.5, 4.0)
+    widths = tuple(ccw_gap(a, b)
+                   for a, b in zip(starts, starts[1:] + starts[:1]))
+    with pytest.raises(NotRiseThenFall, match="rise-then-fall"):
+        build_profile(Hull((0, 1, 2, 3), (0.0, 2.0, 5.0, 2.0), starts,
+                           widths))
 
 
 def test_profile_steps_are_the_hull_corners(e2):

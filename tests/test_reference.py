@@ -2,7 +2,7 @@
 
 build_arc sweeps sorted segment boxes, touch_params bisects sorted jump
 angles, find_pair finds the scan's row by two bisections of the
-staircase its prefix sums describe, with no gap chart, enumerate_triples
+staircase its mode's index describes, with no gap chart, enumerate_triples
 bisects the gap chart, and verify_triple reads only the runs of
 vertices whose box can matter; the references are the pairwise, linear
 and quadratic forms, and for find_pair the scan over its quadratic
@@ -40,8 +40,8 @@ from arcsupport.oracle import (COORDINATE_BOX, DRAW_BOUND,
                                _certainly_crosses, _linear_support_check,
                                linear_enumerate_triples, linear_touch_params,
                                linear_verify_triple, pairwise_simple_check)
-from arcsupport.pairs import (_gap_chart, _near_jump_gap, _positions,
-                              _scan_row, _support_check, find_pair)
+from arcsupport.pairs import (_gap_chart, _near_jump_gap, _scan_row,
+                              _staircase, _support_check, find_pair)
 from arcsupport.profile import _ROUNDING
 from conftest import POOL_CONFIG
 from families import FALLBACK_VERTICES, convex_arc, uniform_draws, walk_arc
@@ -194,20 +194,22 @@ def ledger_row(profile, mode, delta):
     """The ledger row find_pair reads at delta, as (level, left_lo,
     left_hi, right_lo, right_hi) with valley levels negated, and its
     near_tie."""
-    k = 0 if mode == MOUNTAIN else profile.apex_index
-    xs = _positions(profile, mode)
-    corner, _, _, row, near_tie = _scan_row(profile, xs, k, delta, mode)
-    level = profile.levels[(corner + k) % len(profile.levels)]
+    index = _staircase(profile, mode)
+    corner, _, _, row, near_tie = _scan_row(index, delta)
+    level = profile.levels[(corner + index[0]) % len(profile.levels)]
     return (-level if mode == VALLEY else level, *row), near_tie
 
 
 def test_ledger_equals_quadratic_build(profiles):
-    # the positions are the scan's window, and every row of the
+    # the staircase index is the scan's window, and every row of the
     # quadratic build is the row find_pair reads at that row's widest
     for profile in profiles:
+        assert _staircase(profile, MOUNTAIN)[3] is profile.levels
         for mode in (MOUNTAIN, VALLEY):
-            _, x_lo, x_hi, _ = unroll(profile, mode)
-            assert _positions(profile, mode) == (*x_lo, x_hi[-1])
+            anchor, x_lo, x_hi, levels = unroll(profile, mode)
+            k, top, xs, lv = _staircase(profile, mode)
+            assert profile.starts[k] == anchor and lv == levels
+            assert xs == (*x_lo, x_hi[-1]) and lv[top] == max(levels)
             for row in quadratic_ledger(profile, mode):
                 delta = row_widths(row)[1]
                 assert ledger_row(profile, mode, delta)[0] == row, (mode,
@@ -244,8 +246,8 @@ def assert_rows_match(profile, mode, deltas):
     of the linear walk over the quadratic ledger, and its jump sits at
     the row's jump position with the corner's level in its span."""
     rows = quadratic_ledger(profile, mode)
-    k = 0 if mode == MOUNTAIN else profile.apex_index
-    xs = _positions(profile, mode)
+    index = _staircase(profile, mode)
+    k, _, xs, _ = index
     m = len(xs) - 1
     for delta in deltas:
         if not 0.0 < delta < TWO_PI:
@@ -253,8 +255,7 @@ def assert_rows_match(profile, mode, deltas):
         hit, near_tie = linear_ledger_lookup(rows, delta)
         assert ledger_row(profile, mode, delta) == (
             rows[0] if hit is None else hit, near_tie), (mode, delta)
-        corner, jump, jump_left, row, _ = _scan_row(profile, xs, k, delta,
-                                                    mode)
+        corner, jump, jump_left, row, _ = _scan_row(index, delta)
         assert xs[(jump - k - 1) % m + 1] == row[0 if jump_left else 2]
         lo, hi = profile.jumps[jump]
         assert lo <= profile.levels[(corner + k) % m] <= hi, (mode, delta)
@@ -358,10 +359,10 @@ def test_cached_indexes_stay_out_of_identity(e2):
     cold = build_profile(melkman_hull(e2))
     warm = build_profile(melkman_hull(e2))
     touch_params(warm, 1.0)
-    _positions(warm, MOUNTAIN)
+    _staircase(warm, MOUNTAIN)
     assert warm == cold and hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
-    assert _positions(warm, MOUNTAIN) is _positions(warm, MOUNTAIN)
+    assert _staircase(warm, MOUNTAIN) is _staircase(warm, MOUNTAIN)
 
 
 class ReadRuns(tuple):

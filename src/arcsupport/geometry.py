@@ -6,7 +6,7 @@ All angle values in the package are plain radians canonicalized to
 and :func:`circ_dist`.  Four places unroll the circle themselves:
 profile.touch_params and pairs._near_jump_gap search the far end too
 where a window reaches past the seam, pairs._staircase lays the steps
-out from a mode's anchor step, and pairs._build_chart splits the gap
+out from a mode's anchor step, and pairs._gap_intervals splits the gap
 intervals that reach past 0 or 2*pi.
 
 The tolerances are fixed and relative to the input's own scale, so no

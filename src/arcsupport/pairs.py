@@ -27,12 +27,15 @@ Away from ties the touch sets at the row's two angles are the jump's
 two levels and the corner's own, and the pair follows from the row
 without a touch query.
 
-The gap chart, read by enumerate_triples only, is a rotating caliper
-over every angle difference at once (Toussaint, MELECON 1983): for
-each jump, the gaps at which some level of its span lies the gap away
-on either side, cut into pieces that each list their candidates.  It
-is built once per profile, in O(m log m), on first use and kept on the
-profile; reading a gap after that costs O(log m + k) for k candidates.
+Enumeration reads the gap intervals, a rotating caliper over every
+angle difference at once (Toussaint, MELECON 1983): for each jump, the
+gaps at which some level of its span lies the gap away on either side.
+They are built once per profile, in O(m log m), on first use and kept
+on the profile.  enumerate_triples cuts them into the gap chart, whose
+pieces each list their candidates, built once too, as it serves many
+gaps per profile; reading a gap after that costs O(log m + k) for k
+candidates.  The fuzz campaign's count of one kind reads the intervals
+at its one gap in O(m) and builds no chart.
 
 verify_triple checks a pair against the raw vertices, not the profile.
 It reads them in runs of 16 with their bounding boxes (arc.runs, built
@@ -394,23 +397,20 @@ def corollary_check(profile: SupportProfile, arc: PolygonalArc,
 
 
 # ---------------------------------------------------------------------------
-# the gap chart: the candidates of every gap at once
+# the gap intervals and the gap chart: the candidates of every gap
 
-# how far the chart widens each candidate's gaps beyond the span it
-# reads: eps_angle, the reach of touch_params around a step, plus room
-# for the rounding of psi, of the gaps' ends and of circ_dist, each a
-# few ulps of 2*pi
+# how far a candidate's gap interval reaches beyond the span it reads:
+# eps_angle, the reach of touch_params around a step, plus room for the
+# rounding of psi, of the gaps' ends and of circ_dist, each a few ulps
+# of 2*pi
 _CHART_PAD = EPS_ANGLE + 4 * _ROUNDING
 
 
-@dataclass(frozen=True)
-class _Chart:
-    breaks: tuple[float, ...]     # ascending, from 0.0 to 2*pi
-    cands: tuple[tuple, ...]      # (jump, sign)s of [breaks[k], breaks[k+1])
-
-
-def _build_chart(profile: SupportProfile) -> _Chart:
-    """The candidates enumerate_triples tries at each gap, O(m log m).
+def _gap_intervals(profile: SupportProfile) -> tuple[tuple, ...]:
+    """The gaps at which each candidate enumerate_triples tries can
+    yield a configuration, as parts (x, y, (i, sign), apex_side): the
+    candidate covers the gaps x <= gap < y.  In jump, then sign (+
+    before -) order, O(m log m); kept on the profile by _intervals.
 
     A candidate (jump index i, sign) pairs jump i with the angle
     psi = a_i + sign * gap; it yields a configuration only when the
@@ -419,14 +419,14 @@ def _build_chart(profile: SupportProfile) -> _Chart:
     opposite the jump's own, where they are one run of steps, found by
     bisection.  touch_params at psi returns a level only within
     eps_angle of that level's step, so a candidate's gaps are those
-    that put psi over its run, widened by _CHART_PAD.  The chart cuts
-    [0, 2*pi] at the ends of these gap intervals and lists, per piece,
-    the candidates covering it in jump, then sign (+ before -) order.
-    A query bisects the cuts.
+    that put psi over its run, widened by _CHART_PAD; an interval that
+    then reaches past 0 or 2*pi is cut there and its overhang carried
+    to the circle's other end, as a part of its own.
 
-    A candidate (i, sign) spans the apex step exactly when
-    (0 < i <= apex_index) == (sign > 0), else the minimum step: the ccw
-    side from a rising jump to the falling run passes the apex step.
+    apex_side is the candidate's kind: it spans the apex step exactly
+    when (0 < i <= apex_index) == (sign > 0), else the minimum step, as
+    the ccw side from a rising jump to the falling run passes the apex
+    step.
     """
     slack = profile.param_slack
     starts, levels, k = profile.starts, profile.levels, profile.apex_index
@@ -450,19 +450,41 @@ def _build_chart(profile: SupportProfile) -> _Chart:
             continue
         # the run's last step, e - 1, ends where step e starts
         a, first, last = starts[i], starts[s], starts[e % len(starts)]
+        rising = 0 < i <= k
         for sign, x, y in ((1.0, ccw_gap(a, first), ccw_gap(a, last)),
                            (-1.0, ccw_gap(last, a), ccw_gap(first, a))):
             x, y = x - _CHART_PAD, y + _CHART_PAD
-            parts.append((max(x, 0.0), min(y, TWO_PI), (i, sign)))
+            cand, apex_side = (i, sign), rising == (sign > 0)
+            parts.append((max(x, 0.0), min(y, TWO_PI), cand, apex_side))
             if x < 0.0:
-                parts.append((x + TWO_PI, TWO_PI, (i, sign)))
+                parts.append((x + TWO_PI, TWO_PI, cand, apex_side))
             if y > TWO_PI:
-                parts.append((0.0, y - TWO_PI, (i, sign)))
+                parts.append((0.0, y - TWO_PI, cand, apex_side))
+    return tuple(parts)
+
+
+def _intervals(profile: SupportProfile) -> tuple[tuple, ...]:
+    """The profile's gap intervals, built on first use and kept on it."""
+    return profile._index("intervals", _gap_intervals)
+
+
+@dataclass(frozen=True)
+class _Chart:
+    breaks: tuple[float, ...]     # ascending, from 0.0 to 2*pi
+    cands: tuple[tuple, ...]      # (jump, sign)s of [breaks[k], breaks[k+1])
+
+
+def _build_chart(profile: SupportProfile) -> _Chart:
+    """The candidates enumerate_triples tries at each gap, O(m log m):
+    the chart cuts [0, 2*pi] at the ends of the gap intervals and lists,
+    per piece, the candidates whose intervals cover it, in the
+    intervals' order.  A query bisects the cuts."""
+    parts = _intervals(profile)
     breaks = sorted({0.0, TWO_PI, *[p[0] for p in parts],
                      *[p[1] for p in parts]})
     pos = {b: j for j, b in enumerate(breaks)}
     cands: list[list] = [[] for _ in breaks[1:]]
-    for x, y, cand in parts:  # in candidate order
+    for x, y, cand, _ in parts:
         for piece in cands[pos[x]:pos[y]]:
             if not piece or piece[-1] != cand:
                 piece.append(cand)
@@ -487,22 +509,29 @@ def enumerate_triples(profile: SupportProfile, arc: PolygonalArc,
     """
     if not (0.0 < gap < TWO_PI):
         raise InvalidDelta(f"gap {gap} outside (0, 2*pi)")
-    return _as_pairs(profile, gap, _evaluate(profile, gap))
-
-
-def _evaluate(profile: SupportProfile, gap: float) -> list[tuple]:
-    """The configurations at gap in (0, 2*pi) as plain tuples, from the
-    candidates of the gap chart's piece there (see _configurations)."""
     chart = _gap_chart(profile)
-    return _configurations(
-        profile, gap, chart.cands[bisect_right(chart.breaks, gap) - 1])
+    return _as_pairs(profile, gap, _configurations(
+        profile, gap, chart.cands[bisect_right(chart.breaks, gap) - 1]))
 
 
 def _count_of_kind(profile: SupportProfile, gap: float, mode: str) -> int:
     """How many configurations at gap are of mode's kind: they span the
-    apex step for MOUNTAIN, the minimum step for VALLEY."""
-    kind = 5 if mode == MOUNTAIN else 6  # covers_apex, covers_min
-    return sum(1 for c in _evaluate(profile, gap) if c[kind])
+    apex step for MOUNTAIN, the minimum step for VALLEY.
+
+    Reads the gap intervals at gap alone and builds no chart: the parts
+    of the kind with x <= gap < y, consecutive repeats dropped, are the
+    candidates of the chart's piece at gap restricted to the kind, since
+    the chart cuts at every interval end.  A configuration that both
+    kinds yield (at gap pi) counts once for each, as it carries both
+    kinds in the chart's reading.  O(p) per call for the p parts, at
+    most six per jump, on the intervals built once per profile."""
+    apex = mode == MOUNTAIN
+    cands = []
+    for x, y, cand, apex_side in _intervals(profile):
+        if (apex_side == apex and x <= gap < y
+                and (not cands or cands[-1] != cand)):
+            cands.append(cand)
+    return len(_configurations(profile, gap, cands))
 
 
 def _configurations(profile: SupportProfile, gap: float,
@@ -511,7 +540,7 @@ def _configurations(profile: SupportProfile, gap: float,
     pairing jump i with the angle psi = a_i + sign * gap, as tuples
     (theta_double, theta_single, s1, s2, s3, covers_apex, covers_min).
     A configuration's kind is its candidate's, by the rule in
-    _build_chart; at gap pi, (i, +1) and (i, -1) give one pair, which
+    _gap_intervals; at gap pi, (i, +1) and (i, -1) give one pair, which
     then carries both kinds."""
     slack = profile.param_slack
     k = profile.apex_index

@@ -15,8 +15,9 @@ from arcsupport import (EPS_ANGLE, MOUNTAIN, TWO_PI, VALLEY, CorollaryResult,
                         find_pair_mountain, find_pair_valley,
                         jump_to_jump_gaps, melkman_hull, pairs_identical,
                         safe_delta_range, touch_params, verify_triple)
-from arcsupport import pairs
-from arcsupport.pairs import _gap_chart
+from arcsupport import cli, pairs
+from arcsupport.oracle import FuzzConfig
+from arcsupport.pairs import _count_of_kind, _gap_chart
 from families import FALLBACK_VERTICES, convex_arc, walk_arc
 from reference import (between_level_widths, linear_ledger_lookup,
                        quadratic_ledger, row_widths, scan_find_pair)
@@ -664,8 +665,30 @@ def test_gap_chart_is_built_once_per_profile(monkeypatch, e2):
     assert repr(warm) == repr(cold)
 
 
+def test_gap_intervals_are_built_once_per_profile(monkeypatch, e2):
+    # both kinds' counts and the chart read one set of gap intervals
+    builds = 0
+    build = pairs._gap_intervals
+
+    def counted(profile):
+        nonlocal builds
+        builds += 1
+        return build(profile)
+
+    monkeypatch.setattr(pairs, "_gap_intervals", counted)
+    profile = build_profile(melkman_hull(e2))
+    for gap in (0.5, PI, 5.0):
+        _count_of_kind(profile, gap, MOUNTAIN)
+        _count_of_kind(profile, gap, VALLEY)
+    assert builds == 1 and "gaps" not in profile._indexes
+    enumerate_triples(profile, e2, PI)
+    assert builds == 1 and "gaps" in profile._indexes
+
+
 def test_scans_build_no_gap_chart(monkeypatch, fuzz_pool):
-    # the chart serves enumeration only: the scans bisect the staircase
+    # the chart serves enumeration only: the scans bisect the staircase,
+    # and the CLI's count of the scan's kind reads the gap intervals at
+    # its one gap
     builds = 0
     build = pairs._build_chart
 
@@ -693,9 +716,23 @@ def test_scans_build_no_gap_chart(monkeypatch, fuzz_pool):
                 find_pair(profile, delta, MOUNTAIN)
                 find_pair(profile, delta, VALLEY)
                 corollary_check(profile, arc, delta)
+                cli._run_mode(profile, arc, delta, MOUNTAIN)
+                cli._run_mode(profile, arc, delta, VALLEY)
                 scans += 1
         assert "gaps" not in profile._indexes
     assert scans > 45_000 and builds == 0
+    # a fuzz campaign makes its own profiles: watch them as they are built
+    made = []
+
+    def kept(hull):
+        made.append(build_profile(hull))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "build_profile", kept)
+    cli.run_fuzz(FuzzConfig(trials=40, seed=7, delta_policy="full_range"))
+    assert len(made) == 40 and builds == 0
+    assert all("intervals" in profile._indexes
+               and "gaps" not in profile._indexes for profile in made)
     enumerate_triples(profile, arc, PI)
     enumerate_triples(profile, arc, 1.0)
     assert builds == 1 and "gaps" in profile._indexes

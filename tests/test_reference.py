@@ -3,10 +3,12 @@
 build_arc sweeps sorted segment boxes, touch_params bisects sorted jump
 angles, find_pair finds the scan's row by two bisections of the
 staircase its mode's index describes, with no gap chart, enumerate_triples
-bisects the gap chart, and verify_triple reads only the runs of
-vertices whose box can matter; the references are the pairwise, linear
-and quadratic forms, and for find_pair the scan over its quadratic
-ledger (tests/reference.py), also on hand-made staircases.
+bisects the gap chart, the fuzz campaign's count of one kind reads the
+chart's gap intervals at its one gap, and verify_triple reads only the
+runs of vertices whose box can matter; the references are the
+pairwise, linear and quadratic forms, and for find_pair the scan over
+its quadratic ledger (tests/reference.py), also on hand-made
+staircases.
 random_simple_arc discards draws that cross beyond the bound of its
 whole square before build_arc; its reference sends every draw through
 build_arc.  geometry.chain_orient decides most orientations on one
@@ -40,8 +42,9 @@ from arcsupport.oracle import (COORDINATE_BOX, DRAW_BOUND,
                                _certainly_crosses, _linear_support_check,
                                linear_enumerate_triples, linear_touch_params,
                                linear_verify_triple, pairwise_simple_check)
-from arcsupport.pairs import (_gap_chart, _near_jump_gap, _scan_row,
-                              _staircase, _support_check, find_pair)
+from arcsupport.pairs import (_count_of_kind, _gap_chart, _near_jump_gap,
+                              _scan_row, _staircase, _support_check,
+                              find_pair)
 from arcsupport.profile import _ROUNDING
 from conftest import POOL_CONFIG
 from families import FALLBACK_VERTICES, convex_arc, uniform_draws, walk_arc
@@ -409,14 +412,25 @@ def chart_gaps(profile):
     return [g for g in gaps if 0.0 < g < TWO_PI]
 
 
+def assert_counts_of_kind(profile, gap, linear):
+    """The count of each kind, as the fuzz campaign takes it, equals the
+    linear loop's configurations of that kind at gap."""
+    assert _count_of_kind(profile, gap, MOUNTAIN) == sum(
+        pair.covers_apex for pair in linear), gap
+    assert _count_of_kind(profile, gap, VALLEY) == sum(
+        pair.covers_min for pair in linear), gap
+
+
 def test_enumeration_equals_linear_loop(profiles):
     fallback = build_profile(melkman_hull(build_arc(FALLBACK_VERTICES)))
     count = 0
     for profile in profiles + [fallback]:
         for gap in chart_gaps(profile):
+            linear = linear_enumerate_triples(profile, gap)
             # enumerate_triples never reads its arc argument
             assert repr(enumerate_triples(profile, None, gap)) == repr(
-                linear_enumerate_triples(profile, gap)), gap
+                linear), gap
+            assert_counts_of_kind(profile, gap, linear)
             count += 1
     assert count > 150_000
 
@@ -457,8 +471,10 @@ def test_chart_splits_gap_intervals_that_wrap_past_the_circle(extra):
     chart = _gap_chart(profile)
     assert chart.cands[0] == chart.cands[-1] == ((0, 1.0), (0, -1.0))
     for gap in chart_gaps(profile):
+        linear = linear_enumerate_triples(profile, gap)
         assert repr(enumerate_triples(profile, None, gap)) == repr(
-            linear_enumerate_triples(profile, gap)), gap
+            linear), gap
+        assert_counts_of_kind(profile, gap, linear)
 
 
 def verify_pairs(arc, profile, delta):

@@ -116,9 +116,9 @@ def _pair_doc(pair: TriplePair, unique_count: int, report,
 def _run_mode(profile, arc, delta, mode):
     """The scan's pair, the number of enumerated configurations of its
     kind and its verification report.  The count (pairs._count_of_kind)
-    reads the profile's gap intervals at delta alone and builds no gap
-    chart, and it reads nothing of the scan, so the uniqueness rate
-    checks the scan against an independent enumeration."""
+    reads the profile's gap intervals and nothing of the scan, so the
+    uniqueness rate checks the scan against an independent
+    enumeration."""
     pair = find_pair(profile, delta, mode)
     return (pair, _count_of_kind(profile, delta, mode),
             verify_triple(arc, pair))

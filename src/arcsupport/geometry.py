@@ -57,12 +57,18 @@ class Point2:
 
 
 def canon_angle(theta: float) -> float:
-    """Map any radian value into [0, 2*pi)."""
-    r = math.fmod(theta, TWO_PI)
+    """Map any finite radian value into [0, 2*pi); raise ValueError,
+    naming the value, for nan and +-inf."""
+    try:
+        r = math.fmod(theta, TWO_PI)
+    except ValueError:  # fmod refuses +-inf
+        raise ValueError(f"angle {theta!r} is not finite") from None
     if r < 0.0:
         r += TWO_PI
-    if r >= TWO_PI:  # fmod can round up to 2*pi for tiny negatives
-        r -= TWO_PI
+        if r >= TWO_PI:  # the sum can round up to 2*pi for tiny negatives
+            r -= TWO_PI
+    elif r != r:  # fmod passes nan through
+        raise ValueError(f"angle {theta!r} is not finite")
     return r
 
 

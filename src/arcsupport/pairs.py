@@ -30,12 +30,11 @@ without a touch query.
 Enumeration reads the gap intervals, a rotating caliper over every
 angle difference at once (Toussaint, MELECON 1983): for each jump, the
 gaps at which some level of its span lies the gap away on either side.
-They are built once per profile, in O(m log m), on first use and kept
-on the profile.  enumerate_triples cuts them into the gap chart, whose
-pieces each list their candidates, built once too, as it serves many
-gaps per profile; reading a gap after that costs O(log m + k) for k
-candidates.  The fuzz campaign's count of one kind reads the intervals
-at its one gap in O(m) and builds no chart.
+They are built once per profile, on first use, and kept on the
+profile.  enumerate_triples and the fuzz campaign's count of one kind
+both take their candidates at a gap from one filter over them, O(p + k)
+for p parts and k candidates: p is 2 on a convex arc and grows to
+about 2 m where the two branches of the staircase interleave.
 
 verify_triple checks a pair against the raw vertices, not the profile.
 It reads them in runs of 16 with their bounding boxes (arc.runs, built
@@ -299,11 +298,11 @@ def find_pair(profile: SupportProfile, delta: float,
 
     The scan's row at delta, from _scan_row, gives the two angles, its
     level the fallback certificate, and near_tie; it takes log m probes
-    of the staircase and builds no gap chart.  Each row has one branch
-    at a jump: on the top row the left one, clamped to the step's
-    start, on row 0 the right one, at the window's end.  Clear of ties
-    the jump line is the double line and the corner's level is s2, with
-    no touch query; otherwise _assign_roles reads the two touch sets.
+    of the staircase.  Each row has one branch at a jump: on the top
+    row the left one, clamped to the step's start, on row 0 the right
+    one, at the window's end.  Clear of ties the jump line is the double
+    line and the corner's level is s2, with no touch query; otherwise
+    _assign_roles reads the two touch sets.
     """
     if not (0.0 < delta < TWO_PI):
         raise InvalidDelta(f"angle difference {delta} outside (0, 2*pi)")
@@ -397,20 +396,20 @@ def corollary_check(profile: SupportProfile, arc: PolygonalArc,
 
 
 # ---------------------------------------------------------------------------
-# the gap intervals and the gap chart: the candidates of every gap
+# the gap intervals: the candidates of every gap
 
 # how far a candidate's gap interval reaches beyond the span it reads:
 # eps_angle, the reach of touch_params around a step, plus room for the
 # rounding of psi, of the gaps' ends and of circ_dist, each a few ulps
 # of 2*pi
-_CHART_PAD = EPS_ANGLE + 4 * _ROUNDING
+_GAP_PAD = EPS_ANGLE + 4 * _ROUNDING
 
 
 def _gap_intervals(profile: SupportProfile) -> tuple[tuple, ...]:
     """The gaps at which each candidate enumerate_triples tries can
     yield a configuration, as parts (x, y, (i, sign), apex_side): the
     candidate covers the gaps x <= gap < y.  In jump, then sign (+
-    before -) order, O(m log m); kept on the profile by _intervals.
+    before -) order; kept on the profile by _intervals.
 
     A candidate (jump index i, sign) pairs jump i with the angle
     psi = a_i + sign * gap; it yields a configuration only when the
@@ -419,9 +418,16 @@ def _gap_intervals(profile: SupportProfile) -> tuple[tuple, ...]:
     opposite the jump's own, where they are one run of steps, found by
     bisection.  touch_params at psi returns a level only within
     eps_angle of that level's step, so a candidate's gaps are those
-    that put psi over its run, widened by _CHART_PAD; an interval that
+    that put psi over its run, widened by _GAP_PAD; an interval that
     then reaches past 0 or 2*pi is cut there and its overhang carried
     to the circle's other end, as a part of its own.
+
+    Only the jumps whose span meets the other branch's levels are
+    bisected, found by two bisections per branch: levels[m - 1] to
+    levels[k + 1] for a rising jump, levels[1] to levels[k - 1] for a
+    falling one (no span holds the minimum or the apex inside).  The
+    jumps skipped would find no level, so the parts are those of
+    bisecting every jump.
 
     apex_side is the candidate's kind: it spans the apex step exactly
     when (0 < i <= apex_index) == (sign > 0), else the minimum step, as
@@ -430,15 +436,26 @@ def _gap_intervals(profile: SupportProfile) -> tuple[tuple, ...]:
     """
     slack = profile.param_slack
     starts, levels, k = profile.starts, profile.levels, profile.apex_index
+    m = len(levels)
+    rising = falling = range(0)
+    if k < m - 1:  # jumps 1..k whose span meets the falling levels
+        rising = range(bisect_right(levels, levels[m - 1], 1, k + 1),
+                       bisect_left(levels, levels[k + 1], 1, k + 1) + 1)
+    if k > 1:  # jumps k+1..m-1 whose span meets levels[1..k-1]
+        falling = range(
+            bisect_right(levels, -levels[k - 1], k + 1, m, key=neg),
+            min(bisect_left(levels, -levels[1], k + 1, m, key=neg) + 1, m))
     parts = []
-    for i, (lo, hi) in enumerate(profile.jumps):
+    for i in (0, *rising, *falling):
+        lo, hi = profile.jumps[i]
         if hi - lo <= slack:
             continue
         low, high = lo + slack, hi - slack
         # levels rise on steps 0..k, then fall back to step 0: a rising
         # jump's span holds falling levels only (bisected through neg),
         # any other jump's span rising levels only
-        if 0 < i <= k:
+        rising_jump = 0 < i <= k
+        if rising_jump:
             s = bisect_right(levels, -high, k + 1, key=neg)
             e = bisect_left(levels, -low, k + 1, key=neg)
         else:
@@ -449,12 +466,11 @@ def _gap_intervals(profile: SupportProfile) -> tuple[tuple, ...]:
         if s >= e:
             continue
         # the run's last step, e - 1, ends where step e starts
-        a, first, last = starts[i], starts[s], starts[e % len(starts)]
-        rising = 0 < i <= k
+        a, first, last = starts[i], starts[s], starts[e % m]
         for sign, x, y in ((1.0, ccw_gap(a, first), ccw_gap(a, last)),
                            (-1.0, ccw_gap(last, a), ccw_gap(first, a))):
-            x, y = x - _CHART_PAD, y + _CHART_PAD
-            cand, apex_side = (i, sign), rising == (sign > 0)
+            x, y = x - _GAP_PAD, y + _GAP_PAD
+            cand, apex_side = (i, sign), rising_jump == (sign > 0)
             parts.append((max(x, 0.0), min(y, TWO_PI), cand, apex_side))
             if x < 0.0:
                 parts.append((x + TWO_PI, TWO_PI, cand, apex_side))
@@ -468,32 +484,17 @@ def _intervals(profile: SupportProfile) -> tuple[tuple, ...]:
     return profile._index("intervals", _gap_intervals)
 
 
-@dataclass(frozen=True)
-class _Chart:
-    breaks: tuple[float, ...]     # ascending, from 0.0 to 2*pi
-    cands: tuple[tuple, ...]      # (jump, sign)s of [breaks[k], breaks[k+1])
-
-
-def _build_chart(profile: SupportProfile) -> _Chart:
-    """The candidates enumerate_triples tries at each gap, O(m log m):
-    the chart cuts [0, 2*pi] at the ends of the gap intervals and lists,
-    per piece, the candidates whose intervals cover it, in the
-    intervals' order.  A query bisects the cuts."""
-    parts = _intervals(profile)
-    breaks = sorted({0.0, TWO_PI, *[p[0] for p in parts],
-                     *[p[1] for p in parts]})
-    pos = {b: j for j, b in enumerate(breaks)}
-    cands: list[list] = [[] for _ in breaks[1:]]
-    for x, y, cand, _ in parts:
-        for piece in cands[pos[x]:pos[y]]:
-            if not piece or piece[-1] != cand:
-                piece.append(cand)
-    return _Chart(tuple(breaks), tuple([tuple(c) for c in cands]))
-
-
-def _gap_chart(profile: SupportProfile) -> _Chart:
-    """The profile's gap chart, built on first use and kept on it."""
-    return profile._index("gaps", _build_chart)
+def _covering(profile: SupportProfile, gap: float,
+              apex_side: bool | None = None) -> list[tuple]:
+    """The candidates whose parts cover gap, x <= gap < y, in the
+    intervals' order with consecutive repeats dropped; only those of
+    one kind when apex_side is given.  O(p) for the p parts."""
+    cands = []
+    for x, y, cand, side in _intervals(profile):
+        if (x <= gap < y and (apex_side is None or side == apex_side)
+                and (not cands or cands[-1] != cand)):
+            cands.append(cand)
+    return cands
 
 
 def enumerate_triples(profile: SupportProfile, arc: PolygonalArc,
@@ -503,35 +504,23 @@ def enumerate_triples(profile: SupportProfile, arc: PolygonalArc,
 
     The double line touches two parameters, so it must be a jump line;
     candidates are the jump angles paired with the angle gap away on
-    either side, read off the gap chart by one bisection.  Each
-    surviving configuration records whether its gap side spans the apex
-    step or the minimum step, read off its candidate.
+    either side, those whose gap intervals cover gap.  Each surviving
+    configuration records whether its gap side spans the apex step or
+    the minimum step, read off its candidate.
     """
     if not (0.0 < gap < TWO_PI):
         raise InvalidDelta(f"gap {gap} outside (0, 2*pi)")
-    chart = _gap_chart(profile)
     return _as_pairs(profile, gap, _configurations(
-        profile, gap, chart.cands[bisect_right(chart.breaks, gap) - 1]))
+        profile, gap, _covering(profile, gap)))
 
 
 def _count_of_kind(profile: SupportProfile, gap: float, mode: str) -> int:
     """How many configurations at gap are of mode's kind: they span the
-    apex step for MOUNTAIN, the minimum step for VALLEY.
-
-    Reads the gap intervals at gap alone and builds no chart: the parts
-    of the kind with x <= gap < y, consecutive repeats dropped, are the
-    candidates of the chart's piece at gap restricted to the kind, since
-    the chart cuts at every interval end.  A configuration that both
-    kinds yield (at gap pi) counts once for each, as it carries both
-    kinds in the chart's reading.  O(p) per call for the p parts, at
-    most six per jump, on the intervals built once per profile."""
-    apex = mode == MOUNTAIN
-    cands = []
-    for x, y, cand, apex_side in _intervals(profile):
-        if (apex_side == apex and x <= gap < y
-                and (not cands or cands[-1] != cand)):
-            cands.append(cand)
-    return len(_configurations(profile, gap, cands))
+    apex step for MOUNTAIN, the minimum step for VALLEY.  The candidates
+    of that kind alone, so a configuration that both kinds yield (at gap
+    pi) counts once for each, as enumerate_triples marks it with both."""
+    return len(_configurations(profile, gap,
+                               _covering(profile, gap, mode == MOUNTAIN)))
 
 
 def _configurations(profile: SupportProfile, gap: float,

@@ -21,9 +21,9 @@ step starts are sorted once per profile, on first use, and a touch
 query bisects them once, then walks out over the few jumps within
 eps_angle plus rounding of the query (O(log m)).  pairs.py keeps its
 indexes here too: each mode's staircase index, its window positions
-and levels, for the scans, and for enumeration the gap intervals and
-the gap chart cut from them.  The lemma helpers built on a profile are
-in oracle.py: the pipeline never calls them.
+and levels, for the scans, and for enumeration the gap intervals.  The
+lemma helpers built on a profile are in oracle.py: the pipeline never
+calls them.
 """
 
 from __future__ import annotations
@@ -66,11 +66,10 @@ class SupportProfile(Hull):
     # derived indexes, built on first use and kept on the instance (the
     # profile is immutable): the sorted jump angles (_by_angle) and the
     # indexes pairs.py builds, the staircase index of each mode
-    # (pairs._staircase), the gap intervals (pairs._intervals), which
-    # the count of one kind reads, and the gap chart enumerate_triples
-    # cuts from them (pairs._gap_chart).  A field out of __init__,
-    # __eq__, __hash__ and __repr__ rather than keys added to the
-    # instance dict later, which would slow every attribute read
+    # (pairs._staircase) and the gap intervals (pairs._intervals).  A
+    # field out of __init__, __eq__, __hash__ and __repr__ rather than
+    # keys added to the instance dict later, which would slow every
+    # attribute read
     _indexes: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 

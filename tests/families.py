@@ -1,6 +1,7 @@
 """Seeded arc families at any size, for tests that need more hull
 corners than the fuzz pool's rejection sampling reaches, seeded
-uniform draws like the sampler's, and one arc with a tiny hull edge."""
+uniform draws like the sampler's, one arc with a tiny hull edge and a
+zigzag whose hull branches interleave."""
 
 import math
 import random
@@ -28,6 +29,19 @@ def walk_arc(n, rng):
     for i in range(n):
         pts.append((float(i), y))
         y += rng.gauss(0.0, 1.0)
+    return pts
+
+
+def zigzag_arc(n):
+    # y-monotone zigzag inscribed in the unit circle, alternating between
+    # its left and right halves: every vertex a corner, and the rising
+    # and falling branches interleave, so the profile has about 2 n gap
+    # intervals
+    pts = []
+    for i in range(n):
+        y = -1.0 + 2.0 * (i + 0.5) / n
+        x = math.sqrt(1.0 - y * y)
+        pts.append((x if i % 2 else -x, y))
     return pts
 
 

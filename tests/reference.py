@@ -19,9 +19,10 @@ every scan.
 
 from itertools import accumulate
 
-from arcsupport import EPS_ANGLE, MOUNTAIN, VALLEY, TriplePair, canon_angle
+from arcsupport import (EPS_ANGLE, MOUNTAIN, TWO_PI, VALLEY, TriplePair,
+                        canon_angle)
 from arcsupport.geometry import ccw_gap
-from arcsupport.pairs import _assign_roles, safe_delta_range
+from arcsupport.pairs import _assign_roles, _intervals, safe_delta_range
 
 
 def unroll(profile, mode):
@@ -120,3 +121,12 @@ def scan_find_pair(profile, delta, mode, rows):
                       guaranteed=lo <= delta <= hi, near_tie=near_tie,
                       covers_apex=(mode == MOUNTAIN),
                       covers_min=(mode == VALLEY))
+
+
+def interval_cuts(profile):
+    """0, 2 pi and every end of the profile's gap intervals, ascending:
+    between two neighbouring cuts each interval covers every gap or
+    none, so enumeration's candidates stay the same."""
+    parts = _intervals(profile)
+    return sorted({0.0, TWO_PI, *[x for x, _, _, _ in parts],
+                   *[y for _, y, _, _ in parts]})

@@ -123,6 +123,13 @@ def test_canon_angle_range(theta):
     assert 0.0 <= c < TWO_PI
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_canon_angle_refuses_a_non_finite_angle(theta):
+    # nan used to pass through and +-inf to fail inside fmod with no value
+    with pytest.raises(ValueError, match=f"^angle {theta!r} is not finite$"):
+        canon_angle(theta)
+
+
 def test_one_fixed_tolerance_policy():
     # the policy lives in geometry's constants; no call can set another
     import arcsupport

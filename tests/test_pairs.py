@@ -15,12 +15,11 @@ from arcsupport import (EPS_ANGLE, MOUNTAIN, TWO_PI, VALLEY, CorollaryResult,
                         find_pair_mountain, find_pair_valley,
                         jump_to_jump_gaps, melkman_hull, pairs_identical,
                         safe_delta_range, touch_params, verify_triple)
-from arcsupport import cli, pairs
-from arcsupport.oracle import FuzzConfig
-from arcsupport.pairs import _count_of_kind, _gap_chart
+from arcsupport import pairs
+from arcsupport.pairs import _count_of_kind, _covering
 from families import FALLBACK_VERTICES, convex_arc, walk_arc
-from reference import (between_level_widths, linear_ledger_lookup,
-                       quadratic_ledger, row_widths, scan_find_pair)
+from reference import (between_level_widths, interval_cuts,
+                       linear_ledger_lookup, quadratic_ledger, scan_find_pair)
 
 PI = math.pi
 ATAN_HALF = math.atan(0.5)
@@ -207,19 +206,21 @@ def test_at_most_two_configurations_at_any_gap(fuzz_pool):
 
 
 def test_at_most_two_candidates_on_any_chart_piece(fuzz_pool):
-    # the paper's theorem at every gap at once: each piece of the gap
-    # chart wider than 4 eps_angle holds at most two (jump, sign)
-    # candidates; narrower pieces sit where the widened ends of two
-    # candidates' gap intervals overlap
+    # the paper's theorem at every gap at once: between two neighbouring
+    # ends of the gap intervals the candidates stay the same, and each
+    # such piece wider than 4 eps_angle holds at most two (jump, sign)
+    # candidates, read at its midpoint; narrower pieces sit where the
+    # widened ends of two candidates' gap intervals overlap
     draws = list(fuzz_pool)
     for make in (convex_arc, walk_arc):
         arc = build_arc(make(1600, random.Random(1600)))
         draws.append((arc, build_profile(melkman_hull(arc))))
     most = 0
     for arc, profile in draws:
-        chart = _gap_chart(profile)
-        for a, b, cands in zip(chart.breaks, chart.breaks[1:], chart.cands):
+        cuts = interval_cuts(profile)
+        for a, b in zip(cuts, cuts[1:]):
             if b - a > 4 * EPS_ANGLE:
+                cands = _covering(profile, 0.5 * (a + b))
                 assert len(cands) <= 2, (
                     f"counterexample: gaps ({a!r}, {b!r}) hold {cands}, "
                     f"vertices={list(zip(arc.xs, arc.ys))!r}")
@@ -248,13 +249,15 @@ def spans_apex(profile, cand):
 def test_each_safe_chart_piece_holds_one_candidate_of_its_kind(fuzz_pool):
     # the paper's statement per arc: on a mode's safe range the arc has
     # exactly one pair of that kind, a mountain pair across the apex
-    # step and a valley pair across the minimum step
+    # step and a valley pair across the minimum step: each piece between
+    # neighbouring ends of the gap intervals, read at its midpoint
     pieces = {MOUNTAIN: 0, VALLEY: 0}
     for arc, profile in family_draws(fuzz_pool):
-        chart = _gap_chart(profile)
-        for a, b, cands in zip(chart.breaks, chart.breaks[1:], chart.cands):
+        cuts = interval_cuts(profile)
+        for a, b in zip(cuts, cuts[1:]):
             if b - a <= 4 * EPS_ANGLE:
                 continue
+            cands = _covering(profile, 0.5 * (a + b))
             for mode in (MOUNTAIN, VALLEY):
                 lo, hi = safe_delta_range(profile, mode)
                 if max(a, lo) >= min(b, hi):
@@ -644,29 +647,9 @@ def test_enumeration_reads_a_few_candidates(monkeypatch):
     assert configs > 0 and calls <= 4 * 100
 
 
-def test_gap_chart_is_built_once_per_profile(monkeypatch, e2):
-    builds = 0
-    build = pairs._build_chart
-
-    def counted(profile):
-        nonlocal builds
-        builds += 1
-        return build(profile)
-
-    monkeypatch.setattr(pairs, "_build_chart", counted)
-    cold = build_profile(melkman_hull(e2))
-    warm = build_profile(melkman_hull(e2))
-    for gap in (0.5, PI, 5.0, PI):
-        enumerate_triples(warm, e2, gap)
-    assert builds == 1
-    assert _gap_chart(warm) is _gap_chart(warm)
-    # the chart stays out of the profile's identity
-    assert warm == cold and hash(warm) == hash(cold)
-    assert repr(warm) == repr(cold)
-
-
 def test_gap_intervals_are_built_once_per_profile(monkeypatch, e2):
-    # both kinds' counts and the chart read one set of gap intervals
+    # both kinds' counts and enumeration read one set of gap intervals,
+    # kept out of the profile's identity
     builds = 0
     build = pairs._gap_intervals
 
@@ -676,66 +659,15 @@ def test_gap_intervals_are_built_once_per_profile(monkeypatch, e2):
         return build(profile)
 
     monkeypatch.setattr(pairs, "_gap_intervals", counted)
+    cold = build_profile(melkman_hull(e2))
     profile = build_profile(melkman_hull(e2))
     for gap in (0.5, PI, 5.0):
         _count_of_kind(profile, gap, MOUNTAIN)
         _count_of_kind(profile, gap, VALLEY)
+        enumerate_triples(profile, e2, gap)
     assert builds == 1 and "gaps" not in profile._indexes
-    enumerate_triples(profile, e2, PI)
-    assert builds == 1 and "gaps" in profile._indexes
-
-
-def test_scans_build_no_gap_chart(monkeypatch, fuzz_pool):
-    # the chart serves enumeration only: the scans bisect the staircase,
-    # and the CLI's count of the scan's kind reads the gap intervals at
-    # its one gap
-    builds = 0
-    build = pairs._build_chart
-
-    def counted(profile):
-        nonlocal builds
-        builds += 1
-        return build(profile)
-
-    monkeypatch.setattr(pairs, "_build_chart", counted)
-    # fresh profiles: the pool's may carry a chart from other tests
-    arcs = [arc for arc, _ in fuzz_pool] + [build_arc(FALLBACK_VERTICES)]
-    for n in (80, 400):
-        for make in (convex_arc, walk_arc):
-            arcs.append(build_arc(make(n, random.Random(n))))
-    scans = 0
-    for arc in arcs:
-        profile = build_profile(melkman_hull(arc))
-        deltas = [TWO_PI * (k + 0.5) / 24 for k in range(24)]
-        for mode in (MOUNTAIN, VALLEY):
-            for row in quadratic_ledger(profile, mode):
-                w = row_widths(row)[1]
-                deltas += [w, math.nextafter(w, 0.0), math.nextafter(w, 7.0)]
-        for delta in deltas:
-            if 0.0 < delta < TWO_PI:
-                find_pair(profile, delta, MOUNTAIN)
-                find_pair(profile, delta, VALLEY)
-                corollary_check(profile, arc, delta)
-                cli._run_mode(profile, arc, delta, MOUNTAIN)
-                cli._run_mode(profile, arc, delta, VALLEY)
-                scans += 1
-        assert "gaps" not in profile._indexes
-    assert scans > 45_000 and builds == 0
-    # a fuzz campaign makes its own profiles: watch them as they are built
-    made = []
-
-    def kept(hull):
-        made.append(build_profile(hull))
-        return made[-1]
-
-    monkeypatch.setattr(cli, "build_profile", kept)
-    cli.run_fuzz(FuzzConfig(trials=40, seed=7, delta_policy="full_range"))
-    assert len(made) == 40 and builds == 0
-    assert all("intervals" in profile._indexes
-               and "gaps" not in profile._indexes for profile in made)
-    enumerate_triples(profile, arc, PI)
-    enumerate_triples(profile, arc, 1.0)
-    assert builds == 1 and "gaps" in profile._indexes
+    assert profile == cold and hash(profile) == hash(cold)
+    assert repr(profile) == repr(cold)
 
 
 def test_scan_clamps_a_delta_beyond_the_ledger_to_row_0(e2_profile):

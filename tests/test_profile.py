@@ -20,6 +20,16 @@ def rotate(arc, phi):
     return [(c * x - s * y, s * x + c * y) for x, y in zip(arc.xs, arc.ys)]
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_touch_queries_refuse_a_non_finite_angle(theta, e1, e1_profile):
+    # both go through canon_angle first: a nan query used to read the
+    # minimum step's level
+    for query in (lambda: touch_params(e1_profile, theta),
+                  lambda: oracle_touch_params(e1, theta)):
+        with pytest.raises(ValueError, match="not finite"):
+            query()
+
+
 def test_e1_profile_structure(e1_profile):
     p = e1_profile
     assert p.levels == (0.0, 1.0, 2.0)

@@ -2,10 +2,10 @@
 
 build_arc sweeps sorted segment boxes, touch_params bisects sorted jump
 angles, find_pair finds the scan's row by two bisections of the
-staircase its mode's index describes, with no gap chart, enumerate_triples
-bisects the gap chart, the fuzz campaign's count of one kind reads the
-chart's gap intervals at its one gap, and verify_triple reads only the
-runs of vertices whose box can matter; the references are the
+staircase its mode's index describes, enumerate_triples and the fuzz
+campaign's count of one kind try only the candidates whose gap
+intervals cover the gap, and verify_triple reads only the runs of
+vertices whose box can matter; the references are the
 pairwise, linear and quadratic forms, and for find_pair the scan over
 its quadratic ledger (tests/reference.py), also on hand-made
 staircases.
@@ -18,6 +18,7 @@ must be equal, not close.
 
 import bisect
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -42,14 +43,15 @@ from arcsupport.oracle import (COORDINATE_BOX, DRAW_BOUND,
                                _certainly_crosses, _linear_support_check,
                                linear_enumerate_triples, linear_touch_params,
                                linear_verify_triple, pairwise_simple_check)
-from arcsupport.pairs import (_count_of_kind, _gap_chart, _near_jump_gap,
-                              _scan_row, _staircase, _support_check,
-                              find_pair)
+from arcsupport.pairs import (_count_of_kind, _covering, _intervals,
+                              _near_jump_gap, _scan_row, _staircase,
+                              _support_check, find_pair)
 from arcsupport.profile import _ROUNDING
 from conftest import POOL_CONFIG
-from families import FALLBACK_VERTICES, convex_arc, uniform_draws, walk_arc
-from reference import (linear_ledger_lookup, quadratic_ledger, row_widths,
-                       scan_find_pair, unroll)
+from families import (FALLBACK_VERTICES, convex_arc, uniform_draws,
+                      walk_arc, zigzag_arc)
+from reference import (interval_cuts, linear_ledger_lookup,
+                       quadratic_ledger, row_widths, scan_find_pair, unroll)
 
 EPS = EPS_ANGLE
 
@@ -396,16 +398,17 @@ def test_run_index_stays_out_of_identity():
     assert ReadRuns.reads == 2
 
 
-def chart_gaps(profile):
-    """Every cut of the gap chart, +- eps_angle from it and the floats
-    either side of each, every piece's midpoint and pi; on profiles of
-    at most 20 corners also every jump-to-jump gap, +- eps_angle and
-    the floats either side of each.  Only gaps inside (0, 2 pi)."""
-    breaks = _gap_chart(profile).breaks
+def interval_gaps(profile):
+    """Every end of the gap intervals, 0 and 2 pi, +- eps_angle from
+    each and the floats either side of each, the midpoint between each
+    two neighbouring ends and pi; on profiles of at most 20 corners also
+    every jump-to-jump gap, +- eps_angle and the floats either side of
+    each.  Only gaps inside (0, 2 pi)."""
+    cuts = interval_cuts(profile)
     gaps = [math.pi]
-    for b in breaks:
+    for b in cuts:
         gaps += around(b, EPS)
-    gaps += [0.5 * (a + b) for a, b in zip(breaks, breaks[1:])]
+    gaps += [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
     if len(profile.levels) <= 20:
         for g in jump_to_jump_gaps(profile):
             gaps += around(g, EPS)
@@ -425,7 +428,7 @@ def test_enumeration_equals_linear_loop(profiles):
     fallback = build_profile(melkman_hull(build_arc(FALLBACK_VERTICES)))
     count = 0
     for profile in profiles + [fallback]:
-        for gap in chart_gaps(profile):
+        for gap in interval_gaps(profile):
             linear = linear_enumerate_triples(profile, gap)
             # enumerate_triples never reads its arc argument
             assert repr(enumerate_triples(profile, None, gap)) == repr(
@@ -435,46 +438,76 @@ def test_enumeration_equals_linear_loop(profiles):
     assert count > 150_000
 
 
-def test_chart_skips_a_jump_narrower_than_twice_the_slack():
-    # slack = EPS_TOUCH * 200 = 2e-7; jump 1 spans 2.9e-7, wider than
-    # the slack but not than 2 * slack, so lo + slack > hi - slack and
-    # the falling branch's bisections cross past the last step
-    levels = (0.0, 2.9e-7, 100.0, 200.0, 1.2e-7)
-    starts = tuple(TWO_PI * j / 5 for j in range(5))
+def hand_profile(levels, starts, apex_index):
+    """The profile of the given levels and step starts, with no arc."""
     widths = tuple(b - a for a, b in zip(starts, starts[1:] + (TWO_PI,)))
     jumps = tuple(tuple(sorted((levels[i - 1], levels[i])))
                   for i in range(len(starts)))
-    profile = SupportProfile(tuple(range(len(levels))), levels, starts,
-                             widths, jumps, apex_index=3)
-    assert 1 not in {i for piece in _gap_chart(profile).cands
-                     for i, _ in piece}
-    for gap in chart_gaps(profile):
+    return SupportProfile(tuple(range(len(levels))), levels, starts,
+                          widths, jumps, apex_index)
+
+
+def narrow_jump_profile():
+    # slack = EPS_TOUCH * 200 = 2e-7; jump 1 spans 2.9e-7, wider than
+    # the slack but not than 2 * slack, so lo + slack > hi - slack and
+    # the falling branch's bisections cross past the last step
+    return hand_profile((0.0, 2.9e-7, 100.0, 200.0, 1.2e-7),
+                        tuple(TWO_PI * j / 5 for j in range(5)), 3)
+
+
+def wrap_profile(extra):
+    # levels 0, 1, 3, 2: the minimum step is eps_angle + extra wide,
+    # narrower than the intervals' pad, so jump 0's two candidates reach
+    # past gap 0 on one side and past 2 pi on the other
+    width = EPS_ANGLE + extra
+    rest = (TWO_PI - width) / 3
+    return hand_profile((0.0, 1.0, 3.0, 2.0),
+                        (0.0, width, width + rest, width + 2 * rest), 2)
+
+
+def test_chart_skips_a_jump_narrower_than_twice_the_slack():
+    profile = narrow_jump_profile()
+    assert 1 not in {cand[0] for _, _, cand, _ in _intervals(profile)}
+    for gap in interval_gaps(profile):
         assert repr(enumerate_triples(profile, None, gap)) == repr(
             linear_enumerate_triples(profile, gap)), gap
 
 
 @pytest.mark.parametrize("extra", [1e-14, 1e-13])
 def test_chart_splits_gap_intervals_that_wrap_past_the_circle(extra):
-    # levels 0, 1, 3, 2: the minimum step is eps_angle + extra wide,
-    # narrower than the chart's pad, so jump 0's two candidates reach
-    # past gap 0 on one side and past 2 pi on the other, and the chart
-    # carries each over the seam
-    levels = (0.0, 1.0, 3.0, 2.0)
-    width = EPS_ANGLE + extra
-    rest = (TWO_PI - width) / 3
-    starts = (0.0, width, width + rest, width + 2 * rest)
-    widths = tuple(b - a for a, b in zip(starts, starts[1:] + (TWO_PI,)))
-    jumps = tuple(tuple(sorted((levels[i - 1], levels[i])))
-                  for i in range(len(starts)))
-    profile = SupportProfile(tuple(range(len(levels))), levels, starts,
-                             widths, jumps, apex_index=2)
-    chart = _gap_chart(profile)
-    assert chart.cands[0] == chart.cands[-1] == ((0, 1.0), (0, -1.0))
-    for gap in chart_gaps(profile):
+    # the intervals carry each overhang over the seam
+    profile = wrap_profile(extra)
+    assert (_covering(profile, math.nextafter(0.0, 1.0))
+            == _covering(profile, math.nextafter(TWO_PI, 0.0))
+            == [(0, 1.0), (0, -1.0)])
+    for gap in interval_gaps(profile):
         linear = linear_enumerate_triples(profile, gap)
         assert repr(enumerate_triples(profile, None, gap)) == repr(
             linear), gap
         assert_counts_of_kind(profile, gap, linear)
+
+
+# sha256 over the repr of the gap intervals of the pinned profiles:
+# enumeration and the count of one kind read their candidates there
+INTERVALS_DIGEST = (
+    "ea29e43a9cdaf2d07bb26da2fca0b45a9e2ac9346589b8b8a695a3e8157e8b76")
+
+
+def test_gap_intervals_are_pinned(fuzz_pool):
+    profiles = [profile for _, profile in fuzz_pool]
+    for n in (16, 80, 400, 1600):
+        for make in (convex_arc, walk_arc):
+            vertices = make(n, random.Random(n))
+            for arc in (vertices, vertices[::-1]):
+                profiles.append(build_profile(melkman_hull(build_arc(arc))))
+    for arc in (FALLBACK_VERTICES, zigzag_arc(40), zigzag_arc(400)):
+        profiles.append(build_profile(melkman_hull(build_arc(arc))))
+    profiles += [narrow_jump_profile(), wrap_profile(1e-14),
+                 wrap_profile(1e-13)]
+    digest = hashlib.sha256()
+    for profile in profiles:
+        digest.update(repr(_intervals(profile)).encode())
+    assert digest.hexdigest() == INTERVALS_DIGEST
 
 
 def verify_pairs(arc, profile, delta):

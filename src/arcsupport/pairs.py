@@ -30,11 +30,11 @@ without a touch query.
 Enumeration reads the gap intervals, a rotating caliper over every
 angle difference at once (Toussaint, MELECON 1983): for each jump, the
 gaps at which some level of its span lies the gap away on either side.
-They are built once per profile, on first use, and kept on the
-profile.  enumerate_triples and the fuzz campaign's count of one kind
-both take their candidates at a gap from one filter over them, O(p + k)
-for p parts and k candidates: p is 2 on a convex arc and grows to
-about 2 m where the two branches of the staircase interleave.
+They are built once per profile, in O(m log m), on first use and kept
+on the profile.  enumerate_triples and the fuzz campaign's count of one
+kind both take their candidates at a gap from one filter over them,
+O(p + k) for p parts and k candidates: p is 2 on a convex arc and grows
+to about 2 m where the two branches of the staircase interleave.
 
 verify_triple checks a pair against the raw vertices, not the profile.
 It reads them in runs of 16 with their bounding boxes (arc.runs, built
@@ -409,7 +409,7 @@ def _gap_intervals(profile: SupportProfile) -> tuple[tuple, ...]:
     """The gaps at which each candidate enumerate_triples tries can
     yield a configuration, as parts (x, y, (i, sign), apex_side): the
     candidate covers the gaps x <= gap < y.  In jump, then sign (+
-    before -) order; kept on the profile by _intervals.
+    before -) order, O(m log m); kept on the profile by _intervals.
 
     A candidate (jump index i, sign) pairs jump i with the angle
     psi = a_i + sign * gap; it yields a configuration only when the
@@ -422,13 +422,6 @@ def _gap_intervals(profile: SupportProfile) -> tuple[tuple, ...]:
     then reaches past 0 or 2*pi is cut there and its overhang carried
     to the circle's other end, as a part of its own.
 
-    Only the jumps whose span meets the other branch's levels are
-    bisected, found by two bisections per branch: levels[m - 1] to
-    levels[k + 1] for a rising jump, levels[1] to levels[k - 1] for a
-    falling one (no span holds the minimum or the apex inside).  The
-    jumps skipped would find no level, so the parts are those of
-    bisecting every jump.
-
     apex_side is the candidate's kind: it spans the apex step exactly
     when (0 < i <= apex_index) == (sign > 0), else the minimum step, as
     the ccw side from a rising jump to the falling run passes the apex
@@ -436,26 +429,15 @@ def _gap_intervals(profile: SupportProfile) -> tuple[tuple, ...]:
     """
     slack = profile.param_slack
     starts, levels, k = profile.starts, profile.levels, profile.apex_index
-    m = len(levels)
-    rising = falling = range(0)
-    if k < m - 1:  # jumps 1..k whose span meets the falling levels
-        rising = range(bisect_right(levels, levels[m - 1], 1, k + 1),
-                       bisect_left(levels, levels[k + 1], 1, k + 1) + 1)
-    if k > 1:  # jumps k+1..m-1 whose span meets levels[1..k-1]
-        falling = range(
-            bisect_right(levels, -levels[k - 1], k + 1, m, key=neg),
-            min(bisect_left(levels, -levels[1], k + 1, m, key=neg) + 1, m))
     parts = []
-    for i in (0, *rising, *falling):
-        lo, hi = profile.jumps[i]
+    for i, (lo, hi) in enumerate(profile.jumps):
         if hi - lo <= slack:
             continue
         low, high = lo + slack, hi - slack
         # levels rise on steps 0..k, then fall back to step 0: a rising
         # jump's span holds falling levels only (bisected through neg),
         # any other jump's span rising levels only
-        rising_jump = 0 < i <= k
-        if rising_jump:
+        if 0 < i <= k:
             s = bisect_right(levels, -high, k + 1, key=neg)
             e = bisect_left(levels, -low, k + 1, key=neg)
         else:
@@ -466,11 +448,12 @@ def _gap_intervals(profile: SupportProfile) -> tuple[tuple, ...]:
         if s >= e:
             continue
         # the run's last step, e - 1, ends where step e starts
-        a, first, last = starts[i], starts[s], starts[e % m]
+        a, first, last = starts[i], starts[s], starts[e % len(starts)]
+        rising = 0 < i <= k
         for sign, x, y in ((1.0, ccw_gap(a, first), ccw_gap(a, last)),
                            (-1.0, ccw_gap(last, a), ccw_gap(first, a))):
             x, y = x - _GAP_PAD, y + _GAP_PAD
-            cand, apex_side = (i, sign), rising_jump == (sign > 0)
+            cand, apex_side = (i, sign), rising == (sign > 0)
             parts.append((max(x, 0.0), min(y, TWO_PI), cand, apex_side))
             if x < 0.0:
                 parts.append((x + TWO_PI, TWO_PI, cand, apex_side))

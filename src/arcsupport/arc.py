@@ -74,6 +74,8 @@ class PolygonalArc:
     length up to vertex i; params[0] == 0 and params[-1] == length.
     Run r of runs holds vertices r * RUN to r * RUN + RUN - 1 as (x_lo,
     x_hi, y_lo, y_hi, xs, ys): its bounding box and its coordinates.
+    bound is the chain's orientation bound, geometry.chain_bound(xs, ys),
+    which the hull's orientation tests read.
     """
 
     xs: tuple[float, ...]
@@ -83,6 +85,15 @@ class PolygonalArc:
     diagonal: float  # bounding-box diagonal, the distance scale for tolerances
     # derived from the vertices: out of __eq__, __hash__ and __repr__
     runs: tuple[tuple, ...] = field(repr=False, compare=False)
+    bound: float = field(repr=False, compare=False)
+
+    # the fields' __init__, but filling the instance dict in one call:
+    # the generated one sets each field through object.__setattr__
+    def __init__(self, xs: tuple[float, ...], ys: tuple[float, ...],
+                 params: tuple[float, ...], length: float, diagonal: float,
+                 runs: tuple[tuple, ...], bound: float):
+        self.__dict__.update(xs=xs, ys=ys, params=params, length=length,
+                             diagonal=diagonal, runs=runs, bound=bound)
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -135,7 +146,7 @@ def _segments_intersect(turn: Callable[[int, int, int], int],
                         j: int) -> bool:
     """Closed-segment intersection test (touching counts) of segments i
     and j of the chain with coordinates xs, ys, turn its orientation
-    test (geometry.chain_orient).
+    test (geometry._chain_turn).
 
     The tolerant orientations can call a tiny segment far along the
     line of another touching it, so callers hand over only pairs whose
@@ -226,7 +237,14 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
     naming the first pair of non-adjacent segments that intersect, if
     any: xs and ys the coordinates, turn the chain's orientation test
     and pad the box growth."""
-    xs, ys = _coordinates(vertices)
+    return _checked_columns(*_coordinates(vertices), first_crossing)
+
+
+def _checked_columns(xs: list[float], ys: list[float],
+                     first_crossing: Callable[
+                         ..., Optional[tuple[int, int]]]) -> PolygonalArc:
+    """_checked_arc past _coordinates: xs and ys are the vertices'
+    coordinate lists, finite floats."""
     if len(xs) < 2:
         raise TooFewVertices(f"need at least 2 vertices, got {len(xs)}")
     dx = max(xs) - min(xs)
@@ -254,8 +272,9 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
     params = list(accumulate(steps, initial=0.0))
 
     # the chain's bound from the spans above, as geometry.chain_bound
-    # computes it
-    turn = _chain_turn(xs, ys, EPS_ORIENT * (dx * dx + dy * dy))
+    # computes it; the arc keeps it for the hull
+    bound = EPS_ORIENT * (dx * dx + dy * dy)
+    turn = _chain_turn(xs, ys, bound)
     # adjacent segments may share only the common vertex: no back-tracking,
     # which only edges that point back (a negative dot product) can do
     for i, (ux, uy, wx, wy) in enumerate(zip(ex, ey, ex[1:], ey[1:])):
@@ -273,7 +292,7 @@ def _checked_arc(vertices: Iterable, first_crossing: Callable[
         rx, ry = xs[i:i + RUN], ys[i:i + RUN]
         runs.append((min(rx), max(rx), min(ry), max(ry), rx, ry))
     return PolygonalArc(tuple(xs), tuple(ys), tuple(params), params[-1],
-                        diag, tuple(runs))
+                        diag, tuple(runs), bound)
 
 
 def build_arc(vertices: Iterable) -> PolygonalArc:

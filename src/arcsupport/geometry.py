@@ -27,12 +27,12 @@ times the squared span of all its points.  Three points span at most
 what the chain spans, max and min are exact and rounding is monotone,
 so orient's threshold for any three (:func:`triple_bound`) is at most
 the bound.  A cross product beyond the bound thus has orient's sign;
-only the rest are held to their triple's threshold (:func:`chain_orient`),
-and no decision, error or message changes.  The hull's two deque loops
-write chain_orient's test out, with the bound it returns beside turn.
-Arc validation has the chain's spans already, for its diagonal, and
-builds the same test from them (_chain_turn) without a chain_bound
-pass; the sampler's filter holds every draw to its square's bound.
+only the rest are held to their triple's threshold (_chain_turn), and
+no decision, error or message changes.  Arc validation has the chain's
+spans already, for its diagonal, and computes the bound from them
+without a chain_bound pass; the arc keeps it, and the hull's two deque
+loops write _chain_turn's test out with it.  The sampler's filter holds
+every draw to its square's bound.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ def ccw_gap(a: float, b: float) -> float:
 
 def circ_dist(a: float, b: float) -> float:
     """Shorter angular distance between a and b (undirected)."""
-    g = ccw_gap(a, b)
-    return min(g, TWO_PI - g)
+    g = canon_angle(b - a)
+    h = TWO_PI - g
+    return h if h < g else g  # min(g, h): the first of equals
 
 
 def triple_bound(px: float, py: float, qx: float, qy: float, rx: float,
@@ -123,23 +124,15 @@ def chain_bound(xs: Sequence[float], ys: Sequence[float]) -> float:
     return EPS_ORIENT * (dx * dx + dy * dy)
 
 
-def chain_orient(xs: Sequence[float], ys: Sequence[float]
-                 ) -> tuple[Callable[[int, int, int], int], float]:
-    """(turn, chain_bound(xs, ys)): turn(i, j, k) is orient's answer for
-    the points i, j, k of the chain with coordinate lists xs, ys.
+def _chain_turn(xs: Sequence[float], ys: Sequence[float],
+                bound: float) -> Callable[[int, int, int], int]:
+    """turn(i, j, k), orient's answer for the points i, j, k of the chain
+    with coordinate lists xs, ys and bound chain_bound(xs, ys).
 
     turn computes orient's cross product on the lists; beyond the
     chain's bound its sign is orient's answer, and within it turn
     compares it with the triple's own threshold, as orient does.
     """
-    bound = chain_bound(xs, ys)
-    return _chain_turn(xs, ys, bound), bound
-
-
-def _chain_turn(xs: Sequence[float], ys: Sequence[float],
-                bound: float) -> Callable[[int, int, int], int]:
-    """chain_orient's turn, for a caller that holds the chain's spans
-    and so its bound, chain_bound(xs, ys), already."""
     neg = -bound
 
     def turn(i: int, j: int, k: int) -> int:

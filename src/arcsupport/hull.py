@@ -3,8 +3,9 @@ angular support steps.
 
 Melkman's online deque algorithm runs in linear time on a simple
 polyline.  Its two loops, the pops at the back and the poplefts at the
-front, decide each orientation inline as geometry.chain_orient does:
-by the cross product's sign beyond the chain's bound, within it by
+front, decide each orientation inline as the chain's turn test
+(geometry._chain_turn) does: by the cross product's sign beyond the
+chain's bound, which the arc keeps (PolygonalArc.bound), within it by
 geometry.triple_bound, each corner's turn as its later neighbour joins,
 but for the seam's.  Corners collinear within tolerance are merged
 away, so every corner left makes a strict turn and a positive step.
@@ -23,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .arc import PolygonalArc
-from .geometry import EPS_ANGLE, TWO_PI, Point2, chain_orient, triple_bound
+from .geometry import EPS_ANGLE, TWO_PI, Point2, _chain_turn, triple_bound
 
 
 class StraightArc(ValueError):
@@ -47,6 +48,12 @@ class Hull:
     starts: tuple[float, ...]
     widths: tuple[float, ...]
 
+    def __init__(self, corners: tuple[int, ...], levels: tuple[float, ...],
+                 starts: tuple[float, ...],
+                 widths: tuple[float, ...]):  # as PolygonalArc's
+        self.__dict__.update(corners=corners, levels=levels, starts=starts,
+                             widths=widths)
+
     def __len__(self) -> int:
         return len(self.corners)
 
@@ -62,8 +69,8 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     exactly B.  Raises StraightArc when every vertex is collinear within
     tolerance.
     """
-    xs, ys = arc.xs, arc.ys
-    turn, bound = chain_orient(xs, ys)
+    xs, ys, bound = arc.xs, arc.ys, arc.bound
+    turn = _chain_turn(xs, ys, bound)
     n = len(xs)
 
     # collapse a collinear prefix so the deque starts from a strict turn
@@ -130,9 +137,10 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     # every corner now turns strictly left, so the cycle runs
     # counterclockwise (the deque starts that way); a clockwise cycle
     # would fail the exterior-angle check below, never pass silently
-    m = len(cycle)
     params = arc.params
-    start = min(range(m), key=lambda i: params[cycle[i]])
+    # the first corner of the smallest parameter (the corners are
+    # distinct vertices, so index finds the one min picked)
+    start = cycle.index(min(cycle, key=params.__getitem__))
     cycle = cycle[start:] + cycle[:start]
     # the direction of the edge entering corner i starts its step and
     # ends the step before, the same float for both.  Two corners are
@@ -146,9 +154,10 @@ def melkman_hull(arc: PolygonalArc) -> Hull:
     widths = [t if (t := b - a) >= 0.0
               else u if (u := t + TWO_PI) < TWO_PI else 0.0
               for a, b in zip(starts, starts[1:] + starts[:1])]
-    for i, ext in enumerate(widths):
-        if not (EPS_ANGLE < ext < math.pi):
-            raise StraightArc(f"degenerate exterior angle {ext} at corner "
-                              f"{Point2(xs[cycle[i]], ys[cycle[i]])}")
+    if not (EPS_ANGLE < min(widths) and max(widths) < math.pi):
+        i, ext = next((i, ext) for i, ext in enumerate(widths)
+                      if not (EPS_ANGLE < ext < math.pi))
+        raise StraightArc(f"degenerate exterior angle {ext} at corner "
+                          f"{Point2(xs[cycle[i]], ys[cycle[i]])}")
     return Hull(tuple(cycle), tuple([params[i] for i in cycle]),
                 tuple(starts), tuple(widths))

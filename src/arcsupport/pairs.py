@@ -374,24 +374,21 @@ def pairs_identical(profile: SupportProfile, m: TriplePair,
     """Do two pairs agree as unordered angle sets with matching triples
     and the same strictness?"""
     slack = profile.param_slack
-
-    def angles_match(a1, a2, b1, b2):
-        return ((circ_dist(a1, b1) <= EPS_ANGLE
-                 and circ_dist(a2, b2) <= EPS_ANGLE)
-                or (circ_dist(a1, b2) <= EPS_ANGLE
-                    and circ_dist(a2, b1) <= EPS_ANGLE))
-
-    return (angles_match(m.theta_double, m.theta_single,
-                         v.theta_double, v.theta_single)
-            and all(abs(a - b) <= slack for a, b in zip(m.triple, v.triple))
-            and m.strict == v.strict)
+    a1, a2 = m.theta_double, m.theta_single
+    b1, b2 = v.theta_double, v.theta_single
+    return (((circ_dist(a1, b1) <= EPS_ANGLE
+              and circ_dist(a2, b2) <= EPS_ANGLE)
+             or (circ_dist(a1, b2) <= EPS_ANGLE
+                 and circ_dist(a2, b1) <= EPS_ANGLE))
+            and abs(m.s1 - v.s1) <= slack and abs(m.s2 - v.s2) <= slack
+            and abs(m.s3 - v.s3) <= slack and m.strict == v.strict)
 
 
 def corollary_check(profile: SupportProfile, arc: PolygonalArc,
                     delta: float) -> CorollaryResult:
     """Run both scans at the same difference and compare the pairs."""
-    m = find_pair_mountain(profile, arc, delta)
-    v = find_pair_valley(profile, arc, delta)
+    m = find_pair(profile, delta, MOUNTAIN)
+    v = find_pair(profile, delta, VALLEY)
     return CorollaryResult(pairs_identical(profile, m, v), m, v)
 
 
@@ -654,19 +651,21 @@ def _verify(arc: PolygonalArc, pair: TriplePair, check) -> TripleReport:
     dist_slack = EPS_TOUCH * arc.diagonal
     param_slack = EPS_TOUCH * arc.length
     xs, ys = arc.xs, arc.ys
-    (x1, y1), (x2, y2), (x3, y3) = [_point_xy(arc, s) for s in pair.triple]
+    s1, s2, s3 = pair.s1, pair.s2, pair.s3
+    x1, y1 = _point_xy(arc, s1)
+    x2, y2 = _point_xy(arc, s2)
+    x3, y3 = _point_xy(arc, s3)
     dx, dy = math.cos(pair.theta_double), math.sin(pair.theta_double)
-    k, d_left = check(arc, dx, dy, x1, y1, pair.s1, dist_slack)
+    k, d_left = check(arc, dx, dy, x1, y1, s1, dist_slack)
     double_ok = (abs(dx * (y1 - ys[k]) - dy * (x1 - xs[k])) <= dist_slack
                  and abs(dx * (y3 - ys[k]) - dy * (x3 - xs[k])) <= dist_slack)
     dx, dy = math.cos(pair.theta_single), math.sin(pair.theta_single)
-    k, s_left = check(arc, dx, dy, x2, y2, pair.s2, dist_slack)
+    k, s_left = check(arc, dx, dy, x2, y2, s2, dist_slack)
     single_ok = abs(dx * (y2 - ys[k]) - dy * (x2 - xs[k])) <= dist_slack
     if pair.strict:
-        order_ok = (pair.s1 + param_slack < pair.s2 < pair.s3 - param_slack)
+        order_ok = (s1 + param_slack < s2 < s3 - param_slack)
     else:
-        order_ok = (pair.s1 <= pair.s2 + param_slack
-                    and pair.s2 <= pair.s3 + param_slack)
+        order_ok = (s1 <= s2 + param_slack and s2 <= s3 + param_slack)
     return TripleReport(double_ok, single_ok, d_left and s_left, order_ok)
 
 

@@ -73,6 +73,14 @@ class SupportProfile(Hull):
     _indexes: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
+    def __init__(self, corners: tuple[int, ...], levels: tuple[float, ...],
+                 starts: tuple[float, ...], widths: tuple[float, ...],
+                 jumps: tuple[tuple[float, float], ...],
+                 apex_index: int):  # as PolygonalArc's, each its own _indexes
+        self.__dict__.update(corners=corners, levels=levels, starts=starts,
+                             widths=widths, jumps=jumps, apex_index=apex_index,
+                             _indexes={})
+
     def _index(self, key: str, build: Callable[[SupportProfile], Any]):
         """The index kept under key: build(self) on first use."""
         got = self._indexes.get(key)

@@ -40,7 +40,7 @@ def fuzz_pool():
 def orient_counts(monkeypatch):
     """Counts of orientation decisions ("decided": calls of each
     chain's orientation test, the turn that geometry._chain_turn builds
-    for build_arc and for geometry.chain_orient), of those held against
+    for build_arc and for melkman_hull), of those held against
     their own triple's threshold ("full": calls of
     geometry.triple_bound, which orient makes on every call and a chain
     test makes only within the chain's bound) and of chain bounds
@@ -49,7 +49,10 @@ def orient_counts(monkeypatch):
     in melkman_hull decide every cross product themselves, asking only
     triple_bound within the chain's bound, so "decided" counts there
     only its collinear prefix and its seam repair, and "full" counts
-    the loops' products within the bound too."""
+    the loops' products within the bound too.  No pipeline layer
+    computes a chain bound: build_arc takes it from the spans it finds
+    for the diagonal, and the hull reads it off the arc
+    (PolygonalArc.bound)."""
     counts = {"decided": 0, "full": 0, "bounds": 0}
     triple_bound = geometry.triple_bound
     chain_bound = geometry.chain_bound

@@ -579,6 +579,10 @@ def test_fuzz_csv_digests_are_pinned(seed, policy):
     assert summary == {"trials": 300, "strict": strict, "unique": unique,
                        "unique_total": unique, "corollary_at_pi": 300,
                        "anomalies": []}
+    # trials are independent: no state passes from one trial to the
+    # next, so a 40-trial campaign repeats the first 40 rows
+    assert run_fuzz(FuzzConfig(trials=40, seed=seed,
+                               delta_policy=policy))[0] == rows[:40]
 
 
 def test_fuzz_records_a_failed_verification_as_an_anomaly(monkeypatch,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from arcsupport import (EPS_ORIENT, Point2, TWO_PI, canon_angle, ccw_gap,
                         orient)
-from arcsupport.geometry import chain_bound, chain_orient
+from arcsupport.geometry import _chain_turn, chain_bound
 
 angles = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -90,8 +90,7 @@ def test_chain_orient_at_its_bound(orient_counts, k, far):
             ys = [0.0, 0.0, cross / s, 0.0]
             assert chain_bound(xs, ys) == bound
             pts = [Point2(x, y) for x, y in zip(xs, ys)]
-            turn, chain = chain_orient(xs, ys)
-            assert chain == bound
+            turn = _chain_turn(xs, ys, bound)
             orient_counts.update(full=0)
             got = turn(0, 1, 2)
             # the filter decides exactly the cross products beyond it;
@@ -173,7 +172,8 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
                       (pairs, "_build_chart"), (pairs, "_gap_chart"),
                       (pairs, "_CHART_PAD"),
                       (oracle, "quadratic_ledger"),
-                      (oracle, "linear_ledger_lookup")):
+                      (oracle, "linear_ledger_lookup"),
+                      (geometry, "chain_orient")):
         assert not hasattr(mod, name), name
     # an arc keeps its coordinates once, as floats
     assert [f.name for f in dataclasses.fields(arcsupport.PolygonalArc)][
@@ -210,9 +210,9 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
     # a jump is its pair of levels; its angle is its step's start
     assert not hasattr(arcsupport, "Jump")
     assert not hasattr(profile, "Jump")
-    # the chain tests read only the coordinate lists
-    assert list(inspect.signature(geometry.chain_orient).parameters) == [
-        "xs", "ys"]
+    # the chain tests read only the coordinate lists and the chain's bound
+    assert list(inspect.signature(geometry._chain_turn).parameters) == [
+        "xs", "ys", "bound"]
     assert "coordinate_box" not in {
         f.name for f in dataclasses.fields(arcsupport.FuzzConfig)}
     assert len(set(arcsupport.__all__)) == len(arcsupport.__all__) == 46

@@ -134,7 +134,8 @@ def test_generator_rejects_what_the_pipeline_finds_straight(monkeypatch,
         melkman_hull(flat)
     monkeypatch.setattr(oracle, "_certainly_crosses",
                         lambda xs, ys, thr: False)
-    monkeypatch.setattr(oracle, "build_arc", lambda pts: flat)
+    monkeypatch.setattr(oracle, "_checked_columns",
+                        lambda xs, ys, first_crossing: flat)
     monkeypatch.setattr(oracle, "MAX_DRAWS", 1)
     with pytest.raises(GenerationExhausted):
         random_simple_arc(FuzzConfig(trials=1, seed=1), 0)

@@ -9,7 +9,8 @@ import random
 import pytest
 
 from arcsupport import (EPS_ANGLE, MOUNTAIN, TWO_PI, VALLEY, CorollaryResult,
-                        InvalidDelta, TripleReport, TriplePair, build_arc,
+                        Hull, InvalidDelta, PolygonalArc, SupportProfile,
+                        TripleReport, TriplePair, build_arc,
                         build_profile, canon_angle, ccw_gap, circ_dist,
                         corollary_check, enumerate_triples, find_pair,
                         find_pair_mountain, find_pair_valley,
@@ -359,11 +360,13 @@ def test_ledger_monotone(fuzz_pool):
 
 
 def generated(cls):
-    """A frozen dataclass with cls's fields and the __init__ that
-    dataclass writes."""
+    """A frozen dataclass with cls's fields, each in or out of __init__,
+    repr and comparison and with the default (or default factory) that
+    cls declares, and the __init__ that dataclass writes."""
     return dataclasses.make_dataclass(cls.__name__, [
-        (f.name, f.type) if f.default is dataclasses.MISSING
-        else (f.name, f.type, dataclasses.field(default=f.default))
+        (f.name, f.type, dataclasses.field(
+            default=f.default, default_factory=f.default_factory,
+            init=f.init, repr=f.repr, compare=f.compare))
         for f in dataclasses.fields(cls)], frozen=True)
 
 
@@ -382,7 +385,21 @@ PAIR = TriplePair("mountain", 0.5, 2.0, 0.25, 1.0, 3.0, True,
      "left_side=True, ordering=True)"),
     (CorollaryResult, (False, PAIR, PAIR),
      f"CorollaryResult(identical=False, mountain={PAIR!r}, valley={PAIR!r})"),
-], ids=["TriplePair", "TripleReport", "CorollaryResult"])
+    (PolygonalArc, ((0.0, 1.0), (0.0, 0.0), (0.0, 1.0), 1.0, 1.0,
+                    ((0.0, 1.0, 0.0, 0.0, (0.0, 1.0), (0.0, 0.0)),), 1e-12),
+     "PolygonalArc(xs=(0.0, 1.0), ys=(0.0, 0.0), params=(0.0, 1.0), "
+     "length=1.0, diagonal=1.0)"),
+    (Hull, ((0, 1, 2), (0.0, 1.0, 2.0), (0.5, 2.5, 4.5), (2.0, 2.0, 2.25)),
+     "Hull(corners=(0, 1, 2), levels=(0.0, 1.0, 2.0), "
+     "starts=(0.5, 2.5, 4.5), widths=(2.0, 2.0, 2.25))"),
+    (SupportProfile, ((0, 1, 2), (0.0, 2.0, 1.0), (0.5, 2.5, 4.5),
+                      (2.0, 2.0, 2.25), ((0.0, 1.0), (0.0, 2.0), (1.0, 2.0)),
+                      1),
+     "SupportProfile(corners=(0, 1, 2), levels=(0.0, 2.0, 1.0), "
+     "starts=(0.5, 2.5, 4.5), widths=(2.0, 2.0, 2.25), "
+     "jumps=((0.0, 1.0), (0.0, 2.0), (1.0, 2.0)), apex_index=1)"),
+], ids=["TriplePair", "TripleReport", "CorollaryResult", "PolygonalArc",
+        "Hull", "SupportProfile"])
 def test_records_keep_the_frozen_dataclass_api(cls, args, text):
     # the records fill their dict in one call, yet read, compare, hash,
     # copy and refuse assignment as the generated frozen dataclass does
@@ -403,6 +420,13 @@ def test_records_keep_the_frozen_dataclass_api(cls, args, text):
     moved = dataclasses.replace(record, **{name: not args[0]})
     assert moved != record and getattr(moved, name) is (not args[0])
     assert dataclasses.replace(moved, **{name: args[0]}) == record
+    for f in dataclasses.fields(cls):
+        if not f.init:  # each record gets a fresh value of its own
+            assert getattr(moved, f.name) == f.default_factory()
+            assert getattr(moved, f.name) is not getattr(record, f.name)
+            assert getattr(cls(*args), f.name) is not getattr(record, f.name)
+        elif not f.compare:  # out of ==, yet replace carries it over
+            assert getattr(moved, f.name) is getattr(record, f.name)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(record, name, args[0])
     with pytest.raises(dataclasses.FrozenInstanceError):

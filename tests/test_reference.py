@@ -11,9 +11,9 @@ its quadratic ledger (tests/reference.py), also on hand-made
 staircases.
 random_simple_arc discards draws that cross beyond the bound of its
 whole square before build_arc; its reference sends every draw through
-build_arc.  geometry.chain_orient decides most orientations on one
-bound per chain; its reference is orient on every triple.  Results
-must be equal, not close.
+build_arc.  A chain's turn test (geometry._chain_turn) decides most
+orientations on one bound per chain; its reference is orient on every
+triple.  Results must be equal, not close.
 """
 
 import bisect
@@ -37,8 +37,7 @@ from arcsupport import (EPS_ANGLE, EPS_ORIENT, EPS_TOUCH, MOUNTAIN, TWO_PI,
                         verify_triple)
 from arcsupport import arc as arc_module
 from arcsupport import oracle
-from arcsupport.geometry import (canon_angle, ccw_gap, chain_bound,
-                                 chain_orient)
+from arcsupport.geometry import _chain_turn, canon_angle, ccw_gap, chain_bound
 from arcsupport.oracle import (COORDINATE_BOX, DRAW_BOUND,
                                _certainly_crosses, _linear_support_check,
                                linear_enumerate_triples, linear_touch_params,
@@ -780,11 +779,13 @@ def crosses(vertices, thr=None):
 def same_verdict(vertices):
     """build_arc's verdict, which pairwise_simple_check must repeat; the
     sampler's filter, at the chain's bound, must flag no chain they
-    accept."""
+    accept, and an arc they accept keeps that bound, bitwise."""
     fast = verdict(build_arc, vertices)
     assert fast == verdict(pairwise_simple_check, vertices), vertices
     if fast[0] is None:
         assert not crosses(vertices), vertices
+        arc = build_arc(vertices)
+        assert arc.bound == chain_bound(arc.xs, arc.ys), vertices
     return fast
 
 
@@ -1034,7 +1035,7 @@ def test_chain_orient_equals_orient_on_adversarial_chains(pts, k, offset,
     for chain in scaled_and_moved(pts, k, offset, grid):
         xs, ys = [x for x, _ in chain], [y for _, y in chain]
         points = [Point2(x, y) for x, y in chain]
-        turn, _ = chain_orient(xs, ys)
+        turn = _chain_turn(xs, ys, chain_bound(xs, ys))
         for i, j, m in itertools.permutations(range(len(chain)), 3):
             assert turn(i, j, m) == orient(points[i], points[j],
                                            points[m]), (chain, i, j, m)
